@@ -14,15 +14,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .distributions import (ChiSquared, Gaussian, Triangular,
+from .distributions import (_HALF_LN_2PIE, ChiSquared, Gaussian, Triangular,
                             TruncatedGaussian, TruncatedGumbel, Uniform)
 from .errors import ConfigurationError
 from .model import Model
 
 __all__ = ["AnalyticValue", "BenchmarkModel", "MetaFunctionSpec", "builtin",
            "builtin_names", "draw_metafunction", "build_metafunction", "BASIS_FUNCTIONS"]
-
-_HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 
 
 @dataclass(frozen=True)
@@ -121,14 +119,11 @@ def _ishigami_analytic() -> dict[str, AnalyticValue]:
 
 
 def _ratio_chi2_analytic(k1: float, k2: float) -> dict[str, AnalyticValue]:
-    from scipy.special import digamma, gammaln
-
-    def chi2_entropy(k):
-        return k / 2 + math.log(2.0) + gammaln(k / 2) + (1 - k / 2) * digamma(k / 2)
+    from scipy.special import digamma
 
     e_ln = lambda k: math.log(2.0) + digamma(k / 2)
-    h_t = (chi2_entropy(k1) - e_ln(k2),
-           chi2_entropy(k2) - 2 * e_ln(k2) + e_ln(k1))
+    h_t = (ChiSquared(k1).entropy() - e_ln(k2),
+           ChiSquared(k2).entropy() - 2 * e_ln(k2) + e_ln(k1))
     r1, r2 = 1 / (k2 - 2), 1 / ((k2 - 2) * (k2 - 4))
     m1, m2 = k1, k1 * (k1 + 2)
     v_y = m2 * r2 - (m1 * r1) ** 2

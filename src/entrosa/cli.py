@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 
 from .errors import ConfigurationError, NumericalError, SparseGridError
-from .report import METHODS, RunConfig, load_config_file
+from .report import METHODS, RunConfig, _parse_model_param, load_config_file
 from .studies import TABLE_PRESETS, convergence, metastudy, run_from_config, run_table_preset
 
 EXIT_CONFIG = 2
@@ -25,7 +26,10 @@ EXIT_SPARSE = 4
 
 
 def _count(text: str) -> int:
-    return int(float(text))
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"count must be finite, got {text!r}")
+    return int(value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,8 +113,8 @@ def _run_config_from_args(args) -> RunConfig:
         pairs = list(base.get("input_overrides") or [])
         for item in args.override_input:
             idx, sep, text = item.partition("=")
-            if not sep:
-                raise ConfigurationError(f"bad --override-input {item!r}")
+            if not sep or not idx.strip().isdecimal():
+                raise ConfigurationError(f"bad --override-input {item!r}, expected I=KIND(...)")
             pairs.append((int(idx), text))
         base["input_overrides"] = pairs
     params = dict(base.get("model_params") or {})
@@ -118,13 +122,7 @@ def _run_config_from_args(args) -> RunConfig:
         key, _, value = item.partition("=")
         if not _ or not key:
             raise ConfigurationError(f"bad --param {item!r}, expected KEY=VALUE")
-        if "," in value:
-            params[key] = tuple(float(v) for v in value.split(","))
-        else:
-            try:
-                params[key] = float(value)
-            except ValueError:
-                params[key] = value
+        params[key] = _parse_model_param(value)
     if params:
         base["model_params"] = params
     return RunConfig.from_mapping(base)

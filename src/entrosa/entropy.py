@@ -9,9 +9,10 @@ min/max and plug in cell frequencies:
 
 where i indexes the (possibly multi-dimensional) conditioning cell and j the
 output cell. Counting is sparse (only occupied cells are materialized), so
-grids far larger than memory-dense arrays are fine; accumulation merges
-additively over sample chunks, which keeps results bitwise independent of the
-chunking.
+grids far larger than memory-dense arrays are fine. Every conditional entropy
+goes through one kernel that folds per-axis cell codes into joint cell codes
+and counts them; ``estimate_entropy_indices`` codes each axis once per
+repetition and shares the codes across all d leave-one-out conditionings.
 
 Bin counts drive a bias trade-off: coarse conditioning inflates the estimate
 (within-cell variation leaks into the conditional law), fine grids starve
@@ -67,76 +68,35 @@ def _axis_codes(values: np.ndarray, bins: int) -> tuple[np.ndarray, float]:
     return codes, float(width)
 
 
-def _sparse_counts(codes: np.ndarray, chunk_size: int | None = None):
-    """Occupied-cell codes and counts; chunked accumulation merges additively."""
-    if chunk_size is None or codes.size <= chunk_size:
-        return np.unique(codes, return_counts=True)
-    parts = [np.unique(codes[i:i + chunk_size], return_counts=True)
-             for i in range(0, codes.size, chunk_size)]
-    allcodes = np.concatenate([p[0] for p in parts])
-    allcounts = np.concatenate([p[1] for p in parts])
-    u, inv = np.unique(allcodes, return_inverse=True)
-    merged = np.zeros(u.size, dtype=np.int64)
-    np.add.at(merged, inv, allcounts)
-    return u, merged
-
-
-def entropy_histogram(samples: np.ndarray, spec: HistogramSpec = HistogramSpec(),
-                      chunk_size: int | None = None) -> float:
-    """Differential entropy (nats) of a 1-D sample. A degenerate range (all
-    samples equal) is reported as -inf."""
-    samples = np.asarray(samples, dtype=float).ravel()
-    if samples.size < 1:
-        raise ConfigurationError("entropy_histogram needs at least one sample")
-    codes, width = _axis_codes(samples, spec.bins_output)
-    if codes is None:
-        return -math.inf
-    _, counts = _sparse_counts(codes, chunk_size)
-    p = counts / samples.size
-    return float(-(p * np.log(p)).sum() + math.log(width))
-
-
-def conditional_entropy(y: np.ndarray, x_cond: np.ndarray,
-                        spec: HistogramSpec = HistogramSpec(),
-                        chunk_size: int | None = None) -> float:
-    """Expected conditional entropy H(Y|X) over a dense conditioning grid.
-
-    ``x_cond`` is (n,) or (n, k) with k <= 4; beyond that the grid cannot be
-    populated at sane sample sizes and the operation refuses (fix variables
-    first to reduce the dimension). Escalates to an error when more than half
-    of the occupied conditioning cells hold a single sample.
-    """
-    y = np.asarray(y, dtype=float).ravel()
-    x_cond = np.asarray(x_cond, dtype=float)
-    if x_cond.ndim == 1:
-        x_cond = x_cond[:, None]
-    n, k = x_cond.shape
-    if n != y.size:
-        raise ConfigurationError("y and x_cond disagree on sample count")
+def _check_grid(k: int, spec: HistogramSpec) -> None:
+    """Refuse conditioning grids that cannot be populated or coded."""
     if k < 1:
         raise ConfigurationError("need at least one conditioning variable")
     if k > MAX_CONDITIONING_DIMS:
         raise SparseGridError(
             f"refusing a {k}-dimensional conditioning grid (max {MAX_CONDITIONING_DIMS}); "
             "fix variables to reduce the model first")
-
-    bins_c = spec.bins_per_conditioning_dim
-    if bins_c ** k * spec.bins_output >= 2 ** 62:
+    if spec.bins_per_conditioning_dim ** k * spec.bins_output >= 2 ** 62:
         raise ConfigurationError(
-            f"conditioning grid {bins_c}^{k} x {spec.bins_output} overflows cell codes")
-    ycodes, width = _axis_codes(y, spec.bins_output)
-    if ycodes is None:
-        return -math.inf
+            f"conditioning grid {spec.bins_per_conditioning_dim}^{k} x {spec.bins_output} "
+            "overflows cell codes")
+
+
+def _conditional_from_codes(ycodes: np.ndarray, width: float, cond_codes: list,
+                            spec: HistogramSpec) -> float:
+    """Plug-in H(Y|X) from the output cell codes (cell width ``width``) and one
+    code array per conditioning axis, None for a constant column, which
+    carries no information. Escalates to an error when more than half of the
+    occupied conditioning cells hold a single sample."""
+    n = ycodes.size
     joint = np.zeros(n, dtype=np.int64)
-    for j in range(k):
-        col_codes, _ = _axis_codes(x_cond[:, j], bins_c)
-        if col_codes is None:
-            continue  # constant conditioning column carries no information
-        joint = joint * bins_c + col_codes
+    for codes in cond_codes:
+        if codes is not None:
+            joint = joint * spec.bins_per_conditioning_dim + codes
     joint = joint * spec.bins_output + ycodes
 
-    codes, counts = _sparse_counts(joint, chunk_size)
-    cond_cell = codes // spec.bins_output
+    cells, counts = np.unique(joint, return_counts=True)
+    cond_cell = cells // spec.bins_output
     # cells arrive sorted, so conditioning-cell blocks are contiguous
     starts = np.flatnonzero(np.r_[True, np.diff(cond_cell) != 0])
     k_i = np.add.reduceat(counts, starts)
@@ -155,6 +115,45 @@ def conditional_entropy(y: np.ndarray, x_cond: np.ndarray,
     k_i_full = np.repeat(k_i, np.diff(np.r_[starts, counts.size]))
     h = -(counts / n * np.log(counts / k_i_full)).sum() + math.log(width)
     return float(h)
+
+
+def entropy_histogram(samples: np.ndarray, spec: HistogramSpec = HistogramSpec()) -> float:
+    """Differential entropy (nats) of a 1-D sample. A degenerate range (all
+    samples equal) is reported as -inf."""
+    samples = np.asarray(samples, dtype=float).ravel()
+    if samples.size < 1:
+        raise ConfigurationError("entropy_histogram needs at least one sample")
+    codes, width = _axis_codes(samples, spec.bins_output)
+    if codes is None:
+        return -math.inf
+    _, counts = np.unique(codes, return_counts=True)
+    p = counts / samples.size
+    return float(-(p * np.log(p)).sum() + math.log(width))
+
+
+def conditional_entropy(y: np.ndarray, x_cond: np.ndarray,
+                        spec: HistogramSpec = HistogramSpec()) -> float:
+    """Expected conditional entropy H(Y|X) over a dense conditioning grid.
+
+    ``x_cond`` is (n,) or (n, k) with k <= 4; beyond that the grid cannot be
+    populated at sane sample sizes and the operation refuses (fix variables
+    first to reduce the dimension). Escalates to an error when more than half
+    of the occupied conditioning cells hold a single sample.
+    """
+    y = np.asarray(y, dtype=float).ravel()
+    x_cond = np.asarray(x_cond, dtype=float)
+    if x_cond.ndim == 1:
+        x_cond = x_cond[:, None]
+    n, k = x_cond.shape
+    if n != y.size:
+        raise ConfigurationError("y and x_cond disagree on sample count")
+    _check_grid(k, spec)
+    ycodes, width = _axis_codes(y, spec.bins_output)
+    if ycodes is None:
+        return -math.inf
+    cond_codes = [_axis_codes(x_cond[:, j], spec.bins_per_conditioning_dim)[0]
+                  for j in range(k)]
+    return _conditional_from_codes(ycodes, width, cond_codes, spec)
 
 
 @dataclass(frozen=True)
@@ -183,8 +182,9 @@ def estimate_entropy_indices(model: Model, n: int,
                              rng: np.random.Generator | None = None) -> EntropyReport:
     """Total-effect entropy indices for every input of the model.
 
-    Per repetition: draw n inputs, evaluate, then for each variable i compute
-    the conditional entropy of the output given all other input columns.
+    Per repetition: draw n inputs, evaluate, code the output and every input
+    column once, then for each variable i compute the conditional entropy of
+    the output given all other input columns from the shared codes.
     Reports means and stds over repetitions for H(Y), H_Ti, eta_Ti and
     kappa_Ti; kappa values that exceed 1 from estimator noise are clipped
     to 1 and flagged.
@@ -194,6 +194,7 @@ def estimate_entropy_indices(model: Model, n: int,
     if repetitions < 1:
         raise ConfigurationError("repetitions must be >= 1")
     d = model.dim
+    _check_grid(d - 1, spec)
     h_y = np.empty(repetitions)
     h_t = np.empty((repetitions, d))
     for r in range(repetitions):
@@ -204,13 +205,20 @@ def estimate_entropy_indices(model: Model, n: int,
             y = clean_outputs(y, model.name)
             x = x[good]
         h_y[r] = entropy_histogram(y, spec)
+        ycodes, width = _axis_codes(y, spec.bins_output)
+        if ycodes is None:  # constant output
+            h_t[r] = -math.inf
+            continue
+        cols = [_axis_codes(x[:, j], spec.bins_per_conditioning_dim)[0] for j in range(d)]
+        # free the samples before the counting passes; the codes are all they need
+        del x, y
         for i in range(d):
-            others = [j for j in range(d) if j != i]
             try:
-                h_t[r, i] = conditional_entropy(y, x[:, others], spec)
+                h_t[r, i] = _conditional_from_codes(ycodes, width, cols[:i] + cols[i + 1:],
+                                                    spec)
             except SparseGridError as exc:
                 raise SparseGridError(f"variable {i + 1} of {model.name}: {exc}") from exc
-        del x, y
+        del ycodes, cols
 
     # degenerate outputs carry -inf entropies; the NaNs they produce here are
     # deliberate and surface as "undefined" to callers

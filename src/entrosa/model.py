@@ -17,7 +17,7 @@ import numpy as np
 from .distributions import Distribution
 from .errors import ConfigurationError, NumericalError
 
-__all__ = ["Model", "SampleBatch", "evaluate_batch", "fd_gradient", "fd_gradient_batch",
+__all__ = ["Model", "evaluate_batch", "fd_gradient", "fd_gradient_batch",
            "fix_variables", "sample_inputs", "DEFAULT_FD_STEP", "MAX_BAD_FRACTION"]
 
 log = logging.getLogger(__name__)
@@ -40,20 +40,6 @@ class Model:
     @property
     def dim(self) -> int:
         return len(self.inputs)
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """An (n, d) input matrix with its output vector and provenance."""
-
-    inputs: np.ndarray
-    outputs: np.ndarray
-    seed: int
-    model_id: str
-
-    def __post_init__(self):
-        if self.inputs.shape[0] != self.outputs.shape[0]:
-            raise ConfigurationError("inputs and outputs row counts differ")
 
 
 def sample_inputs(model: Model, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 __all__ = ["RunConfig", "SensitivityReport", "rank_descending", "METHODS",
-           "load_config_file", "reports_equal", "OUTPUT_DIR_ENV"]
+           "load_config_file", "reports_equal", "write_atomic", "OUTPUT_DIR_ENV"]
 
 METHODS = ("deriv", "variance", "entropy", "kl", "bounds", "groups")
 OUTPUT_DIR_ENV = "ENTROSA_OUTPUT_DIR"
@@ -36,7 +36,8 @@ def _parse_count(value, name: str) -> int:
         out = float(value)
     except (TypeError, ValueError):
         raise ConfigurationError(f"{name} must be numeric, got {value!r}")
-    if out < 1 or out != int(out) and abs(out - round(out)) > 1e-9 * max(1.0, out):
+    if (not math.isfinite(out) or out < 1
+            or out != int(out) and abs(out - round(out)) > 1e-9 * max(1.0, out)):
         raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
     return int(round(out))
 
@@ -48,11 +49,14 @@ def _parse_groups(text: str) -> tuple[tuple[int, ...], ...]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            a, _, b = part.partition("-")
-            idx = tuple(range(int(a) - 1, int(b)))
-        else:
-            idx = (int(part) - 1,)
+        try:
+            if "-" in part:
+                a, _, b = part.partition("-")
+                idx = tuple(range(int(a) - 1, int(b)))
+            else:
+                idx = (int(part) - 1,)
+        except ValueError:
+            raise ConfigurationError(f"bad group spec {part!r}") from None
         if not idx or min(idx) < 0:
             raise ConfigurationError(f"bad group spec {part!r}")
         groups.append(idx)
@@ -98,6 +102,8 @@ class RunConfig:
             raise ConfigurationError("method 'groups' requires a groups definition")
         if self.fd_step <= 0:
             raise ConfigurationError("fd_step must be positive")
+        if self.seed < 0 or self.metafunction_seed is not None and self.metafunction_seed < 0:
+            raise ConfigurationError("seeds must be non-negative integers")
 
     def to_mapping(self) -> dict:
         out = {}
@@ -144,7 +150,11 @@ class RunConfig:
                 pairs = []
                 for part in kw["fix"].split(","):
                     idx, _, val = part.partition(":")
-                    pairs.append((int(idx), float(val)))
+                    try:
+                        pairs.append((int(idx), float(val)))
+                    except ValueError:
+                        raise ConfigurationError(
+                            f"bad fix entry {part!r}, expected index:value") from None
                 kw["fix"] = tuple(pairs)
             else:
                 kw["fix"] = tuple((int(i), float(v)) for i, v in
@@ -283,20 +293,27 @@ class SensitivityReport:
                    rankings=data.get("rankings", {}))
 
     def write(self, path: str | Path, fmt: str | None = None):
-        """Atomic write (temp file + rename) in csv or json format."""
+        """Atomic write in csv or json format."""
         path = Path(path)
         fmt = fmt or ("csv" if path.suffix == ".csv" else "json")
-        payload = self.to_csv() if fmt == "csv" else self.to_json()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(path, self.to_csv() if fmt == "csv" else self.to_json())
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` via a uniquely named temp file in the same
+    directory and ``os.replace``: concurrent writers never share a temp file,
+    readers never see a partial file, and a failed write leaves no temp file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def reports_equal(a: SensitivityReport, b: SensitivityReport,

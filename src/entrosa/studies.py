@@ -27,7 +27,7 @@ from .entropy import (HistogramSpec, entropy_histogram, entropy_upper_bounds,
 from .errors import ConfigurationError, EntrosaError, NumericalError
 from .model import Model, evaluate_batch, fix_variables, sample_inputs
 from .report import (METHODS, OUTPUT_DIR_ENV, RunConfig, SensitivityReport,
-                     rank_descending)
+                     rank_descending, write_atomic)
 from .variance import estimate_total_effect_variance, variance_upper_bound
 
 __all__ = ["build_benchmark", "run_from_config", "metastudy", "convergence",
@@ -244,6 +244,8 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
     """
     if n_functions < 10:
         raise ConfigurationError(f"metastudy needs at least 10 functions, got {n_functions}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
     spec = spec or STUDY_BINS["metastudy"]
     master = np.random.default_rng(seed)
     agree = {"l_bound": {"full": 0, "max": 0, "min": 0},
@@ -300,11 +302,7 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
         summary["warning"] = "no functions survived exclusion"
     result = {"summary": summary, "functions": functions, "excluded_records": excluded}
     if output:
-        path = resolve_output_path(output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(result, indent=2, sort_keys=True))
-        os.replace(tmp, path)
+        write_atomic(resolve_output_path(output), json.dumps(result, indent=2, sort_keys=True))
     return result
 
 
@@ -324,6 +322,8 @@ def convergence(model_name: str, method: str, ladder: list[int], reps: int,
         raise ConfigurationError("sample ladder must be ascending")
     if method not in ("entropy", "deriv"):
         raise ConfigurationError(f"convergence supports entropy or deriv, got {method!r}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
     bench = builtin(model_name, **(model_params or {}))
     model = bench.model
     analytic = bench.analytic.get("h_total" if method == "entropy" else "l")
@@ -348,12 +348,9 @@ def convergence(model_name: str, method: str, ladder: list[int], reps: int,
                 for m, r in zip(mean, reference)]
         rows.append(row)
     if output:
-        path = resolve_output_path(output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps({"model": model.name, "method": method,
-                                   "seed": seed, "rows": rows}, indent=2))
-        os.replace(tmp, path)
+        write_atomic(resolve_output_path(output),
+                     json.dumps({"model": model.name, "method": method,
+                                 "seed": seed, "rows": rows}, indent=2))
     return rows
 
 
@@ -422,9 +419,7 @@ def _preset_flood(outdir: Path, seed: int, scale: float) -> list[Path]:
                     output=str(outdir / "table_flood.csv"), format="csv")
     report = run_from_config(cfg)
     ranking_path = outdir / "table_flood_ranking.json"
-    tmp = ranking_path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(report.rankings, indent=2, sort_keys=True))
-    os.replace(tmp, ranking_path)
+    write_atomic(ranking_path, json.dumps(report.rankings, indent=2, sort_keys=True))
     return [outdir / "table_flood.csv", ranking_path]
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from entrosa import (ConfigurationError, Gaussian, Model, NumericalError,
-                     SampleBatch, Uniform, builtin, evaluate_batch, fd_gradient,
+                     Uniform, builtin, evaluate_batch, fd_gradient,
                      fd_gradient_batch, fix_variables, sample_inputs)
 
 
@@ -154,17 +154,6 @@ class TestFixVariables:
     def test_cannot_fix_everything(self):
         with pytest.raises(ConfigurationError):
             fix_variables(builtin("mono2").model, {0: 0.5, 1: 0.5})
-
-
-def test_sample_batch_invariant():
-    model = builtin("mono3").model
-    rng = np.random.default_rng(6)
-    x = sample_inputs(model, 20, rng)
-    y = evaluate_batch(model, x)
-    batch = SampleBatch(inputs=x, outputs=y, seed=6, model_id=model.name)
-    np.testing.assert_array_equal(batch.outputs, evaluate_batch(model, batch.inputs))
-    with pytest.raises(ConfigurationError):
-        SampleBatch(inputs=x, outputs=y[:-1], seed=6, model_id=model.name)
 
 
 def test_gaussian_inputs_sampling_shape():

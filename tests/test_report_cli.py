@@ -1,6 +1,7 @@
 """Run configuration, report serialization, rankings, CLI, and studies."""
 
 import json
+import os
 
 import pytest
 
@@ -125,10 +126,27 @@ class TestRunReports:
             else:
                 assert float(value) == json_row[key]
 
-    def test_atomic_write_leaves_no_temp_files(self, small_report, tmp_path):
+    def test_atomic_write_leaves_no_temp_files(self, small_report, tmp_path, monkeypatch):
         _, report = small_report
         report.write(tmp_path / "out.json")
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+        # a failed rename leaves neither the target nor a temp file, for
+        # every output kind
+        def failing_replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        failed = tmp_path / "failed"
+        writers = (lambda: report.write(failed / "report.csv"),
+                   lambda: metastudy(10, 2000, seed=1, output=failed / "meta.json",
+                                     n_deriv=100),
+                   lambda: convergence("mono3", "deriv", [200], 1, 0,
+                                       output=failed / "conv.json"))
+        for write in writers:
+            with pytest.raises(OSError, match="rename refused"):
+                write()
+        assert list(failed.iterdir()) == []
 
 
 def test_flood_run_marks_reduced_variables_absent():
@@ -282,8 +300,22 @@ class TestCli:
         assert payload["metadata"]["dim"] == 2
 
     def test_config_error_exit_code(self, capsys):
-        assert main(["run", "--model", "not-a-model", "--methods", "deriv",
-                     "--seed", "0"]) == 2
+        # malformed values exit 2 with a message, whether argparse or the
+        # config validation rejects them
+        for flags in (["--model", "not-a-model"],
+                      ["--model", "mono3", "--n", "inf"],
+                      ["--model", "mono3", "--n", "1e400"],
+                      ["--model", "mono3", "--fix", "2"],
+                      ["--model", "mono3", "--groups", "a-b"],
+                      ["--model", "mono3", "--override-input", "a=Uniform(0,1)"],
+                      ["--model", "mono3", "--seed", "-1"],
+                      ["--metafunction-seed", "-1"]):
+            try:
+                code = main(["run", "--methods", "deriv", "--n-deriv", "200"] + flags)
+            except SystemExit as exc:
+                code = exc.code
+            assert code == 2, flags
+            assert capsys.readouterr().err, flags
 
     def test_sparse_grid_exit_code(self, tmp_path, capsys):
         # 9-dim conditioning grid is refused
