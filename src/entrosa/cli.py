@@ -17,7 +17,7 @@ import math
 import sys
 
 from .errors import ConfigurationError, NumericalError, SparseGridError
-from .report import METHODS, RunConfig, _parse_model_param, load_config_file
+from .report import METHODS, RunConfig, _parse_count, _parse_model_param, load_config_file
 from .studies import TABLE_PRESETS, convergence, metastudy, run_from_config, run_table_preset
 
 EXIT_CONFIG = 2
@@ -147,7 +147,7 @@ def main(argv=None) -> int:
             for family, vals in result["summary"]["agreement"].items():
                 print(f"  {family}: " + " ".join(f"{k}={v:.3f}" for k, v in vals.items()))
         elif args.command == "convergence":
-            ladder = [int(float(v)) for v in args.ladder.split(",")]
+            ladder = [_parse_count(v, "ladder") for v in args.ladder.split(",")]
             convergence(args.model, args.method, ladder, args.reps, args.seed,
                         output=args.output)
             print(f"convergence table written: {args.output}")

@@ -8,11 +8,19 @@ min/max and plug in cell frequencies:
 * conditional:  H(Y|X) ~ -sum (k_ij/N) ln(k_ij/k_i) + ln(dy)
 
 where i indexes the (possibly multi-dimensional) conditioning cell and j the
-output cell. Counting is sparse (only occupied cells are materialized), so
-grids far larger than memory-dense arrays are fine. Every conditional entropy
-goes through one kernel that folds per-axis cell codes into joint cell codes
-and counts them; ``estimate_entropy_indices`` codes each axis once per
-repetition and shares the codes across all d leave-one-out conditionings.
+output cell. Every conditional entropy goes through one kernel that folds
+per-axis cell codes into joint cell codes and counts them;
+``estimate_entropy_indices`` codes each axis once per repetition, takes H(Y)
+from the output codes and shares the codes across all d leave-one-out
+conditionings.
+
+A grid of at most 3 cells per sample (``bins_cond^k * bins_output <= 3n``,
+with k the number of non-constant conditioning columns) is counted with
+``np.bincount``, which holds an int64 count for every cell of the grid: at
+most 24 bytes per sample, 36 MB at n = 1.5e6. A larger grid is counted by
+sorting the joint codes, which materializes only occupied cells, so grids far
+larger than memory are fine there. Both paths give the same counts in the
+same order, so the estimate does not depend on which one runs.
 
 Bin counts drive a bias trade-off: coarse conditioning inflates the estimate
 (within-cell variation leaks into the conditional law), fine grids starve
@@ -42,6 +50,12 @@ log = logging.getLogger(__name__)
 MAX_CONDITIONING_DIMS = 4
 _SINGLETON_ERROR_SHARE = 0.5
 _SPARSE_WARN_MEAN_COUNT = 10.0
+# A grid of at most this many cells per sample is counted with np.bincount
+# over every cell; a larger one by sorting the joint codes. On a 2-core x86
+# box with numpy 2.4 the dense count broke even with the sort at about 7
+# cells per sample for n <= 2.5e5 and at about 3 for n = 1.5e6, where the
+# dense array outgrows the cache.
+_DENSE_CELLS_PER_SAMPLE = 3
 
 
 @dataclass(frozen=True)
@@ -57,15 +71,31 @@ class HistogramSpec:
 def _axis_codes(values: np.ndarray, bins: int) -> tuple[np.ndarray, float]:
     """Equal-width cell index per sample and the cell width; grid spans the
     sample min/max with no padding. Returns (None, 0) on a degenerate range."""
-    lo = values.min()
-    hi = values.max()
+    # the one float temporary; contiguous, so a strided column x[:, j] is
+    # read once instead of on each pass below
+    scaled = np.array(values, dtype=float)
+    lo = scaled.min()
+    hi = scaled.max()
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise NumericalError("histogram input contains non-finite values")
     if hi <= lo:
         return None, 0.0
     width = (hi - lo) / bins
-    codes = np.minimum((values - lo) * (bins / (hi - lo)), bins - 1).astype(np.int64)
+    scaled -= lo
+    scaled *= bins / (hi - lo)
+    # scaled >= 0, so truncating before the clip gives the same codes as after
+    codes = scaled.astype(np.int64)
+    del scaled
+    np.minimum(codes, bins - 1, out=codes)
     return codes, float(width)
+
+
+def _entropy_from_codes(codes: np.ndarray, width: float, bins: int) -> float:
+    """Plug-in differential entropy from cell codes in [0, bins) of cell width
+    ``width``; occupied bins are summed in code order."""
+    counts = np.bincount(codes, minlength=bins)
+    p = counts[counts > 0] / codes.size
+    return float(-(p * np.log(p)).sum() + math.log(width))
 
 
 def _check_grid(k: int, spec: HistogramSpec) -> None:
@@ -89,17 +119,38 @@ def _conditional_from_codes(ycodes: np.ndarray, width: float, cond_codes: list,
     carries no information. Escalates to an error when more than half of the
     occupied conditioning cells hold a single sample."""
     n = ycodes.size
+    bins_out = spec.bins_output
     joint = np.zeros(n, dtype=np.int64)
+    n_cond = 1
     for codes in cond_codes:
         if codes is not None:
-            joint = joint * spec.bins_per_conditioning_dim + codes
-    joint = joint * spec.bins_output + ycodes
+            joint *= spec.bins_per_conditioning_dim
+            joint += codes
+            n_cond *= spec.bins_per_conditioning_dim
+    joint *= bins_out
+    joint += ycodes
 
-    cells, counts = np.unique(joint, return_counts=True)
-    cond_cell = cells // spec.bins_output
-    # cells arrive sorted, so conditioning-cell blocks are contiguous
-    starts = np.flatnonzero(np.r_[True, np.diff(cond_cell) != 0])
-    k_i = np.add.reduceat(counts, starts)
+    # Both branches yield the occupied cells' counts and their conditioning
+    # cells' totals in ascending cell-code order, so the sum below is the same
+    # bit for bit whichever branch runs.
+    if n_cond * bins_out <= _DENSE_CELLS_PER_SAMPLE * n:
+        full = np.bincount(joint, minlength=n_cond * bins_out)
+        del joint
+        k_cond = full.reshape(n_cond, bins_out).sum(axis=1)
+        cells = np.flatnonzero(full > 0)   # a bool mask takes numpy's fast path
+        counts = full[cells]
+        del full
+        k_i_full = k_cond[cells // bins_out]
+        del cells
+        k_i = k_cond[k_cond > 0]
+    else:
+        cells, counts = np.unique(joint, return_counts=True)
+        del joint
+        # cells arrive sorted, so conditioning-cell blocks are contiguous
+        starts = np.flatnonzero(np.r_[True, np.diff(cells // bins_out) != 0])
+        del cells
+        k_i = np.add.reduceat(counts, starts)
+        k_i_full = np.repeat(k_i, np.diff(np.r_[starts, counts.size]))
 
     occupied = k_i.size
     singleton_share = float((k_i == 1).mean())
@@ -112,7 +163,6 @@ def _conditional_from_codes(ycodes: np.ndarray, width: float, cond_codes: list,
         log.warning("sparse conditioning grid: %.1f samples per occupied cell "
                     "(%d cells)", mean_count, occupied)
 
-    k_i_full = np.repeat(k_i, np.diff(np.r_[starts, counts.size]))
     h = -(counts / n * np.log(counts / k_i_full)).sum() + math.log(width)
     return float(h)
 
@@ -126,9 +176,7 @@ def entropy_histogram(samples: np.ndarray, spec: HistogramSpec = HistogramSpec()
     codes, width = _axis_codes(samples, spec.bins_output)
     if codes is None:
         return -math.inf
-    _, counts = np.unique(codes, return_counts=True)
-    p = counts / samples.size
-    return float(-(p * np.log(p)).sum() + math.log(width))
+    return _entropy_from_codes(codes, width, spec.bins_output)
 
 
 def conditional_entropy(y: np.ndarray, x_cond: np.ndarray,
@@ -204,11 +252,11 @@ def estimate_entropy_indices(model: Model, n: int,
         if not good.all():
             y = clean_outputs(y, model.name)
             x = x[good]
-        h_y[r] = entropy_histogram(y, spec)
         ycodes, width = _axis_codes(y, spec.bins_output)
         if ycodes is None:  # constant output
-            h_t[r] = -math.inf
+            h_y[r] = h_t[r] = -math.inf
             continue
+        h_y[r] = _entropy_from_codes(ycodes, width, spec.bins_output)
         cols = [_axis_codes(x[:, j], spec.bins_per_conditioning_dim)[0] for j in range(d)]
         # free the samples before the counting passes; the codes are all they need
         del x, y

@@ -302,13 +302,18 @@ class SensitivityReport:
 def write_atomic(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path`` via a uniquely named temp file in the same
     directory and ``os.replace``: concurrent writers never share a temp file,
-    readers never see a partial file, and a failed write leaves no temp file."""
+    readers never see a partial file, and a failed write leaves no temp file.
+    The file gets the mode ``open`` would give it (0o666 less the umask)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        # mkstemp creates the file 0o600 whatever the umask
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

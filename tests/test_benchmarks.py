@@ -22,6 +22,27 @@ def test_unknown_name_rejected():
         builtin("rosenbrock")
 
 
+def test_evaluators_match_reference_expressions_bitwise():
+    # the evaluators reuse a sine and multiply factors column by column; the
+    # bits must be those of the plain expressions
+    from entrosa.benchmarks import _G9_CASES, _gfunction
+    rng = np.random.default_rng(17)
+    x = rng.uniform(-math.pi, math.pi, size=(20_000, 3))
+    expected = (np.sin(x[:, 0]) + 7.0 * np.sin(x[:, 1]) ** 2
+                + 0.1 * x[:, 2] ** 4 * np.sin(x[:, 0]))
+    assert np.array_equal(builtin("ishigami").model.evaluator(x), expected)
+
+    coefficients = [np.array([-0.5, 0.0, 0.5])] + [np.array(a) for a in _G9_CASES.values()]
+    for _ in range(10):
+        for d in (3, 9):
+            a = rng.uniform(0.0, 99.0, d) * (rng.random(d) < 0.7)
+            coefficients.append(a)
+    for a in coefficients:
+        x = rng.random((2_000, a.size))
+        expected = ((np.abs(4.0 * x - 2.0) + a) / (1.0 + a)).prod(axis=1)
+        assert np.array_equal(_gfunction(a)(x), expected), a
+
+
 def test_mono4_analytic_record():
     bench = builtin("mono4", r=2.0)
     assert bench.analytic["h_total"].values == pytest.approx((-2.0, math.log(2) - 2))

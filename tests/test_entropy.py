@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrosa import (ConfigurationError, HistogramSpec, Model, SparseGridError,
                      Uniform, builtin, conditional_entropy, entropy_histogram,
@@ -11,6 +13,7 @@ from entrosa import (ConfigurationError, HistogramSpec, Model, SparseGridError,
                      estimate_entropy_indices, evaluate_batch,
                      first_order_entropy_index, fix_variables, kl_total_index,
                      sample_inputs)
+from entrosa.entropy import _DENSE_CELLS_PER_SAMPLE, _SINGLETON_ERROR_SHARE
 
 
 class TestMarginalEntropy:
@@ -103,6 +106,96 @@ class TestConditionalEntropy:
         e_ln_z = (3 * math.log(3) - 2) / 2
         expected = e_ln_z + 0.5 * math.log(2 * math.pi * math.e)
         assert got == pytest.approx(expected, abs=0.02)
+
+
+def _reference_codes(values, bins):
+    """Equal-width cell codes in one expression: shift, scale, clip, truncate."""
+    lo, hi = values.min(), values.max()
+    if hi <= lo:
+        return None, 0.0
+    codes = np.minimum((values - lo) * (bins / (hi - lo)), bins - 1).astype(np.int64)
+    return codes, (hi - lo) / bins
+
+
+def _reference_entropy(y, bins):
+    """Plug-in H(Y) by sorting the cell codes."""
+    codes, width = _reference_codes(y, bins)
+    if codes is None:
+        return -math.inf
+    _, counts = np.unique(codes, return_counts=True)
+    p = counts / y.size
+    return float(-(p * np.log(p)).sum() + math.log(width))
+
+
+def _reference_conditional(y, x, spec):
+    """Plug-in H(Y|X) by sorting the joint cell codes (np.unique) and summing
+    conditioning-cell blocks (np.add.reduceat). Returns the estimate and the
+    share of occupied conditioning cells that hold one sample."""
+    ycodes, width = _reference_codes(y, spec.bins_output)
+    if ycodes is None:
+        return -math.inf, 0.0
+    joint = np.zeros(y.size, dtype=np.int64)
+    for j in range(x.shape[1]):
+        codes, _ = _reference_codes(x[:, j], spec.bins_per_conditioning_dim)
+        if codes is not None:
+            joint = joint * spec.bins_per_conditioning_dim + codes
+    joint = joint * spec.bins_output + ycodes
+    cells, counts = np.unique(joint, return_counts=True)
+    starts = np.flatnonzero(np.r_[True, np.diff(cells // spec.bins_output) != 0])
+    k_i = np.add.reduceat(counts, starts)
+    k_i_full = np.repeat(k_i, np.diff(np.r_[starts, counts.size]))
+    h = -(counts / y.size * np.log(counts / k_i_full)).sum() + math.log(width)
+    return float(h), float((k_i == 1).mean())
+
+
+@st.composite
+def _grid_case(draw, dense):
+    """A sample and a histogram spec whose conditioning grid falls on the
+    dense (bincount) or the sort side of the counting cutoff."""
+    n = draw(st.integers(20, 4000))
+    k = draw(st.integers(1, 3))
+    constant = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    if not dense:
+        constant[0] = False     # an all-constant grid has one cell
+    live = k - sum(constant)
+    limit = _DENSE_CELLS_PER_SAMPLE * n
+    if dense:
+        bins_out = draw(st.integers(2, min(40, limit // 2 ** live)))
+        top = 2
+        while top < 64 and (top + 1) ** live * bins_out <= limit:
+            top += 1
+        bins_cond = draw(st.integers(2, top))
+    else:
+        bins_out = draw(st.integers(2, 40))
+        bottom = max(2, int((limit / bins_out) ** (1 / live)))
+        while bottom ** live * bins_out <= limit:
+            bottom += 1
+        bins_cond = draw(st.integers(bottom, bottom + 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    levels = draw(st.sampled_from([None, 2, 7]))   # None: continuous x
+    if levels is None:
+        x = rng.random((n, k))
+    else:
+        x = rng.integers(0, levels, (n, k)).astype(float)
+    x[:, constant] = 2.5
+    noise = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    y = np.sin(3.0 * x).sum(axis=1) + noise * rng.normal(size=n)
+    return y, x, HistogramSpec(bins_output=bins_out, bins_per_conditioning_dim=bins_cond)
+
+
+class TestCountingMatchesSortReference:
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sort"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_reference(self, dense, data):
+        y, x, spec = data.draw(_grid_case(dense))
+        expected, singleton_share = _reference_conditional(y, x, spec)
+        if singleton_share > _SINGLETON_ERROR_SHARE:
+            with pytest.raises(SparseGridError):
+                conditional_entropy(y, x, spec)
+        else:
+            assert conditional_entropy(y, x, spec) == expected
+        assert entropy_histogram(y, spec) == _reference_entropy(y, spec.bins_output)
 
 
 def test_output_entropy_power_bounded_by_variance():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import pytest
 
@@ -147,6 +148,22 @@ class TestRunReports:
             with pytest.raises(OSError, match="rename refused"):
                 write()
         assert list(failed.iterdir()) == []
+
+
+def test_outputs_follow_the_umask(small_report, tmp_path):
+    # every output kind is created with the mode open() would give it
+    _, report = small_report
+    old_umask = os.umask(0o022)
+    try:
+        report.write(tmp_path / "report.csv")
+        metastudy(10, 2000, seed=1, output=tmp_path / "meta.json", n_deriv=100)
+        convergence("mono3", "deriv", [200], 1, 0, output=tmp_path / "conv.json")
+        flood = run_table_preset("flood", tmp_path / "flood", seed=1, scale=0.001)
+    finally:
+        os.umask(old_umask)
+    for path in [tmp_path / "report.csv", tmp_path / "meta.json",
+                 tmp_path / "conv.json"] + flood:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
 
 
 def test_flood_run_marks_reduced_variables_absent():
@@ -299,23 +316,31 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["metadata"]["dim"] == 2
 
-    def test_config_error_exit_code(self, capsys):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         # malformed values exit 2 with a message, whether argparse or the
         # config validation rejects them
-        for flags in (["--model", "not-a-model"],
-                      ["--model", "mono3", "--n", "inf"],
-                      ["--model", "mono3", "--n", "1e400"],
-                      ["--model", "mono3", "--fix", "2"],
-                      ["--model", "mono3", "--groups", "a-b"],
-                      ["--model", "mono3", "--override-input", "a=Uniform(0,1)"],
-                      ["--model", "mono3", "--seed", "-1"],
-                      ["--metafunction-seed", "-1"]):
+        run = ["run", "--methods", "deriv", "--n-deriv", "200"]
+        ladder = ["convergence", "--model", "mono2", "--seed", "0", "--output",
+                  str(tmp_path / "c.json"), "--ladder"]
+        for argv in (run + ["--model", "not-a-model"],
+                     run + ["--model", "mono3", "--n", "inf"],
+                     run + ["--model", "mono3", "--n", "1e400"],
+                     run + ["--model", "mono3", "--fix", "2"],
+                     run + ["--model", "mono3", "--groups", "a-b"],
+                     run + ["--model", "mono3", "--override-input", "a=Uniform(0,1)"],
+                     run + ["--model", "mono3", "--seed", "-1"],
+                     run + ["--metafunction-seed", "-1"],
+                     ladder + ["1e3,inf"],
+                     ladder + ["1e3,abc"],
+                     ladder + ["0,1e3"],
+                     ladder + ["1e3,-5"]):
             try:
-                code = main(["run", "--methods", "deriv", "--n-deriv", "200"] + flags)
+                code = main(argv)
             except SystemExit as exc:
                 code = exc.code
-            assert code == 2, flags
-            assert capsys.readouterr().err, flags
+            assert code == 2, argv
+            assert capsys.readouterr().err, argv
+        assert not (tmp_path / "c.json").exists()
 
     def test_sparse_grid_exit_code(self, tmp_path, capsys):
         # 9-dim conditioning grid is refused
