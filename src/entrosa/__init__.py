@@ -15,8 +15,8 @@ from .entropy import (EntropyBounds, EntropyReport, HistogramSpec,
                       first_order_entropy_index, kl_total_index)
 from .errors import (ConfigurationError, EntrosaError, NumericalError,
                      SparseGridError)
-from .model import (Model, evaluate_batch, fd_gradient, fd_gradient_batch,
-                    fix_variables, sample_inputs)
+from .model import (Model, evaluate_batch, fd_directional_batch, fix_variables,
+                    sample_inputs)
 from .report import RunConfig, SensitivityReport, rank_descending
 from .variance import (PoincareBound, VarianceReport,
                        estimate_total_effect_variance, variance_upper_bound)

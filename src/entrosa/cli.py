@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import sys
 
 from .errors import ConfigurationError, NumericalError, SparseGridError
@@ -23,13 +22,6 @@ from .studies import TABLE_PRESETS, convergence, metastudy, run_from_config, run
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_SPARSE = 4
-
-
-def _count(text: str) -> int:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"count must be finite, got {text!r}")
-    return int(value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,15 +39,15 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="model parameter, e.g. r=2 or a=1,2,3")
     run.add_argument("--methods", default=None,
                      help=f"comma list from {{{','.join(METHODS)}}}")
-    run.add_argument("--n", dest="n_samples", type=_count, default=None,
+    run.add_argument("--n", dest="n_samples", default=None,
                      help="sample count for entropy/kl/groups (accepts 1e6)")
-    run.add_argument("--n-base", type=_count, default=None,
+    run.add_argument("--n-base", default=None,
                      help="base sample count for pick-and-freeze variance")
-    run.add_argument("--n-deriv", type=_count, default=None,
+    run.add_argument("--n-deriv", default=None,
                      help="sample count for derivative measures")
-    run.add_argument("--reps", type=_count, default=None, help="entropy repetitions")
-    run.add_argument("--bins-output", type=_count, default=None)
-    run.add_argument("--bins-cond", type=_count, default=None)
+    run.add_argument("--reps", default=None, help="entropy repetitions")
+    run.add_argument("--bins-output", default=None)
+    run.add_argument("--bins-cond", default=None)
     run.add_argument("--fd-step", type=float, default=None)
     run.add_argument("--groups", default=None, help="1-based groups, e.g. 1-3,4-6,7-9")
     run.add_argument("--fix", default=None,
@@ -68,9 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=("csv", "json"), default=None)
 
     meta = sub.add_parser("metastudy", help="ranking agreement over random functions")
-    meta.add_argument("--n-functions", type=_count, required=True)
-    meta.add_argument("--n", dest="n_samples", type=_count, default=1_000_000)
-    meta.add_argument("--n-deriv", type=_count, default=1000)
+    meta.add_argument("--n-functions", required=True)
+    meta.add_argument("--n", dest="n_samples", default=1_000_000)
+    meta.add_argument("--n-deriv", default=1000)
     meta.add_argument("--seed", type=int, required=True)
     meta.add_argument("--output", required=True)
 
@@ -79,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--method", choices=("entropy", "deriv"), default="entropy")
     conv.add_argument("--ladder", required=True,
                       help="ascending comma list of sample counts, e.g. 1e3,1e4,1e5")
-    conv.add_argument("--reps", type=_count, default=3)
+    conv.add_argument("--reps", default=3)
     conv.add_argument("--seed", type=int, default=0)
     conv.add_argument("--output", required=True)
 
@@ -141,14 +133,17 @@ def main(argv=None) -> int:
             else:
                 print(report.to_json())
         elif args.command == "metastudy":
-            result = metastudy(args.n_functions, args.n_samples, args.seed,
-                               output=args.output, n_deriv=args.n_deriv)
+            result = metastudy(_parse_count(args.n_functions, "n_functions"),
+                               _parse_count(args.n_samples, "n_samples"), args.seed,
+                               output=args.output,
+                               n_deriv=_parse_count(args.n_deriv, "n_deriv"))
             print(f"metastudy written: {args.output}")
             for family, vals in result["summary"]["agreement"].items():
                 print(f"  {family}: " + " ".join(f"{k}={v:.3f}" for k, v in vals.items()))
         elif args.command == "convergence":
             ladder = [_parse_count(v, "ladder") for v in args.ladder.split(",")]
-            convergence(args.model, args.method, ladder, args.reps, args.seed,
+            convergence(args.model, args.method, ladder,
+                        _parse_count(args.reps, "reps"), args.seed,
                         output=args.output)
             print(f"convergence table written: {args.output}")
         elif args.command == "tables":

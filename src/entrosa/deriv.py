@@ -7,6 +7,12 @@ sample so that the chain ``exp(l) <= mu <= sqrt(nu)`` holds per sample set
 (Jensen / Cauchy-Schwarz) up to machine rounding. A group variant averages
 the log of the directional derivative along a common perturbation of all
 group members.
+
+Both use one step rule, ``model.fd_directional_batch``: a forward difference
+of step h along the group's common direction (a one-element group for a
+partial), taken backward on rows where a member would leave its support.
+Both floor each magnitude at the resolution eps*|g(x)|/h, and at least at
+``GRAD_FLOOR``, before the log.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import (DEFAULT_FD_STEP, Model, fd_directional_batch,
-                    fd_gradient_batch, sample_inputs)
+from .model import (DEFAULT_FD_STEP, Model, evaluate_batch,
+                    fd_directional_batch, sample_inputs)
 
 __all__ = ["DerivMeasures", "GroupLogDerivative", "estimate_deriv_measures",
            "estimate_group_l", "GRAD_FLOOR"]
@@ -43,44 +49,53 @@ class DerivMeasures:
         return self.mu.size
 
 
+def _fd_floor(y0: np.ndarray, h: float) -> np.ndarray:
+    """Per-row floor for derivative magnitudes: the rounding of g divided by
+    the step, the smallest derivative a forward difference can resolve."""
+    return np.maximum(np.finfo(float).eps * np.abs(y0) / h, GRAD_FLOOR)
+
+
+def _floored_log_mean(deriv: np.ndarray, floor: np.ndarray):
+    """Drop non-finite samples; return the kept magnitudes, the mean log
+    magnitude with each sample raised to its floor (-inf if all are at or
+    below it) and the share at or below the floor (NaN, NaN if none kept)."""
+    mag = np.abs(deriv)
+    keep = np.isfinite(mag)
+    mag, floor = mag[keep], floor[keep]
+    if mag.size == 0:
+        return mag, np.nan, np.nan
+    floored = mag <= floor
+    l = -np.inf if floored.all() else float(np.log(np.maximum(mag, floor)).mean())
+    return mag, l, float(floored.mean())
+
+
 def estimate_deriv_measures(model: Model, n: int, h: float = DEFAULT_FD_STEP,
                             rng: np.random.Generator | None = None) -> DerivMeasures:
     """Monte Carlo estimate of mu_i, nu_i, l_i over ``n`` input draws.
 
-    Costs (d+1) * n model evaluations via forward differences. Samples with
-    non-finite gradient entries are dropped per coordinate.
+    Costs (d+1) * n model evaluations: g(x) once, then one forward
+    difference per input on the shared g(x). Samples with a non-finite
+    partial are dropped for that input.
     """
     if n < 10:
         raise ConfigurationError(f"derivative estimation needs n >= 10, got {n}")
     if rng is None:
         raise ConfigurationError("an explicit rng stream is required")
     x = sample_inputs(model, n, rng)
-    grad, resolution = fd_gradient_batch(model, x, h, return_resolution=True)
-    floor = np.maximum(resolution, GRAD_FLOOR)
+    y0 = evaluate_batch(model, x)
+    floor = _fd_floor(y0, h)
 
     d = model.dim
-    mu = np.empty(d)
-    nu = np.empty(d)
+    mu = np.full(d, np.nan)
+    nu = np.full(d, np.nan)
     l = np.empty(d)
     zfrac = np.empty(d)
     for i in range(d):
-        col = np.abs(grad[:, i])
-        keep = np.isfinite(col)
-        col = col[keep]
-        if col.size == 0:
-            mu[i] = nu[i] = np.nan
-            l[i] = np.nan
-            zfrac[i] = np.nan
-            continue
-        mu[i] = col.mean()
-        nu[i] = (col * col).mean()
-        col_floor = floor[keep]
-        floored = col <= col_floor
-        zfrac[i] = floored.mean()
-        if floored.all():
-            l[i] = -np.inf
-        else:
-            l[i] = np.log(np.maximum(col, col_floor)).mean()
+        col, l[i], zfrac[i] = _floored_log_mean(
+            fd_directional_batch(model, x, y0, (i,), h), floor)
+        if col.size:
+            mu[i] = col.mean()
+            nu[i] = (col * col).mean()
     return DerivMeasures(mu=mu, nu=nu, l=l, zero_derivative_fraction=zfrac,
                          n_samples=n, h=h)
 
@@ -111,14 +126,8 @@ def estimate_group_l(model: Model, group: tuple[int, ...], n: int,
         raise ConfigurationError("an explicit rng stream is required")
 
     x = sample_inputs(model, n, rng)
-    deriv, resolution = fd_directional_batch(model, x, group, h,
-                                             return_resolution=True)
-    deriv = np.abs(deriv)
-    keep = np.isfinite(deriv)
-    deriv = deriv[keep]
-    floor = np.maximum(resolution[keep], GRAD_FLOOR)
-    floored = deriv <= floor
-    l = -np.inf if floored.all() else float(np.log(np.maximum(deriv, floor)).mean())
-    return GroupLogDerivative(group=group, l=l,
-                              zero_derivative_fraction=float(floored.mean()),
+    y0 = evaluate_batch(model, x)
+    _, l, zfrac = _floored_log_mean(fd_directional_batch(model, x, y0, group, h),
+                                    _fd_floor(y0, h))
+    return GroupLogDerivative(group=group, l=l, zero_derivative_fraction=zfrac,
                               n_samples=n, h=h)

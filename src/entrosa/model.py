@@ -1,5 +1,5 @@
-"""Deterministic model abstraction: batch evaluation, finite-difference
-gradients, and variable fixing.
+"""Deterministic model abstraction: batch evaluation, forward differences,
+and variable fixing.
 
 A model is a pure map from a d-vector to a real, evaluated row-wise over
 (n, d) input matrices. Evaluators must be vectorized: they receive the full
@@ -17,8 +17,8 @@ import numpy as np
 from .distributions import Distribution
 from .errors import ConfigurationError, NumericalError
 
-__all__ = ["Model", "evaluate_batch", "fd_gradient", "fd_gradient_batch",
-           "fix_variables", "sample_inputs", "DEFAULT_FD_STEP", "MAX_BAD_FRACTION"]
+__all__ = ["Model", "evaluate_batch", "fd_directional_batch", "fix_variables",
+           "sample_inputs", "DEFAULT_FD_STEP", "MAX_BAD_FRACTION"]
 
 log = logging.getLogger(__name__)
 
@@ -87,76 +87,27 @@ def clean_outputs(y: np.ndarray, where: str = "estimator") -> np.ndarray:
     return y[good]
 
 
-def _shifted(model: Model, x: np.ndarray, i: int, h: float):
-    """Per-row forward step in coordinate i, backward at the upper support edge.
+def fd_directional_batch(model: Model, x: np.ndarray, y0: np.ndarray,
+                         group: tuple[int, ...], h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Forward difference along the common perturbation of a variable group.
 
-    Returns the shifted matrix and the signed step (+h or -h) per row.
-    """
-    _, upper = model.inputs[i].support()
-    step = np.where(x[:, i] + h <= upper, h, -h)
-    shifted = x.copy()
-    shifted[:, i] += step
-    return shifted, step
-
-
-def fd_gradient_batch(model: Model, x: np.ndarray, h: float = DEFAULT_FD_STEP,
-                      return_resolution: bool = False):
-    """Forward-difference gradients for every row of ``x``; (n, d) result.
-
-    Costs d+1 batch evaluations. Rows whose evaluation is non-finite get NaN
-    gradient entries. With ``return_resolution`` the per-row magnitude below
-    which the finite difference cannot distinguish a derivative from zero
-    (the rounding of g divided by the step) is returned as well.
+    ``y0`` is ``g(x)``. Every coordinate in ``group`` moves by the same
+    signed step s*h, with s = -1 on rows where a group member would leave its
+    support and +1 elsewhere; returns (g(x + s*h*1_group) - y0) / (s*h) per
+    row. A one-element group gives a partial derivative. One batch
+    evaluation; rows with a non-finite evaluation get a non-finite result.
     """
     if not h > 0:
         raise ConfigurationError(f"finite-difference step must be positive, got {h}")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y0 = evaluate_batch(model, x)
-    grad = np.empty_like(x)
-    for i in range(model.dim):
-        shifted, step = _shifted(model, x, i, h)
-        yi = evaluate_batch(model, shifted)
-        grad[:, i] = (yi - y0) / step
-    if return_resolution:
-        return grad, fd_resolution(y0, h)
-    return grad
-
-
-def fd_resolution(y0: np.ndarray, h: float) -> np.ndarray:
-    """Smallest derivative magnitude a forward difference can resolve."""
-    return np.finfo(float).eps * np.abs(y0) / h
-
-
-def fd_gradient(model: Model, x: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Finite-difference gradient at a single point (length-d vector)."""
-    return fd_gradient_batch(model, np.asarray(x, dtype=float)[None, :], h)[0]
-
-
-def fd_directional_batch(model: Model, x: np.ndarray, direction_idx: tuple[int, ...],
-                         h: float = DEFAULT_FD_STEP,
-                         return_resolution: bool = False):
-    """Directional derivative along the common perturbation of a variable group.
-
-    Perturbs every coordinate in ``direction_idx`` by the same signed step and
-    returns (g(x + h*1_g) - g(x)) / h per row. Two batch evaluations.
-    """
-    if not h > 0:
-        raise ConfigurationError(f"finite-difference step must be positive, got {h}")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y0 = evaluate_batch(model, x)
-    # one shared sign per row: backward if any group member would leave support
     sign = np.ones(x.shape[0])
-    for i in direction_idx:
+    for i in group:
         _, upper = model.inputs[i].support()
         sign = np.where(x[:, i] + h <= upper, sign, -1.0)
+    step = sign * h
     shifted = x.copy()
-    for i in direction_idx:
-        shifted[:, i] += sign * h
-    y1 = evaluate_batch(model, shifted)
-    deriv = (y1 - y0) / (sign * h)
-    if return_resolution:
-        return deriv, fd_resolution(y0, h)
-    return deriv
+    for i in group:
+        shifted[:, i] += step
+    return (evaluate_batch(model, shifted) - y0) / step
 
 
 def fix_variables(model: Model, fixed: dict[int, float]) -> Model:

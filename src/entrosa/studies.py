@@ -24,7 +24,7 @@ from .benchmarks import BenchmarkModel, builtin, draw_metafunction
 from .deriv import estimate_deriv_measures, estimate_group_l
 from .entropy import (HistogramSpec, entropy_histogram, entropy_upper_bounds,
                       estimate_entropy_indices, kl_total_index)
-from .errors import ConfigurationError, EntrosaError, NumericalError
+from .errors import ConfigurationError, NumericalError, SparseGridError
 from .model import Model, evaluate_batch, fix_variables, sample_inputs
 from .report import (METHODS, OUTPUT_DIR_ENV, RunConfig, SensitivityReport,
                      rank_descending, write_atomic)
@@ -265,7 +265,7 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
                 raise NumericalError("degenerate output distribution")
             dm = estimate_deriv_measures(fmodel, n_deriv, fd_step, frng)
             eb = entropy_upper_bounds(dm, fmodel.inputs, er.h_y)
-        except EntrosaError as exc:
+        except (NumericalError, SparseGridError) as exc:
             record["excluded"] = str(exc)
             excluded.append(record)
             continue

@@ -91,6 +91,17 @@ class TestGroup:
         g = estimate_group_l(model, (1,), 40_000, rng=np.random.default_rng(5))
         assert g.l == pytest.approx(m.l[1], abs=0.02)
 
+    @pytest.mark.parametrize("name", ["ishigami", "flood"])
+    def test_singleton_group_is_bitwise_the_partial(self, name):
+        # one step rule: a one-element group on the same draws is the same
+        # forward difference as the per-variable estimate
+        model = builtin(name).model
+        m = estimate_deriv_measures(model, 2000, rng=np.random.default_rng(9))
+        for i in range(model.dim):
+            g = estimate_group_l(model, (i,), 2000, rng=np.random.default_rng(9))
+            assert g.l == m.l[i], i
+            assert g.zero_derivative_fraction == m.zero_derivative_fraction[i], i
+
     def test_mono3_pair_group_is_log_four(self):
         # directional derivative of x1 + 3 x2 along (1, 1) is exactly 4
         model = builtin("mono3").model

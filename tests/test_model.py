@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from entrosa import (ConfigurationError, Gaussian, Model, NumericalError,
-                     Uniform, builtin, evaluate_batch, fd_gradient,
-                     fd_gradient_batch, fix_variables, sample_inputs)
+                     Uniform, builtin, evaluate_batch, fd_directional_batch,
+                     fix_variables, sample_inputs)
 
 
 def test_ishigami_at_origin():
@@ -70,22 +70,30 @@ def test_dimension_mismatch_rejected():
         evaluate_batch(model, np.zeros((4, 2)))
 
 
+def _partials(model, x, h=1e-5):
+    """(n, d) forward-difference partials, one one-element group per input."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y0 = evaluate_batch(model, x)
+    return np.column_stack([fd_directional_batch(model, x, y0, (i,), h)
+                            for i in range(model.dim)])
+
+
 class TestGradient:
     def test_linear_model_exact(self):
         model = builtin("mono3").model  # y = x1 + 3 x2
-        g = fd_gradient(model, np.array([0.4, 0.6]))
+        g = _partials(model, [0.4, 0.6])[0]
         assert abs(g[0] - 1.0) < 1e-6 and abs(g[1] - 3.0) < 1e-6
 
     def test_product_rule(self):
         model = builtin("mono2").model  # y = x1 x2
-        g = fd_gradient(model, np.array([0.3, 0.7]))
+        g = _partials(model, [0.3, 0.7])[0]
         assert abs(g[0] - 0.7) < 1e-5 and abs(g[1] - 0.3) < 1e-5
 
     def test_ishigami_matches_analytic(self):
         model = builtin("ishigami").model
         rng = np.random.default_rng(11)
         x = sample_inputs(model, 200, rng)
-        got = fd_gradient_batch(model, x)
+        got = _partials(model, x)
         x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2]
         expected = np.column_stack([
             np.cos(x1) * (1 + 0.1 * x3 ** 4),
@@ -99,7 +107,7 @@ class TestGradient:
         model = builtin("mono4", r=r).model
         rng = np.random.default_rng(12)
         x = sample_inputs(model, 100, rng)
-        got = fd_gradient_batch(model, x, h=1e-5)
+        got = _partials(model, x, h=1e-5)
         expected = np.column_stack([x[:, 1] ** r, r * x[:, 0] * x[:, 1] ** (r - 1)])
         # mixed tolerance: the forward-difference error is O(h * |g''|), which
         # dwarfs the vanishing partial near x2 = 0 in purely relative terms
@@ -108,12 +116,25 @@ class TestGradient:
 
     def test_backward_difference_at_upper_edge(self):
         model = Model("sq", (Uniform(0, 1),), lambda x: x[:, 0] ** 2)
-        g = fd_gradient(model, np.array([1.0]))
+        g = _partials(model, [1.0])[0]
         assert abs(g[0] - 2.0) < 1e-4  # stays in support, backward step
 
+    def test_group_steps_backward_when_one_member_is_at_its_edge(self):
+        # y = x1^2 + x2^2 on the unit square; the group derivative is 2 x1 + 2 x2
+        # and its forward error is +2h, the backward one -2h
+        model = Model("sq2", (Uniform(0, 1), Uniform(0, 1)),
+                      lambda x: x[:, 0] ** 2 + x[:, 1] ** 2)
+        x = np.array([[1.0, 0.5], [0.5, 1.0], [0.5, 0.5]])
+        y0 = evaluate_batch(model, x)
+        h = 1e-3
+        got = fd_directional_batch(model, x, y0, (0, 1), h)
+        np.testing.assert_allclose(got, [3.0 - 2 * h, 3.0 - 2 * h, 2.0 + 2 * h], rtol=1e-9)
+
     def test_step_must_be_positive(self):
+        model = builtin("mono3").model
+        x = np.full((1, 2), 0.5)
         with pytest.raises(ConfigurationError):
-            fd_gradient(builtin("mono3").model, np.array([0.5, 0.5]), h=0.0)
+            fd_directional_batch(model, x, evaluate_batch(model, x), (0,), h=0.0)
 
 
 class TestFixVariables:

@@ -322,6 +322,8 @@ class TestCli:
         run = ["run", "--methods", "deriv", "--n-deriv", "200"]
         ladder = ["convergence", "--model", "mono2", "--seed", "0", "--output",
                   str(tmp_path / "c.json"), "--ladder"]
+        meta = ["metastudy", "--n", "3e4", "--seed", "0", "--output",
+                str(tmp_path / "m.json")]
         for argv in (run + ["--model", "not-a-model"],
                      run + ["--model", "mono3", "--n", "inf"],
                      run + ["--model", "mono3", "--n", "1e400"],
@@ -333,7 +335,11 @@ class TestCli:
                      ladder + ["1e3,inf"],
                      ladder + ["1e3,abc"],
                      ladder + ["0,1e3"],
-                     ladder + ["1e3,-5"]):
+                     ladder + ["1e3,-5"],
+                     ladder + ["1e3", "--reps", "1.5"],
+                     run + ["--model", "mono3", "--reps", "2.5"],
+                     meta + ["--n-functions", "10.9"],
+                     meta + ["--n-functions", "10", "--n-deriv", "5"]):
             try:
                 code = main(argv)
             except SystemExit as exc:
@@ -341,6 +347,7 @@ class TestCli:
             assert code == 2, argv
             assert capsys.readouterr().err, argv
         assert not (tmp_path / "c.json").exists()
+        assert not (tmp_path / "m.json").exists()
 
     def test_sparse_grid_exit_code(self, tmp_path, capsys):
         # 9-dim conditioning grid is refused
