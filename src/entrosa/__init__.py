@@ -12,7 +12,7 @@ from .distributions import (ChiSquared, Distribution, Gaussian, Triangular,
 from .entropy import (EntropyBounds, EntropyReport, HistogramSpec,
                       conditional_entropy, entropy_histogram,
                       entropy_upper_bounds, estimate_entropy_indices,
-                      first_order_entropy_index, kl_total_index)
+                      kl_total_index)
 from .errors import (ConfigurationError, EntrosaError, NumericalError,
                      SparseGridError)
 from .model import (Model, evaluate_batch, fd_directional_batch, fix_variables,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .model import (DEFAULT_FD_STEP, Model, evaluate_batch,
-                    fd_directional_batch, sample_inputs)
+                    fd_directional_batch, finite_within_rate, sample_inputs)
 
 __all__ = ["DerivMeasures", "GroupLogDerivative", "estimate_deriv_measures",
            "estimate_group_l", "GRAD_FLOOR"]
@@ -75,7 +75,8 @@ def estimate_deriv_measures(model: Model, n: int, h: float = DEFAULT_FD_STEP,
 
     Costs (d+1) * n model evaluations: g(x) once, then one forward
     difference per input on the shared g(x). Samples with a non-finite
-    partial are dropped for that input.
+    partial are dropped for that input; more than ``MAX_BAD_FRACTION``
+    non-finite g(x) raises ``NumericalError``.
     """
     if n < 10:
         raise ConfigurationError(f"derivative estimation needs n >= 10, got {n}")
@@ -83,6 +84,7 @@ def estimate_deriv_measures(model: Model, n: int, h: float = DEFAULT_FD_STEP,
         raise ConfigurationError("an explicit rng stream is required")
     x = sample_inputs(model, n, rng)
     y0 = evaluate_batch(model, x)
+    finite_within_rate(y0, "derivative measures")
     floor = _fd_floor(y0, h)
 
     d = model.dim
@@ -127,6 +129,7 @@ def estimate_group_l(model: Model, group: tuple[int, ...], n: int,
 
     x = sample_inputs(model, n, rng)
     y0 = evaluate_batch(model, x)
+    finite_within_rate(y0, "group derivative")
     _, l, zfrac = _floored_log_mean(fd_directional_batch(model, x, y0, group, h),
                                     _fd_floor(y0, h))
     return GroupLogDerivative(group=group, l=l, zero_derivative_fraction=zfrac,

@@ -1,11 +1,12 @@
-"""Univariate input distributions with sampling, density/CDF evaluation, and
-differential entropy.
+"""Univariate input distributions: sampling, differential entropy, mean and
+support.
 
-Entropy is returned in nats. Closed forms are used where known; truncated
-kinds fall back to adaptive quadrature of the truncated density, carried out
-in the quantile domain so that semi-infinite truncation windows pose no
-problem. All distribution objects are immutable and safe to share between
-threads; sampling always takes an explicit ``numpy.random.Generator``.
+Entropy is returned in nats. Closed forms are used where known. Truncated
+kinds sample by their closed-form quantile function on the restricted
+quantile range, and integrate entropy and mean by adaptive quadrature in the
+quantile domain, so semi-infinite truncation windows pose no problem. All
+distribution objects are immutable and safe to share between threads;
+sampling always takes an explicit ``numpy.random.Generator``.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
 from scipy.integrate import quad
-from scipy.special import digamma, gammaln
+from scipy.special import digamma, gammaln, ndtr, ndtri
 
 from .errors import ConfigurationError, NumericalError
 
@@ -33,10 +33,12 @@ __all__ = [
 ]
 
 _HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
+# computed as scipy's norm computes its log-density constant, for equal bits
+_LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
 
 
 class Distribution:
-    """Common interface: sample / pdf / cdf / ppf / entropy / mean / variance."""
+    """Common interface: sample / entropy / mean / support."""
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` i.i.d. values; deterministic for a fixed generator state."""
@@ -47,23 +49,11 @@ class Distribution:
     def _sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def pdf(self, x):
-        raise NotImplementedError
-
-    def cdf(self, x):
-        raise NotImplementedError
-
-    def ppf(self, q):
-        raise NotImplementedError
-
     def entropy(self) -> float:
         """Differential entropy in nats."""
         raise NotImplementedError
 
     def mean(self) -> float:
-        raise NotImplementedError
-
-    def variance(self) -> float:
         raise NotImplementedError
 
     def support(self) -> tuple[float, float]:
@@ -83,26 +73,11 @@ class Uniform(Distribution):
     def _sample(self, n, rng):
         return rng.uniform(self.a, self.b, n)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = (x >= self.a) & (x <= self.b)
-        return np.where(inside, 1.0 / (self.b - self.a), 0.0)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
-
-    def ppf(self, q):
-        return self.a + (self.b - self.a) * np.asarray(q, dtype=float)
-
     def entropy(self):
         return math.log(self.b - self.a)
 
     def mean(self):
         return 0.5 * (self.a + self.b)
-
-    def variance(self):
-        return (self.b - self.a) ** 2 / 12.0
 
     def support(self):
         return (self.a, self.b)
@@ -117,30 +92,14 @@ class Gaussian(Distribution):
         if not self.var > 0:
             raise ConfigurationError(f"Gaussian requires var > 0, got {self.var}")
 
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.var)
-
     def _sample(self, n, rng):
-        return rng.normal(self.mu, self.sigma, n)
-
-    def pdf(self, x):
-        return stats.norm.pdf(x, self.mu, self.sigma)
-
-    def cdf(self, x):
-        return stats.norm.cdf(x, self.mu, self.sigma)
-
-    def ppf(self, q):
-        return stats.norm.ppf(q, self.mu, self.sigma)
+        return rng.normal(self.mu, math.sqrt(self.var), n)
 
     def entropy(self):
         return _HALF_LN_2PIE + 0.5 * math.log(self.var)
 
     def mean(self):
         return self.mu
-
-    def variance(self):
-        return self.var
 
     def support(self):
         return (-math.inf, math.inf)
@@ -161,28 +120,11 @@ class Triangular(Distribution):
     def _sample(self, n, rng):
         return rng.triangular(self.a, self.c, self.b, n)
 
-    def _frozen(self):
-        width = self.b - self.a
-        return stats.triang((self.c - self.a) / width, loc=self.a, scale=width)
-
-    def pdf(self, x):
-        return self._frozen().pdf(x)
-
-    def cdf(self, x):
-        return self._frozen().cdf(x)
-
-    def ppf(self, q):
-        return self._frozen().ppf(q)
-
     def entropy(self):
         return 0.5 + math.log((self.b - self.a) / 2.0)
 
     def mean(self):
         return (self.a + self.c + self.b) / 3.0
-
-    def variance(self):
-        a, c, b = self.a, self.c, self.b
-        return (a * a + c * c + b * b - a * c - a * b - c * b) / 18.0
 
     def support(self):
         return (self.a, self.b)
@@ -201,15 +143,6 @@ class ChiSquared(Distribution):
     def _sample(self, n, rng):
         return rng.chisquare(self.df, n)
 
-    def pdf(self, x):
-        return stats.chi2.pdf(x, self.df)
-
-    def cdf(self, x):
-        return stats.chi2.cdf(x, self.df)
-
-    def ppf(self, q):
-        return stats.chi2.ppf(q, self.df)
-
     def entropy(self):
         k2 = self.df / 2.0
         return k2 + math.log(2.0) + gammaln(k2) + (1.0 - k2) * digamma(k2)
@@ -217,27 +150,25 @@ class ChiSquared(Distribution):
     def mean(self):
         return self.df
 
-    def variance(self):
-        return 2.0 * self.df
-
     def support(self):
         return (0.0, math.inf)
 
 
 class _Truncated(Distribution):
-    """Shared machinery for truncation of a scipy frozen base distribution.
+    """A location-scale law truncated to ``[lower, upper]``.
 
-    Sampling maps uniforms onto the restricted quantile range
-    ``[F(lower), F(upper)]`` and applies the base inverse CDF, so cost is
-    deterministic and draws are exact for a fixed stream. Entropy and moments
-    integrate the truncated density in the quantile domain.
+    A subclass gives ``_loc_scale()`` and the standard law's ``_zcdf``,
+    ``_zppf`` and ``_zlogpdf`` in ``z = (x - loc) / scale``, in closed form
+    with numpy ufuncs. Loc and scale are applied here once, in the order
+    scipy's frozen ``norm`` and ``gumbel_r`` apply them, so every value is
+    bitwise that of the matching scipy law. Sampling maps uniforms onto the restricted quantile
+    range ``[F(lower), F(upper)]`` and applies the quantile function, so the
+    cost is fixed and draws are exact for a fixed stream. Entropy and mean
+    integrate in the quantile domain.
     """
 
     lower: float
     upper: float
-
-    def _base(self):
-        raise NotImplementedError
 
     def _check_window(self):
         if not self.lower < self.upper:
@@ -251,71 +182,51 @@ class _Truncated(Distribution):
             )
 
     def _qrange(self) -> tuple[float, float]:
-        base = self._base()
-        return float(base.cdf(self.lower)), float(base.cdf(self.upper))
+        loc, scale = self._loc_scale()
+        return tuple(float(self._zcdf((x - loc) / scale)) for x in (self.lower, self.upper))
+
+    def _ppf(self, q):
+        """Quantile function of the untruncated law."""
+        loc, scale = self._loc_scale()
+        return self._zppf(q) * scale + loc
+
+    def _logpdf(self, x):
+        """Log-density of the untruncated law."""
+        loc, scale = self._loc_scale()
+        return self._zlogpdf(np.asarray((x - loc) / scale)) - np.log(scale)
 
     def _sample(self, n, rng):
         qa, qb = self._qrange()
-        return self._base().ppf(qa + (qb - qa) * rng.random(n))
+        return self._ppf(qa + (qb - qa) * rng.random(n))
 
-    def pdf(self, x):
-        qa, qb = self._qrange()
-        x = np.asarray(x, dtype=float)
-        inside = (x >= self.lower) & (x <= self.upper)
-        return np.where(inside, self._base().pdf(x) / (qb - qa), 0.0)
-
-    def cdf(self, x):
-        qa, qb = self._qrange()
-        x = np.asarray(x, dtype=float)
-        out = (self._base().cdf(x) - qa) / (qb - qa)
-        return np.clip(out, 0.0, 1.0)
-
-    def ppf(self, q):
-        qa, qb = self._qrange()
-        return self._base().ppf(qa + (qb - qa) * np.asarray(q, dtype=float))
-
+    @lru_cache(maxsize=None)
     def entropy(self):
-        return _truncated_entropy(self)
+        # H = -(1/dF) * int_{qa}^{qb} ln(f(Q(u)) / dF) du  in the quantile domain
+        qa, qb = self._qrange()
+        df = qb - qa
+        log_df = math.log(df)
 
+        def integrand(u):
+            return self._logpdf(self._ppf(u)) - log_df
+
+        val, err = quad(integrand, qa, qb, epsabs=1e-12, epsrel=1e-10, limit=200)
+        if err > 1e-6:
+            raise NumericalError(
+                f"entropy quadrature did not converge for {self!r}: estimated error {err:.3e}"
+            )
+        return -val / df
+
+    @lru_cache(maxsize=None)
     def mean(self):
-        return _truncated_moments(self)[0]
-
-    def variance(self):
-        return _truncated_moments(self)[1]
+        qa, qb = self._qrange()
+        df = qb - qa
+        m1, e1 = quad(lambda u: self._ppf(qa + df * u), 0.0, 1.0, epsabs=1e-10, limit=200)
+        if e1 > 1e-5 * max(1.0, abs(m1)):
+            raise NumericalError(f"mean quadrature did not converge for {self!r}")
+        return m1
 
     def support(self):
         return (self.lower, self.upper)
-
-
-@lru_cache(maxsize=None)
-def _truncated_entropy(dist: "_Truncated") -> float:
-    # H = -(1/dF) * int_{qa}^{qb} ln(f(Q(u)) / dF) du  in the quantile domain
-    base = dist._base()
-    qa, qb = dist._qrange()
-    df = qb - qa
-    log_df = math.log(df)
-
-    def integrand(u):
-        return base.logpdf(base.ppf(u)) - log_df
-
-    val, err = quad(integrand, qa, qb, epsabs=1e-12, epsrel=1e-10, limit=200)
-    if err > 1e-6:
-        raise NumericalError(
-            f"entropy quadrature did not converge for {dist!r}: estimated error {err:.3e}"
-        )
-    return -val / df
-
-
-@lru_cache(maxsize=None)
-def _truncated_moments(dist: "_Truncated") -> tuple[float, float]:
-    base = dist._base()
-    qa, qb = dist._qrange()
-    df = qb - qa
-    m1, e1 = quad(lambda u: base.ppf(qa + df * u), 0.0, 1.0, epsabs=1e-10, limit=200)
-    m2, e2 = quad(lambda u: base.ppf(qa + df * u) ** 2, 0.0, 1.0, epsabs=1e-10, limit=200)
-    if max(e1, e2) > 1e-5 * max(1.0, abs(m2)):
-        raise NumericalError(f"moment quadrature did not converge for {dist!r}")
-    return m1, m2 - m1 * m1
 
 
 @dataclass(frozen=True)
@@ -330,8 +241,15 @@ class TruncatedGaussian(_Truncated):
             raise ConfigurationError(f"TruncatedGaussian requires var > 0, got {self.var}")
         self._check_window()
 
-    def _base(self):
-        return stats.norm(loc=self.mu, scale=math.sqrt(self.var))
+    def _loc_scale(self):
+        return self.mu, math.sqrt(self.var)
+
+    _zcdf = staticmethod(ndtr)
+    _zppf = staticmethod(ndtri)
+
+    @staticmethod
+    def _zlogpdf(z):
+        return -z**2 / 2.0 - _LOG_SQRT_2PI
 
 
 @dataclass(frozen=True)
@@ -346,8 +264,20 @@ class TruncatedGumbel(_Truncated):
             raise ConfigurationError(f"TruncatedGumbel requires scale > 0, got {self.scale}")
         self._check_window()
 
-    def _base(self):
-        return stats.gumbel_r(loc=self.location, scale=self.scale)
+    def _loc_scale(self):
+        return self.location, self.scale
+
+    @staticmethod
+    def _zcdf(z):
+        return np.exp(-np.exp(-z))
+
+    @staticmethod
+    def _zppf(q):
+        return -np.log(-np.log(q))
+
+    @staticmethod
+    def _zlogpdf(z):
+        return -z - np.exp(-z)
 
 
 _KINDS = {

@@ -43,7 +43,7 @@ from .model import Model, clean_outputs, evaluate_batch, sample_inputs
 
 __all__ = ["HistogramSpec", "EntropyReport", "EntropyBounds", "KLResult",
            "entropy_histogram", "conditional_entropy", "estimate_entropy_indices",
-           "entropy_upper_bounds", "kl_total_index", "first_order_entropy_index"]
+           "entropy_upper_bounds", "kl_total_index"]
 
 log = logging.getLogger(__name__)
 
@@ -370,36 +370,3 @@ def kl_total_index(model: Model, i: int, n: int,
                     model.name, i + 1, 100 * floored_mass)
     return KLResult(value=value, floored_mass=floored_mass, floor_warning=warn)
 
-
-def first_order_entropy_index(model: Model, i: int, n: int,
-                              spec: HistogramSpec = HistogramSpec(),
-                              rng: np.random.Generator | None = None) -> float:
-    """First-order index I(X_i; Y) / H(Y) from a 2-D histogram.
-
-    Both axes of the joint histogram use the output bin count. The mutual
-    information is bin-width free (the cell widths cancel between the
-    marginal and conditional terms); the normalizer is the binned output
-    entropy, which keeps the index near [0, 1] regardless of the output scale
-    and is zero only for a constant output, reported as NaN (undefined).
-    """
-    if rng is None:
-        raise ConfigurationError("an explicit rng stream is required")
-    if not 0 <= i < model.dim:
-        raise ConfigurationError(f"variable index {i} out of range")
-    x = sample_inputs(model, n, rng)
-    y = evaluate_batch(model, x)
-    good = np.isfinite(y)
-    if not good.all():
-        y = clean_outputs(y, model.name)
-        x = x[good]
-    h_y_hist = entropy_histogram(y, spec)
-    if not np.isfinite(h_y_hist):
-        return float("nan")
-    width = (y.max() - y.min()) / spec.bins_output
-    h_y_binned = h_y_hist - math.log(width)
-    if h_y_binned < 1e-12:
-        return float("nan")
-    square = HistogramSpec(bins_output=spec.bins_output,
-                           bins_per_conditioning_dim=spec.bins_output)
-    mutual = h_y_hist - conditional_entropy(y, x[:, i], square)
-    return float(mutual / h_y_binned)

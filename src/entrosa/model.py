@@ -72,19 +72,26 @@ def evaluate_batch(model: Model, inputs: np.ndarray) -> np.ndarray:
     return y
 
 
+def finite_within_rate(values: np.ndarray, where: str) -> np.ndarray:
+    """The finite mask of ``values``, the one non-finite policy of every
+    estimator: non-finite values are logged and may be excluded, and a rate
+    above ``MAX_BAD_FRACTION`` raises ``NumericalError``."""
+    good = np.isfinite(values)
+    n_bad = int(values.size - good.sum())
+    if n_bad:
+        rate = n_bad / values.size
+        log.warning("%s: excluded %d non-finite values (rate %.4f%%)", where, n_bad, 100 * rate)
+        if rate > MAX_BAD_FRACTION:
+            raise NumericalError(
+                f"{where}: non-finite value rate {rate:.2%} exceeds {MAX_BAD_FRACTION:.2%}"
+            )
+    return good
+
+
 def clean_outputs(y: np.ndarray, where: str = "estimator") -> np.ndarray:
-    """Drop non-finite rows; abort when the exclusion rate exceeds 0.1%."""
-    good = np.isfinite(y)
-    n_bad = int(y.size - good.sum())
-    if n_bad == 0:
-        return y
-    rate = n_bad / y.size
-    log.warning("%s: excluded %d non-finite outputs (rate %.4f%%)", where, n_bad, 100 * rate)
-    if rate > MAX_BAD_FRACTION:
-        raise NumericalError(
-            f"{where}: non-finite output rate {rate:.2%} exceeds {MAX_BAD_FRACTION:.2%}"
-        )
-    return y[good]
+    """Drop non-finite rows under the ``finite_within_rate`` policy."""
+    good = finite_within_rate(y, where)
+    return y if good.all() else y[good]
 
 
 def fd_directional_batch(model: Model, x: np.ndarray, y0: np.ndarray,

@@ -15,7 +15,8 @@ import numpy as np
 from .deriv import DerivMeasures
 from .distributions import Distribution, Gaussian, Uniform
 from .errors import ConfigurationError
-from .model import Model, clean_outputs, evaluate_batch, sample_inputs
+from .model import (Model, clean_outputs, evaluate_batch, finite_within_rate,
+                    sample_inputs)
 
 __all__ = ["VarianceReport", "PoincareBound", "estimate_total_effect_variance",
            "variance_upper_bound", "poincare_constant"]
@@ -54,7 +55,7 @@ def estimate_total_effect_variance(model: Model, n_base: int,
         ab[:, i] = b[:, i]
         y_ab = evaluate_batch(model, ab)
         diff = y_a - y_ab
-        diff = diff[np.isfinite(diff)]
+        diff = diff[finite_within_rate(diff, f"variance x{i + 1}")]
         v_total[i] = 0.5 * float(np.mean(diff * diff))
 
     if v_y <= _VAR_EPS:

@@ -1,11 +1,18 @@
-"""Distribution invariants: normalization, CDF shape, support, entropies."""
+"""Distribution invariants: support, sampling, entropies, means, and the
+truncated laws against their scipy.stats counterparts."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 
+import entrosa
 from entrosa import (ChiSquared, ConfigurationError, Gaussian, Triangular,
                      TruncatedGaussian, TruncatedGumbel, Uniform,
                      parse_distribution)
@@ -24,33 +31,67 @@ ALL_KINDS = [
 ]
 
 
-def _quad_support(dist):
-    lo, hi = dist.support()
-    # integrate over a finite window holding all the mass
-    if not math.isfinite(lo):
-        lo = dist.ppf(1e-12)
-    if not math.isfinite(hi):
-        hi = dist.ppf(1.0 - 1e-12)
-    return lo, hi
+def _scipy_base(dist):
+    """The untruncated scipy.stats law of a truncated kind."""
+    if isinstance(dist, TruncatedGaussian):
+        return stats.norm(loc=dist.mu, scale=math.sqrt(dist.var))
+    return stats.gumbel_r(loc=dist.location, scale=dist.scale)
 
 
-@pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: repr(d))
-def test_pdf_integrates_to_one(dist):
-    lo, hi = _quad_support(dist)
-    total, _ = quad(lambda x: float(dist.pdf(x)), lo, hi, limit=200)
-    assert abs(total - 1.0) < 1e-6
+def _scipy_variance(dist):
+    if isinstance(dist, Uniform):
+        return stats.uniform(dist.a, dist.b - dist.a).var()
+    if isinstance(dist, Gaussian):
+        return stats.norm(dist.mu, math.sqrt(dist.var)).var()
+    if isinstance(dist, Triangular):
+        width = dist.b - dist.a
+        return stats.triang((dist.c - dist.a) / width, loc=dist.a, scale=width).var()
+    if isinstance(dist, ChiSquared):
+        return stats.chi2(dist.df).var()
+    if isinstance(dist, TruncatedGaussian):
+        sig = math.sqrt(dist.var)
+        return stats.truncnorm((dist.lower - dist.mu) / sig, (dist.upper - dist.mu) / sig,
+                               loc=dist.mu, scale=sig).var()
+    base = _scipy_base(dist)
+    lb, ub = dist.lower, dist.upper
+    m = base.expect(lambda x: x, lb=lb, ub=ub, conditional=True)
+    return base.expect(lambda x: (x - m) ** 2, lb=lb, ub=ub, conditional=True)
 
 
-@pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: repr(d))
-def test_cdf_monotone_and_pinned(dist):
-    lo, hi = dist.support()
-    grid = dist.ppf(np.linspace(1e-9, 1 - 1e-9, 201))
-    vals = dist.cdf(grid)
-    assert np.all(np.diff(vals) >= -1e-12)
-    if math.isfinite(lo):
-        assert abs(float(dist.cdf(lo))) < 1e-9
-    if math.isfinite(hi):
-        assert abs(float(dist.cdf(hi)) - 1.0) < 1e-9
+TRUNCATED_WINDOWS = [
+    TruncatedGumbel(1013.0, 558.0, 500.0, 3000.0),      # flood Q
+    TruncatedGaussian(30.0, 64.0, 15.0, math.inf),      # flood Ks
+    TruncatedGaussian(0.0, 1.0, -1.5, 2.0),
+    TruncatedGumbel(0.0, 1.0, -math.inf, 1.0),
+    TruncatedGumbel(0.0, 1.0, 0.5, math.inf),
+    TruncatedGaussian(30.0, 64.0, -50.0, 110.0),        # +-10 sigma
+]
+
+
+@pytest.mark.parametrize("dist", TRUNCATED_WINDOWS, ids=lambda d: repr(d))
+def test_truncated_laws_match_scipy_bitwise(dist):
+    # reference: the truncated law through the scipy.stats frozen base law
+    base = _scipy_base(dist)
+    qa, qb = float(base.cdf(dist.lower)), float(base.cdf(dist.upper))
+    assert dist._qrange() == (qa, qb)
+    df = qb - qa
+    for seed in (0, 1):
+        ref = base.ppf(qa + df * np.random.default_rng(seed).random(200_000))
+        assert np.array_equal(dist.sample(200_000, np.random.default_rng(seed)), ref)
+    log_df = math.log(df)
+    h, _ = quad(lambda u: base.logpdf(base.ppf(u)) - log_df, qa, qb,
+                epsabs=1e-12, epsrel=1e-10, limit=200)
+    assert dist.entropy() == -h / df
+    m, _ = quad(lambda u: base.ppf(qa + df * u), 0.0, 1.0, epsabs=1e-10, limit=200)
+    assert dist.mean() == m
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, entrosa, entrosa.studies; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(entrosa.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: repr(d))
@@ -99,7 +140,6 @@ class TestEntropy:
         assert d.entropy() == pytest.approx(0.5 * math.log(2 * math.pi * math.e * 4.0), abs=1e-12)
 
     def test_chi_squared_matches_scipy(self):
-        from scipy import stats
         for k in (10.0, 13.978):
             assert ChiSquared(k).entropy() == pytest.approx(stats.chi2(k).entropy(), abs=1e-10)
 
@@ -123,7 +163,7 @@ class TestEntropy:
     def test_entropy_power_at_most_variance(self, dist):
         # exp(2H) <= 2*pi*e*Var, with equality exactly for the Gaussian
         lhs = math.exp(2 * dist.entropy())
-        rhs = 2 * math.pi * math.e * dist.variance()
+        rhs = 2 * math.pi * math.e * _scipy_variance(dist)
         if isinstance(dist, Gaussian):
             assert lhs == pytest.approx(rhs, rel=1e-9)
         else:

@@ -11,7 +11,7 @@ from entrosa import (ConfigurationError, HistogramSpec, Model, SparseGridError,
                      Uniform, builtin, conditional_entropy, entropy_histogram,
                      entropy_upper_bounds, estimate_deriv_measures,
                      estimate_entropy_indices, evaluate_batch,
-                     first_order_entropy_index, fix_variables, kl_total_index,
+                     fix_variables, kl_total_index,
                      sample_inputs)
 from entrosa.entropy import _DENSE_CELLS_PER_SAMPLE, _SINGLETON_ERROR_SHARE
 
@@ -340,51 +340,3 @@ class TestKL:
             kl_total_index(builtin("mono2").model, 4, 1000,
                            rng=np.random.default_rng(0))
 
-
-class TestFirstOrder:
-    def test_identity_map_saturates(self):
-        model = Model("identity", (Uniform(0, 1),), lambda x: x[:, 0].copy())
-        eta = first_order_entropy_index(model, 0, 200_000,
-                                        rng=np.random.default_rng(23))
-        assert eta == pytest.approx(1.0, abs=0.1)
-
-    def test_independent_variable_is_zero(self):
-        model = Model("inert-first", (Uniform(0, 1),) * 2, lambda x: x[:, 1].copy())
-        eta = first_order_entropy_index(model, 0, 200_000,
-                                        rng=np.random.default_rng(24))
-        assert abs(eta) < 0.02
-
-    def test_matches_independent_two_dim_histogram_oracle(self):
-        # oracle: mutual information from a plain 2-D histogram, same grid badge
-        model = builtin("ishigami").model
-        n = 1_000_000
-        spec = HistogramSpec(bins_output=100, bins_per_conditioning_dim=20)
-        rng = np.random.default_rng(25)
-        x = sample_inputs(model, n, rng)
-        y = evaluate_batch(model, x)
-
-        def oracle(xi):
-            cy, ey = np.histogram(y, bins=100)
-            cj, _, _ = np.histogram2d(xi, y, bins=(100, 100),
-                                      range=((xi.min(), xi.max()), (y.min(), y.max())))
-            py = cy / n
-            pj = cj / n
-            px = pj.sum(axis=1)
-            hy = -(py[py > 0] * np.log(py[py > 0])).sum()
-            hxy = -(pj[pj > 0] * np.log(pj[pj > 0])).sum()
-            hx = -(px[px > 0] * np.log(px[px > 0])).sum()
-            return (hy - (hxy - hx)) / hy
-
-        got3 = first_order_entropy_index(model, 2, n, spec, np.random.default_rng(25))
-        got2 = first_order_entropy_index(model, 1, n, spec, np.random.default_rng(25))
-        assert got3 == pytest.approx(oracle(x[:, 2]), abs=0.02)
-        assert got2 == pytest.approx(oracle(x[:, 1]), abs=0.02)
-        # first-order effect of the fourth-power interaction variable is the
-        # small one of the pair
-        assert 0 < got3 < got2
-
-    def test_constant_output_is_undefined(self):
-        model = Model("const", (Uniform(0, 1),), lambda x: np.full(x.shape[0], 1.0))
-        eta = first_order_entropy_index(model, 0, 10_000,
-                                        rng=np.random.default_rng(26))
-        assert math.isnan(eta)

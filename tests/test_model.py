@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from entrosa import (ConfigurationError, Gaussian, Model, NumericalError,
-                     Uniform, builtin, evaluate_batch, fd_directional_batch,
-                     fix_variables, sample_inputs)
+                     Uniform, builtin, estimate_deriv_measures, estimate_group_l,
+                     estimate_total_effect_variance, evaluate_batch,
+                     fd_directional_batch, fix_variables, sample_inputs)
 
 
 def test_ishigami_at_origin():
@@ -62,6 +63,18 @@ def test_partial_nonfinite_batch_is_tolerated():
     model = Model("one-bad", (Uniform(0, 1),), evaluator)
     y = evaluate_batch(model, np.full((10, 1), 0.5))
     assert np.isfinite(y[1:]).all() and not np.isfinite(y[0])
+
+
+def test_estimators_refuse_mostly_nonfinite_outputs():
+    def evaluator(x):
+        return np.where(x[:, 0] < 0.5, np.nan, x[:, 0] + x[:, 1])
+    model = Model("half-nan", (Uniform(0, 1),) * 2, evaluator)
+    with pytest.raises(NumericalError):
+        estimate_deriv_measures(model, 1000, rng=np.random.default_rng(0))
+    with pytest.raises(NumericalError):
+        estimate_group_l(model, (0, 1), 1000, rng=np.random.default_rng(0))
+    with pytest.raises(NumericalError):
+        estimate_total_effect_variance(model, 1000, np.random.default_rng(0))
 
 
 def test_dimension_mismatch_rejected():

@@ -355,6 +355,13 @@ class TestCli:
                      "--n", "2000", "--seed", "0"])
         assert code == 4
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
+    def test_mostly_nonfinite_outputs_exit_code(self, capsys):
+        # Zm and Zv share one law, so sqrt(Zm - Zv) is NaN on about half the rows
+        code = main(["run", "--model", "flood", "--methods", "deriv", "--n-deriv", "1000",
+                     "--seed", "0", "--override-input", "4=Triangular(49,50,51)"])
+        assert code == 3
+
     def test_metastudy_requires_seed(self, capsys):
         with pytest.raises(SystemExit):
             main(["metastudy", "--n-functions", "10", "--output", "x.json"])

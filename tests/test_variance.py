@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from entrosa import (ConfigurationError, Gaussian, Model, Uniform, builtin,
+from entrosa import (ConfigurationError, Gaussian, Model, NumericalError,
+                     Uniform, builtin,
                      estimate_deriv_measures, estimate_total_effect_variance,
                      variance_upper_bound)
 from entrosa.variance import poincare_constant
@@ -106,3 +107,13 @@ class TestPoincareBound:
                                   table_constants=bench.poincare_constants)
         expected = bench.analytic["variance_bound"].values
         np.testing.assert_allclose(pb.bound, expected, atol=0.03)
+
+
+def test_nonfinite_differences_count_against_the_rate():
+    # about 0.07% of outputs are NaN, which g(A) and g(B) each tolerate, but
+    # g(A) - g(AB_1) is NaN wherever A's or B's first column is bad: about 0.14%
+    def evaluator(x):
+        return np.where(x[:, 0] < 7e-4, np.nan, x[:, 0] + x[:, 1])
+    model = Model("rare-nan", (Uniform(0, 1),) * 2, evaluator)
+    with pytest.raises(NumericalError, match="variance x1"):
+        estimate_total_effect_variance(model, 20_000, np.random.default_rng(0))
