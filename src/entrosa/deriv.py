@@ -41,8 +41,6 @@ class DerivMeasures:
     nu: np.ndarray                        # E[(dg/dx_i)^2]
     l: np.ndarray                         # E[ln|dg/dx_i|], -inf if all floored
     zero_derivative_fraction: np.ndarray  # share of samples at/below the floor
-    n_samples: int
-    h: float
 
     @property
     def dim(self) -> int:
@@ -55,15 +53,14 @@ def _fd_floor(y0: np.ndarray, h: float) -> np.ndarray:
     return np.maximum(np.finfo(float).eps * np.abs(y0) / h, GRAD_FLOOR)
 
 
-def _floored_log_mean(deriv: np.ndarray, floor: np.ndarray):
-    """Drop non-finite samples; return the kept magnitudes, the mean log
-    magnitude with each sample raised to its floor (-inf if all are at or
-    below it) and the share at or below the floor (NaN, NaN if none kept)."""
+def _floored_log_mean(deriv: np.ndarray, floor: np.ndarray, where: str):
+    """Drop non-finite samples under the ``finite_within_rate`` policy;
+    return the kept magnitudes, the mean log magnitude with each sample
+    raised to its floor (-inf if all are at or below it) and the share at or
+    below the floor."""
     mag = np.abs(deriv)
-    keep = np.isfinite(mag)
+    keep = finite_within_rate(mag, where)
     mag, floor = mag[keep], floor[keep]
-    if mag.size == 0:
-        return mag, np.nan, np.nan
     floored = mag <= floor
     l = -np.inf if floored.all() else float(np.log(np.maximum(mag, floor)).mean())
     return mag, l, float(floored.mean())
@@ -75,8 +72,9 @@ def estimate_deriv_measures(model: Model, n: int, h: float = DEFAULT_FD_STEP,
 
     Costs (d+1) * n model evaluations: g(x) once, then one forward
     difference per input on the shared g(x). Samples with a non-finite
-    partial are dropped for that input; more than ``MAX_BAD_FRACTION``
-    non-finite g(x) raises ``NumericalError``.
+    partial (a non-finite g(x) makes every partial of its row non-finite)
+    are dropped for that input; more than ``MAX_BAD_FRACTION`` of them for
+    any input raises ``NumericalError``.
     """
     if n < 10:
         raise ConfigurationError(f"derivative estimation needs n >= 10, got {n}")
@@ -84,31 +82,25 @@ def estimate_deriv_measures(model: Model, n: int, h: float = DEFAULT_FD_STEP,
         raise ConfigurationError("an explicit rng stream is required")
     x = sample_inputs(model, n, rng)
     y0 = evaluate_batch(model, x)
-    finite_within_rate(y0, "derivative measures")
     floor = _fd_floor(y0, h)
 
     d = model.dim
-    mu = np.full(d, np.nan)
-    nu = np.full(d, np.nan)
+    mu = np.empty(d)
+    nu = np.empty(d)
     l = np.empty(d)
     zfrac = np.empty(d)
     for i in range(d):
         col, l[i], zfrac[i] = _floored_log_mean(
-            fd_directional_batch(model, x, y0, (i,), h), floor)
-        if col.size:
-            mu[i] = col.mean()
-            nu[i] = (col * col).mean()
-    return DerivMeasures(mu=mu, nu=nu, l=l, zero_derivative_fraction=zfrac,
-                         n_samples=n, h=h)
+            fd_directional_batch(model, x, y0, (i,), h), floor, f"derivative x{i + 1}")
+        mu[i] = col.mean()
+        nu[i] = (col * col).mean()
+    return DerivMeasures(mu=mu, nu=nu, l=l, zero_derivative_fraction=zfrac)
 
 
 @dataclass(frozen=True)
 class GroupLogDerivative:
-    group: tuple[int, ...]
     l: float
     zero_derivative_fraction: float
-    n_samples: int
-    h: float
 
 
 def estimate_group_l(model: Model, group: tuple[int, ...], n: int,
@@ -116,7 +108,8 @@ def estimate_group_l(model: Model, group: tuple[int, ...], n: int,
                      rng: np.random.Generator | None = None) -> GroupLogDerivative:
     """E[ln|dg/dz|] for a variable group, with dg/dz the directional
     derivative along the common perturbation of all group members
-    (the sum of the group's partials)."""
+    (the sum of the group's partials). Non-finite samples follow
+    ``estimate_deriv_measures``."""
     group = tuple(group)
     if not group or len(set(group)) != len(group):
         raise ConfigurationError(f"group must be non-empty with distinct indices, got {group}")
@@ -129,8 +122,6 @@ def estimate_group_l(model: Model, group: tuple[int, ...], n: int,
 
     x = sample_inputs(model, n, rng)
     y0 = evaluate_batch(model, x)
-    finite_within_rate(y0, "group derivative")
     _, l, zfrac = _floored_log_mean(fd_directional_batch(model, x, y0, group, h),
-                                    _fd_floor(y0, h))
-    return GroupLogDerivative(group=group, l=l, zero_derivative_fraction=zfrac,
-                              n_samples=n, h=h)
+                                    _fd_floor(y0, h), "group derivative")
+    return GroupLogDerivative(l=l, zero_derivative_fraction=zfrac)

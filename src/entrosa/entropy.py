@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,13 +215,6 @@ class EntropyReport:
     kappa: np.ndarray
     kappa_std: np.ndarray
     kappa_clipped: np.ndarray            # True where exp(H_Ti - H_Y) > 1 was clipped
-    n_samples: int
-    repetitions: int
-    spec: HistogramSpec = field(default_factory=HistogramSpec)
-
-    @property
-    def dim(self) -> int:
-        return self.h_total.size
 
 
 def estimate_entropy_indices(model: Model, n: int,
@@ -283,8 +276,7 @@ def estimate_entropy_indices(model: Model, n: int,
             h_total=h_t.mean(axis=0), h_total_std=h_t.std(axis=0, ddof=0),
             eta=eta.mean(axis=0), eta_std=eta.std(axis=0, ddof=0),
             kappa=kappa.mean(axis=0), kappa_std=kappa.std(axis=0, ddof=0),
-            kappa_clipped=clipped.any(axis=0),
-            n_samples=n, repetitions=repetitions, spec=spec)
+            kappa_clipped=clipped.any(axis=0))
 
 
 @dataclass(frozen=True)

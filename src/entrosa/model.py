@@ -51,8 +51,8 @@ def sample_inputs(model: Model, n: int, rng: np.random.Generator) -> np.ndarray:
 def evaluate_batch(model: Model, inputs: np.ndarray) -> np.ndarray:
     """Row-wise, order-preserving evaluation of the model.
 
-    Non-finite outputs are preserved (callers decide how to treat them); the
-    batch as a whole fails only when every row is non-finite.
+    Non-finite outputs are preserved for the caller's ``finite_within_rate``
+    check; the batch as a whole fails only when every row is non-finite.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if inputs.shape[1] != model.dim:
@@ -66,9 +66,6 @@ def evaluate_batch(model: Model, inputs: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(y).any():
         raise NumericalError(f"all {y.size} outputs of {model.name!r} are non-finite")
-    n_bad = int(np.size(y) - np.isfinite(y).sum())
-    if n_bad:
-        log.warning("%s: %d of %d outputs non-finite", model.name, n_bad, y.size)
     return y
 
 

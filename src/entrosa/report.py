@@ -98,7 +98,7 @@ class RunConfig:
             raise ConfigurationError("at least one method is required")
         if self.format not in ("csv", "json"):
             raise ConfigurationError(f"format must be csv or json, got {self.format!r}")
-        if "groups" in self.methods and self.groups is None:
+        if "groups" in self.methods and not self.groups:
             raise ConfigurationError("method 'groups' requires a groups definition")
         if self.fd_step <= 0:
             raise ConfigurationError("fd_step must be positive")

@@ -11,7 +11,6 @@ per study in ``STUDY_BINS``.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 import time
@@ -25,15 +24,14 @@ from .deriv import estimate_deriv_measures, estimate_group_l
 from .entropy import (HistogramSpec, entropy_histogram, entropy_upper_bounds,
                       estimate_entropy_indices, kl_total_index)
 from .errors import ConfigurationError, NumericalError, SparseGridError
-from .model import Model, evaluate_batch, fix_variables, sample_inputs
+from .model import (Model, clean_outputs, evaluate_batch, fix_variables,
+                    sample_inputs)
 from .report import (METHODS, OUTPUT_DIR_ENV, RunConfig, SensitivityReport,
                      rank_descending, write_atomic)
 from .variance import estimate_total_effect_variance, variance_upper_bound
 
 __all__ = ["build_benchmark", "run_from_config", "metastudy", "convergence",
            "run_table_preset", "TABLE_PRESETS", "cube_root_bins"]
-
-log = logging.getLogger(__name__)
 
 # per-study estimator settings for the reproduction presets (per-axis bins)
 STUDY_BINS = {
@@ -110,112 +108,86 @@ def _method_streams(seed: int) -> dict[str, np.random.Generator]:
 
 
 def run_from_config(config: RunConfig) -> SensitivityReport:
-    """Execute the requested estimators and assemble the report."""
+    """Execute the requested estimators and assemble the report.
+
+    ``metadata["n_evaluations"]`` is the number of input rows the model
+    evaluated, counted at the evaluator."""
     t0 = time.perf_counter()
     bench = build_benchmark(config)
-    model = bench.model
+    n_evaluations = 0
+
+    def counted(x: np.ndarray) -> np.ndarray:
+        nonlocal n_evaluations
+        n_evaluations += x.shape[0]
+        return bench.model.evaluator(x)
+
+    model = Model(bench.model.name, bench.model.inputs, counted)
     d = model.dim
     names = list(bench.var_names or tuple(f"x{i + 1}" for i in range(d)))
+    methods = config.methods
     spec = HistogramSpec(config.bins_output, config.bins_cond)
     streams = _method_streams(config.seed)
-    rows = [{"variable": names[i]} for i in range(d)]
-    n_evals = 0
-    measures = None
-    h_y_full = None
+    columns = {}  # report column -> {variable index: value}
+    metadata = {"config": config.to_mapping(), "toolkit_version": __version__,
+                "model": model.name, "dim": d, "variables": names}
 
-    if "deriv" in config.methods or "bounds" in config.methods:
+    def put(result, keys, index=range(d)):
+        for key in keys:
+            columns[key] = dict(zip(index, getattr(result, key)))
+
+    measures = h_y = None
+    if "deriv" in methods or "bounds" in methods:
         measures = estimate_deriv_measures(model, config.n_deriv, config.fd_step,
                                            streams["deriv"])
-        n_evals += (d + 1) * config.n_deriv
-        if "deriv" in config.methods:
-            for i in range(d):
-                rows[i].update(mu=float(measures.mu[i]), nu=float(measures.nu[i]),
-                               l=float(measures.l[i]),
-                               zero_derivative_fraction=float(
-                                   measures.zero_derivative_fraction[i]))
+        if "deriv" in methods:
+            put(measures, ("mu", "nu", "l", "zero_derivative_fraction"))
 
-    v_y = None
-    if "variance" in config.methods:
-        vr = estimate_total_effect_variance(model, config.n_base, streams["variance"])
-        n_evals += vr.n_evaluations
-        v_y = vr.v_y
-        for i in range(d):
-            rows[i].update(s_total=float(vr.s_total[i]), v_total=float(vr.v_total[i]))
+    if "variance" in methods:
+        put(estimate_total_effect_variance(model, config.n_base, streams["variance"]),
+            ("s_total", "v_total"))
 
-    if "entropy" in config.methods:
-        target = model
-        index_map = list(range(d))
-        if bench.entropy_fix:
-            target = fix_variables(model, dict(bench.entropy_fix))
-            index_map = [i for i in range(d) if i not in bench.entropy_fix]
-        er = estimate_entropy_indices(target, config.n_samples, spec,
+    if "entropy" in methods:
+        fixed = dict(bench.entropy_fix or {})
+        er = estimate_entropy_indices(fix_variables(model, fixed), config.n_samples, spec,
                                       config.repetitions, streams["entropy"])
-        n_evals += config.n_samples * config.repetitions
-        for pos, i in enumerate(index_map):
-            rows[i].update(h_total=float(er.h_total[pos]),
-                           h_total_std=float(er.h_total_std[pos]),
-                           eta=float(er.eta[pos]), eta_std=float(er.eta_std[pos]),
-                           kappa=float(er.kappa[pos]),
-                           kappa_std=float(er.kappa_std[pos]))
-        if not bench.entropy_fix:
-            h_y_full = er.h_y
+        put(er, ("h_total", "h_total_std", "eta", "eta_std", "kappa", "kappa_std"),
+            [i for i in range(d) if i not in fixed])
+        if not fixed:
+            h_y = er.h_y
 
-    if "kl" in config.methods:
-        for i in range(d):
-            res = kl_total_index(model, i, config.n_samples, spec, streams["kl"])
-            rows[i]["kl"] = res.value
-            n_evals += 2 * config.n_samples
+    if "kl" in methods:
+        columns["kl"] = {i: kl_total_index(model, i, config.n_samples, spec,
+                                           streams["kl"]).value for i in range(d)}
 
-    groups_out = None
-    bounds_meta = None
-    if "bounds" in config.methods or "groups" in config.methods:
-        if h_y_full is None:
-            x = sample_inputs(model, config.n_samples, streams["bounds"])
-            h_y_full = entropy_histogram(evaluate_batch(model, x), spec)
-            n_evals += config.n_samples
-            del x
-        bounds_meta = {"h_y": h_y_full, "exp_h_y": math.exp(h_y_full)}
+    if "bounds" in methods or "groups" in methods:
+        if h_y is None:
+            y = evaluate_batch(model, sample_inputs(model, config.n_samples, streams["bounds"]))
+            h_y = entropy_histogram(clean_outputs(y, "output entropy"), spec)
+        metadata["output_entropy"] = {"h_y": h_y, "exp_h_y": math.exp(h_y)}
 
-    if "bounds" in config.methods:
-        eb = entropy_upper_bounds(measures, model.inputs, h_y_full)
-        for i in range(d):
-            rows[i].update(h_bound=float(eb.h_bound[i]),
-                           kappa_bound=float(eb.kappa_bound[i]),
-                           nu_kappa_bound=float(eb.nu_kappa_bound[i]))
-        pb = variance_upper_bound(measures, model.inputs,
-                                  table_constants=bench.poincare_constants, v_y=v_y)
-        for i in range(d):
-            rows[i]["variance_bound"] = float(pb.bound[i])
+    if "bounds" in methods:
+        put(entropy_upper_bounds(measures, model.inputs, h_y),
+            ("h_bound", "kappa_bound", "nu_kappa_bound"))
+        columns["variance_bound"] = dict(enumerate(variance_upper_bound(
+            measures, model.inputs, table_constants=bench.poincare_constants).bound))
 
-    if "groups" in config.methods:
-        groups = config.groups or bench.groups
-        if not groups:
-            raise ConfigurationError("groups method requires group definitions")
-        groups_out = []
-        for g in groups:
+    if "groups" in methods:
+        metadata["groups"] = []
+        for g in config.groups:
             gl = estimate_group_l(model, g, config.n_samples, config.fd_step,
                                   streams["groups"])
-            n_evals += 2 * config.n_samples
-            entry = {"group": [i + 1 for i in g], "l": gl.l,
-                     "exp_l": math.exp(gl.l) if np.isfinite(gl.l) else 0.0,
-                     "zero_derivative_fraction": gl.zero_derivative_fraction}
-            entry["bound"] = entry["exp_l"] / math.exp(h_y_full)
-            groups_out.append(entry)
+            exp_l = math.exp(gl.l)
+            metadata["groups"].append(
+                {"group": [i + 1 for i in g], "l": gl.l, "exp_l": exp_l,
+                 "zero_derivative_fraction": gl.zero_derivative_fraction,
+                 "bound": exp_l / math.exp(h_y)})
 
-    metadata = {
-        "config": config.to_mapping(),
-        "toolkit_version": __version__,
-        "model": model.name,
-        "dim": d,
-        "variables": names,
-        "n_evaluations": n_evals,
-        "wall_time_s": round(time.perf_counter() - t0, 3),
-    }
-    if bounds_meta:
-        metadata["output_entropy"] = bounds_meta
-    if groups_out is not None:
-        metadata["groups"] = groups_out
-
+    rows = [{"variable": name} for name in names]
+    for key, values in columns.items():
+        for i, v in values.items():
+            rows[i][key] = float(v)
+    metadata["n_evaluations"] = n_evaluations
+    metadata["wall_time_s"] = round(time.perf_counter() - t0, 3)
     report = SensitivityReport(metadata=metadata, rows=rows)
     report.compute_rankings()
     if config.output:
@@ -357,16 +329,23 @@ def convergence(model_name: str, method: str, ladder: list[int], reps: int,
 # ---------------------------------------------------------------------------
 # table presets
 
+def _table(outdir: Path, stem: str, bins: HistogramSpec, fmt: str = "csv",
+           **config) -> tuple[Path, SensitivityReport]:
+    """Run one table's config and write it to ``outdir/stem.fmt``."""
+    path = outdir / f"{stem}.{fmt}"
+    report = run_from_config(RunConfig(
+        bins_output=bins.bins_output, bins_cond=bins.bins_per_conditioning_dim,
+        output=str(path), format=fmt, **config))
+    return path, report
+
+
 def _preset_motivating(outdir: Path, seed: int, scale: float) -> list[Path]:
     n = max(10_000, int(1e7 * scale))
-    bins = _scaled_spec(STUDY_BINS["paper_1e7"], n, int(1e7))
-    cfg = RunConfig(model="ratio_chi2", methods=("variance", "entropy", "kl"),
-                    n_samples=n, n_base=max(1000, int(1e5 * scale)),
-                    repetitions=3, bins_output=bins.bins_output,
-                    bins_cond=bins.bins_per_conditioning_dim, seed=seed,
-                    output=str(outdir / "table_motivating.csv"), format="csv")
-    run_from_config(cfg)
-    return [outdir / "table_motivating.csv"]
+    return [_table(outdir, "table_motivating",
+                   _scaled_spec(STUDY_BINS["paper_1e7"], n, int(1e7)),
+                   model="ratio_chi2", methods=("variance", "entropy", "kl"),
+                   n_samples=n, n_base=max(1000, int(1e5 * scale)), repetitions=3,
+                   seed=seed)[0]]
 
 
 def _preset_monotonic(outdir: Path, seed: int, scale: float) -> list[Path]:
@@ -382,59 +361,39 @@ def _preset_monotonic(outdir: Path, seed: int, scale: float) -> list[Path]:
         if name == "mono5" and n < 1_000_000:
             # a 4-D conditioning grid starves below about a million samples
             methods = ("deriv", "bounds")
-        bins = _scaled_spec(bins, n, int(1e7))
-        cfg = RunConfig(model=name, model_params=params, methods=methods,
-                        n_samples=n, n_deriv=10_000, repetitions=3,
-                        bins_output=bins.bins_output,
-                        bins_cond=bins.bins_per_conditioning_dim, seed=seed,
-                        output=str(outdir / f"table_{name}.csv"), format="csv")
-        run_from_config(cfg)
-        out.append(outdir / f"table_{name}.csv")
+        out.append(_table(outdir, f"table_{name}", _scaled_spec(bins, n, int(1e7)),
+                          model=name, model_params=params, methods=methods,
+                          n_samples=n, n_deriv=10_000, repetitions=3, seed=seed)[0])
     return out
 
 
 def _preset_nonlinear(outdir: Path, seed: int, scale: float) -> list[Path]:
     n = max(10_000, int(1e6 * scale))
-    out = []
-    for name in ("ishigami", "gfunction3"):
-        bins = _scaled_spec(STUDY_BINS["paper_1e6"], n, int(1e6))
-        cfg = RunConfig(model=name, methods=("deriv", "entropy", "bounds"),
-                        n_samples=n, n_deriv=10_000, repetitions=20,
-                        bins_output=bins.bins_output,
-                        bins_cond=bins.bins_per_conditioning_dim, seed=seed,
-                        output=str(outdir / f"table_{name}.csv"), format="csv")
-        run_from_config(cfg)
-        out.append(outdir / f"table_{name}.csv")
-    return out
+    bins = _scaled_spec(STUDY_BINS["paper_1e6"], n, int(1e6))
+    return [_table(outdir, f"table_{name}", bins, model=name,
+                   methods=("deriv", "entropy", "bounds"), n_samples=n,
+                   n_deriv=10_000, repetitions=20, seed=seed)[0]
+            for name in ("ishigami", "gfunction3")]
 
 
 def _preset_flood(outdir: Path, seed: int, scale: float) -> list[Path]:
     n = max(100_000, int(1e7 * scale))
-    spec = _scaled_spec(STUDY_BINS["flood_kappa"], n, int(1e7))
-    cfg = RunConfig(model="flood", methods=("deriv", "variance", "entropy", "bounds"),
-                    n_samples=n, n_base=max(1000, int(1e5 * scale)),
-                    n_deriv=max(1000, int(2e5 * scale)), repetitions=3,
-                    bins_output=spec.bins_output,
-                    bins_cond=spec.bins_per_conditioning_dim, seed=seed,
-                    output=str(outdir / "table_flood.csv"), format="csv")
-    report = run_from_config(cfg)
+    path, report = _table(outdir, "table_flood",
+                          _scaled_spec(STUDY_BINS["flood_kappa"], n, int(1e7)),
+                          model="flood", methods=("deriv", "variance", "entropy", "bounds"),
+                          n_samples=n, n_base=max(1000, int(1e5 * scale)),
+                          n_deriv=max(1000, int(2e5 * scale)), repetitions=3, seed=seed)
     ranking_path = outdir / "table_flood_ranking.json"
     write_atomic(ranking_path, json.dumps(report.rankings, indent=2, sort_keys=True))
-    return [outdir / "table_flood.csv", ranking_path]
+    return [path, ranking_path]
 
 
 def _preset_groups(outdir: Path, seed: int, scale: float) -> list[Path]:
     n = max(10_000, int(1e6 * scale))
-    out = []
-    for case in (1, 2, 3):
-        cfg = RunConfig(model=f"gfunction9_case{case}", methods=("groups",),
-                        n_samples=n, seed=seed,
-                        groups=((0, 1, 2), (3, 4, 5), (6, 7, 8)),
-                        output=str(outdir / f"table_groups_case{case}.json"),
-                        format="json")
-        run_from_config(cfg)
-        out.append(outdir / f"table_groups_case{case}.json")
-    return out
+    return [_table(outdir, f"table_groups_case{case}", HistogramSpec(), "json",
+                   model=f"gfunction9_case{case}", methods=("groups",), n_samples=n,
+                   seed=seed, groups=((0, 1, 2), (3, 4, 5), (6, 7, 8)))[0]
+            for case in (1, 2, 3)]
 
 
 def _preset_agreement(outdir: Path, seed: int, scale: float) -> list[Path]:

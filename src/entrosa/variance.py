@@ -29,9 +29,6 @@ class VarianceReport:
     v_y: float
     v_total: np.ndarray
     s_total: np.ndarray          # NaN when the output is (near) constant
-    n_base: int
-    n_evaluations: int
-    estimator: str = "jansen"
 
     @property
     def degenerate(self) -> bool:
@@ -62,8 +59,7 @@ def estimate_total_effect_variance(model: Model, n_base: int,
         s_total = np.full(d, np.nan)
     else:
         s_total = v_total / v_y
-    return VarianceReport(v_y=v_y, v_total=v_total, s_total=s_total,
-                          n_base=n_base, n_evaluations=n_base * (d + 2))
+    return VarianceReport(v_y=v_y, v_total=v_total, s_total=s_total)
 
 
 def poincare_constant(dist: Distribution) -> float | None:
@@ -80,15 +76,12 @@ def poincare_constant(dist: Distribution) -> float | None:
 
 @dataclass(frozen=True)
 class PoincareBound:
-    constants: np.ndarray
     bound: np.ndarray                 # C_i * nu_i
     source: tuple[str, ...]           # "closed-form" or "table" per variable
-    s_bound: np.ndarray | None = None  # bound / V(Y) when V(Y) was supplied
 
 
 def variance_upper_bound(measures: DerivMeasures, inputs: tuple[Distribution, ...],
-                         table_constants: tuple[float, ...] | None = None,
-                         v_y: float | None = None) -> PoincareBound:
+                         table_constants: tuple[float, ...] | None = None) -> PoincareBound:
     """Derivative-based upper bound ``C_i * nu_i`` on the total-effect variance.
 
     Constants come from closed forms where available, otherwise from
@@ -112,7 +105,4 @@ def variance_upper_bound(measures: DerivMeasures, inputs: tuple[Distribution, ..
             raise ConfigurationError(
                 f"no variance-bound constant available for input {i + 1} "
                 f"({type(dist).__name__}); supply table_constants")
-    bound = constants * measures.nu
-    s_bound = bound / v_y if v_y is not None and v_y > _VAR_EPS else None
-    return PoincareBound(constants=constants, bound=bound, source=tuple(source),
-                         s_bound=s_bound)
+    return PoincareBound(bound=constants * measures.nu, source=tuple(source))

@@ -1,5 +1,6 @@
 """Model evaluation, finite differences, and variable fixing."""
 
+import logging
 import math
 
 import numpy as np
@@ -55,14 +56,17 @@ def test_all_nonfinite_batch_fails():
         evaluate_batch(model, np.full((10, 1), 0.5))
 
 
-def test_partial_nonfinite_batch_is_tolerated():
+def test_partial_nonfinite_batch_is_tolerated(caplog):
     def evaluator(x):
         y = x[:, 0].copy()
         y[0] = np.inf
         return y
     model = Model("one-bad", (Uniform(0, 1),), evaluator)
-    y = evaluate_batch(model, np.full((10, 1), 0.5))
+    with caplog.at_level(logging.DEBUG):
+        y = evaluate_batch(model, np.full((10, 1), 0.5))
     assert np.isfinite(y[1:]).all() and not np.isfinite(y[0])
+    # the estimator that excludes the rows logs them, once
+    assert caplog.records == []
 
 
 def test_estimators_refuse_mostly_nonfinite_outputs():
@@ -75,6 +79,24 @@ def test_estimators_refuse_mostly_nonfinite_outputs():
         estimate_group_l(model, (0, 1), 1000, rng=np.random.default_rng(0))
     with pytest.raises(NumericalError):
         estimate_total_effect_variance(model, 1000, np.random.default_rng(0))
+
+
+def test_nonfinite_partials_count_against_the_rate():
+    # g(x) is finite, but every evaluation after it is NaN on half the rows
+    def model():
+        calls = 0
+
+        def evaluator(x):
+            nonlocal calls
+            calls += 1
+            y = x[:, 0] + x[:, 1]
+            return y if calls == 1 else np.where(np.arange(y.size) % 2, np.nan, y)
+        return Model("nan-after-first-call", (Uniform(0, 1),) * 2, evaluator)
+
+    with pytest.raises(NumericalError, match="derivative x1"):
+        estimate_deriv_measures(model(), 1000, rng=np.random.default_rng(0))
+    with pytest.raises(NumericalError, match="group derivative"):
+        estimate_group_l(model(), (0, 1), 1000, rng=np.random.default_rng(0))
 
 
 def test_dimension_mismatch_rejected():

@@ -1,6 +1,7 @@
 """Run configuration, report serialization, rankings, CLI, and studies."""
 
 import json
+import math
 import os
 import stat
 
@@ -36,6 +37,9 @@ class TestRunConfig:
     def test_groups_method_needs_groups(self):
         with pytest.raises(ConfigurationError, match="groups"):
             RunConfig.from_mapping({"model": "gfunction9_case1", "methods": "groups"})
+        with pytest.raises(ConfigurationError, match="groups"):
+            RunConfig.from_mapping({"model": "gfunction9_case1", "methods": "groups",
+                                    "groups": []})
 
     def test_model_or_seed_required(self):
         with pytest.raises(ConfigurationError):
@@ -215,6 +219,43 @@ def test_cli_fix_and_override_flags(capsys):
     assert payload["metadata"]["dim"] == 2
 
 
+D, N, N_DERIV, N_BASE, REPS, GROUPS = 3, 2000, 500, 500, 2, ((0, 1), (2,))
+
+
+@pytest.mark.parametrize("method, cost", [
+    ("deriv", (D + 1) * N_DERIV),
+    ("variance", N_BASE * (D + 2)),
+    ("entropy", N * REPS),
+    ("kl", 2 * N * D),
+    ("bounds", (D + 1) * N_DERIV + N),
+    ("groups", N + 2 * N * len(GROUPS)),
+])
+def test_evaluation_count_is_the_documented_cost(method, cost):
+    cfg = RunConfig(model="ishigami", methods=(method,), n_samples=N, n_deriv=N_DERIV,
+                    n_base=N_BASE, repetitions=REPS, bins_output=16, bins_cond=8,
+                    groups=GROUPS, seed=0)
+    assert run_from_config(cfg).metadata["n_evaluations"] == cost
+
+
+@pytest.mark.parametrize("mapping", [
+    {"model": "gfunction9_case1", "methods": "deriv,groups", "groups": "1-3,4-9"},
+    {"model": "flood", "methods": "deriv,kl", "fix": "8:300",
+     "input_overrides": {2: "Uniform(20, 40)"}},
+    {"model": "mono5", "model_params": {"a": (1.0, 2.0, 0.5)},
+     "methods": "deriv,variance,bounds"},
+    {"metafunction_seed": 7, "methods": "deriv,entropy,bounds"},
+], ids=["groups", "fix-and-overrides", "mono5-a", "metafunction"])
+def test_config_echo_replays_the_report(mapping):
+    # the config embedded in a JSON report is enough to reproduce it; both
+    # reports are compared as written, where a tuple parameter is a list
+    first = run_from_config(RunConfig.from_mapping(
+        {"n_samples": 5000, "n_deriv": 500, "n_base": 500, "bins_output": 16,
+         "bins_cond": 8, "seed": 3, **mapping})).to_json()
+    again = run_from_config(RunConfig.from_mapping(json.loads(first)["metadata"]["config"]))
+    assert reports_equal(SensitivityReport.from_json(again.to_json()),
+                         SensitivityReport.from_json(first))
+
+
 def test_metafunction_config_builds_model():
     cfg = RunConfig(metafunction_seed=77, methods=("deriv",), n_deriv=500, seed=1)
     bench = build_benchmark(cfg)
@@ -361,6 +402,18 @@ class TestCli:
         code = main(["run", "--model", "flood", "--methods", "deriv", "--n-deriv", "1000",
                      "--seed", "0", "--override-input", "4=Triangular(49,50,51)"])
         assert code == 3
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
+    def test_rare_nonfinite_outputs_leave_the_output_entropy(self, tmp_path, capsys):
+        # Zm drawn from U(50.9, 60) falls below Zv on a few of the H(Y) rows,
+        # where sqrt(Zm - Zv) is NaN: they are excluded, as in every estimator
+        out = tmp_path / "groups.json"
+        code = main(["run", "--model", "flood", "--methods", "groups", "--groups", "1-2,3-4",
+                     "--n", "2e5", "--override-input", "4=Uniform(50.9,60)",
+                     "--output", str(out)])
+        assert code == 0
+        report = SensitivityReport.from_json(out.read_text())
+        assert all(math.isfinite(g["bound"]) for g in report.metadata["groups"])
 
     def test_metastudy_requires_seed(self, capsys):
         with pytest.raises(SystemExit):

@@ -15,8 +15,6 @@ def test_mono5_two_variable_shares():
     report = estimate_total_effect_variance(bench.model, 100_000,
                                             np.random.default_rng(0))
     np.testing.assert_allclose(report.s_total, [0.2, 0.8], atol=0.01)
-    assert report.n_evaluations == 100_000 * 4
-    assert report.estimator == "jansen"
 
 
 def test_ratio_chi2_near_tie():
@@ -94,9 +92,8 @@ class TestPoincareBound:
         bench = builtin("flood")
         m = estimate_deriv_measures(bench.model, 2000, rng=np.random.default_rng(8))
         pb = variance_upper_bound(m, bench.model.inputs,
-                                  table_constants=bench.poincare_constants, v_y=1.0)
+                                  table_constants=bench.poincare_constants)
         assert pb.source == ("table",) * 8
-        np.testing.assert_allclose(pb.s_bound, pb.bound)
         # uniform dyke level has a unit derivative, so its bound is its constant
         assert pb.bound[4] == pytest.approx(0.405, rel=1e-6)
 
