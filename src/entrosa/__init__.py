@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .benchmarks import (BenchmarkModel, MetaFunctionSpec, builtin,
                          builtin_names, build_metafunction, draw_metafunction)
-from .deriv import DerivMeasures, estimate_deriv_measures, estimate_group_l
+from .deriv import DerivMeasures, estimate_deriv_measures
 from .distributions import (ChiSquared, Distribution, Gaussian, Triangular,
                             TruncatedGaussian, TruncatedGumbel, Uniform,
                             parse_distribution)

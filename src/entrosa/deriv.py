@@ -1,18 +1,18 @@
 """Derivative-based global sensitivity measures.
 
-For each input the estimator averages, over a Monte Carlo sample of the input
-space, the absolute partial derivative (``mu``), its square (``nu``), and its
-log magnitude (``l``). All three are computed from one shared derivative
-sample so that the chain ``exp(l) <= mu <= sqrt(nu)`` holds per sample set
-(Jensen / Cauchy-Schwarz) up to machine rounding. A group variant averages
-the log of the directional derivative along a common perturbation of all
-group members.
+For each group of inputs the estimator averages, over a Monte Carlo sample
+of the input space, the absolute directional derivative along the common
+perturbation of the group's members (``mu``), its square (``nu``), and its
+log magnitude (``l``). The default groups are the single inputs, so the
+derivatives are the partials. All three come from one shared derivative
+sample, so the chain ``exp(l) <= mu <= sqrt(nu)`` holds per sample set
+(Jensen / Cauchy-Schwarz) up to machine rounding.
 
-Both use one step rule, ``model.fd_directional_batch``: a forward difference
-of step h along the group's common direction (a one-element group for a
-partial), taken backward on rows where a member would leave its support.
-Both floor each magnitude at the resolution eps*|g(x)|/h, and at least at
-``GRAD_FLOOR``, before the log.
+One x and one g(x) serve every group, through one step rule,
+``model.fd_directional_batch``: a forward difference of step h along the
+group's common direction, taken backward on rows where a member would
+leave its support. Each magnitude is floored at the resolution
+eps*|g(x)|/h, and at least at ``GRAD_FLOOR``, before the log.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from .errors import ConfigurationError
 from .model import (DEFAULT_FD_STEP, Model, evaluate_batch,
                     fd_directional_batch, finite_within_rate, sample_inputs)
 
-__all__ = ["DerivMeasures", "GroupLogDerivative", "estimate_deriv_measures",
-           "estimate_group_l", "GRAD_FLOOR"]
+__all__ = ["DerivMeasures", "estimate_deriv_measures", "GRAD_FLOOR"]
 
 # hard lower floor for log-derivative magnitudes; the effective floor per
 # sample is the finite-difference resolution eps*|g(x)|/h, so a measured zero
@@ -37,9 +36,9 @@ GRAD_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class DerivMeasures:
-    mu: np.ndarray                        # E[|dg/dx_i|]
-    nu: np.ndarray                        # E[(dg/dx_i)^2]
-    l: np.ndarray                         # E[ln|dg/dx_i|], -inf if all floored
+    mu: np.ndarray                        # E[|dg/dz_k|] per group k
+    nu: np.ndarray                        # E[(dg/dz_k)^2]
+    l: np.ndarray                         # E[ln|dg/dz_k|], -inf if all floored
     zero_derivative_fraction: np.ndarray  # share of samples at/below the floor
 
     @property
@@ -47,81 +46,47 @@ class DerivMeasures:
         return self.mu.size
 
 
-def _fd_floor(y0: np.ndarray, h: float) -> np.ndarray:
-    """Per-row floor for derivative magnitudes: the rounding of g divided by
-    the step, the smallest derivative a forward difference can resolve."""
-    return np.maximum(np.finfo(float).eps * np.abs(y0) / h, GRAD_FLOOR)
-
-
-def _floored_log_mean(deriv: np.ndarray, floor: np.ndarray, where: str):
-    """Drop non-finite samples under the ``finite_within_rate`` policy;
-    return the kept magnitudes, the mean log magnitude with each sample
-    raised to its floor (-inf if all are at or below it) and the share at or
-    below the floor."""
-    mag = np.abs(deriv)
-    keep = finite_within_rate(mag, where)
-    mag, floor = mag[keep], floor[keep]
-    floored = mag <= floor
-    l = -np.inf if floored.all() else float(np.log(np.maximum(mag, floor)).mean())
-    return mag, l, float(floored.mean())
-
-
 def estimate_deriv_measures(model: Model, n: int, h: float = DEFAULT_FD_STEP,
-                            rng: np.random.Generator | None = None) -> DerivMeasures:
-    """Monte Carlo estimate of mu_i, nu_i, l_i over ``n`` input draws.
+                            rng: np.random.Generator | None = None,
+                            groups: tuple[tuple[int, ...], ...] | None = None
+                            ) -> DerivMeasures:
+    """Monte Carlo estimate of mu, nu and l over ``n`` input draws, one entry
+    per group of input indices, with dg/dz the directional derivative along
+    the common perturbation of the group's members (the sum of its
+    partials). ``groups`` defaults to one single-input group per input.
 
-    Costs (d+1) * n model evaluations: g(x) once, then one forward
-    difference per input on the shared g(x). Samples with a non-finite
-    partial (a non-finite g(x) makes every partial of its row non-finite)
-    are dropped for that input; more than ``MAX_BAD_FRACTION`` of them for
-    any input raises ``NumericalError``.
+    Costs (G+1) * n model evaluations for G groups: g(x) once, then one
+    forward difference per group on the shared x and g(x). Samples with a
+    non-finite derivative (a non-finite g(x) makes every derivative of its
+    row non-finite) are dropped for that group under the
+    ``finite_within_rate`` policy.
     """
+    d = model.dim
+    groups = [(i,) for i in range(d)] if groups is None else [tuple(g) for g in groups]
+    for g in groups:
+        if not g or len(set(g)) != len(g):
+            raise ConfigurationError(f"group must be non-empty with distinct indices, got {g}")
+        if any(not 0 <= i < d for i in g):
+            raise ConfigurationError(f"group index out of range for dim {d}: {g}")
     if n < 10:
         raise ConfigurationError(f"derivative estimation needs n >= 10, got {n}")
     if rng is None:
         raise ConfigurationError("an explicit rng stream is required")
     x = sample_inputs(model, n, rng)
     y0 = evaluate_batch(model, x)
-    floor = _fd_floor(y0, h)
+    # the rounding of g divided by the step: the smallest derivative a
+    # forward difference can resolve
+    floor = np.maximum(np.finfo(float).eps * np.abs(y0) / h, GRAD_FLOOR)
 
-    d = model.dim
-    mu = np.empty(d)
-    nu = np.empty(d)
-    l = np.empty(d)
-    zfrac = np.empty(d)
-    for i in range(d):
-        col, l[i], zfrac[i] = _floored_log_mean(
-            fd_directional_batch(model, x, y0, (i,), h), floor, f"derivative x{i + 1}")
-        mu[i] = col.mean()
-        nu[i] = (col * col).mean()
+    mu, nu, l, zfrac = np.empty((4, len(groups)))
+    for k, g in enumerate(groups):
+        mag = np.abs(fd_directional_batch(model, x, y0, g, h))
+        keep = finite_within_rate(mag, f"derivative x{g[0] + 1}" if len(g) == 1
+                                  else f"group derivative {[i + 1 for i in g]}")
+        mag, floor_k = mag[keep], floor[keep]
+        floored = mag <= floor_k
+        mu[k] = mag.mean()
+        nu[k] = (mag * mag).mean()
+        l[k] = -np.inf if floored.all() else np.log(np.maximum(mag, floor_k)).mean()
+        zfrac[k] = floored.mean()
     return DerivMeasures(mu=mu, nu=nu, l=l, zero_derivative_fraction=zfrac)
-
-
-@dataclass(frozen=True)
-class GroupLogDerivative:
-    l: float
-    zero_derivative_fraction: float
-
-
-def estimate_group_l(model: Model, group: tuple[int, ...], n: int,
-                     h: float = DEFAULT_FD_STEP,
-                     rng: np.random.Generator | None = None) -> GroupLogDerivative:
-    """E[ln|dg/dz|] for a variable group, with dg/dz the directional
-    derivative along the common perturbation of all group members
-    (the sum of the group's partials). Non-finite samples follow
-    ``estimate_deriv_measures``."""
-    group = tuple(group)
-    if not group or len(set(group)) != len(group):
-        raise ConfigurationError(f"group must be non-empty with distinct indices, got {group}")
-    if any(not 0 <= i < model.dim for i in group):
-        raise ConfigurationError(f"group index out of range for dim {model.dim}: {group}")
-    if n < 10:
-        raise ConfigurationError(f"group derivative estimation needs n >= 10, got {n}")
-    if rng is None:
-        raise ConfigurationError("an explicit rng stream is required")
-
-    x = sample_inputs(model, n, rng)
-    y0 = evaluate_batch(model, x)
-    _, l, zfrac = _floored_log_mean(fd_directional_batch(model, x, y0, group, h),
-                                    _fd_floor(y0, h), "group derivative")
-    return GroupLogDerivative(l=l, zero_derivative_fraction=zfrac)

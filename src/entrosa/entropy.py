@@ -12,7 +12,9 @@ output cell. Every conditional entropy goes through one kernel that folds
 per-axis cell codes into joint cell codes and counts them;
 ``estimate_entropy_indices`` codes each axis once per repetition, takes H(Y)
 from the output codes and shares the codes across all d leave-one-out
-conditionings.
+conditionings. Each repetition draws from its own spawned stream. The KL
+index ``kl_total_index`` takes one input sample for all d inputs: g(x) is
+the shared unconditional baseline.
 
 A grid of at most 3 cells per sample (``bins_cond^k * bins_output <= 3n``,
 with k the number of non-constant conditioning columns) is counted with
@@ -71,8 +73,7 @@ class HistogramSpec:
 def _axis_codes(values: np.ndarray, bins: int) -> tuple[np.ndarray, float]:
     """Equal-width cell index per sample and the cell width; grid spans the
     sample min/max with no padding. Returns (None, 0) on a degenerate range."""
-    # the one float temporary; contiguous, so a strided column x[:, j] is
-    # read once instead of on each pass below
+    # the one float temporary, scaled in place below
     scaled = np.array(values, dtype=float)
     lo = scaled.min()
     hi = scaled.max()
@@ -223,9 +224,11 @@ def estimate_entropy_indices(model: Model, n: int,
                              rng: np.random.Generator | None = None) -> EntropyReport:
     """Total-effect entropy indices for every input of the model.
 
-    Per repetition: draw n inputs, evaluate, code the output and every input
-    column once, then for each variable i compute the conditional entropy of
-    the output given all other input columns from the shared codes.
+    Repetition r draws from its own stream, ``rng.spawn(repetitions)[r]``,
+    so its values do not depend on the other repetitions. Per repetition:
+    draw n inputs, evaluate, code the output and every input column once,
+    then for each variable i compute the conditional entropy of the output
+    given all other input columns from the shared codes.
     Reports means and stds over repetitions for H(Y), H_Ti, eta_Ti and
     kappa_Ti; kappa values that exceed 1 from estimator noise are clipped
     to 1 and flagged.
@@ -238,8 +241,8 @@ def estimate_entropy_indices(model: Model, n: int,
     _check_grid(d - 1, spec)
     h_y = np.empty(repetitions)
     h_t = np.empty((repetitions, d))
-    for r in range(repetitions):
-        x = sample_inputs(model, n, rng)
+    for r, stream in enumerate(rng.spawn(repetitions)):
+        x = sample_inputs(model, n, stream)
         y = evaluate_batch(model, x)
         good = np.isfinite(y)
         if not good.all():
@@ -310,21 +313,24 @@ def entropy_upper_bounds(measures: DerivMeasures, inputs: tuple[Distribution, ..
 
 @dataclass(frozen=True)
 class KLResult:
-    value: float
-    floored_mass: float   # output probability mass sitting on floored cells
-    floor_warning: bool
+    value: np.ndarray          # per input
+    floored_mass: np.ndarray   # output probability mass sitting on floored cells
+    floor_warning: np.ndarray
 
 
-def kl_total_index(model: Model, i: int, n: int,
-                   spec: HistogramSpec = HistogramSpec(),
+def kl_total_index(model: Model, n: int, spec: HistogramSpec = HistogramSpec(),
                    rng: np.random.Generator | None = None) -> KLResult:
-    """KL divergence between the output density with x_i frozen at its mean
-    and the unconditional output density, on a shared equal-width grid.
+    """KL divergence, for each input x_i, between the output density with
+    x_i frozen at its mean and the unconditional output density, on a shared
+    equal-width grid.
 
-    Both samples are coded together by the coder every histogram estimator
-    here uses, so a sample falls in the same cell as in the entropy indices.
-    The counts can differ from ``np.histogram`` only for a sample exactly on
-    a bin edge, which numpy checks against its ``linspace`` edges.
+    One input sample serves every input: g(x) is the unconditional baseline,
+    and input i's conditional sample is x with column i set to its mean, so
+    d inputs cost (d+1) * n model evaluations. Baseline and conditional
+    outputs are coded together by the coder every histogram estimator here
+    uses, so a sample falls in the same cell as in the entropy indices. The
+    counts can differ from ``np.histogram`` only for a sample exactly on a
+    bin edge, which numpy checks against its ``linspace`` edges.
 
     Grid cells where the unconditional density is empty but the conditional
     one is not are floored at half a sample; a result with more than 5% of
@@ -332,33 +338,31 @@ def kl_total_index(model: Model, i: int, n: int,
     """
     if rng is None:
         raise ConfigurationError("an explicit rng stream is required")
-    if not 0 <= i < model.dim:
-        raise ConfigurationError(f"variable index {i} out of range")
-    mean_i = model.inputs[i].mean()
-    if not np.isfinite(mean_i):
-        raise ConfigurationError(f"mean of input {i + 1} is not finite")
+    means = np.array([dist.mean() for dist in model.inputs])
+    if not np.isfinite(means).all():
+        raise ConfigurationError(f"input means must be finite, got {means}")
 
-    x0 = sample_inputs(model, n, rng)
-    y0 = clean_outputs(evaluate_batch(model, x0), "kl baseline")
-    x1 = sample_inputs(model, n, rng)
-    x1[:, i] = mean_i
-    y1 = clean_outputs(evaluate_batch(model, x1), "kl conditional")
-    del x0, x1
-
+    x = sample_inputs(model, n, rng)
+    y0 = clean_outputs(evaluate_batch(model, x), "kl baseline")
     bins = spec.bins_output
-    codes, _ = _axis_codes(np.concatenate([y0, y1]), bins)
-    if codes is None:
-        return KLResult(0.0, 0.0, False)
-    p0 = np.bincount(codes[:y0.size], minlength=bins) / y0.size
-    p1 = np.bincount(codes[y0.size:], minlength=bins) / y1.size
-    mask = p1 > 0
-    floored = mask & (p0 == 0)
-    floored_mass = float(p1[floored].sum())
-    p0_safe = np.maximum(p0, 0.5 / y0.size)
-    value = float((p1[mask] * np.log(p1[mask] / p0_safe[mask])).sum())
-    warn = floored_mass > 0.05
-    if warn:
-        log.warning("kl_total_index(%s, %d): %.1f%% of conditional mass on floored cells",
-                    model.name, i + 1, 100 * floored_mass)
-    return KLResult(value=value, floored_mass=floored_mass, floor_warning=warn)
-
+    value, floored_mass = np.zeros((2, model.dim))
+    for i, mean_i in enumerate(means):
+        # a copy, not x itself: an evaluator may return a view of its input
+        frozen = x.copy(order="K")
+        frozen[:, i] = mean_i
+        y1 = clean_outputs(evaluate_batch(model, frozen), f"kl conditional x{i + 1}")
+        del frozen
+        codes, _ = _axis_codes(np.concatenate([y0, y1]), bins)
+        if codes is None:
+            continue
+        p0 = np.bincount(codes[:y0.size], minlength=bins) / y0.size
+        p1 = np.bincount(codes[y0.size:], minlength=bins) / y1.size
+        mask = p1 > 0
+        floored_mass[i] = p1[mask & (p0 == 0)].sum()
+        p0_safe = np.maximum(p0, 0.5 / y0.size)
+        value[i] = (p1[mask] * np.log(p1[mask] / p0_safe[mask])).sum()
+        if floored_mass[i] > 0.05:
+            log.warning("kl_total_index(%s, x%d): %.1f%% of conditional mass on floored "
+                        "cells", model.name, i + 1, 100 * floored_mass[i])
+    return KLResult(value=value, floored_mass=floored_mass,
+                    floor_warning=floored_mass > 0.05)

@@ -43,9 +43,15 @@ class Model:
 
 
 def sample_inputs(model: Model, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw an (n, d) matrix of independent inputs, one column per distribution."""
-    cols = [dist.sample(n, rng) for dist in model.inputs]
-    return np.column_stack(cols)
+    """Draw an (n, d) matrix of independent inputs, one column per
+    distribution, in Fortran order so that each column is contiguous."""
+    try:
+        x = np.empty((n, model.dim), order="F")
+    except (MemoryError, ValueError) as exc:
+        raise ConfigurationError(f"cannot allocate {n} x {model.dim} inputs: {exc}") from None
+    for j, dist in enumerate(model.inputs):
+        x[:, j] = dist.sample(n, rng)
+    return x
 
 
 def evaluate_batch(model: Model, inputs: np.ndarray) -> np.ndarray:
@@ -108,7 +114,7 @@ def fd_directional_batch(model: Model, x: np.ndarray, y0: np.ndarray,
         _, upper = model.inputs[i].support()
         sign = np.where(x[:, i] + h <= upper, sign, -1.0)
     step = sign * h
-    shifted = x.copy()
+    shifted = x.copy(order="K")   # g(x) and g(shifted) see one memory layout
     for i in group:
         shifted[:, i] += step
     return (evaluate_batch(model, shifted) - y0) / step

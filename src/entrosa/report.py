@@ -160,8 +160,10 @@ class RunConfig:
                 kw["fix"] = tuple((int(i), float(v)) for i, v in
                                   (kw["fix"].items() if isinstance(kw["fix"], dict)
                                    else kw["fix"]))
-        if "model_params" in kw and kw["model_params"] is None:
-            kw["model_params"] = {}
+        if "model_params" in kw:
+            # a JSON list reads back as the tuple the config was written from
+            kw["model_params"] = {k: tuple(v) if isinstance(v, list) else v
+                                  for k, v in (kw["model_params"] or {}).items()}
         return cls(**kw)
 
 

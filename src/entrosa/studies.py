@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .benchmarks import BenchmarkModel, builtin, draw_metafunction
-from .deriv import estimate_deriv_measures, estimate_group_l
+from .deriv import estimate_deriv_measures
 from .entropy import (HistogramSpec, entropy_histogram, entropy_upper_bounds,
                       estimate_entropy_indices, kl_total_index)
 from .errors import ConfigurationError, NumericalError, SparseGridError
@@ -156,8 +156,8 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
             h_y = er.h_y
 
     if "kl" in methods:
-        columns["kl"] = {i: kl_total_index(model, i, config.n_samples, spec,
-                                           streams["kl"]).value for i in range(d)}
+        columns["kl"] = dict(enumerate(kl_total_index(model, config.n_samples, spec,
+                                                      streams["kl"]).value))
 
     if "bounds" in methods or "groups" in methods:
         if h_y is None:
@@ -172,15 +172,12 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
             measures, model.inputs, table_constants=bench.poincare_constants).bound))
 
     if "groups" in methods:
-        metadata["groups"] = []
-        for g in config.groups:
-            gl = estimate_group_l(model, g, config.n_samples, config.fd_step,
-                                  streams["groups"])
-            exp_l = math.exp(gl.l)
-            metadata["groups"].append(
-                {"group": [i + 1 for i in g], "l": gl.l, "exp_l": exp_l,
-                 "zero_derivative_fraction": gl.zero_derivative_fraction,
-                 "bound": exp_l / math.exp(h_y)})
+        gm = estimate_deriv_measures(model, config.n_samples, config.fd_step,
+                                     streams["groups"], config.groups)
+        metadata["groups"] = [
+            {"group": [i + 1 for i in g], "l": float(l), "exp_l": math.exp(l),
+             "zero_derivative_fraction": float(z), "bound": math.exp(l) / math.exp(h_y)}
+            for g, l, z in zip(config.groups, gm.l, gm.zero_derivative_fraction)]
 
     rows = [{"variable": name} for name in names]
     for key, values in columns.items():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from entrosa import (ConfigurationError, Model, Uniform, builtin,
-                     estimate_deriv_measures, estimate_group_l)
+                     estimate_deriv_measures)
 from entrosa.benchmarks import MetaFunctionSpec, build_metafunction
 
 
@@ -86,41 +86,40 @@ def test_minimum_sample_size():
 class TestGroup:
     def test_singleton_group_matches_per_variable_l(self):
         model = builtin("ishigami").model
-        rng = np.random.default_rng(5)
-        m = estimate_deriv_measures(model, 40_000, rng=rng)
-        g = estimate_group_l(model, (1,), 40_000, rng=np.random.default_rng(5))
-        assert g.l == pytest.approx(m.l[1], abs=0.02)
+        m = estimate_deriv_measures(model, 40_000, rng=np.random.default_rng(5))
+        g = estimate_deriv_measures(model, 40_000, rng=np.random.default_rng(6),
+                                    groups=[(1,)])
+        assert g.l[0] == pytest.approx(m.l[1], abs=0.02)
 
     @pytest.mark.parametrize("name", ["ishigami", "flood"])
     def test_singleton_group_is_bitwise_the_partial(self, name):
-        # one step rule: a one-element group on the same draws is the same
-        # forward difference as the per-variable estimate
+        # the default groups are the single inputs: explicit singleton groups
+        # on the same seed give the same derivatives bit for bit
         model = builtin(name).model
         m = estimate_deriv_measures(model, 2000, rng=np.random.default_rng(9))
-        for i in range(model.dim):
-            g = estimate_group_l(model, (i,), 2000, rng=np.random.default_rng(9))
-            assert g.l == m.l[i], i
-            assert g.zero_derivative_fraction == m.zero_derivative_fraction[i], i
+        g = estimate_deriv_measures(model, 2000, rng=np.random.default_rng(9),
+                                    groups=[(i,) for i in range(model.dim)])
+        for key in ("mu", "nu", "l", "zero_derivative_fraction"):
+            np.testing.assert_array_equal(getattr(g, key), getattr(m, key), key)
 
     def test_mono3_pair_group_is_log_four(self):
         # directional derivative of x1 + 3 x2 along (1, 1) is exactly 4
         model = builtin("mono3").model
-        g = estimate_group_l(model, (0, 1), 1000, rng=np.random.default_rng(6))
-        assert g.l == pytest.approx(math.log(4.0), abs=1e-5)
+        g = estimate_deriv_measures(model, 1000, rng=np.random.default_rng(6),
+                                    groups=[(0, 1)])
+        assert g.l[0] == pytest.approx(math.log(4.0), abs=1e-5)
 
     def test_group_validation(self):
         model = builtin("gfunction9_case1").model
         rng = np.random.default_rng(7)
-        with pytest.raises(ConfigurationError):
-            estimate_group_l(model, (), 100, rng=rng)
-        with pytest.raises(ConfigurationError):
-            estimate_group_l(model, (0, 0), 100, rng=rng)
-        with pytest.raises(ConfigurationError):
-            estimate_group_l(model, (0, 12), 100, rng=rng)
+        for groups in ([()], [(0, 0)], [(0, 12)], [(0, 1), (-1,)]):
+            with pytest.raises(ConfigurationError):
+                estimate_deriv_measures(model, 100, rng=rng, groups=groups)
 
     def test_zero_function_group(self):
         model = Model("zero", (Uniform(0, 1),) * 2,
                       lambda x: np.zeros(x.shape[0]))
-        g = estimate_group_l(model, (0, 1), 100, rng=np.random.default_rng(8))
-        assert g.l == -math.inf
-        assert g.zero_derivative_fraction == 1.0
+        g = estimate_deriv_measures(model, 100, rng=np.random.default_rng(8),
+                                    groups=[(0, 1)])
+        assert g.l[0] == -math.inf
+        assert g.zero_derivative_fraction[0] == 1.0

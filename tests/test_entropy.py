@@ -235,13 +235,29 @@ class TestEntropyIndices:
         spec = HistogramSpec(bins_output=50, bins_per_conditioning_dim=15)
         report = estimate_entropy_indices(model, 100_000, spec, 1,
                                           np.random.default_rng(27))
-        rng = np.random.default_rng(27)
-        x = sample_inputs(model, 100_000, rng)
+        x = sample_inputs(model, 100_000, np.random.default_rng(27).spawn(1)[0])
         y = evaluate_batch(model, x)
         assert report.h_y == entropy_histogram(y, spec)
         for i in range(model.dim):
             others = [j for j in range(model.dim) if j != i]
             assert report.h_total[i] == conditional_entropy(y, x[:, others], spec)
+
+    def test_each_repetition_draws_from_its_own_spawned_stream(self):
+        # repetition r samples from rng.spawn(repetitions)[r], so its values
+        # do not depend on the repetitions before it
+        model = builtin("ishigami").model
+        spec = HistogramSpec(bins_output=30, bins_per_conditioning_dim=10)
+        report = estimate_entropy_indices(model, 20_000, spec, 3, np.random.default_rng(31))
+        h_y, h_t = [], []
+        for stream in np.random.default_rng(31).spawn(3):
+            x = sample_inputs(model, 20_000, stream)
+            y = evaluate_batch(model, x)
+            h_y.append(entropy_histogram(y, spec))
+            h_t.append([conditional_entropy(y, np.delete(x, i, axis=1), spec)
+                        for i in range(model.dim)])
+        assert report.h_y == np.mean(h_y)
+        np.testing.assert_array_equal(report.h_total, np.mean(h_t, axis=0))
+        np.testing.assert_array_equal(report.h_total_std, np.std(h_t, axis=0))
 
     def test_mono1_small_scale_sanity(self):
         # H_T1 = 0 and H_T2 = 1/2 for y = x1 + exp(x2)
@@ -322,21 +338,23 @@ class TestBounds:
 
 class TestKL:
     def test_inert_variable_has_zero_divergence(self):
-        model = Model("inert-first", (Uniform(0, 1),) * 2, lambda x: x[:, 1].copy())
-        res = kl_total_index(model, 0, 500_000, rng=np.random.default_rng(21))
-        assert abs(res.value) < 0.01
-        assert not res.floor_warning
+        # the evaluator returns a view of its input, which the conditional
+        # samples must not overwrite
+        model = Model("inert-first", (Uniform(0, 1),) * 2, lambda x: x[:, 1])
+        res = kl_total_index(model, 500_000, rng=np.random.default_rng(21))
+        assert abs(res.value[0]) < 0.01
+        assert not res.floor_warning[0]
+        assert res.value[1] > 1.0   # freezing the output's only input
 
     def test_floor_warning_when_conditional_leaves_support(self):
         def evaluator(x):
             return x[:, 1] + 10.0 * (x[:, 0] != 0.5)
         model = Model("jump", (Uniform(0, 1),) * 2, evaluator)
-        res = kl_total_index(model, 0, 50_000, rng=np.random.default_rng(22))
-        assert res.floor_warning
-        assert res.floored_mass > 0.5
+        res = kl_total_index(model, 50_000, rng=np.random.default_rng(22))
+        assert res.floor_warning[0]
+        assert res.floored_mass[0] > 0.5
 
-    def test_index_validation(self):
+    def test_rng_is_required(self):
         with pytest.raises(ConfigurationError):
-            kl_total_index(builtin("mono2").model, 4, 1000,
-                           rng=np.random.default_rng(0))
+            kl_total_index(builtin("mono2").model, 1000)
 

@@ -1,0 +1,17 @@
+"""The hand-written export lists name only what each module defines."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import entrosa
+
+MODULES = ["entrosa"] + [f"entrosa.{m.name}" for m in pkgutil.iter_modules(entrosa.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing, f"{name}.__all__ names {missing}"

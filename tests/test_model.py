@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from entrosa import (ConfigurationError, Gaussian, Model, NumericalError,
-                     Uniform, builtin, estimate_deriv_measures, estimate_group_l,
+                     Uniform, builtin, estimate_deriv_measures,
                      estimate_total_effect_variance, evaluate_batch,
                      fd_directional_batch, fix_variables, sample_inputs)
 
@@ -76,7 +76,7 @@ def test_estimators_refuse_mostly_nonfinite_outputs():
     with pytest.raises(NumericalError):
         estimate_deriv_measures(model, 1000, rng=np.random.default_rng(0))
     with pytest.raises(NumericalError):
-        estimate_group_l(model, (0, 1), 1000, rng=np.random.default_rng(0))
+        estimate_deriv_measures(model, 1000, rng=np.random.default_rng(0), groups=[(0, 1)])
     with pytest.raises(NumericalError):
         estimate_total_effect_variance(model, 1000, np.random.default_rng(0))
 
@@ -96,7 +96,8 @@ def test_nonfinite_partials_count_against_the_rate():
     with pytest.raises(NumericalError, match="derivative x1"):
         estimate_deriv_measures(model(), 1000, rng=np.random.default_rng(0))
     with pytest.raises(NumericalError, match="group derivative"):
-        estimate_group_l(model(), (0, 1), 1000, rng=np.random.default_rng(0))
+        estimate_deriv_measures(model(), 1000, rng=np.random.default_rng(0),
+                                groups=[(0, 1)])
 
 
 def test_dimension_mismatch_rejected():

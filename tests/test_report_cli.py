@@ -226,9 +226,9 @@ D, N, N_DERIV, N_BASE, REPS, GROUPS = 3, 2000, 500, 500, 2, ((0, 1), (2,))
     ("deriv", (D + 1) * N_DERIV),
     ("variance", N_BASE * (D + 2)),
     ("entropy", N * REPS),
-    ("kl", 2 * N * D),
+    ("kl", (D + 1) * N),
     ("bounds", (D + 1) * N_DERIV + N),
-    ("groups", N + 2 * N * len(GROUPS)),
+    ("groups", N + (len(GROUPS) + 1) * N),
 ])
 def test_evaluation_count_is_the_documented_cost(method, cost):
     cfg = RunConfig(model="ishigami", methods=(method,), n_samples=N, n_deriv=N_DERIV,
@@ -246,14 +246,16 @@ def test_evaluation_count_is_the_documented_cost(method, cost):
     {"metafunction_seed": 7, "methods": "deriv,entropy,bounds"},
 ], ids=["groups", "fix-and-overrides", "mono5-a", "metafunction"])
 def test_config_echo_replays_the_report(mapping):
-    # the config embedded in a JSON report is enough to reproduce it; both
-    # reports are compared as written, where a tuple parameter is a list
-    first = run_from_config(RunConfig.from_mapping(
+    # the config embedded in a JSON report is enough to reproduce it, both
+    # as written and in memory, where a list parameter is read back as a tuple
+    report = run_from_config(RunConfig.from_mapping(
         {"n_samples": 5000, "n_deriv": 500, "n_base": 500, "bins_output": 16,
-         "bins_cond": 8, "seed": 3, **mapping})).to_json()
+         "bins_cond": 8, "seed": 3, **mapping}))
+    first = report.to_json()
     again = run_from_config(RunConfig.from_mapping(json.loads(first)["metadata"]["config"]))
     assert reports_equal(SensitivityReport.from_json(again.to_json()),
                          SensitivityReport.from_json(first))
+    assert reports_equal(again, report)
 
 
 def test_metafunction_config_builds_model():
@@ -380,7 +382,10 @@ class TestCli:
                      ladder + ["1e3", "--reps", "1.5"],
                      run + ["--model", "mono3", "--reps", "2.5"],
                      meta + ["--n-functions", "10.9"],
-                     meta + ["--n-functions", "10", "--n-deriv", "5"]):
+                     meta + ["--n-functions", "10", "--n-deriv", "5"],
+                     # numpy refuses this size without allocating
+                     ["run", "--model", "ishigami", "--methods", "deriv",
+                      "--n-deriv", "1e20"]):
             try:
                 code = main(argv)
             except SystemExit as exc:
