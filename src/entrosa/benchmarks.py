@@ -190,12 +190,36 @@ def builtin_names() -> tuple[str, ...]:
             "mono4", "mono5", "flood")
 
 
+_PARAMS = {"mono4": ("r",), "mono5": ("a", "sigma")}
+
+
+def _finite(name: str, key: str, value) -> tuple[float, ...]:
+    """A builtin's parameter as finite floats, from a number or a sequence."""
+    try:
+        arr = np.atleast_1d(np.asarray(value, dtype=float))
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 1 or not np.isfinite(arr).all():
+        raise ConfigurationError(f"{name} parameter {key} must be finite numbers, got {value!r}")
+    return tuple(float(v) for v in arr)
+
+
 def builtin(name: str, **params) -> BenchmarkModel:
     """Construct a named benchmark model.
 
     ``mono4`` accepts ``r`` (default 2.0); ``mono5`` accepts ``a`` and
     ``sigma`` coefficient sequences (defaults (1,2,3,4,5) and unit sigmas).
+    Any other parameter, and a parameter that is not finite numbers, raises
+    ``ConfigurationError``.
     """
+    if name not in builtin_names():
+        raise ConfigurationError(
+            f"unknown benchmark {name!r}; known: {', '.join(builtin_names())}")
+    known = _PARAMS.get(name, ())
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ConfigurationError(f"{name} got unexpected parameters {unknown}; "
+                                 f"it takes {', '.join(known) or 'none'}")
     u01 = Uniform(0.0, 1.0)
 
     if name == "ratio_chi2":
@@ -219,8 +243,6 @@ def builtin(name: str, **params) -> BenchmarkModel:
 
     if name.startswith("gfunction9_case"):
         case = int(name[-1])
-        if case not in _G9_CASES:
-            raise ConfigurationError(f"unknown benchmark {name!r}")
         a = np.array(_G9_CASES[case])
         analytic = _gfunction_analytic(a)
         analytic["group_s_total"] = AnalyticValue(_G9_GROUP_ST[case], "reported")
@@ -253,11 +275,10 @@ def builtin(name: str, **params) -> BenchmarkModel:
                       "nu": AnalyticValue((1.0, 9.0), "closed-form")})
 
     if name == "mono4":
-        r = float(params.pop("r", 2.0))
-        if params:
-            raise ConfigurationError(f"mono4 got unexpected parameters {sorted(params)}")
-        if r < 1:
-            raise ConfigurationError(f"mono4 requires r >= 1, got {r}")
+        r = _finite(name, "r", params.get("r", 2.0))
+        if len(r) != 1 or r[0] < 1:
+            raise ConfigurationError(f"mono4 requires one r >= 1, got {params['r']!r}")
+        r = r[0]
         vals = (-r, math.log(r) - r)
         return BenchmarkModel(
             f"mono4[r={r:g}]",
@@ -267,12 +288,13 @@ def builtin(name: str, **params) -> BenchmarkModel:
                       "h_bound": AnalyticValue(vals, "closed-form")})
 
     if name == "mono5":
-        a = tuple(float(v) for v in params.pop("a", (1.0, 2.0, 3.0, 4.0, 5.0)))
-        sigma = tuple(float(v) for v in params.pop("sigma", (1.0,) * len(a)))
-        if params:
-            raise ConfigurationError(f"mono5 got unexpected parameters {sorted(params)}")
+        a = _finite(name, "a", params.get("a", (1.0, 2.0, 3.0, 4.0, 5.0)))
+        sigma = _finite(name, "sigma", params.get("sigma", (1.0,) * len(a)))
         if len(sigma) != len(a):
             raise ConfigurationError("mono5 requires len(sigma) == len(a)")
+        # the closed-form record takes log(|a_i| sigma_i)
+        if not a or 0.0 in a or min(sigma) <= 0:
+            raise ConfigurationError("mono5 requires one or more nonzero a and positive sigma")
         coeffs = np.array(a)
         label = "mono5[d=%d]" % len(a)
         return BenchmarkModel(
@@ -302,8 +324,6 @@ def builtin(name: str, **params) -> BenchmarkModel:
             entropy_fix={3: 55.0, 5: 55.5, 6: 5000.0, 7: 300.0},
             poincare_constants=FLOOD_POINCARE,
         )
-
-    raise ConfigurationError(f"unknown benchmark {name!r}; known: {', '.join(builtin_names())}")
 
 
 # ---------------------------------------------------------------------------

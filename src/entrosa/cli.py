@@ -14,9 +14,10 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 
 from .errors import ConfigurationError, NumericalError, SparseGridError
-from .report import METHODS, RunConfig, _parse_count, _parse_model_param, load_config_file
+from .report import METHODS, RunConfig, _coerce, _parse_count, _read_config_file
 from .studies import TABLE_PRESETS, convergence, metastudy, run_from_config, run_table_preset
 
 EXIT_CONFIG = 2
@@ -30,34 +31,32 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each run flag's dest is the RunConfig field it sets
     run = sub.add_parser("run", help="run estimators for one model")
     run.add_argument("--config", help="key = value config file; flags override")
     run.add_argument("--model", help="builtin model name")
-    run.add_argument("--metafunction-seed", type=int, default=None,
+    run.add_argument("--metafunction-seed",
                      help="draw the model from the metafunction generator")
-    run.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
+    run.add_argument("--param", dest="model_params", action="append", metavar="KEY=VALUE",
                      help="model parameter, e.g. r=2 or a=1,2,3")
-    run.add_argument("--methods", default=None,
-                     help=f"comma list from {{{','.join(METHODS)}}}")
-    run.add_argument("--n", dest="n_samples", default=None,
+    run.add_argument("--methods", help=f"comma list from {{{','.join(METHODS)}}}")
+    run.add_argument("--n", dest="n_samples",
                      help="sample count for entropy/kl/groups (accepts 1e6)")
-    run.add_argument("--n-base", default=None,
-                     help="base sample count for pick-and-freeze variance")
-    run.add_argument("--n-deriv", default=None,
-                     help="sample count for derivative measures")
-    run.add_argument("--reps", default=None, help="entropy repetitions")
-    run.add_argument("--bins-output", default=None)
-    run.add_argument("--bins-cond", default=None)
-    run.add_argument("--fd-step", type=float, default=None)
-    run.add_argument("--groups", default=None, help="1-based groups, e.g. 1-3,4-6,7-9")
-    run.add_argument("--fix", default=None,
+    run.add_argument("--n-base", help="base sample count for pick-and-freeze variance")
+    run.add_argument("--n-deriv", help="sample count for derivative measures")
+    run.add_argument("--reps", dest="repetitions", help="entropy repetitions")
+    run.add_argument("--bins-output")
+    run.add_argument("--bins-cond")
+    run.add_argument("--fd-step")
+    run.add_argument("--groups", help="1-based groups, e.g. 1-3,4-6,7-9")
+    run.add_argument("--fix",
                      help="pin variables, 1-based index:value pairs, e.g. 4:55,6:55.5")
-    run.add_argument("--override-input", action="append", default=[],
+    run.add_argument("--override-input", dest="input_overrides", action="append",
                      metavar="I=KIND(...)",
                      help="replace input law i, e.g. 2=TruncatedGaussian(30,64,15,inf)")
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--output", default=None)
-    run.add_argument("--format", choices=("csv", "json"), default=None)
+    run.add_argument("--seed")
+    run.add_argument("--output")
+    run.add_argument("--format", help="csv or json")
 
     meta = sub.add_parser("metastudy", help="ranking agreement over random functions")
     meta.add_argument("--n-functions", required=True)
@@ -85,39 +84,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config_from_args(args) -> RunConfig:
-    if args.config:
-        base = load_config_file(args.config).to_mapping()
-    else:
-        base = {}
-    overrides = {
-        "model": args.model, "metafunction_seed": args.metafunction_seed,
-        "methods": args.methods, "n_samples": args.n_samples,
-        "n_base": args.n_base, "n_deriv": args.n_deriv,
-        "repetitions": args.reps, "bins_output": args.bins_output,
-        "bins_cond": args.bins_cond, "fd_step": args.fd_step,
-        "groups": args.groups, "fix": args.fix, "seed": args.seed,
-        "output": args.output, "format": args.format,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            base[key] = value
-    if args.override_input:
-        pairs = list(base.get("input_overrides") or [])
-        for item in args.override_input:
-            idx, sep, text = item.partition("=")
-            if not sep or not idx.strip().isdecimal():
-                raise ConfigurationError(f"bad --override-input {item!r}, expected I=KIND(...)")
-            pairs.append((int(idx), text))
-        base["input_overrides"] = pairs
-    params = dict(base.get("model_params") or {})
-    for item in args.param:
-        key, _, value = item.partition("=")
-        if not _ or not key:
-            raise ConfigurationError(f"bad --param {item!r}, expected KEY=VALUE")
-        params[key] = _parse_model_param(value)
-    if params:
-        base["model_params"] = params
-    return RunConfig.from_mapping(base)
+    """The config file's values, replaced by the flags given; --param and
+    --override-input add to the file's entries."""
+    data = _read_config_file(args.config) if args.config else {}
+    for f in fields(RunConfig):
+        value = getattr(args, f.name)
+        if isinstance(value, list):
+            data[f.name] = data.get(f.name, []) + value
+        elif value is not None:
+            data[f.name] = value
+    return RunConfig.from_mapping(data)
 
 
 def main(argv=None) -> int:
@@ -133,17 +109,17 @@ def main(argv=None) -> int:
             else:
                 print(report.to_json())
         elif args.command == "metastudy":
-            result = metastudy(_parse_count(args.n_functions, "n_functions"),
-                               _parse_count(args.n_samples, "n_samples"), args.seed,
+            result = metastudy(_coerce("n_functions", _parse_count, args.n_functions),
+                               _coerce("n_samples", _parse_count, args.n_samples), args.seed,
                                output=args.output,
-                               n_deriv=_parse_count(args.n_deriv, "n_deriv"))
+                               n_deriv=_coerce("n_deriv", _parse_count, args.n_deriv))
             print(f"metastudy written: {args.output}")
             for family, vals in result["summary"]["agreement"].items():
                 print(f"  {family}: " + " ".join(f"{k}={v:.3f}" for k, v in vals.items()))
         elif args.command == "convergence":
-            ladder = [_parse_count(v, "ladder") for v in args.ladder.split(",")]
+            ladder = [_coerce("ladder", _parse_count, v) for v in args.ladder.split(",")]
             convergence(args.model, args.method, ladder,
-                        _parse_count(args.reps, "reps"), args.seed,
+                        _coerce("reps", _parse_count, args.reps), args.seed,
                         output=args.output)
             print(f"convergence table written: {args.output}")
         elif args.command == "tables":
@@ -153,6 +129,9 @@ def main(argv=None) -> int:
                 print(f"written: {p}")
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SparseGridError as exc:
         print(f"sparse-grid abort: {exc}", file=sys.stderr)

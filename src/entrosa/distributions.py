@@ -67,8 +67,8 @@ class Uniform(Distribution):
     b: float
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ConfigurationError(f"Uniform requires a < b, got ({self.a}, {self.b})")
+        if not (self.a < self.b and math.isfinite(self.b - self.a)):
+            raise ConfigurationError(f"Uniform requires finite a < b, got ({self.a}, {self.b})")
 
     def _sample(self, n, rng):
         return rng.uniform(self.a, self.b, n)
@@ -89,8 +89,9 @@ class Gaussian(Distribution):
     var: float
 
     def __post_init__(self):
-        if not self.var > 0:
-            raise ConfigurationError(f"Gaussian requires var > 0, got {self.var}")
+        if not (math.isfinite(self.mu) and 0 < self.var < math.inf):
+            raise ConfigurationError(
+                f"Gaussian requires finite mu and 0 < var < inf, got ({self.mu}, {self.var})")
 
     def _sample(self, n, rng):
         return rng.normal(self.mu, math.sqrt(self.var), n)
@@ -112,9 +113,11 @@ class Triangular(Distribution):
     b: float
 
     def __post_init__(self):
-        if not (self.a < self.b and self.a <= self.c <= self.b):
+        if not (self.a < self.b and self.a <= self.c <= self.b
+                and math.isfinite(self.b - self.a)):
             raise ConfigurationError(
-                f"Triangular requires a <= c <= b and a < b, got ({self.a}, {self.c}, {self.b})"
+                f"Triangular requires finite a <= c <= b and a < b, "
+                f"got ({self.a}, {self.c}, {self.b})"
             )
 
     def _sample(self, n, rng):
@@ -137,8 +140,8 @@ class ChiSquared(Distribution):
     df: float
 
     def __post_init__(self):
-        if not self.df > 0:
-            raise ConfigurationError(f"ChiSquared requires df > 0, got {self.df}")
+        if not 0 < self.df < math.inf:
+            raise ConfigurationError(f"ChiSquared requires 0 < df < inf, got {self.df}")
 
     def _sample(self, n, rng):
         return rng.chisquare(self.df, n)
@@ -237,8 +240,10 @@ class TruncatedGaussian(_Truncated):
     upper: float
 
     def __post_init__(self):
-        if not self.var > 0:
-            raise ConfigurationError(f"TruncatedGaussian requires var > 0, got {self.var}")
+        if not (math.isfinite(self.mu) and 0 < self.var < math.inf):
+            raise ConfigurationError(
+                f"TruncatedGaussian requires finite mu and 0 < var < inf, "
+                f"got ({self.mu}, {self.var})")
         self._check_window()
 
     def _loc_scale(self):
@@ -260,8 +265,10 @@ class TruncatedGumbel(_Truncated):
     upper: float
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ConfigurationError(f"TruncatedGumbel requires scale > 0, got {self.scale}")
+        if not (math.isfinite(self.location) and 0 < self.scale < math.inf):
+            raise ConfigurationError(
+                f"TruncatedGumbel requires finite location and 0 < scale < inf, "
+                f"got ({self.location}, {self.scale})")
         self._check_window()
 
     def _loc_scale(self):
@@ -297,7 +304,8 @@ def parse_distribution(text: str) -> Distribution:
 
     Kind names are case-insensitive and ignore spaces/underscores, e.g.
     ``TruncatedGumbel(1013, 558, 500, 3000)`` or ``uniform(7, 9)``.
-    ``inf`` is accepted for open truncation ends.
+    ``inf`` is accepted for open truncation ends; every other parameter
+    must be finite.
     """
     text = text.strip()
     if "(" not in text or not text.endswith(")"):

@@ -287,7 +287,6 @@ class EntropyBounds:
     h_bound: np.ndarray         # H(X_i) + l_i
     kappa_bound: np.ndarray     # e^{H(X_i) + l_i} / e^{H(Y)}
     nu_kappa_bound: np.ndarray  # e^{H(X_i)} sqrt(nu_i) / e^{H(Y)}
-    h_y: float
 
 
 def entropy_upper_bounds(measures: DerivMeasures, inputs: tuple[Distribution, ...],
@@ -308,7 +307,7 @@ def entropy_upper_bounds(measures: DerivMeasures, inputs: tuple[Distribution, ..
         kappa_bound = np.exp(np.where(np.isneginf(h_bound), -np.inf, h_bound - h_y))
         nu_kappa_bound = np.exp(h_x - h_y) * np.sqrt(measures.nu)
     return EntropyBounds(h_bound=h_bound, kappa_bound=kappa_bound,
-                         nu_kappa_bound=nu_kappa_bound, h_y=h_y)
+                         nu_kappa_bound=nu_kappa_bound)
 
 
 @dataclass(frozen=True)

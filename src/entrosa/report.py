@@ -9,7 +9,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,39 +30,91 @@ RANK_FAMILIES = ("s_total", "variance_bound", "kappa", "kappa_bound", "nu_kappa_
 _TIE_TOL = 1e-12
 
 
-def _parse_count(value, name: str) -> int:
-    """Accept ints or scientific-notation strings like '1e6'."""
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{name} must be numeric, got {value!r}")
-    if (not math.isfinite(out) or out < 1
-            or out != int(out) and abs(out - round(out)) > 1e-9 * max(1.0, out)):
-        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+def _parse_count(value) -> int:
+    """A positive integer from an int or a numeric string such as '1e6'."""
+    out = float(value)
+    if not math.isfinite(out) or out < 1 or abs(out - round(out)) > 1e-9 * out:
+        raise ValueError(f"must be a positive integer, got {value!r}")
     return int(round(out))
 
 
-def _parse_groups(text: str) -> tuple[tuple[int, ...], ...]:
-    """Parse 1-based group ranges like '1-3,4-6,7-9' to 0-based index tuples."""
+def _parse_groups(value) -> tuple[tuple[int, ...], ...]:
+    """Groups from 1-based text ranges like '1-3,4-6,7-9', or from the JSON
+    form's lists of 0-based indices."""
+    if not isinstance(value, str):
+        return tuple(tuple(int(i) for i in group) for group in value)
     groups = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            if "-" in part:
-                a, _, b = part.partition("-")
-                idx = tuple(range(int(a) - 1, int(b)))
-            else:
-                idx = (int(part) - 1,)
-        except ValueError:
-            raise ConfigurationError(f"bad group spec {part!r}") from None
-        if not idx or min(idx) < 0:
-            raise ConfigurationError(f"bad group spec {part!r}")
+    for part in filter(None, (p.strip() for p in value.split(","))):
+        a, sep, b = part.partition("-")
+        idx = tuple(range(int(a) - 1, int(b) if sep else int(a)))
+        if not idx or idx[0] < 0:
+            raise ValueError(f"bad group spec {part!r}")
         groups.append(idx)
     if not groups:
-        raise ConfigurationError(f"no groups found in {text!r}")
+        raise ValueError(f"no groups found in {value!r}")
     return tuple(groups)
+
+
+def _parse_pairs(value, parse_key, parse_value, sep: str = "=") -> tuple:
+    """(key, value) pairs from a mapping, from [key, value] lists, or from
+    'key<sep>value' strings; a single string is one pair."""
+    if isinstance(value, dict):
+        value = value.items()
+    elif isinstance(value, str):
+        value = [value]
+    pairs = []
+    for item in value:
+        if isinstance(item, str):
+            key, found, text = item.partition(sep)
+            if not found:
+                raise ValueError(f"expected KEY{sep}VALUE, got {item!r}")
+            item = (key, text)
+        key, val = item
+        pairs.append((parse_key(key), parse_value(val)))
+    return tuple(pairs)
+
+
+def _parse_param(value):
+    """A model parameter: a float, or a tuple of floats from a list or from
+    a comma list such as '1,2,3'."""
+    if isinstance(value, str) and "," in value:
+        value = value.split(",")
+    if isinstance(value, (list, tuple)):
+        return tuple(float(v) for v in value)
+    return float(value)
+
+
+def _parse_names(value) -> tuple[str, ...]:
+    if isinstance(value, str):
+        value = value.split(",")
+    return tuple(filter(None, (str(v).strip() for v in value)))
+
+
+# field -> parser of its JSON form and of its text form
+_PARSERS = {
+    "model": str,
+    "model_params": lambda v: dict(_parse_pairs(v, str.strip, _parse_param)),
+    "metafunction_seed": int,
+    "methods": _parse_names,
+    **dict.fromkeys(("n_samples", "n_base", "n_deriv", "repetitions", "bins_output",
+                     "bins_cond"), _parse_count),
+    "fd_step": float,
+    "seed": int,
+    "groups": _parse_groups,
+    "input_overrides": lambda v: _parse_pairs(v, int, str),
+    "fix": lambda v: _parse_pairs(v.split(",") if isinstance(v, str) else v, int, float, ":"),
+    "output": str,
+    "format": str,
+}
+
+
+def _coerce(key: str, parse, value):
+    """``parse(value)``, with a malformed value refused as a ConfigurationError
+    that names ``key``."""
+    try:
+        return parse(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigurationError(f"{key}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -91,6 +143,9 @@ class RunConfig:
             raise ConfigurationError("config needs a model name or a metafunction seed")
         if self.model and self.metafunction_seed is not None:
             raise ConfigurationError("give either a model name or a metafunction seed, not both")
+        if self.model_params and self.metafunction_seed is not None:
+            raise ConfigurationError("model parameters apply to a builtin model, "
+                                     "not to a metafunction")
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ConfigurationError(f"unknown methods {bad}; known: {', '.join(METHODS)}")
@@ -100,127 +155,78 @@ class RunConfig:
             raise ConfigurationError(f"format must be csv or json, got {self.format!r}")
         if "groups" in self.methods and not self.groups:
             raise ConfigurationError("method 'groups' requires a groups definition")
-        if self.fd_step <= 0:
-            raise ConfigurationError("fd_step must be positive")
+        if not 0 < self.fd_step < math.inf:
+            raise ConfigurationError(f"fd_step must be positive and finite, got {self.fd_step}")
         if self.seed < 0 or self.metafunction_seed is not None and self.metafunction_seed < 0:
             raise ConfigurationError("seeds must be non-negative integers")
 
     def to_mapping(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "groups" and v is not None:
-                v = [list(g) for g in v]
-            out[f.name] = v
-        return out
+        return asdict(self)
 
     @classmethod
     def from_mapping(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        """Build a config from a field -> value mapping.
+
+        Each value may come in its JSON form, as ``to_mapping`` and the
+        report's config echo give it, or in its text form, as flags and
+        config files give it: ``'1e6'``, ``'deriv,kl'``, ``'1-3,4-9'``
+        (1-based), ``'4:55,6:55.5'``, ``['2=Uniform(20,40)']``, ``['r=2']``.
+        A ``None`` value keeps the default. An unknown key, a malformed
+        value or an invalid combination raises ``ConfigurationError``.
+        """
+        unknown = set(data) - set(_PARSERS)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        kw = dict(data)
-        for key in ("n_samples", "n_base", "n_deriv", "repetitions", "bins_output",
-                    "bins_cond"):
-            if key in kw and kw[key] is not None:
-                kw[key] = _parse_count(kw[key], key)
-        if kw.get("seed") is not None:
-            kw["seed"] = int(kw["seed"])
-        if kw.get("metafunction_seed") is not None:
-            kw["metafunction_seed"] = int(kw["metafunction_seed"])
-        if "fd_step" in kw:
-            kw["fd_step"] = float(kw["fd_step"])
-        if "methods" in kw:
-            if isinstance(kw["methods"], str):
-                kw["methods"] = tuple(m.strip() for m in kw["methods"].split(",") if m.strip())
-            else:
-                kw["methods"] = tuple(kw["methods"])
-        if kw.get("groups") is not None:
-            g = kw["groups"]
-            kw["groups"] = _parse_groups(g) if isinstance(g, str) else tuple(
-                tuple(int(i) for i in grp) for grp in g)
-        if kw.get("input_overrides") is not None:
-            kw["input_overrides"] = tuple(
-                (int(i), str(text)) for i, text in
-                (kw["input_overrides"].items()
-                 if isinstance(kw["input_overrides"], dict) else kw["input_overrides"]))
-        if kw.get("fix") is not None:
-            if isinstance(kw["fix"], str):
-                pairs = []
-                for part in kw["fix"].split(","):
-                    idx, _, val = part.partition(":")
-                    try:
-                        pairs.append((int(idx), float(val)))
-                    except ValueError:
-                        raise ConfigurationError(
-                            f"bad fix entry {part!r}, expected index:value") from None
-                kw["fix"] = tuple(pairs)
-            else:
-                kw["fix"] = tuple((int(i), float(v)) for i, v in
-                                  (kw["fix"].items() if isinstance(kw["fix"], dict)
-                                   else kw["fix"]))
-        if "model_params" in kw:
-            # a JSON list reads back as the tuple the config was written from
-            kw["model_params"] = {k: tuple(v) if isinstance(v, list) else v
-                                  for k, v in (kw["model_params"] or {}).items()}
-        return cls(**kw)
+        return cls(**{key: _coerce(key, _PARSERS[key], value)
+                      for key, value in data.items() if value is not None})
 
 
-_FILE_SECTIONS = {
-    "run": {"methods", "n_samples", "n_base", "n_deriv", "repetitions", "fd_step",
-            "seed", "output", "format"},
-    "model": None,   # name, fix, plus free-form model parameters
-    "inputs": None,  # x<i> = Kind(p1, ...) distribution overrides
-    "histogram": {"bins_output", "bins_per_conditioning_dim"},
-    "groups": {"groups"},
+# config file section -> {file key: config field}; any other [model] key is a
+# model parameter, and an [inputs] key x<i> overrides the law of input i
+_FILE_KEYS = {
+    "run": {k: k for k in ("methods", "n_samples", "n_base", "n_deriv", "repetitions",
+                           "fd_step", "seed", "output", "format")},
+    "model": {"name": "model", "metafunction_seed": "metafunction_seed", "fix": "fix"},
+    "inputs": {},
+    "histogram": {"bins_output": "bins_output", "bins_per_conditioning_dim": "bins_cond"},
+    "groups": {"groups": "groups"},
 }
 
 
-def load_config_file(path: str | Path) -> RunConfig:
-    """Load a sectioned key = value config file; unknown keys are rejected."""
+def _read_config_file(path: str | Path) -> dict:
+    """The field -> text mapping of a sectioned key = value config file."""
     import configparser
 
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        sections = {name: parser.items(name) for name in parser.sections()}
+    except (configparser.Error, UnicodeError) as exc:
+        raise ConfigurationError(f"malformed config file {path}: {exc}") from None
     if not read:
         raise ConfigurationError(f"cannot read config file {path}")
     data: dict = {}
-    for section in parser.sections():
-        if section not in _FILE_SECTIONS:
+    for section, items in sections.items():
+        if section not in _FILE_KEYS:
             raise ConfigurationError(f"unknown config section [{section}]")
-        allowed = _FILE_SECTIONS[section]
-        for key, value in parser.items(section):
-            if allowed is not None and key not in allowed:
-                raise ConfigurationError(f"unknown key {key!r} in section [{section}]")
-            if section == "model":
-                if key == "name":
-                    data["model"] = value
-                elif key == "metafunction_seed":
-                    data["metafunction_seed"] = int(value)
-                elif key == "fix":
-                    data["fix"] = value
-                else:
-                    data.setdefault("model_params", {})[key] = _parse_model_param(value)
-            elif section == "inputs":
-                if not key.startswith("x") or not key[1:].isdigit():
-                    raise ConfigurationError(
-                        f"input override keys look like x1, x2, ...; got {key!r}")
-                data.setdefault("input_overrides", []).append((int(key[1:]), value))
-            elif section == "histogram":
-                data["bins_output" if key == "bins_output" else "bins_cond"] = value
+        for key, value in items:
+            if key in _FILE_KEYS[section]:
+                data[_FILE_KEYS[section][key]] = value
+            elif section == "model":
+                data.setdefault("model_params", []).append(f"{key}={value}")
+            elif section == "inputs" and key[:1] == "x" and key[1:].isdigit():
+                data.setdefault("input_overrides", []).append(f"{key[1:]}={value}")
             else:
-                data[key] = value
-    return RunConfig.from_mapping(data)
+                raise ConfigurationError(f"unknown key {key!r} in section [{section}]")
+    return data
 
 
-def _parse_model_param(value: str):
-    if "," in value:
-        return tuple(float(v) for v in value.split(","))
-    try:
-        return float(value)
-    except ValueError:
-        return value
+def load_config_file(path: str | Path) -> RunConfig:
+    """Load a sectioned key = value config file (format in the README).
+
+    An unreadable or malformed file, an unknown section or key, and a
+    malformed value all raise ``ConfigurationError``."""
+    return RunConfig.from_mapping(_read_config_file(path))
 
 
 def rank_descending(values) -> tuple[list[int], bool]:

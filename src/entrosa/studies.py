@@ -60,11 +60,14 @@ def _scaled_spec(spec: HistogramSpec, n: int, n_full: int) -> HistogramSpec:
 
 
 def resolve_output_path(path: str | Path) -> Path:
-    """Relative outputs land in $ENTROSA_OUTPUT_DIR when it is set."""
+    """Relative outputs land in $ENTROSA_OUTPUT_DIR when it is set. The
+    directory is made here, before any computation, so that a path that
+    cannot hold a file fails first rather than last."""
     path = Path(path)
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not path.is_absolute():
-        return Path(base) / path
+        path = Path(base) / path
+    path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -114,6 +117,7 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
     evaluated, counted at the evaluator."""
     t0 = time.perf_counter()
     bench = build_benchmark(config)
+    output = config.output and resolve_output_path(config.output)
     n_evaluations = 0
 
     def counted(x: np.ndarray) -> np.ndarray:
@@ -187,8 +191,8 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
     metadata["wall_time_s"] = round(time.perf_counter() - t0, 3)
     report = SensitivityReport(metadata=metadata, rows=rows)
     report.compute_rankings()
-    if config.output:
-        report.write(resolve_output_path(config.output), config.format)
+    if output:
+        report.write(output, config.format)
     return report
 
 
@@ -216,6 +220,7 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
     if seed < 0:
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
     spec = spec or STUDY_BINS["metastudy"]
+    output = output and resolve_output_path(output)
     master = np.random.default_rng(seed)
     agree = {"l_bound": {"full": 0, "max": 0, "min": 0},
              "nu_bound": {"full": 0, "max": 0, "min": 0}}
@@ -271,7 +276,7 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
         summary["warning"] = "no functions survived exclusion"
     result = {"summary": summary, "functions": functions, "excluded_records": excluded}
     if output:
-        write_atomic(resolve_output_path(output), json.dumps(result, indent=2, sort_keys=True))
+        write_atomic(output, json.dumps(result, indent=2, sort_keys=True))
     return result
 
 
@@ -294,6 +299,7 @@ def convergence(model_name: str, method: str, ladder: list[int], reps: int,
     if seed < 0:
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
     bench = builtin(model_name, **(model_params or {}))
+    output = output and resolve_output_path(output)
     model = bench.model
     analytic = bench.analytic.get("h_total" if method == "entropy" else "l")
     reference = analytic.values if analytic and analytic.source == "closed-form" else None
@@ -317,7 +323,7 @@ def convergence(model_name: str, method: str, ladder: list[int], reps: int,
                 for m, r in zip(mean, reference)]
         rows.append(row)
     if output:
-        write_atomic(resolve_output_path(output),
+        write_atomic(output,
                      json.dumps({"model": model.name, "method": method,
                                  "seed": seed, "rows": rows}, indent=2))
     return rows

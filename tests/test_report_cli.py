@@ -4,8 +4,11 @@ import json
 import math
 import os
 import stat
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrosa import ConfigurationError, RunConfig, SensitivityReport, rank_descending
 from entrosa.cli import main
@@ -66,6 +69,39 @@ class TestRunConfig:
         cfg = load_config_file(path)
         assert cfg.model == "mono4" and cfg.model_params == {"r": 2.0}
         assert cfg.n_samples == 100_000 and cfg.bins_output == 64 and cfg.bins_cond == 16
+
+
+FIELDS = [f.name for f in fields(RunConfig)]
+FILE_LINES = st.one_of(
+    st.text(),
+    st.sampled_from(["[run]", "[model]", "[inputs]", "[histogram]", "[groups]",
+                     "[DEFAULT]", "[bogus]"]),
+    st.builds("{} = {}".format,
+              st.sampled_from(["name", "methods", "seed", "fd_step", "n_samples",
+                               "metafunction_seed", "fix", "r", "a", "x1", "x2",
+                               "bins_per_conditioning_dim", "groups", "format"]),
+              st.text()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.dictionaries(st.sampled_from(FIELDS), st.text()))
+def test_any_field_text_parses_or_is_refused(data):
+    # parses the mapping only, so a huge fuzzed count never reaches an estimator
+    try:
+        RunConfig.from_mapping(data)
+    except ConfigurationError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(FILE_LINES).map("\n".join))
+def test_any_config_file_text_parses_or_is_refused(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    try:
+        load_config_file(path)
+    except ConfigurationError:
+        pass
 
 
 class TestRankings:
@@ -363,6 +399,16 @@ class TestCli:
         # malformed values exit 2 with a message, whether argparse or the
         # config validation rejects them
         run = ["run", "--methods", "deriv", "--n-deriv", "200"]
+        files = {"seed": "[run]\nseed = abc\n[model]\nname = mono2\n",
+                 "fd_step": "[run]\nfd_step = abc\n[model]\nname = mono2\n",
+                 "metafunction_seed": "[model]\nmetafunction_seed = x\n",
+                 "model_param": "[model]\nname = mono5\na = 1,2,x\n",
+                 "no_header": "seed = 1\n[model]\nname = mono2\n",
+                 "duplicate": "[run]\nseed = 1\nseed = 2\n[model]\nname = mono2\n"}
+        for name, text in files.items():
+            (tmp_path / f"{name}.cfg").write_text(text)
+        (tmp_path / "afile").write_text("")
+        afile = str(tmp_path / "afile")
         ladder = ["convergence", "--model", "mono2", "--seed", "0", "--output",
                   str(tmp_path / "c.json"), "--ladder"]
         meta = ["metastudy", "--n", "3e4", "--seed", "0", "--output",
@@ -385,7 +431,23 @@ class TestCli:
                      meta + ["--n-functions", "10", "--n-deriv", "5"],
                      # numpy refuses this size without allocating
                      ["run", "--model", "ishigami", "--methods", "deriv",
-                      "--n-deriv", "1e20"]):
+                      "--n-deriv", "1e20"],
+                     *(run + ["--config", str(tmp_path / f"{name}.cfg")] for name in files),
+                     run + ["--model", "mono5", "--param", "a=1,2,abc"],
+                     run + ["--model", "mono2", "--fd-step", "inf"],
+                     run + ["--model", "mono2", "--fd-step", "nan"],
+                     *(run + ["--model", "mono2", "--override-input", f"1={law}"]
+                       for law in ("Uniform(0,inf)", "Gaussian(0,inf)", "ChiSquared(inf)",
+                                   "Triangular(0,0,inf)", "Uniform(-1e308,1e308)")),
+                     run + ["--model", "mono4", "--param", "r=abc"],
+                     run + ["--model", "mono5", "--param", "a=abc"],
+                     run + ["--model", "mono5", "--param", "a=0,1"],
+                     run + ["--model", "mono5", "--param", "a=1,2", "--param", "sigma=-1,1"],
+                     run + ["--model", "ishigami", "--param", "x=1"],
+                     run + ["--metafunction-seed", "3", "--param", "r=2"],
+                     run + ["--model", "mono2", "--output", afile + "/r.json"],
+                     meta + ["--n-functions", "10", "--output", afile + "/m.json"],
+                     ["tables", "groups", "--outdir", afile + "/x"]):
             try:
                 code = main(argv)
             except SystemExit as exc:
@@ -394,6 +456,23 @@ class TestCli:
             assert capsys.readouterr().err, argv
         assert not (tmp_path / "c.json").exists()
         assert not (tmp_path / "m.json").exists()
+
+    def test_flags_complete_the_config_file(self, tmp_path, capsys):
+        # the file and the flags merge before the config is validated, so a
+        # file may leave out what the flags give
+        no_model = tmp_path / "no_model.cfg"
+        no_model.write_text("[run]\nmethods = deriv\nn_deriv = 200\n")
+        no_groups = tmp_path / "no_groups.cfg"
+        no_groups.write_text("[run]\nmethods = groups\nn_samples = 2000\n"
+                             "\n[model]\nname = gfunction9_case1\n")
+        for argv, expected in (
+                (["run", "--config", str(no_model), "--model", "mono2"],
+                 {"model": "mono2", "n_deriv": 200}),
+                (["run", "--config", str(no_groups), "--groups", "1-3,4-9"],
+                 {"model": "gfunction9_case1", "groups": [[0, 1, 2], [3, 4, 5, 6, 7, 8]]})):
+            assert main(argv) == 0, argv
+            config = json.loads(capsys.readouterr().out)["metadata"]["config"]
+            assert {key: config[key] for key in expected} == expected
 
     def test_sparse_grid_exit_code(self, tmp_path, capsys):
         # 9-dim conditioning grid is refused
