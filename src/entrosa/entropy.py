@@ -16,13 +16,11 @@ conditionings. Each repetition draws from its own spawned stream. The KL
 index ``kl_total_index`` takes one input sample for all d inputs: g(x) is
 the shared unconditional baseline.
 
-A grid of at most 3 cells per sample (``bins_cond^k * bins_output <= 3n``,
-with k the number of non-constant conditioning columns) is counted with
-``np.bincount``, which holds an int64 count for every cell of the grid: at
-most 24 bytes per sample, 36 MB at n = 1.5e6. A larger grid is counted by
-sorting the joint codes, which materializes only occupied cells, so grids far
-larger than memory are fine there. Both paths give the same counts in the
-same order, so the estimate does not depend on which one runs.
+Counting sorts the joint codes in place and reads the occupied cells, their
+counts and the conditioning-cell totals off the run boundaries; no array
+spans the whole grid, so grids far larger than memory are fine. Joint codes
+take 4 bytes per sample, or 8 when the grid has at least 2^31 cells, plus
+run arrays over the occupied cells.
 
 Bin counts drive a bias trade-off: coarse conditioning inflates the estimate
 (within-cell variation leaks into the conditional law), fine grids starve
@@ -52,12 +50,8 @@ log = logging.getLogger(__name__)
 MAX_CONDITIONING_DIMS = 4
 _SINGLETON_ERROR_SHARE = 0.5
 _SPARSE_WARN_MEAN_COUNT = 10.0
-# A grid of at most this many cells per sample is counted with np.bincount
-# over every cell; a larger one by sorting the joint codes. On a 2-core x86
-# box with numpy 2.4 the dense count broke even with the sort at about 7
-# cells per sample for n <= 2.5e5 and at about 3 for n = 1.5e6, where the
-# dense array outgrows the cache.
-_DENSE_CELLS_PER_SAMPLE = 3
+# cell codes are int32, so no axis may have more cells than int32 can index
+_MAX_BINS = 2 ** 31 - 1
 
 
 @dataclass(frozen=True)
@@ -68,6 +62,8 @@ class HistogramSpec:
     def __post_init__(self):
         if self.bins_output < 2 or self.bins_per_conditioning_dim < 2:
             raise ConfigurationError("histogram needs at least 2 bins per dimension")
+        if max(self.bins_output, self.bins_per_conditioning_dim) > _MAX_BINS:
+            raise ConfigurationError(f"histogram allows at most {_MAX_BINS} bins per dimension")
 
 
 def _axis_codes(values: np.ndarray, bins: int) -> tuple[np.ndarray, float]:
@@ -85,7 +81,7 @@ def _axis_codes(values: np.ndarray, bins: int) -> tuple[np.ndarray, float]:
     scaled -= lo
     scaled *= bins / (hi - lo)
     # scaled >= 0, so truncating before the clip gives the same codes as after
-    codes = scaled.astype(np.int64)
+    codes = scaled.astype(np.int32)
     del scaled
     np.minimum(codes, bins - 1, out=codes)
     return codes, float(width)
@@ -121,37 +117,30 @@ def _conditional_from_codes(ycodes: np.ndarray, width: float, cond_codes: list,
     occupied conditioning cells hold a single sample."""
     n = ycodes.size
     bins_out = spec.bins_output
-    joint = np.zeros(n, dtype=np.int64)
-    n_cond = 1
-    for codes in cond_codes:
-        if codes is not None:
-            joint *= spec.bins_per_conditioning_dim
-            joint += codes
-            n_cond *= spec.bins_per_conditioning_dim
+    live = [codes for codes in cond_codes if codes is not None]
+    n_cells = spec.bins_per_conditioning_dim ** len(live) * bins_out
+    joint = np.zeros(n, dtype=np.int32 if n_cells < 2 ** 31 else np.int64)
+    for codes in live:
+        joint *= spec.bins_per_conditioning_dim
+        joint += codes
     joint *= bins_out
     joint += ycodes
+    joint.sort()
 
-    # Both branches yield the occupied cells' counts and their conditioning
-    # cells' totals in ascending cell-code order, so the sum below is the same
-    # bit for bit whichever branch runs.
-    if n_cond * bins_out <= _DENSE_CELLS_PER_SAMPLE * n:
-        full = np.bincount(joint, minlength=n_cond * bins_out)
-        del joint
-        k_cond = full.reshape(n_cond, bins_out).sum(axis=1)
-        cells = np.flatnonzero(full > 0)   # a bool mask takes numpy's fast path
-        counts = full[cells]
-        del full
-        k_i_full = k_cond[cells // bins_out]
-        del cells
-        k_i = k_cond[k_cond > 0]
-    else:
-        cells, counts = np.unique(joint, return_counts=True)
-        del joint
-        # cells arrive sorted, so conditioning-cell blocks are contiguous
-        starts = np.flatnonzero(np.r_[True, np.diff(cells // bins_out) != 0])
-        del cells
-        k_i = np.add.reduceat(counts, starts)
-        k_i_full = np.repeat(k_i, np.diff(np.r_[starts, counts.size]))
+    # runs of the sorted codes are the occupied cells in ascending code order,
+    # and runs of their conditioning cells are contiguous blocks of them
+    change = np.empty(n, dtype=bool)
+    change[0] = True
+    np.not_equal(joint[1:], joint[:-1], out=change[1:])
+    starts = np.flatnonzero(change)
+    del change
+    counts = np.diff(starts, append=n)
+    cond_cells = joint[starts] // bins_out
+    del joint, starts
+    blocks = np.flatnonzero(np.r_[True, np.diff(cond_cells) != 0])
+    del cond_cells
+    k_i = np.add.reduceat(counts, blocks)
+    k_i_full = np.repeat(k_i, np.diff(blocks, append=counts.size))
 
     occupied = k_i.size
     singleton_share = float((k_i == 1).mean())
@@ -333,8 +322,11 @@ def kl_total_index(model: Model, n: int, spec: HistogramSpec = HistogramSpec(),
 
     Grid cells where the unconditional density is empty but the conditional
     one is not are floored at half a sample; a result with more than 5% of
-    conditional mass on floored cells carries a warning flag.
+    conditional mass on floored cells carries a warning flag. Needs
+    n >= 100, the floor pick-and-freeze uses.
     """
+    if n < 100:
+        raise ConfigurationError(f"the KL index needs n >= 100, got {n}")
     if rng is None:
         raise ConfigurationError("an explicit rng stream is required")
     means = np.array([dist.mean() for dist in model.inputs])

@@ -144,8 +144,10 @@ def fix_variables(model: Model, fixed: dict[int, float]) -> Model:
     base_eval = model.evaluator
 
     def reduced_eval(xr: np.ndarray) -> np.ndarray:
-        full = np.empty((xr.shape[0], d), dtype=float)
-        full[:, list(free)] = xr
+        # contiguous columns, the layout sample_inputs gives an unreduced model
+        full = np.empty((xr.shape[0], d), order="F")
+        for j, i in enumerate(free):
+            full[:, i] = xr[:, j]
         for i, v in fixed_items:
             full[:, i] = v
         return base_eval(full)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .entropy import HistogramSpec
 from .errors import ConfigurationError
 
 __all__ = ["RunConfig", "SensitivityReport", "rank_descending", "METHODS",
@@ -28,6 +29,9 @@ ROW_FIELDS = ("s_total", "v_total", "variance_bound", "h_total", "h_total_std",
               "nu_kappa_bound", "mu", "nu", "l", "zero_derivative_fraction", "kl")
 RANK_FAMILIES = ("s_total", "variance_bound", "kappa", "kappa_bound", "nu_kappa_bound")
 _TIE_TOL = 1e-12
+# largest 1-based index a text group range may name; far above any model's
+# dimension, which the estimator checks once the model is built
+_MAX_GROUP_INDEX = 2 ** 16
 
 
 def _parse_count(value) -> int:
@@ -46,10 +50,11 @@ def _parse_groups(value) -> tuple[tuple[int, ...], ...]:
     groups = []
     for part in filter(None, (p.strip() for p in value.split(","))):
         a, sep, b = part.partition("-")
-        idx = tuple(range(int(a) - 1, int(b) if sep else int(a)))
-        if not idx or idx[0] < 0:
-            raise ValueError(f"bad group spec {part!r}")
-        groups.append(idx)
+        first, last = int(a), int(b) if sep else int(a)
+        # checked before the range is built, so a huge end costs nothing
+        if not 1 <= first <= last <= _MAX_GROUP_INDEX:
+            raise ValueError(f"bad group spec {part!r}: need 1 <= a <= b <= {_MAX_GROUP_INDEX}")
+        groups.append(tuple(range(first - 1, last)))
     if not groups:
         raise ValueError(f"no groups found in {value!r}")
     return tuple(groups)
@@ -159,6 +164,7 @@ class RunConfig:
             raise ConfigurationError(f"fd_step must be positive and finite, got {self.fd_step}")
         if self.seed < 0 or self.metafunction_seed is not None and self.metafunction_seed < 0:
             raise ConfigurationError("seeds must be non-negative integers")
+        HistogramSpec(self.bins_output, self.bins_cond)   # raises on bad bin counts
 
     def to_mapping(self) -> dict:
         return asdict(self)

@@ -13,7 +13,11 @@ from entrosa import (ConfigurationError, HistogramSpec, Model, SparseGridError,
                      estimate_entropy_indices, evaluate_batch,
                      fix_variables, kl_total_index,
                      sample_inputs)
-from entrosa.entropy import _DENSE_CELLS_PER_SAMPLE, _SINGLETON_ERROR_SHARE
+from entrosa.entropy import _SINGLETON_ERROR_SHARE
+
+# grids are drawn on both sides of this many cells per sample, so the
+# counting kernel meets grids smaller and far larger than the sample
+_CELLS_PER_SAMPLE_SPLIT = 3
 
 
 class TestMarginalEntropy:
@@ -150,15 +154,15 @@ def _reference_conditional(y, x, spec):
 
 @st.composite
 def _grid_case(draw, dense):
-    """A sample and a histogram spec whose conditioning grid falls on the
-    dense (bincount) or the sort side of the counting cutoff."""
+    """A sample and a histogram spec whose conditioning grid has at most
+    (dense) or more than (sparse) _CELLS_PER_SAMPLE_SPLIT cells per sample."""
     n = draw(st.integers(20, 4000))
     k = draw(st.integers(1, 3))
     constant = draw(st.lists(st.booleans(), min_size=k, max_size=k))
     if not dense:
         constant[0] = False     # an all-constant grid has one cell
     live = k - sum(constant)
-    limit = _DENSE_CELLS_PER_SAMPLE * n
+    limit = _CELLS_PER_SAMPLE_SPLIT * n
     if dense:
         bins_out = draw(st.integers(2, min(40, limit // 2 ** live)))
         top = 2
@@ -196,6 +200,33 @@ class TestCountingMatchesSortReference:
         else:
             assert conditional_entropy(y, x, spec) == expected
         assert entropy_histogram(y, spec) == _reference_entropy(y, spec.bins_output)
+
+    def test_grid_of_2_to_the_36_cells_codes_in_int64(self):
+        # 1024^3 conditioning cells x 64 output bins overflow int32 codes;
+        # a few discrete levels per input keep the occupied cells populated
+        rng = np.random.default_rng(31)
+        x = rng.integers(0, 5, (20_000, 3)).astype(float)
+        y = x.sum(axis=1) + rng.normal(size=20_000)
+        spec = HistogramSpec(bins_output=64, bins_per_conditioning_dim=1024)
+        expected, singleton_share = _reference_conditional(y, x, spec)
+        assert singleton_share == 0.0
+        assert conditional_entropy(y, x, spec) == expected
+
+
+def _entropy_or_sparse(y, x, spec):
+    try:
+        return conditional_entropy(y, x, spec)
+    except SparseGridError:
+        return "sparse"
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_row_order_leaves_estimates_bitwise_unchanged(data):
+    y, x, spec = data.draw(_grid_case(data.draw(st.booleans())))
+    perm = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).permutation(y.size)
+    assert _entropy_or_sparse(y[perm], x[perm], spec) == _entropy_or_sparse(y, x, spec)
+    assert entropy_histogram(y[perm], spec) == entropy_histogram(y, spec)
 
 
 def test_output_entropy_power_bounded_by_variance():

@@ -187,6 +187,27 @@ class TestFixVariables:
         np.testing.assert_allclose(evaluate_batch(reduced, xr),
                                    evaluate_batch(bench.model, full), rtol=1e-13)
 
+    def test_flood_reduction_is_bitwise_the_full_model(self):
+        bench = builtin("flood")
+        reduced = fix_variables(bench.model, dict(bench.entropy_fix))
+        xr = sample_inputs(reduced, 50, np.random.default_rng(4))
+        full = np.empty((50, 8))
+        full[:, [0, 1, 2, 4]] = xr
+        full[:, 3], full[:, 5], full[:, 6], full[:, 7] = 55.0, 55.5, 5000.0, 300.0
+        assert np.array_equal(evaluate_batch(reduced, xr), evaluate_batch(bench.model, full))
+
+    def test_reduced_model_passes_fortran_columns(self):
+        # the layout sample_inputs gives an unreduced model
+        seen = []
+
+        def spy(x):
+            seen.append(x.flags.f_contiguous)
+            return x[:, 0] + x[:, 2]
+
+        reduced = fix_variables(Model("spy", (Uniform(0, 1),) * 3, spy), {1: 0.5})
+        evaluate_batch(reduced, sample_inputs(reduced, 20, np.random.default_rng(6)))
+        assert seen == [True]
+
     def test_fix_nothing_is_identity(self):
         model = builtin("ishigami").model
         assert fix_variables(model, {}) is model

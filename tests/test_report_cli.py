@@ -418,6 +418,11 @@ class TestCli:
                      run + ["--model", "mono3", "--n", "1e400"],
                      run + ["--model", "mono3", "--fix", "2"],
                      run + ["--model", "mono3", "--groups", "a-b"],
+                     # refused before the range's 10^9 indices are built
+                     run + ["--model", "mono2", "--groups", "1-1000000000"],
+                     ["run", "--model", "mono2", "--methods", "entropy",
+                      "--bins-output", "3e9"],
+                     ["run", "--model", "mono2", "--methods", "kl", "--n", "1"],
                      run + ["--model", "mono3", "--override-input", "a=Uniform(0,1)"],
                      run + ["--model", "mono3", "--seed", "-1"],
                      run + ["--metafunction-seed", "-1"],
