@@ -8,19 +8,19 @@ min/max and plug in cell frequencies:
 * conditional:  H(Y|X) ~ -sum (k_ij/N) ln(k_ij/k_i) + ln(dy)
 
 where i indexes the (possibly multi-dimensional) conditioning cell and j the
-output cell. Every conditional entropy goes through one kernel that folds
-per-axis cell codes into joint cell codes and counts them;
-``estimate_entropy_indices`` codes each axis once per repetition, takes H(Y)
-from the output codes and shares the codes across all d leave-one-out
-conditionings. Each repetition draws from its own spawned stream. The KL
-index ``kl_total_index`` takes one input sample for all d inputs: g(x) is
-the shared unconditional baseline.
+output cell; H(Y) is H(Y|X) with no conditioning axis. Both go through one
+kernel that folds per-axis cell codes into joint cell codes and counts them;
+``estimate_entropy_indices`` codes each axis once per repetition and shares
+the codes across H(Y) and all d leave-one-out conditionings, so a one-input
+model gets H_T1 = H(Y). Each repetition draws from its own spawned stream.
+The KL index ``kl_total_index`` takes one input sample for all d inputs:
+g(x) is the shared unconditional baseline.
 
-Counting sorts the joint codes in place and reads the occupied cells, their
-counts and the conditioning-cell totals off the run boundaries; no array
-spans the whole grid, so grids far larger than memory are fine. Joint codes
-take 4 bytes per sample, or 8 when the grid has at least 2^31 cells, plus
-run arrays over the occupied cells.
+``_cell_counts`` counts every histogram, the KL halves included: it sorts
+the cell codes in place and reads the occupied cells and their counts off
+the run boundaries. No array spans the whole grid, so grids far larger than
+memory are fine. Joint codes take 4 bytes per sample, or 8 when the grid has
+at least 2^31 cells, plus run arrays over the occupied cells.
 
 Bin counts drive a bias trade-off: coarse conditioning inflates the estimate
 (within-cell variation leaks into the conditional law), fine grids starve
@@ -87,18 +87,16 @@ def _axis_codes(values: np.ndarray, bins: int) -> tuple[np.ndarray, float]:
     return codes, float(width)
 
 
-def _entropy_from_codes(codes: np.ndarray, width: float, bins: int) -> float:
-    """Plug-in differential entropy from cell codes in [0, bins) of cell width
-    ``width``; occupied bins are summed in code order."""
-    counts = np.bincount(codes, minlength=bins)
-    p = counts[counts > 0] / codes.size
-    return float(-(p * np.log(p)).sum() + math.log(width))
+def _cell_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the cell codes in place and return the occupied cells in
+    ascending code order with their counts, read off the run boundaries."""
+    codes.sort()
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    return codes[starts], np.diff(starts, append=codes.size)
 
 
 def _check_grid(k: int, spec: HistogramSpec) -> None:
     """Refuse conditioning grids that cannot be populated or coded."""
-    if k < 1:
-        raise ConfigurationError("need at least one conditioning variable")
     if k > MAX_CONDITIONING_DIMS:
         raise SparseGridError(
             f"refusing a {k}-dimensional conditioning grid (max {MAX_CONDITIONING_DIMS}); "
@@ -113,8 +111,9 @@ def _conditional_from_codes(ycodes: np.ndarray, width: float, cond_codes: list,
                             spec: HistogramSpec) -> float:
     """Plug-in H(Y|X) from the output cell codes (cell width ``width``) and one
     code array per conditioning axis, None for a constant column, which
-    carries no information. Escalates to an error when more than half of the
-    occupied conditioning cells hold a single sample."""
+    carries no information; with none, this is H(Y). Escalates to an error
+    when more than half of the occupied conditioning cells hold a single
+    sample."""
     n = ycodes.size
     bins_out = spec.bins_output
     live = [codes for codes in cond_codes if codes is not None]
@@ -125,33 +124,28 @@ def _conditional_from_codes(ycodes: np.ndarray, width: float, cond_codes: list,
         joint += codes
     joint *= bins_out
     joint += ycodes
-    joint.sort()
 
-    # runs of the sorted codes are the occupied cells in ascending code order,
-    # and runs of their conditioning cells are contiguous blocks of them
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    np.not_equal(joint[1:], joint[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
-    del change
-    counts = np.diff(starts, append=n)
-    cond_cells = joint[starts] // bins_out
-    del joint, starts
-    blocks = np.flatnonzero(np.r_[True, np.diff(cond_cells) != 0])
-    del cond_cells
+    # the occupied cells come in ascending code order, so the cells of one
+    # conditioning cell are a contiguous block of them
+    cells, counts = _cell_counts(joint)
+    del joint
+    blocks = np.flatnonzero(np.r_[True, np.diff(cells // bins_out) != 0])
+    del cells
     k_i = np.add.reduceat(counts, blocks)
     k_i_full = np.repeat(k_i, np.diff(blocks, append=counts.size))
 
-    occupied = k_i.size
-    singleton_share = float((k_i == 1).mean())
-    if singleton_share > _SINGLETON_ERROR_SHARE:
-        raise SparseGridError(
-            f"{singleton_share:.0%} of {occupied} occupied conditioning cells hold a "
-            "single sample; use fewer bins or more samples")
-    mean_count = n / occupied
-    if mean_count < _SPARSE_WARN_MEAN_COUNT:
-        log.warning("sparse conditioning grid: %.1f samples per occupied cell "
-                    "(%d cells)", mean_count, occupied)
+    # with no conditioning axis this is H(Y), and no grid can be sparse
+    if live:
+        occupied = k_i.size
+        singleton_share = float((k_i == 1).mean())
+        if singleton_share > _SINGLETON_ERROR_SHARE:
+            raise SparseGridError(
+                f"{singleton_share:.0%} of {occupied} occupied conditioning cells hold a "
+                "single sample; use fewer bins or more samples")
+        mean_count = n / occupied
+        if mean_count < _SPARSE_WARN_MEAN_COUNT:
+            log.warning("sparse conditioning grid: %.1f samples per occupied cell "
+                        "(%d cells)", mean_count, occupied)
 
     h = -(counts / n * np.log(counts / k_i_full)).sum() + math.log(width)
     return float(h)
@@ -166,7 +160,7 @@ def entropy_histogram(samples: np.ndarray, spec: HistogramSpec = HistogramSpec()
     codes, width = _axis_codes(samples, spec.bins_output)
     if codes is None:
         return -math.inf
-    return _entropy_from_codes(codes, width, spec.bins_output)
+    return _conditional_from_codes(codes, width, [], spec)
 
 
 def conditional_entropy(y: np.ndarray, x_cond: np.ndarray,
@@ -175,8 +169,9 @@ def conditional_entropy(y: np.ndarray, x_cond: np.ndarray,
 
     ``x_cond`` is (n,) or (n, k) with k <= 4; beyond that the grid cannot be
     populated at sane sample sizes and the operation refuses (fix variables
-    first to reduce the dimension). Escalates to an error when more than half
-    of the occupied conditioning cells hold a single sample.
+    first to reduce the dimension); with k = 0 it is H(Y). Escalates to an
+    error when more than half of the occupied conditioning cells hold a
+    single sample.
     """
     y = np.asarray(y, dtype=float).ravel()
     x_cond = np.asarray(x_cond, dtype=float)
@@ -241,7 +236,7 @@ def estimate_entropy_indices(model: Model, n: int,
         if ycodes is None:  # constant output
             h_y[r] = h_t[r] = -math.inf
             continue
-        h_y[r] = _entropy_from_codes(ycodes, width, spec.bins_output)
+        h_y[r] = _conditional_from_codes(ycodes, width, [], spec)
         cols = [_axis_codes(x[:, j], spec.bins_per_conditioning_dim)[0] for j in range(d)]
         # free the samples before the counting passes; the codes are all they need
         del x, y
@@ -316,9 +311,10 @@ def kl_total_index(model: Model, n: int, spec: HistogramSpec = HistogramSpec(),
     and input i's conditional sample is x with column i set to its mean, so
     d inputs cost (d+1) * n model evaluations. Baseline and conditional
     outputs are coded together by the coder every histogram estimator here
-    uses, so a sample falls in the same cell as in the entropy indices. The
-    counts can differ from ``np.histogram`` only for a sample exactly on a
-    bin edge, which numpy checks against its ``linspace`` edges.
+    uses, and each half is counted by the one sort-runs kernel. p0 is read
+    on the cells p1 occupies, in ascending code order, so no array spans the
+    output grid. The counts can differ from ``np.histogram`` only for a
+    sample exactly on a bin edge, which numpy checks against its edges.
 
     Grid cells where the unconditional density is empty but the conditional
     one is not are floored at half a sample; a result with more than 5% of
@@ -335,7 +331,6 @@ def kl_total_index(model: Model, n: int, spec: HistogramSpec = HistogramSpec(),
 
     x = sample_inputs(model, n, rng)
     y0 = clean_outputs(evaluate_batch(model, x), "kl baseline")
-    bins = spec.bins_output
     value, floored_mass = np.zeros((2, model.dim))
     for i, mean_i in enumerate(means):
         # a copy, not x itself: an evaluator may return a view of its input
@@ -343,15 +338,18 @@ def kl_total_index(model: Model, n: int, spec: HistogramSpec = HistogramSpec(),
         frozen[:, i] = mean_i
         y1 = clean_outputs(evaluate_batch(model, frozen), f"kl conditional x{i + 1}")
         del frozen
-        codes, _ = _axis_codes(np.concatenate([y0, y1]), bins)
+        codes, _ = _axis_codes(np.concatenate([y0, y1]), spec.bins_output)
         if codes is None:
             continue
-        p0 = np.bincount(codes[:y0.size], minlength=bins) / y0.size
-        p1 = np.bincount(codes[y0.size:], minlength=bins) / y1.size
-        mask = p1 > 0
-        floored_mass[i] = p1[mask & (p0 == 0)].sum()
-        p0_safe = np.maximum(p0, 0.5 / y0.size)
-        value[i] = (p1[mask] * np.log(p1[mask] / p0_safe[mask])).sum()
+        cells0, counts0 = _cell_counts(codes[:y0.size])
+        cells1, counts1 = _cell_counts(codes[y0.size:])
+        del codes
+        # p0 on the cells p1 occupies, 0 where the baseline has no sample
+        at = np.minimum(np.searchsorted(cells0, cells1), cells0.size - 1)
+        p0 = np.where(cells0[at] == cells1, counts0[at] / y0.size, 0.0)
+        p1 = counts1 / y1.size
+        floored_mass[i] = p1[p0 == 0].sum()
+        value[i] = (p1 * np.log(p1 / np.maximum(p0, 0.5 / y0.size))).sum()
         if floored_mass[i] > 0.05:
             log.warning("kl_total_index(%s, x%d): %.1f%% of conditional mass on floored "
                         "cells", model.name, i + 1, 100 * floored_mass[i])

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -74,15 +75,16 @@ def resolve_output_path(path: str | Path) -> Path:
 def build_benchmark(config: RunConfig) -> BenchmarkModel:
     """Resolve the configured model: a builtin by name or a drawn random
     function, optionally composed by replacing input laws or pinning
-    variables (1-based indices in the config)."""
+    variables (1-based indices in the config). Unnamed inputs are x1..xd."""
     if config.metafunction_seed is not None:
         rng = np.random.default_rng(config.metafunction_seed)
         _, model = draw_metafunction(rng, seed=config.metafunction_seed)
         bench = BenchmarkModel(name=model.name, model=model)
     else:
         bench = builtin(config.model, **config.model_params)
+    names = bench.var_names or tuple(f"x{i + 1}" for i in range(bench.model.dim))
     if not config.input_overrides and not config.fix:
-        return bench
+        return replace(bench, var_names=names)
 
     from .distributions import parse_distribution
 
@@ -95,12 +97,10 @@ def build_benchmark(config: RunConfig) -> BenchmarkModel:
                     f"input override index {one_based} out of range for dim {model.dim}")
             inputs[one_based - 1] = parse_distribution(text)
         model = Model(f"{model.name}[custom inputs]", tuple(inputs), model.evaluator)
-    names = bench.var_names
     if config.fix:
         fixed = {i - 1: v for i, v in config.fix}
         model = fix_variables(model, fixed)
-        if names:
-            names = tuple(n for j, n in enumerate(names) if j not in fixed)
+        names = tuple(n for j, n in enumerate(names) if j not in fixed)
     # composed models drop the builtin's analytic record: it no longer applies
     return BenchmarkModel(name=model.name, model=model, var_names=names)
 
@@ -127,7 +127,7 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
 
     model = Model(bench.model.name, bench.model.inputs, counted)
     d = model.dim
-    names = list(bench.var_names or tuple(f"x{i + 1}" for i in range(d)))
+    names = list(bench.var_names)
     methods = config.methods
     spec = HistogramSpec(config.bins_output, config.bins_cond)
     streams = _method_streams(config.seed)

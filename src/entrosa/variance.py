@@ -48,7 +48,7 @@ def estimate_total_effect_variance(model: Model, n_base: int,
 
     v_total = np.empty(d)
     for i in range(d):
-        ab = a.copy()
+        ab = a.copy(order="K")   # g(A) and g(AB_i) see one memory layout
         ab[:, i] = b[:, i]
         y_ab = evaluate_batch(model, ab)
         diff = y_a - y_ab

@@ -1,6 +1,8 @@
 """Histogram entropy estimators, entropy indices, bounds, and KL index."""
 
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +53,14 @@ class TestMarginalEntropy:
         h2 = entropy_histogram(s2, spec)
         assert h2 - h1 == pytest.approx(math.log(2.0), abs=1e-12)
 
+    def test_few_samples_log_no_grid_warning(self, caplog):
+        # H(Y) has no conditioning grid, so it cannot be a sparse one
+        y = np.array([0.1, 0.4, 0.2, 0.9, 0.7])
+        with caplog.at_level(logging.WARNING):
+            h = entropy_histogram(y)
+        assert h == _reference_entropy(y, 100)
+        assert caplog.records == []
+
     def test_affine_law_shift_preserving_counts(self):
         rng = np.random.default_rng(3)
         s = rng.random(100_000)
@@ -86,6 +96,10 @@ class TestConditionalEntropy:
         y = rng.random(100_000)
         x = np.full(100_000, 3.0)
         assert conditional_entropy(y, x) == pytest.approx(entropy_histogram(y), abs=1e-12)
+
+    def test_no_conditioning_axis_is_marginal_entropy(self):
+        y = np.random.default_rng(9).standard_normal(50_000)
+        assert conditional_entropy(y, np.empty((y.size, 0))) == entropy_histogram(y)
 
     def test_sample_count_mismatch(self):
         with pytest.raises(ConfigurationError):
@@ -129,6 +143,40 @@ def _reference_entropy(y, bins):
     _, counts = np.unique(codes, return_counts=True)
     p = counts / y.size
     return float(-(p * np.log(p)).sum() + math.log(width))
+
+
+def _reference_kl(model, n, spec, rng):
+    """KL value and floored mass per input from dense np.bincount counts over
+    every output cell, on the draws kl_total_index makes."""
+    x = sample_inputs(model, n, rng)
+    y0 = evaluate_batch(model, x)
+    bins = spec.bins_output
+    value, floored_mass = np.zeros((2, model.dim))
+    for i, dist in enumerate(model.inputs):
+        frozen = x.copy(order="K")
+        frozen[:, i] = dist.mean()
+        y1 = evaluate_batch(model, frozen)
+        codes, _ = _reference_codes(np.concatenate([y0, y1]), bins)
+        if codes is None:
+            continue
+        p0 = np.bincount(codes[:n], minlength=bins) / n
+        p1 = np.bincount(codes[n:], minlength=bins) / n
+        mask = p1 > 0
+        floored_mass[i] = p1[mask & (p0 == 0)].sum()
+        p0_safe = np.maximum(p0, 0.5 / n)
+        value[i] = (p1[mask] * np.log(p1[mask] / p0_safe[mask])).sum()
+    return value, floored_mass
+
+
+# an inert first input, a conditional shifted inside the baseline's support,
+# and a conditional that leaves it
+_KL_MODELS = {
+    "inert": Model("inert-first", (Uniform(0, 1),) * 2, lambda x: x[:, 1].copy()),
+    "shifted": Model("shifted", (Uniform(0, 1), Uniform(-1, 1)),
+                     lambda x: np.exp(x[:, 0]) + x[:, 1] ** 2),
+    "off-support": Model("jump", (Uniform(0, 1),) * 2,
+                         lambda x: x[:, 1] + 10.0 * (x[:, 0] != 0.5)),
+}
 
 
 def _reference_conditional(y, x, spec):
@@ -212,6 +260,34 @@ class TestCountingMatchesSortReference:
         assert singleton_share == 0.0
         assert conditional_entropy(y, x, spec) == expected
 
+    @pytest.mark.parametrize("bins", [7, 100, 5000])
+    @pytest.mark.parametrize("name", list(_KL_MODELS))
+    def test_kl_bitwise_equal_to_dense_counts(self, name, bins):
+        model = _KL_MODELS[name]
+        spec = HistogramSpec(bins_output=bins)
+        value, floored_mass = _reference_kl(model, 20_000, spec, np.random.default_rng(33))
+        res = kl_total_index(model, 20_000, spec, np.random.default_rng(33))
+        np.testing.assert_array_equal(res.value, value)
+        np.testing.assert_array_equal(res.floored_mass, floored_mass)
+        if name == "off-support":
+            assert floored_mass[0] > 0.5
+
+    @pytest.mark.parametrize("estimate", [
+        lambda spec: entropy_histogram(np.random.default_rng(34).random(1000), spec),
+        lambda spec: kl_total_index(_KL_MODELS["shifted"], 1000, spec,
+                                    np.random.default_rng(34)),
+    ], ids=["entropy_histogram", "kl_total_index"])
+    def test_fifty_million_output_bins_need_no_per_cell_array(self, estimate):
+        # a dense count over 5e7 cells alone would take 400 MB
+        spec = HistogramSpec(bins_output=50_000_000)
+        tracemalloc.start()
+        try:
+            estimate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+
 
 def _entropy_or_sparse(y, x, spec):
     try:
@@ -289,6 +365,14 @@ class TestEntropyIndices:
         assert report.h_y == np.mean(h_y)
         np.testing.assert_array_equal(report.h_total, np.mean(h_t, axis=0))
         np.testing.assert_array_equal(report.h_total_std, np.std(h_t, axis=0))
+
+    def test_one_input_model_has_total_entropy_of_the_output(self):
+        # no other input to condition on: H_T1 = H(Y) and kappa = 1
+        model = Model("one", (Uniform(0, 1),), lambda x: np.exp(x[:, 0]))
+        report = estimate_entropy_indices(model, 50_000, repetitions=2,
+                                          rng=np.random.default_rng(35))
+        assert report.h_total[0] == report.h_y
+        assert report.kappa[0] == 1.0 and report.eta[0] == 1.0
 
     def test_mono1_small_scale_sanity(self):
         # H_T1 = 0 and H_T2 = 1/2 for y = x1 + exp(x2)

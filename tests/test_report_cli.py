@@ -255,6 +255,23 @@ def test_cli_fix_and_override_flags(capsys):
     assert payload["metadata"]["dim"] == 2
 
 
+def test_cli_fix_keeps_the_names_of_the_free_inputs(capsys):
+    code = main(["run", "--model", "ishigami", "--fix", "1:0", "--methods", "deriv",
+                 "--n-deriv", "200", "--seed", "3"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["metadata"]["variables"] == ["x2", "x3"]
+    assert [row["variable"] for row in payload["rows"]] == ["x2", "x3"]
+
+
+def test_cli_one_free_input_has_kappa_one(capsys):
+    code = main(["run", "--model", "mono1", "--fix", "1:0.5",
+                 "--methods", "entropy,deriv,bounds", "--n", "1e5"])
+    assert code == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["variable"] == "x2" and row["kappa"] == 1.0
+
+
 D, N, N_DERIV, N_BASE, REPS, GROUPS = 3, 2000, 500, 500, 2, ((0, 1), (2,))
 
 

@@ -114,3 +114,15 @@ def test_nonfinite_differences_count_against_the_rate():
     model = Model("rare-nan", (Uniform(0, 1),) * 2, evaluator)
     with pytest.raises(NumericalError, match="variance x1"):
         estimate_total_effect_variance(model, 20_000, np.random.default_rng(0))
+
+
+def test_every_evaluated_matrix_has_contiguous_columns():
+    # g(A), g(B) and every g(AB_i) see the Fortran layout sample_inputs gives
+    layouts = []
+
+    def evaluator(x):
+        layouts.append(x.flags.f_contiguous)
+        return x.sum(axis=1)
+    model = Model("spy", (Uniform(0, 1),) * 3, evaluator)
+    estimate_total_effect_variance(model, 200, np.random.default_rng(4))
+    assert layouts == [True] * 5
