@@ -2,8 +2,9 @@
 
 Subcommands: ``run`` (single model, chosen estimators), ``metastudy``
 (ranking-agreement over random functions), ``convergence`` (sample ladders),
-and ``tables`` (named study presets). Reports are written atomically as CSV
-or JSON; relative output paths honor $ENTROSA_OUTPUT_DIR.
+and ``tables`` (named study presets). A report is written atomically, as CSV
+to a ``.csv`` path and as JSON to any other; relative output paths land in
+$ENTROSA_OUTPUT_DIR when it is set.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 sparse-grid abort.
@@ -13,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
+from pathlib import Path
 
 from .errors import ConfigurationError, NumericalError, SparseGridError
 from .report import METHODS, RunConfig, _coerce, _parse_count, _read_config_file
@@ -55,8 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      metavar="I=KIND(...)",
                      help="replace input law i, e.g. 2=TruncatedGaussian(30,64,15,inf)")
     run.add_argument("--seed")
-    run.add_argument("--output")
-    run.add_argument("--format", help="csv or json")
+    run.add_argument("--output", help="report path; a .csv path gets CSV, any other JSON")
 
     meta = sub.add_parser("metastudy", help="ranking agreement over random functions")
     meta.add_argument("--n-functions", required=True)
@@ -96,6 +98,15 @@ def _run_config_from_args(args) -> RunConfig:
     return RunConfig.from_mapping(data)
 
 
+def _output_path(path: str, is_dir: bool = False) -> Path:
+    """``path`` under $ENTROSA_OUTPUT_DIR when it is relative and the variable
+    is set. Its directory is made now, before any computation, so that a path
+    that cannot hold a file fails first rather than last."""
+    path = Path(os.environ.get("ENTROSA_OUTPUT_DIR", ""), path)
+    (path if is_dir else path.parent).mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
@@ -103,28 +114,29 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             config = _run_config_from_args(args)
-            report = run_from_config(config)
             if config.output:
-                print(f"report written: {config.output}")
-            else:
-                print(report.to_json())
+                config = replace(config, output=str(_output_path(config.output)))
+            report = run_from_config(config)
+            print(f"report written: {config.output}" if config.output else report.to_json())
         elif args.command == "metastudy":
+            output = _output_path(args.output)
             result = metastudy(_coerce("n_functions", _parse_count, args.n_functions),
                                _coerce("n_samples", _parse_count, args.n_samples), args.seed,
-                               output=args.output,
+                               output=output,
                                n_deriv=_coerce("n_deriv", _parse_count, args.n_deriv))
-            print(f"metastudy written: {args.output}")
+            print(f"metastudy written: {output}")
             for family, vals in result["summary"]["agreement"].items():
                 print(f"  {family}: " + " ".join(f"{k}={v:.3f}" for k, v in vals.items()))
         elif args.command == "convergence":
+            output = _output_path(args.output)
             ladder = [_coerce("ladder", _parse_count, v) for v in args.ladder.split(",")]
             convergence(args.model, args.method, ladder,
                         _coerce("reps", _parse_count, args.reps), args.seed,
-                        output=args.output)
-            print(f"convergence table written: {args.output}")
+                        output=output)
+            print(f"convergence table written: {output}")
         elif args.command == "tables":
-            paths = run_table_preset(args.name, args.outdir, seed=args.seed,
-                                     scale=args.scale)
+            paths = run_table_preset(args.name, _output_path(args.outdir, is_dir=True),
+                                     seed=args.seed, scale=args.scale)
             for p in paths:
                 print(f"written: {p}")
     except ConfigurationError as exc:

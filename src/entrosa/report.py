@@ -18,10 +18,9 @@ from .entropy import HistogramSpec
 from .errors import ConfigurationError
 
 __all__ = ["RunConfig", "SensitivityReport", "rank_descending", "METHODS",
-           "load_config_file", "reports_equal", "write_atomic", "OUTPUT_DIR_ENV"]
+           "load_config_file", "reports_equal", "write_atomic"]
 
 METHODS = ("deriv", "variance", "entropy", "kl", "bounds", "groups")
-OUTPUT_DIR_ENV = "ENTROSA_OUTPUT_DIR"
 
 # report columns, mirroring the flood-study table layout
 ROW_FIELDS = ("s_total", "v_total", "variance_bound", "h_total", "h_total_std",
@@ -109,7 +108,6 @@ _PARSERS = {
     "input_overrides": lambda v: _parse_pairs(v, int, str),
     "fix": lambda v: _parse_pairs(v.split(",") if isinstance(v, str) else v, int, float, ":"),
     "output": str,
-    "format": str,
 }
 
 
@@ -141,7 +139,6 @@ class RunConfig:
     input_overrides: tuple[tuple[int, str], ...] | None = None
     fix: tuple[tuple[int, float], ...] | None = None
     output: str | None = None
-    format: str = "json"
 
     def __post_init__(self):
         if not self.model and self.metafunction_seed is None:
@@ -156,8 +153,6 @@ class RunConfig:
             raise ConfigurationError(f"unknown methods {bad}; known: {', '.join(METHODS)}")
         if not self.methods:
             raise ConfigurationError("at least one method is required")
-        if self.format not in ("csv", "json"):
-            raise ConfigurationError(f"format must be csv or json, got {self.format!r}")
         if "groups" in self.methods and not self.groups:
             raise ConfigurationError("method 'groups' requires a groups definition")
         if not 0 < self.fd_step < math.inf:
@@ -191,7 +186,7 @@ class RunConfig:
 # model parameter, and an [inputs] key x<i> overrides the law of input i
 _FILE_KEYS = {
     "run": {k: k for k in ("methods", "n_samples", "n_base", "n_deriv", "repetitions",
-                           "fd_step", "seed", "output", "format")},
+                           "fd_step", "seed", "output")},
     "model": {"name": "model", "metafunction_seed": "metafunction_seed", "fix": "fix"},
     "inputs": {},
     "histogram": {"bins_output": "bins_output", "bins_per_conditioning_dim": "bins_cond"},
@@ -306,11 +301,9 @@ class SensitivityReport:
         return cls(metadata=data["metadata"], rows=data["rows"],
                    rankings=data.get("rankings", {}))
 
-    def write(self, path: str | Path, fmt: str | None = None):
-        """Atomic write in csv or json format."""
-        path = Path(path)
-        fmt = fmt or ("csv" if path.suffix == ".csv" else "json")
-        write_atomic(path, self.to_csv() if fmt == "csv" else self.to_json())
+    def write(self, path: str | Path):
+        """Atomic write: CSV to a ``.csv`` path, JSON to any other."""
+        write_atomic(path, self.to_csv() if Path(path).suffix == ".csv" else self.to_json())
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -335,9 +328,8 @@ def write_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def reports_equal(a: SensitivityReport, b: SensitivityReport,
-                  ignore: tuple[str, ...] = ("wall_time_s",)) -> bool:
-    """Value-level equality, ignoring volatile metadata such as wall time."""
-    meta_a = {k: v for k, v in a.metadata.items() if k not in ignore}
-    meta_b = {k: v for k, v in b.metadata.items() if k not in ignore}
+def reports_equal(a: SensitivityReport, b: SensitivityReport) -> bool:
+    """Value-level equality, ignoring the wall time."""
+    meta_a = {k: v for k, v in a.metadata.items() if k != "wall_time_s"}
+    meta_b = {k: v for k, v in b.metadata.items() if k != "wall_time_s"}
     return meta_a == meta_b and a.rows == b.rows and a.rankings == b.rankings

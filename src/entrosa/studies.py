@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -27,8 +26,8 @@ from .entropy import (HistogramSpec, entropy_histogram, entropy_upper_bounds,
 from .errors import ConfigurationError, NumericalError, SparseGridError
 from .model import (Model, clean_outputs, evaluate_batch, fix_variables,
                     sample_inputs)
-from .report import (METHODS, OUTPUT_DIR_ENV, RunConfig, SensitivityReport,
-                     rank_descending, write_atomic)
+from .report import (METHODS, RunConfig, SensitivityReport, rank_descending,
+                     write_atomic)
 from .variance import estimate_total_effect_variance, variance_upper_bound
 
 __all__ = ["build_benchmark", "run_from_config", "metastudy", "convergence",
@@ -45,8 +44,8 @@ STUDY_BINS = {
 }
 
 
-def cube_root_bins(n: int, lo: int = 8, hi: int = 1000) -> int:
-    return int(np.clip(round(n ** (1.0 / 3.0)), lo, hi))
+def cube_root_bins(n: int) -> int:
+    return int(np.clip(round(n ** (1.0 / 3.0)), 8, 1000))
 
 
 def _scaled_spec(spec: HistogramSpec, n: int, n_full: int) -> HistogramSpec:
@@ -58,18 +57,6 @@ def _scaled_spec(spec: HistogramSpec, n: int, n_full: int) -> HistogramSpec:
     return HistogramSpec(
         bins_output=max(8, int(round(spec.bins_output * factor))),
         bins_per_conditioning_dim=max(8, int(round(spec.bins_per_conditioning_dim * factor))))
-
-
-def resolve_output_path(path: str | Path) -> Path:
-    """Relative outputs land in $ENTROSA_OUTPUT_DIR when it is set. The
-    directory is made here, before any computation, so that a path that
-    cannot hold a file fails first rather than last."""
-    path = Path(path)
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not path.is_absolute():
-        path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def build_benchmark(config: RunConfig) -> BenchmarkModel:
@@ -117,7 +104,6 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
     evaluated, counted at the evaluator."""
     t0 = time.perf_counter()
     bench = build_benchmark(config)
-    output = config.output and resolve_output_path(config.output)
     n_evaluations = 0
 
     def counted(x: np.ndarray) -> np.ndarray:
@@ -180,7 +166,8 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
                                      streams["groups"], config.groups)
         metadata["groups"] = [
             {"group": [i + 1 for i in g], "l": float(l), "exp_l": math.exp(l),
-             "zero_derivative_fraction": float(z), "bound": math.exp(l) / math.exp(h_y)}
+             "zero_derivative_fraction": float(z),
+             "bound": 0.0 if l == -math.inf else float(np.exp(l - h_y))}
             for g, l, z in zip(config.groups, gm.l, gm.zero_derivative_fraction)]
 
     rows = [{"variable": name} for name in names]
@@ -191,8 +178,8 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
     metadata["wall_time_s"] = round(time.perf_counter() - t0, 3)
     report = SensitivityReport(metadata=metadata, rows=rows)
     report.compute_rankings()
-    if output:
-        report.write(output, config.format)
+    if config.output:
+        report.write(config.output)
     return report
 
 
@@ -204,9 +191,7 @@ def _ranks(values) -> tuple[int, ...]:
 
 
 def metastudy(n_functions: int, n_samples: int, seed: int,
-              output: str | Path | None = None, n_deriv: int = 1000,
-              spec: HistogramSpec | None = None,
-              fd_step: float = 1e-5) -> dict:
+              output: str | Path | None = None, n_deriv: int = 1000) -> dict:
     """Ranking agreement between the exponentiated entropy indices and their
     two derivative-based upper bounds over randomly drawn functions.
 
@@ -219,8 +204,7 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
         raise ConfigurationError(f"metastudy needs at least 10 functions, got {n_functions}")
     if seed < 0:
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
-    spec = spec or STUDY_BINS["metastudy"]
-    output = output and resolve_output_path(output)
+    spec = STUDY_BINS["metastudy"]
     master = np.random.default_rng(seed)
     agree = {"l_bound": {"full": 0, "max": 0, "min": 0},
              "nu_bound": {"full": 0, "max": 0, "min": 0}}
@@ -237,7 +221,7 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
             er = estimate_entropy_indices(fmodel, n_samples, spec, 1, frng)
             if not np.isfinite(er.h_y) or not np.isfinite(er.h_total).all():
                 raise NumericalError("degenerate output distribution")
-            dm = estimate_deriv_measures(fmodel, n_deriv, fd_step, frng)
+            dm = estimate_deriv_measures(fmodel, n_deriv, rng=frng)
             eb = entropy_upper_bounds(dm, fmodel.inputs, er.h_y)
         except (NumericalError, SparseGridError) as exc:
             record["excluded"] = str(exc)
@@ -284,8 +268,7 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
 # convergence ladders
 
 def convergence(model_name: str, method: str, ladder: list[int], reps: int,
-                seed: int, output: str | Path | None = None,
-                model_params: dict | None = None) -> list[dict]:
+                seed: int, output: str | Path | None = None) -> list[dict]:
     """Estimates along an ascending sample ladder with repetition stds.
 
     For benchmarks with closed-form references the rows carry the reference
@@ -298,8 +281,7 @@ def convergence(model_name: str, method: str, ladder: list[int], reps: int,
         raise ConfigurationError(f"convergence supports entropy or deriv, got {method!r}")
     if seed < 0:
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
-    bench = builtin(model_name, **(model_params or {}))
-    output = output and resolve_output_path(output)
+    bench = builtin(model_name)
     model = bench.model
     analytic = bench.analytic.get("h_total" if method == "entropy" else "l")
     reference = analytic.values if analytic and analytic.source == "closed-form" else None
@@ -332,19 +314,19 @@ def convergence(model_name: str, method: str, ladder: list[int], reps: int,
 # ---------------------------------------------------------------------------
 # table presets
 
-def _table(outdir: Path, stem: str, bins: HistogramSpec, fmt: str = "csv",
+def _table(outdir: Path, name: str, bins: HistogramSpec,
            **config) -> tuple[Path, SensitivityReport]:
-    """Run one table's config and write it to ``outdir/stem.fmt``."""
-    path = outdir / f"{stem}.{fmt}"
+    """Run one table's config and write it to ``outdir/name``."""
+    path = outdir / name
     report = run_from_config(RunConfig(
         bins_output=bins.bins_output, bins_cond=bins.bins_per_conditioning_dim,
-        output=str(path), format=fmt, **config))
+        output=str(path), **config))
     return path, report
 
 
 def _preset_motivating(outdir: Path, seed: int, scale: float) -> list[Path]:
     n = max(10_000, int(1e7 * scale))
-    return [_table(outdir, "table_motivating",
+    return [_table(outdir, "table_motivating.csv",
                    _scaled_spec(STUDY_BINS["paper_1e7"], n, int(1e7)),
                    model="ratio_chi2", methods=("variance", "entropy", "kl"),
                    n_samples=n, n_base=max(1000, int(1e5 * scale)), repetitions=3,
@@ -364,7 +346,7 @@ def _preset_monotonic(outdir: Path, seed: int, scale: float) -> list[Path]:
         if name == "mono5" and n < 1_000_000:
             # a 4-D conditioning grid starves below about a million samples
             methods = ("deriv", "bounds")
-        out.append(_table(outdir, f"table_{name}", _scaled_spec(bins, n, int(1e7)),
+        out.append(_table(outdir, f"table_{name}.csv", _scaled_spec(bins, n, int(1e7)),
                           model=name, model_params=params, methods=methods,
                           n_samples=n, n_deriv=10_000, repetitions=3, seed=seed)[0])
     return out
@@ -373,7 +355,7 @@ def _preset_monotonic(outdir: Path, seed: int, scale: float) -> list[Path]:
 def _preset_nonlinear(outdir: Path, seed: int, scale: float) -> list[Path]:
     n = max(10_000, int(1e6 * scale))
     bins = _scaled_spec(STUDY_BINS["paper_1e6"], n, int(1e6))
-    return [_table(outdir, f"table_{name}", bins, model=name,
+    return [_table(outdir, f"table_{name}.csv", bins, model=name,
                    methods=("deriv", "entropy", "bounds"), n_samples=n,
                    n_deriv=10_000, repetitions=20, seed=seed)[0]
             for name in ("ishigami", "gfunction3")]
@@ -381,7 +363,7 @@ def _preset_nonlinear(outdir: Path, seed: int, scale: float) -> list[Path]:
 
 def _preset_flood(outdir: Path, seed: int, scale: float) -> list[Path]:
     n = max(100_000, int(1e7 * scale))
-    path, report = _table(outdir, "table_flood",
+    path, report = _table(outdir, "table_flood.csv",
                           _scaled_spec(STUDY_BINS["flood_kappa"], n, int(1e7)),
                           model="flood", methods=("deriv", "variance", "entropy", "bounds"),
                           n_samples=n, n_base=max(1000, int(1e5 * scale)),
@@ -393,7 +375,7 @@ def _preset_flood(outdir: Path, seed: int, scale: float) -> list[Path]:
 
 def _preset_groups(outdir: Path, seed: int, scale: float) -> list[Path]:
     n = max(10_000, int(1e6 * scale))
-    return [_table(outdir, f"table_groups_case{case}", HistogramSpec(), "json",
+    return [_table(outdir, f"table_groups_case{case}.json", HistogramSpec(),
                    model=f"gfunction9_case{case}", methods=("groups",), n_samples=n,
                    seed=seed, groups=((0, 1, 2), (3, 4, 5), (6, 7, 8)))[0]
             for case in (1, 2, 3)]
@@ -418,10 +400,11 @@ TABLE_PRESETS = {
 
 def run_table_preset(name: str, outdir: str | Path, seed: int = 0,
                      scale: float = 1.0) -> list[Path]:
-    """Run a named study preset; ``scale`` shrinks sample counts for quick runs."""
+    """Run a named study preset and write its files under ``outdir``;
+    ``scale`` in (0, inf) shrinks sample counts for quick runs."""
     if name not in TABLE_PRESETS:
         raise ConfigurationError(
             f"unknown table preset {name!r}; known: {', '.join(sorted(TABLE_PRESETS))}")
-    outdir = resolve_output_path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    if not 0 < scale < math.inf:
+        raise ConfigurationError(f"scale must be positive and finite, got {scale}")
     return TABLE_PRESETS[name](Path(outdir), seed, scale)

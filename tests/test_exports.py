@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +16,11 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names {missing}"
+
+
+def test_only_the_cli_reads_the_environment():
+    # library calls take output paths as given; the command line alone
+    # resolves $ENTROSA_OUTPUT_DIR
+    readers = [name for name in MODULES
+               if "environ" in Path(importlib.import_module(name).__file__).read_text()]
+    assert readers == ["entrosa.cli"]

@@ -150,8 +150,8 @@ class TestRunReports:
 
     def test_csv_and_json_hold_identical_values(self, small_report, tmp_path):
         cfg, report = small_report
-        report.write(tmp_path / "report.json", "json")
-        report.write(tmp_path / "report.csv", "csv")
+        report.write(tmp_path / "report.json")
+        report.write(tmp_path / "report.csv")
         loaded = SensitivityReport.from_json((tmp_path / "report.json").read_text())
         lines = (tmp_path / "report.csv").read_text().splitlines()
         header = next(l for l in lines if not l.startswith("#")).split(",")
@@ -402,8 +402,14 @@ class TestCli:
         out = tmp_path / "r.csv"
         code = main(["run", "--model", "mono3", "--methods", "deriv",
                      "--n-deriv", "500", "--seed", "1",
-                     "--output", str(out), "--format", "csv"])
+                     "--output", str(out)])
         assert code == 0 and out.exists()
+
+    def test_csv_suffix_alone_gives_csv(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["run", "--model", "mono3", "--methods", "deriv", "--n-deriv", "200",
+                     "--output", str(out)]) == 0
+        assert out.read_text().startswith("# ")
 
     def test_run_with_param_and_stdout(self, capsys):
         code = main(["run", "--model", "mono4", "--param", "r=2",
@@ -469,7 +475,9 @@ class TestCli:
                      run + ["--metafunction-seed", "3", "--param", "r=2"],
                      run + ["--model", "mono2", "--output", afile + "/r.json"],
                      meta + ["--n-functions", "10", "--output", afile + "/m.json"],
-                     ["tables", "groups", "--outdir", afile + "/x"]):
+                     ["tables", "groups", "--outdir", afile + "/x"],
+                     *(["tables", "groups", "--outdir", str(tmp_path / "t"), "--scale", v]
+                       for v in ("inf", "nan", "0", "-1"))):
             try:
                 code = main(argv)
             except SystemExit as exc:
@@ -536,6 +544,29 @@ class TestCli:
         code = main(["run", "--model", "mono3", "--methods", "deriv",
                      "--n-deriv", "200", "--seed", "1", "--output", "sub/r.json"])
         assert code == 0 and (tmp_path / "sub" / "r.json").exists()
+
+    def test_relative_output_dir_env_is_applied_once(self, tmp_path, monkeypatch, capsys):
+        # every file lands under $ENTROSA_OUTPUT_DIR once, and each printed
+        # path is the one written
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("ENTROSA_OUTPUT_DIR", "base")
+        assert main(["tables", "flood", "--outdir", "o", "--scale", "0.001"]) == 0
+        assert main(["run", "--model", "mono3", "--methods", "deriv", "--n-deriv", "200",
+                     "--output", "r.json"]) == 0
+        printed = [line.split(": ", 1)[1] for line in capsys.readouterr().out.splitlines()]
+        assert sorted(p.name for p in (tmp_path / "base" / "o").iterdir()) == [
+            "table_flood.csv", "table_flood_ranking.json"]
+        assert not (tmp_path / "base" / "base").exists()
+        assert len(printed) == 3 and all(os.path.isfile(p) for p in printed)
+        assert printed[-1] == os.path.join("base", "r.json")
+
+    def test_groups_bound_of_a_constant_output_is_zero(self, capsys):
+        # with x1 pinned at 0 mono2's output is constant: H(Y) = l = -inf
+        code = main(["run", "--model", "mono2", "--fix", "1:0", "--methods", "groups",
+                     "--groups", "1", "--n", "1e4"])
+        assert code == 0
+        (group,) = json.loads(capsys.readouterr().out)["metadata"]["groups"]
+        assert group["bound"] == 0.0
 
     def test_config_file_flow(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
