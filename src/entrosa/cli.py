@@ -98,12 +98,16 @@ def _run_config_from_args(args) -> RunConfig:
     return RunConfig.from_mapping(data)
 
 
-def _output_path(path: str, is_dir: bool = False) -> Path:
+def _output_path(path: str, made: list, is_dir: bool = False) -> Path:
     """``path`` under $ENTROSA_OUTPUT_DIR when it is relative and the variable
     is set. Its directory is made now, before any computation, so that a path
-    that cannot hold a file fails first rather than last."""
+    that cannot hold a file fails first rather than last; the directories
+    made are added to ``made``, innermost first."""
     path = Path(os.environ.get("ENTROSA_OUTPUT_DIR", ""), path)
-    (path if is_dir else path.parent).mkdir(parents=True, exist_ok=True)
+    directory = path if is_dir else path.parent
+    missing = [p for p in (directory, *directory.parents) if not p.exists()]
+    directory.mkdir(parents=True, exist_ok=True)
+    made.extend(missing)
     return path
 
 
@@ -111,15 +115,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
+    made: list[Path] = []
+    code = 1  # until the command ends: an escaping exception fails it too
     try:
         if args.command == "run":
             config = _run_config_from_args(args)
             if config.output:
-                config = replace(config, output=str(_output_path(config.output)))
+                config = replace(config, output=str(_output_path(config.output, made)))
             report = run_from_config(config)
             print(f"report written: {config.output}" if config.output else report.to_json())
         elif args.command == "metastudy":
-            output = _output_path(args.output)
+            output = _output_path(args.output, made)
             result = metastudy(_coerce("n_functions", _parse_count, args.n_functions),
                                _coerce("n_samples", _parse_count, args.n_samples), args.seed,
                                output=output,
@@ -128,30 +134,39 @@ def main(argv=None) -> int:
             for family, vals in result["summary"]["agreement"].items():
                 print(f"  {family}: " + " ".join(f"{k}={v:.3f}" for k, v in vals.items()))
         elif args.command == "convergence":
-            output = _output_path(args.output)
+            output = _output_path(args.output, made)
             ladder = [_coerce("ladder", _parse_count, v) for v in args.ladder.split(",")]
             convergence(args.model, args.method, ladder,
                         _coerce("reps", _parse_count, args.reps), args.seed,
                         output=output)
             print(f"convergence table written: {output}")
         elif args.command == "tables":
-            paths = run_table_preset(args.name, _output_path(args.outdir, is_dir=True),
+            paths = run_table_preset(args.name, _output_path(args.outdir, made, is_dir=True),
                                      seed=args.seed, scale=args.scale)
             for p in paths:
                 print(f"written: {p}")
+        code = 0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code = EXIT_CONFIG
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code = EXIT_CONFIG
     except SparseGridError as exc:
         print(f"sparse-grid abort: {exc}", file=sys.stderr)
-        return EXIT_SPARSE
+        code = EXIT_SPARSE
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return 0
+        code = EXIT_NUMERICAL
+    finally:
+        # a failed command removes the directories it made, innermost first,
+        # stopping at the first that holds something
+        for directory in made if code else ():
+            try:
+                directory.rmdir()
+            except OSError:
+                break
+    return code
 
 
 if __name__ == "__main__":

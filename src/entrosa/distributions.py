@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import digamma, gammaln, ndtr, ndtri
 
 from .errors import ConfigurationError, NumericalError
@@ -204,6 +203,8 @@ class _Truncated(Distribution):
 
     @lru_cache(maxsize=None)
     def entropy(self):
+        from scipy.integrate import quad
+
         # H = -(1/dF) * int_{qa}^{qb} ln(f(Q(u)) / dF) du  in the quantile domain
         qa, qb = self._qrange()
         df = qb - qa
@@ -221,6 +222,8 @@ class _Truncated(Distribution):
 
     @lru_cache(maxsize=None)
     def mean(self):
+        from scipy.integrate import quad
+
         qa, qb = self._qrange()
         df = qb - qa
         m1, e1 = quad(lambda u: self._ppf(qa + df * u), 0.0, 1.0, epsabs=1e-10, limit=200)

@@ -68,23 +68,29 @@ class HistogramSpec:
 
 def _axis_codes(values: np.ndarray, bins: int) -> tuple[np.ndarray, float]:
     """Equal-width cell index per sample and the cell width; grid spans the
-    sample min/max with no padding. Returns (None, 0) on a degenerate range."""
+    sample min/max with no padding. Returns (None, 0) on a degenerate range
+    and raises NumericalError on a range float64 cannot divide into cells."""
     # the one float temporary, scaled in place below
     scaled = np.array(values, dtype=float)
-    lo = scaled.min()
-    hi = scaled.max()
-    if not (np.isfinite(lo) and np.isfinite(hi)):
+    lo = float(scaled.min())
+    hi = float(scaled.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericalError("histogram input contains non-finite values")
     if hi <= lo:
         return None, 0.0
     width = (hi - lo) / bins
+    # cells per unit; 0 or inf when float64 cannot span the range in cells
+    factor = bins / (hi - lo)
+    if not 0 < factor < math.inf:
+        raise NumericalError(f"sample range [{lo!r}, {hi!r}] is too narrow or too wide "
+                             f"for {bins} histogram cells")
     scaled -= lo
-    scaled *= bins / (hi - lo)
+    scaled *= factor
     # scaled >= 0, so truncating before the clip gives the same codes as after
     codes = scaled.astype(np.int32)
     del scaled
     np.minimum(codes, bins - 1, out=codes)
-    return codes, float(width)
+    return codes, width
 
 
 def _cell_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,6 +186,8 @@ def conditional_entropy(y: np.ndarray, x_cond: np.ndarray,
     n, k = x_cond.shape
     if n != y.size:
         raise ConfigurationError("y and x_cond disagree on sample count")
+    if n < 1:
+        raise ConfigurationError("conditional_entropy needs at least one sample")
     _check_grid(k, spec)
     ycodes, width = _axis_codes(y, spec.bins_output)
     if ycodes is None:
@@ -278,8 +286,9 @@ def entropy_upper_bounds(measures: DerivMeasures, inputs: tuple[Distribution, ..
     """Derivative-based upper bounds for the entropy indices.
 
     The squared-DGSM bound is reported as its square root so it is directly
-    comparable to kappa. A variable with l = -inf gets zero bounds: it is
-    certified negligible.
+    comparable to kappa. A variable with l = -inf gets a zero kappa bound
+    and one with nu = 0 a zero nu bound: it is certified negligible, also
+    when the output is constant (h_y = -inf).
     """
     if measures.dim != len(inputs):
         raise ConfigurationError("derivative measures and input list disagree on dimension")
@@ -287,9 +296,12 @@ def entropy_upper_bounds(measures: DerivMeasures, inputs: tuple[Distribution, ..
     if not np.isfinite(h_x).all():
         raise ConfigurationError("input entropy must be finite for every variable")
     h_bound = h_x + measures.l
-    with np.errstate(over="raise"):
-        kappa_bound = np.exp(np.where(np.isneginf(h_bound), -np.inf, h_bound - h_y))
-        nu_kappa_bound = np.exp(h_x - h_y) * np.sqrt(measures.nu)
+    # a constant output makes -inf - -inf and inf * 0 here, in the entries
+    # that the zero derivatives replace
+    with np.errstate(over="raise", invalid="ignore"):
+        kappa_bound = np.where(np.isneginf(h_bound), 0.0, np.exp(h_bound - h_y))
+        nu_kappa_bound = np.where(measures.nu == 0, 0.0,
+                                  np.exp(h_x - h_y) * np.sqrt(measures.nu))
     return EntropyBounds(h_bound=h_bound, kappa_bound=kappa_bound,
                          nu_kappa_bound=nu_kappa_bound)
 

@@ -27,7 +27,6 @@ ROW_FIELDS = ("s_total", "v_total", "variance_bound", "h_total", "h_total_std",
               "eta", "eta_std", "kappa", "kappa_std", "h_bound", "kappa_bound",
               "nu_kappa_bound", "mu", "nu", "l", "zero_derivative_fraction", "kl")
 RANK_FAMILIES = ("s_total", "variance_bound", "kappa", "kappa_bound", "nu_kappa_bound")
-_TIE_TOL = 1e-12
 # largest 1-based index a text group range may name; far above any model's
 # dimension, which the estimator checks once the model is built
 _MAX_GROUP_INDEX = 2 ** 16
@@ -233,8 +232,10 @@ def load_config_file(path: str | Path) -> RunConfig:
 def rank_descending(values) -> tuple[list[int], bool]:
     """Dense 1-based ranks by descending value.
 
-    Ties within 1e-12 share order resolution by ascending variable index; the
-    returned flag reports whether any tie-break was applied. NaNs rank last.
+    Finite values within a relative 1e-12 of each other tie, whatever the
+    output's scale; ties are resolved by ascending variable index and the
+    returned flag reports whether any tie-break was applied. Non-finite
+    values rank last, in index order, and never count as a tie.
     """
     vals = [(-math.inf if v is None or not np.isfinite(v) else float(v), i)
             for i, v in enumerate(values)]
@@ -243,7 +244,8 @@ def rank_descending(values) -> tuple[list[int], bool]:
     tie = False
     for pos, j in enumerate(order):
         ranks[j] = pos + 1
-        if pos > 0 and abs(vals[j][0] - vals[order[pos - 1]][0]) <= _TIE_TOL:
+        prev = vals[order[pos - 1]][0] if pos else math.nan
+        if math.isfinite(prev) and math.isclose(vals[j][0], prev, rel_tol=1e-12):
             tie = True
     return ranks, tie
 

@@ -26,8 +26,7 @@ from .entropy import (HistogramSpec, entropy_histogram, entropy_upper_bounds,
 from .errors import ConfigurationError, NumericalError, SparseGridError
 from .model import (Model, clean_outputs, evaluate_batch, fix_variables,
                     sample_inputs)
-from .report import (METHODS, RunConfig, SensitivityReport, rank_descending,
-                     write_atomic)
+from .report import METHODS, RunConfig, SensitivityReport, write_atomic
 from .variance import estimate_total_effect_variance, variance_upper_bound
 
 __all__ = ["build_benchmark", "run_from_config", "metastudy", "convergence",
@@ -186,16 +185,16 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
 # ---------------------------------------------------------------------------
 # metafunction ranking-agreement study
 
-def _ranks(values) -> tuple[int, ...]:
-    return tuple(rank_descending(values)[0])
-
-
 def metastudy(n_functions: int, n_samples: int, seed: int,
               output: str | Path | None = None, n_deriv: int = 1000) -> dict:
     """Ranking agreement between the exponentiated entropy indices and their
     two derivative-based upper bounds over randomly drawn functions.
 
-    Per function the study records full-ranking, top-variable, and
+    Each function is one ``run_from_config`` run of the entropy, deriv and
+    bounds methods, with its spec's seed s as both the metafunction seed and
+    the run seed, so ``entrosa run --metafunction-seed s --seed s --methods
+    entropy,deriv,bounds`` with the study's counts and bins replays its record
+    bitwise. Per function the study records full-ranking, top-variable, and
     bottom-variable agreement for the log-derivative bound and the
     squared-derivative bound. Degenerate draws (constant output) are excluded
     with a reason and counted.
@@ -214,32 +213,30 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
 
     for idx in range(n_functions):
         fn_seed = int(master.integers(0, 2 ** 62))
-        frng = np.random.default_rng(fn_seed)
-        fn_spec, fmodel = draw_metafunction(frng, seed=fn_seed)
+        fn_spec, _ = draw_metafunction(np.random.default_rng(fn_seed), seed=fn_seed)
         record = {"index": idx, "spec": fn_spec.to_dict()}
         try:
-            er = estimate_entropy_indices(fmodel, n_samples, spec, 1, frng)
-            if not np.isfinite(er.h_y) or not np.isfinite(er.h_total).all():
+            report = run_from_config(RunConfig(
+                metafunction_seed=fn_seed, seed=fn_seed, methods=("entropy", "deriv", "bounds"),
+                n_samples=n_samples, n_deriv=n_deriv, bins_output=spec.bins_output,
+                bins_cond=spec.bins_per_conditioning_dim))
+            h_y = report.metadata["output_entropy"]["h_y"]
+            if not math.isfinite(h_y):
                 raise NumericalError("degenerate output distribution")
-            dm = estimate_deriv_measures(fmodel, n_deriv, rng=frng)
-            eb = entropy_upper_bounds(dm, fmodel.inputs, er.h_y)
         except (NumericalError, SparseGridError) as exc:
             record["excluded"] = str(exc)
             excluded.append(record)
             continue
 
-        kappa_rank = _ranks(er.kappa)
-        l_rank = _ranks(eb.kappa_bound)
-        nu_rank = _ranks(eb.nu_kappa_bound)
+        kappa_rank = report.rankings["kappa"]["ranks"]
         included += 1
-        for family, rank in (("l_bound", l_rank), ("nu_bound", nu_rank)):
+        for family, key in (("l_bound", "kappa_bound"), ("nu_bound", "nu_kappa_bound")):
+            rank = report.rankings[key]["ranks"]
             agree[family]["full"] += int(rank == kappa_rank)
             agree[family]["max"] += int(rank.index(1) == kappa_rank.index(1))
             agree[family]["min"] += int(rank.index(3) == kappa_rank.index(3))
-        record.update(kappa=[float(v) for v in er.kappa],
-                      kappa_bound=[float(v) for v in eb.kappa_bound],
-                      nu_kappa_bound=[float(v) for v in eb.nu_kappa_bound],
-                      h_y=float(er.h_y))
+        record.update({key: [row[key] for row in report.rows]
+                       for key in ("kappa", "kappa_bound", "nu_kappa_bound")}, h_y=h_y)
         functions.append(record)
 
     summary = {

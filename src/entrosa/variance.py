@@ -21,18 +21,12 @@ from .model import (Model, clean_outputs, evaluate_batch, finite_within_rate,
 __all__ = ["VarianceReport", "PoincareBound", "estimate_total_effect_variance",
            "variance_upper_bound", "poincare_constant"]
 
-_VAR_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class VarianceReport:
     v_y: float
     v_total: np.ndarray
-    s_total: np.ndarray          # NaN when the output is (near) constant
-
-    @property
-    def degenerate(self) -> bool:
-        return not np.isfinite(self.s_total).any()
+    s_total: np.ndarray          # NaN when the output is constant
 
 
 def estimate_total_effect_variance(model: Model, n_base: int,
@@ -44,7 +38,11 @@ def estimate_total_effect_variance(model: Model, n_base: int,
     b = sample_inputs(model, n_base, rng)
     y_a = evaluate_batch(model, a)
     y_b = evaluate_batch(model, b)
-    v_y = float(np.var(clean_outputs(np.concatenate([y_a, y_b]), "variance"), ddof=1))
+    y = clean_outputs(np.concatenate([y_a, y_b]), "variance")
+    v_y = float(np.var(y, ddof=1))
+    # constant by the histogram coder's rule, which no rescaling of g changes
+    constant = y.max() == y.min()
+    del y
 
     v_total = np.empty(d)
     for i in range(d):
@@ -55,10 +53,7 @@ def estimate_total_effect_variance(model: Model, n_base: int,
         diff = diff[finite_within_rate(diff, f"variance x{i + 1}")]
         v_total[i] = 0.5 * float(np.mean(diff * diff))
 
-    if v_y <= _VAR_EPS:
-        s_total = np.full(d, np.nan)
-    else:
-        s_total = v_total / v_y
+    s_total = np.full(d, np.nan) if constant else v_total / v_y
     return VarianceReport(v_y=v_y, v_total=v_total, s_total=s_total)
 
 

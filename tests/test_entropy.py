@@ -3,19 +3,22 @@
 import logging
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrosa import (ConfigurationError, HistogramSpec, Model, SparseGridError,
-                     Uniform, builtin, conditional_entropy, entropy_histogram,
+from entrosa import (ConfigurationError, HistogramSpec, Model, NumericalError,
+                     RunConfig, SparseGridError, Uniform, builtin,
+                     conditional_entropy, entropy_histogram,
                      entropy_upper_bounds, estimate_deriv_measures,
                      estimate_entropy_indices, evaluate_batch,
                      fix_variables, kl_total_index,
                      sample_inputs)
 from entrosa.entropy import _SINGLETON_ERROR_SHARE
+from entrosa.studies import run_from_config
 
 # grids are drawn on both sides of this many cells per sample, so the
 # counting kernel meets grids smaller and far larger than the sample
@@ -61,6 +64,13 @@ class TestMarginalEntropy:
         assert h == _reference_entropy(y, 100)
         assert caplog.records == []
 
+    def test_range_too_narrow_to_bin_is_a_numerical_error(self):
+        # 100 cells over a subnormal range would need an infinite scale factor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="too narrow"):
+                entropy_histogram(np.array([0.0, 1e-315]))
+
     def test_affine_law_shift_preserving_counts(self):
         rng = np.random.default_rng(3)
         s = rng.random(100_000)
@@ -104,6 +114,10 @@ class TestConditionalEntropy:
     def test_sample_count_mismatch(self):
         with pytest.raises(ConfigurationError):
             conditional_entropy(np.zeros(10), np.zeros((11, 1)))
+
+    def test_no_samples(self):
+        with pytest.raises(ConfigurationError, match="at least one sample"):
+            conditional_entropy(np.zeros(0), np.zeros((0, 1)))
 
     def test_scale_mixture_interaction_property(self):
         # y = z*x + (2z + 1): conditional variance averages E[z^2]*Var(x) and
@@ -442,6 +456,15 @@ class TestBounds:
         assert eb.h_bound[0] == -math.inf
         assert eb.kappa_bound[0] == 0.0
         assert eb.kappa_bound[1] > 0
+
+    def test_constant_output_gets_zero_bounds_quietly(self):
+        # x1 * x2 with x1 pinned at 0 is constant, so h_y = -inf; the zero
+        # derivative still certifies both bounds negligible
+        config = RunConfig(model="mono2", fix=((1, 0.0),), methods=("bounds",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row, = run_from_config(config).rows
+        assert row["kappa_bound"] == 0.0 and row["nu_kappa_bound"] == 0.0
 
     def test_nu_bound_dominates_l_bound(self):
         # e^l <= sqrt(nu) transfers to the exponentiated bounds

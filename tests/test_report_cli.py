@@ -117,6 +117,29 @@ class TestRankings:
         ranks, _ = rank_descending([float("nan"), 2.0, 1.0])
         assert ranks == [3, 1, 2]
 
+    def test_ties_are_relative_between_finite_values(self):
+        assert rank_descending([1e-15, 9e-15])[1] is False
+        assert rank_descending([1e20, 1e20 * (1 + 1e-14)])[1] is True
+        # a non-finite value ranks last and ties with nothing
+        assert rank_descending([0.0, -math.inf, float("nan")]) == ([1, 2, 3], False)
+
+
+def test_no_decision_depends_on_the_output_scale(monkeypatch):
+    # 2**-30 scales every output, difference and variance exactly, so the
+    # shares, the ranks and the tie flags must not move
+    import entrosa.studies as studies
+    from entrosa import BenchmarkModel, Model, builtin
+
+    config = RunConfig(model="mono3", methods=("variance", "deriv", "bounds"),
+                       n_base=2000, n_deriv=500, seed=3)
+    plain = run_from_config(config)
+    mono3 = builtin("mono3").model
+    scaled = Model("mono3", mono3.inputs, lambda x: mono3.evaluator(x) * 2.0 ** -30)
+    monkeypatch.setattr(studies, "builtin", lambda name: BenchmarkModel(name, scaled))
+    small = run_from_config(config)
+    assert [r["s_total"] for r in small.rows] == [r["s_total"] for r in plain.rows]
+    assert small.rankings == plain.rankings
+
 
 @pytest.fixture(scope="module")
 def small_report():
@@ -334,6 +357,18 @@ class TestStudies:
         spec = MetaFunctionSpec.from_dict(result["functions"][0]["spec"])
         assert build_metafunction(spec).dim == 3
 
+    def test_metastudy_record_replays_with_run(self, capsys):
+        # each function is one run of entropy, deriv and bounds seeded by its
+        # spec's seed, so the command line gives its record bitwise
+        record = metastudy(10, 20_000, seed=4, n_deriv=200)["functions"][3]
+        s = str(record["spec"]["seed"])
+        assert main(["run", "--metafunction-seed", s, "--seed", s,
+                     "--methods", "entropy,deriv,bounds", "--n", "20000",
+                     "--n-deriv", "200", "--bins-output", "100", "--bins-cond", "100"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        for key in ("kappa", "kappa_bound", "nu_kappa_bound"):
+            assert [row[key] for row in rows] == record[key], key
+
     def test_metastudy_rejects_tiny_runs(self):
         with pytest.raises(ConfigurationError):
             metastudy(5, 1000, seed=0)
@@ -477,7 +512,11 @@ class TestCli:
                      meta + ["--n-functions", "10", "--output", afile + "/m.json"],
                      ["tables", "groups", "--outdir", afile + "/x"],
                      *(["tables", "groups", "--outdir", str(tmp_path / "t"), "--scale", v]
-                       for v in ("inf", "nan", "0", "-1"))):
+                       for v in ("inf", "nan", "0", "-1")),
+                     ["run", "--model", "nosuch", "--output",
+                      str(tmp_path / "new" / "d" / "r.json")],
+                     ["metastudy", "--n-functions", "10", "--n", "1e3", "--n-deriv", "5",
+                      "--seed", "1", "--output", str(tmp_path / "new" / "m.json")]):
             try:
                 code = main(argv)
             except SystemExit as exc:
@@ -486,6 +525,9 @@ class TestCli:
             assert capsys.readouterr().err, argv
         assert not (tmp_path / "c.json").exists()
         assert not (tmp_path / "m.json").exists()
+        # a refused command leaves no directory it made
+        assert not (tmp_path / "t").exists()
+        assert not (tmp_path / "new").exists()
 
     def test_flags_complete_the_config_file(self, tmp_path, capsys):
         # the file and the flags merge before the config is validated, so a
@@ -509,6 +551,11 @@ class TestCli:
         code = main(["run", "--model", "gfunction9_case1", "--methods", "entropy",
                      "--n", "2000", "--seed", "0"])
         assert code == 4
+
+    def test_output_range_too_narrow_to_bin_exit_code(self, capsys):
+        code = main(["run", "--model", "mono2", "--override-input", "1=Uniform(0,1e-315)",
+                     "--methods", "groups", "--groups", "1,2", "--n", "1e4"])
+        assert code == 3
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
     def test_mostly_nonfinite_outputs_exit_code(self, capsys):
