@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Mapping
 
 import numpy as np
@@ -398,10 +399,14 @@ def build_metafunction(spec: MetaFunctionSpec) -> Model:
     alpha = np.array(spec.alpha)
 
     def evaluator(x: np.ndarray) -> np.ndarray:
-        fx = np.stack([BASIS_FUNCTIONS[u[i] - 1](x[:, i]) for i in range(3)], axis=1)
+        # filled column by column, and each interaction multiplied in factor
+        # order, the order np.prod takes: no stacked copy of the columns
+        fx = np.empty((x.shape[0], 3))
+        for i in range(3):
+            fx[:, i] = BASIS_FUNCTIONS[u[i] - 1](x[:, i])
         y = fx @ alpha
-        y = y + spec.beta * np.prod([fx[:, j - 1] for j in spec.v], axis=0)
-        y = y + spec.gamma * np.prod([fx[:, k - 1] for k in spec.w], axis=0)
+        y += spec.beta * reduce(np.multiply, [fx[:, j - 1] for j in spec.v])
+        y += spec.gamma * reduce(np.multiply, [fx[:, k - 1] for k in spec.w])
         return y
 
     label = "metafunction[u=%d%d%d,seed=%d]" % (*u, spec.seed)

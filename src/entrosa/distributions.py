@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import digamma, gammaln, ndtr, ndtri
 
 from .errors import ConfigurationError, NumericalError
 
@@ -146,6 +145,8 @@ class ChiSquared(Distribution):
         return rng.chisquare(self.df, n)
 
     def entropy(self):
+        from scipy.special import digamma, gammaln
+
         k2 = self.df / 2.0
         return k2 + math.log(2.0) + gammaln(k2) + (1.0 - k2) * digamma(k2)
 
@@ -252,8 +253,18 @@ class TruncatedGaussian(_Truncated):
     def _loc_scale(self):
         return self.mu, math.sqrt(self.var)
 
-    _zcdf = staticmethod(ndtr)
-    _zppf = staticmethod(ndtri)
+    # scipy.special is imported on first use, so importing entrosa does not load it
+    @staticmethod
+    def _zcdf(z):
+        from scipy.special import ndtr
+
+        return ndtr(z)
+
+    @staticmethod
+    def _zppf(q):
+        from scipy.special import ndtri
+
+        return ndtri(q)
 
     @staticmethod
     def _zlogpdf(z):

@@ -114,12 +114,13 @@ def _check_grid(k: int, spec: HistogramSpec) -> None:
 
 
 def _conditional_from_codes(ycodes: np.ndarray, width: float, cond_codes: list,
-                            spec: HistogramSpec) -> float:
+                            spec: HistogramSpec, where: str = "") -> float:
     """Plug-in H(Y|X) from the output cell codes (cell width ``width``) and one
     code array per conditioning axis, None for a constant column, which
     carries no information; with none, this is H(Y). Escalates to an error
     when more than half of the occupied conditioning cells hold a single
-    sample."""
+    sample. ``where``, such as ``variable 2 of ishigami``, prefixes the
+    sparse-grid warning and error."""
     n = ycodes.size
     bins_out = spec.bins_output
     live = [codes for codes in cond_codes if codes is not None]
@@ -143,15 +144,16 @@ def _conditional_from_codes(ycodes: np.ndarray, width: float, cond_codes: list,
     # with no conditioning axis this is H(Y), and no grid can be sparse
     if live:
         occupied = k_i.size
+        prefix = f"{where}: " if where else ""
         singleton_share = float((k_i == 1).mean())
         if singleton_share > _SINGLETON_ERROR_SHARE:
             raise SparseGridError(
-                f"{singleton_share:.0%} of {occupied} occupied conditioning cells hold a "
-                "single sample; use fewer bins or more samples")
+                f"{prefix}{singleton_share:.0%} of {occupied} occupied conditioning cells "
+                "hold a single sample; use fewer bins or more samples")
         mean_count = n / occupied
         if mean_count < _SPARSE_WARN_MEAN_COUNT:
-            log.warning("sparse conditioning grid: %.1f samples per occupied cell "
-                        "(%d cells)", mean_count, occupied)
+            log.warning("%ssparse conditioning grid: %.1f samples per occupied cell "
+                        "(%d cells)", prefix, mean_count, occupied)
 
     h = -(counts / n * np.log(counts / k_i_full)).sum() + math.log(width)
     return float(h)
@@ -249,11 +251,8 @@ def estimate_entropy_indices(model: Model, n: int,
         # free the samples before the counting passes; the codes are all they need
         del x, y
         for i in range(d):
-            try:
-                h_t[r, i] = _conditional_from_codes(ycodes, width, cols[:i] + cols[i + 1:],
-                                                    spec)
-            except SparseGridError as exc:
-                raise SparseGridError(f"variable {i + 1} of {model.name}: {exc}") from exc
+            h_t[r, i] = _conditional_from_codes(ycodes, width, cols[:i] + cols[i + 1:],
+                                                spec, f"variable {i + 1} of {model.name}")
         del ycodes, cols
 
     # degenerate outputs carry -inf entropies; the NaNs they produce here are

@@ -18,7 +18,7 @@ from .entropy import HistogramSpec
 from .errors import ConfigurationError
 
 __all__ = ["RunConfig", "SensitivityReport", "rank_descending", "METHODS",
-           "load_config_file", "reports_equal", "write_atomic"]
+           "load_config_file", "reports_equal", "write_atomic", "json_text"]
 
 METHODS = ("deriv", "variance", "entropy", "kl", "bounds", "groups")
 
@@ -274,13 +274,13 @@ class SensitivityReport:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps({"metadata": self.metadata, "rows": self.rows,
-                           "rankings": self.rankings}, indent=2, sort_keys=True)
+        return json_text({"metadata": self.metadata, "rows": self.rows,
+                          "rankings": self.rankings}, indent=2)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         for key in sorted(self.metadata):
-            buf.write(f"# {key} = {json.dumps(self.metadata[key], sort_keys=True)}\n")
+            buf.write(f"# {key} = {json_text(self.metadata[key])}\n")
         columns = ["variable"] + [f for f in ROW_FIELDS
                                   if any(f in row for row in self.rows)]
         rank_cols = [f"rank_{fam}" for fam in self.rankings]
@@ -299,13 +299,38 @@ class SensitivityReport:
 
     @classmethod
     def from_json(cls, text: str) -> "SensitivityReport":
-        data = json.loads(text)
+        """The report ``to_json`` wrote; the strings "inf", "-inf" and "nan"
+        read back as the floats they spell."""
+        data = _map_leaves(json.loads(text),
+                           lambda v: _NON_FINITE.get(v, v) if isinstance(v, str) else v)
         return cls(metadata=data["metadata"], rows=data["rows"],
                    rankings=data.get("rankings", {}))
 
     def write(self, path: str | Path):
         """Atomic write: CSV to a ``.csv`` path, JSON to any other."""
         write_atomic(path, self.to_csv() if Path(path).suffix == ".csv" else self.to_json())
+
+
+# JSON has no non-finite numbers; files spell them as the CSV cells do
+_NON_FINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
+
+
+def _map_leaves(obj, leaf):
+    """``obj`` with ``leaf`` applied to every value that is not a dict or a
+    list; tuples become lists, as in JSON."""
+    if isinstance(obj, dict):
+        return {k: _map_leaves(v, leaf) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_map_leaves(v, leaf) for v in obj]
+    return leaf(obj)
+
+
+def json_text(obj, indent: int | None = None) -> str:
+    """Strict JSON, keys sorted, for every file entrosa writes: a non-finite
+    float is written as the string "inf", "-inf" or "nan"."""
+    spelled = _map_leaves(obj, lambda v: repr(float(v))
+                          if isinstance(v, float) and not math.isfinite(v) else v)
+    return json.dumps(spelled, indent=indent, sort_keys=True, allow_nan=False)
 
 
 def write_atomic(path: str | Path, text: str) -> None:

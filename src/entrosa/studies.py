@@ -10,9 +10,10 @@ per study in ``STUDY_BINS``.
 
 from __future__ import annotations
 
-import json
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .entropy import (HistogramSpec, entropy_histogram, entropy_upper_bounds,
 from .errors import ConfigurationError, NumericalError, SparseGridError
 from .model import (Model, clean_outputs, evaluate_batch, fix_variables,
                     sample_inputs)
-from .report import METHODS, RunConfig, SensitivityReport, write_atomic
+from .report import METHODS, RunConfig, SensitivityReport, json_text, write_atomic
 from .variance import estimate_total_effect_variance, variance_upper_bound
 
 __all__ = ["build_benchmark", "run_from_config", "metastudy", "convergence",
@@ -89,6 +90,14 @@ def build_benchmark(config: RunConfig) -> BenchmarkModel:
         names = tuple(n for j, n in enumerate(names) if j not in fixed)
     # composed models drop the builtin's analytic record: it no longer applies
     return BenchmarkModel(name=model.name, model=model, var_names=names)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _method_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -198,6 +207,10 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
     bottom-variable agreement for the log-derivative bound and the
     squared-derivative bound. Degenerate draws (constant output) are excluded
     with a reason and counted.
+
+    The functions run concurrently on a pool of threads, one per usable CPU.
+    Each draws only from its own seed, so the result is bitwise the same
+    whatever the number of CPUs.
     """
     if n_functions < 10:
         raise ConfigurationError(f"metastudy needs at least 10 functions, got {n_functions}")
@@ -205,39 +218,54 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
     spec = STUDY_BINS["metastudy"]
     master = np.random.default_rng(seed)
+    seeds = [int(master.integers(0, 2 ** 62)) for _ in range(n_functions)]
     agree = {"l_bound": {"full": 0, "max": 0, "min": 0},
              "nu_bound": {"full": 0, "max": 0, "min": 0}}
     functions = []
     excluded = []
     included = 0
 
-    for idx in range(n_functions):
-        fn_seed = int(master.integers(0, 2 ** 62))
-        fn_spec, _ = draw_metafunction(np.random.default_rng(fn_seed), seed=fn_seed)
-        record = {"index": idx, "spec": fn_spec.to_dict()}
+    def run(fn_seed: int) -> SensitivityReport | str:
+        """The function's report, or the reason it is excluded."""
         try:
             report = run_from_config(RunConfig(
                 metafunction_seed=fn_seed, seed=fn_seed, methods=("entropy", "deriv", "bounds"),
                 n_samples=n_samples, n_deriv=n_deriv, bins_output=spec.bins_output,
                 bins_cond=spec.bins_per_conditioning_dim))
-            h_y = report.metadata["output_entropy"]["h_y"]
-            if not math.isfinite(h_y):
+            if not math.isfinite(report.metadata["output_entropy"]["h_y"]):
                 raise NumericalError("degenerate output distribution")
         except (NumericalError, SparseGridError) as exc:
-            record["excluded"] = str(exc)
-            excluded.append(record)
-            continue
+            # the message only: the traceback would hold the run's arrays
+            return str(exc)
+        return report
 
-        kappa_rank = report.rankings["kappa"]["ranks"]
-        included += 1
-        for family, key in (("l_bound", "kappa_bound"), ("nu_bound", "nu_kappa_bound")):
-            rank = report.rankings[key]["ranks"]
-            agree[family]["full"] += int(rank == kappa_rank)
-            agree[family]["max"] += int(rank.index(1) == kappa_rank.index(1))
-            agree[family]["min"] += int(rank.index(3) == kappa_rank.index(3))
-        record.update({key: [row[key] for row in report.rows]
-                       for key in ("kappa", "kappa_bound", "nu_kappa_bound")}, h_y=h_y)
-        functions.append(record)
+    # results are read in index order, whatever order the functions finish
+    # in; any other error cancels the functions not yet started
+    pool = ThreadPoolExecutor(min(n_functions, _usable_cpus()))
+    try:
+        futures = [pool.submit(run, fn_seed) for fn_seed in seeds]
+        for idx, (fn_seed, future) in enumerate(zip(seeds, futures)):
+            report = future.result()
+            fn_spec, _ = draw_metafunction(np.random.default_rng(fn_seed), seed=fn_seed)
+            record = {"index": idx, "spec": fn_spec.to_dict()}
+            if isinstance(report, str):
+                record["excluded"] = report
+                excluded.append(record)
+                continue
+
+            kappa_rank = report.rankings["kappa"]["ranks"]
+            included += 1
+            for family, key in (("l_bound", "kappa_bound"), ("nu_bound", "nu_kappa_bound")):
+                rank = report.rankings[key]["ranks"]
+                agree[family]["full"] += int(rank == kappa_rank)
+                agree[family]["max"] += int(rank.index(1) == kappa_rank.index(1))
+                agree[family]["min"] += int(rank.index(3) == kappa_rank.index(3))
+            record.update({key: [row[key] for row in report.rows]
+                           for key in ("kappa", "kappa_bound", "nu_kappa_bound")},
+                          h_y=report.metadata["output_entropy"]["h_y"])
+            functions.append(record)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     summary = {
         "n_functions": n_functions,
@@ -257,7 +285,7 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
         summary["warning"] = "no functions survived exclusion"
     result = {"summary": summary, "functions": functions, "excluded_records": excluded}
     if output:
-        write_atomic(output, json.dumps(result, indent=2, sort_keys=True))
+        write_atomic(output, json_text(result, indent=2))
     return result
 
 
@@ -302,9 +330,8 @@ def convergence(model_name: str, method: str, ladder: list[int], reps: int,
                 for m, r in zip(mean, reference)]
         rows.append(row)
     if output:
-        write_atomic(output,
-                     json.dumps({"model": model.name, "method": method,
-                                 "seed": seed, "rows": rows}, indent=2))
+        write_atomic(output, json_text({"model": model.name, "method": method,
+                                        "seed": seed, "rows": rows}, indent=2))
     return rows
 
 
@@ -366,7 +393,7 @@ def _preset_flood(outdir: Path, seed: int, scale: float) -> list[Path]:
                           n_samples=n, n_base=max(1000, int(1e5 * scale)),
                           n_deriv=max(1000, int(2e5 * scale)), repetitions=3, seed=seed)
     ranking_path = outdir / "table_flood_ranking.json"
-    write_atomic(ranking_path, json.dumps(report.rankings, indent=2, sort_keys=True))
+    write_atomic(ranking_path, json_text(report.rankings, indent=2))
     return [path, ranking_path]
 
 

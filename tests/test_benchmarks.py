@@ -148,3 +148,18 @@ class TestMetafunction:
         probe = np.random.default_rng(7).random((128, 3))
         expected = probe[:, 0] + 2.0 * probe[:, 0] ** 2  # gamma term is zero
         np.testing.assert_allclose(evaluate_batch(model, probe), expected, rtol=1e-12)
+
+    def test_evaluator_matches_the_stacked_formulation_bitwise(self):
+        # the evaluator fills its basis columns in place and multiplies the
+        # interaction factors in order; the bits are those of np.stack/np.prod
+        from entrosa.benchmarks import BASIS_FUNCTIONS
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            spec, model = draw_metafunction(rng, seed=1)
+            x = np.asfortranarray(rng.random((2000, 3)))
+            fx = np.stack([BASIS_FUNCTIONS[spec.u[i] - 1](x[:, i]) for i in range(3)],
+                          axis=1)
+            expected = fx @ np.array(spec.alpha)
+            expected = expected + spec.beta * np.prod([fx[:, j - 1] for j in spec.v], axis=0)
+            expected = expected + spec.gamma * np.prod([fx[:, k - 1] for k in spec.w], axis=0)
+            assert np.array_equal(model.evaluator(x), expected), spec

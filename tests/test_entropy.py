@@ -440,6 +440,16 @@ class TestEntropyIndices:
         bounds = np.array([h_x[i] + m.l[i] for i in (0, 1, 2, 4)])
         assert np.all(er.h_total <= bounds + 3 * er.h_total_std + 1e-9)
 
+    def test_sparse_grid_warning_names_the_model_and_variable(self, caplog):
+        # about 5 samples per conditioning cell: sparse, but few singletons;
+        # warnings of functions run side by side must say which is which
+        with caplog.at_level(logging.WARNING, logger="entrosa.entropy"):
+            estimate_entropy_indices(builtin("mono2").model, 2000, HistogramSpec(100, 400),
+                                     rng=np.random.default_rng(3))
+        sparse = [r.getMessage() for r in caplog.records if "sparse" in r.getMessage()]
+        assert [m.partition(":")[0] for m in sparse] == ["variable 1 of mono2",
+                                                         "variable 2 of mono2"]
+
 
 class TestBounds:
     def test_mono5_bound_equals_total_effect_entropy(self):

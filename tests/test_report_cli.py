@@ -295,6 +295,24 @@ def test_cli_one_free_input_has_kappa_one(capsys):
     assert row["variable"] == "x2" and row["kappa"] == 1.0
 
 
+def test_report_json_is_strict_and_round_trips(capsys):
+    # a constant output gives h_y = -inf and h_bound = -inf; JSON has no such
+    # numbers, so they are written as the strings the CSV cells use
+    assert main(["run", "--model", "mono2", "--fix", "1:0", "--methods", "bounds"]) == 0
+    text = capsys.readouterr().out
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    json.loads(text, parse_constant=refuse)
+    report = SensitivityReport.from_json(text)
+    assert report.metadata["output_entropy"]["h_y"] == -math.inf
+    assert report.rows[0]["h_bound"] == -math.inf
+    again = SensitivityReport.from_json(report.to_json())
+    assert reports_equal(again, report)
+    assert report.to_json() == text.strip()
+
+
 D, N, N_DERIV, N_BASE, REPS, GROUPS = 3, 2000, 500, 500, 2, ((0, 1), (2,))
 
 
@@ -368,6 +386,36 @@ class TestStudies:
         rows = json.loads(capsys.readouterr().out)["rows"]
         for key in ("kappa", "kappa_bound", "nu_kappa_bound"):
             assert [row[key] for row in rows] == record[key], key
+
+    def test_metastudy_output_does_not_depend_on_the_cpu_count(self, tmp_path,
+                                                                monkeypatch):
+        from entrosa import MetaFunctionSpec, build_metafunction
+        import entrosa.studies as studies
+        draw = studies.draw_metafunction
+
+        def some_constant(rng, seed=-1):
+            # every third seed draws a constant function, which is excluded
+            if seed % 3:
+                return draw(rng, seed)
+            spec = MetaFunctionSpec(u=(7, 7, 7), v=(1, 1), w=(1, 1, 1),
+                                    alpha=(1.0, 1.0, 1.0), beta=1.0, gamma=1.0, seed=seed)
+            return spec, build_metafunction(spec)
+
+        monkeypatch.setattr(studies, "draw_metafunction", some_constant)
+        texts = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                                raising=False)
+            out = tmp_path / f"meta{cpus}.json"
+            result = metastudy(12, 20_000, seed=4, output=out, n_deriv=200)
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        # included and excluded records each come in index order
+        for records in (result["functions"], result["excluded_records"]):
+            indices = [r["index"] for r in records]
+            assert indices == sorted(indices)
+        assert result["excluded_records"]
+        assert len(result["functions"]) + len(result["excluded_records"]) == 12
 
     def test_metastudy_rejects_tiny_runs(self):
         with pytest.raises(ConfigurationError):
@@ -453,9 +501,11 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["metadata"]["dim"] == 2
 
-    def test_config_error_exit_code(self, tmp_path, capsys):
+    def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch):
         # malformed values exit 2 with a message, whether argparse or the
-        # config validation rejects them
+        # config validation rejects them; a metastudy's functions run on two
+        # threads, and an error in one cancels the rest
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         run = ["run", "--methods", "deriv", "--n-deriv", "200"]
         files = {"seed": "[run]\nseed = abc\n[model]\nname = mono2\n",
                  "fd_step": "[run]\nfd_step = abc\n[model]\nname = mono2\n",
