@@ -32,14 +32,14 @@ class AnalyticValue:
 
 @dataclass(frozen=True)
 class BenchmarkModel:
-    name: str
     model: Model
     analytic: Mapping[str, AnalyticValue] = field(default_factory=dict)
     var_names: tuple[str, ...] | None = None
     # coordinates pinned at their means for entropy-index estimation (index -> value)
     entropy_fix: Mapping[int, float] | None = None
-    # per-variable constants for the derivative-based variance bound
-    poincare_constants: tuple[float, ...] | None = None
+    # per-variable constants for the derivative-based variance bound; None
+    # where the closed form of the variable's law applies
+    poincare_constants: tuple[float | None, ...] | None = None
     groups: tuple[tuple[int, ...], ...] | None = None
 
 
@@ -226,7 +226,6 @@ def builtin(name: str, **params) -> BenchmarkModel:
     if name == "ratio_chi2":
         k1, k2 = 10.0, 13.978
         return BenchmarkModel(
-            name=name,
             model=Model(name, (ChiSquared(k1), ChiSquared(k2)),
                         lambda x: x[:, 0] / x[:, 1]),
             analytic=_ratio_chi2_analytic(k1, k2),
@@ -234,12 +233,12 @@ def builtin(name: str, **params) -> BenchmarkModel:
 
     if name == "ishigami":
         upi = Uniform(-math.pi, math.pi)
-        return BenchmarkModel(name, Model(name, (upi,) * 3, _ishigami),
+        return BenchmarkModel(Model(name, (upi,) * 3, _ishigami),
                               analytic=_ishigami_analytic())
 
     if name == "gfunction3":
         a = np.array([-0.5, 0.0, 0.5])
-        return BenchmarkModel(name, Model(name, (u01,) * 3, _gfunction(a)),
+        return BenchmarkModel(Model(name, (u01,) * 3, _gfunction(a)),
                               analytic=_gfunction_analytic(a))
 
     if name.startswith("gfunction9_case"):
@@ -247,20 +246,20 @@ def builtin(name: str, **params) -> BenchmarkModel:
         a = np.array(_G9_CASES[case])
         analytic = _gfunction_analytic(a)
         analytic["group_s_total"] = AnalyticValue(_G9_GROUP_ST[case], "reported")
-        return BenchmarkModel(name, Model(name, (u01,) * 9, _gfunction(a)),
+        return BenchmarkModel(Model(name, (u01,) * 9, _gfunction(a)),
                               analytic=analytic,
                               groups=((0, 1, 2), (3, 4, 5), (6, 7, 8)))
 
     if name == "mono1":
         return BenchmarkModel(
-            name, Model(name, (u01,) * 2, lambda x: x[:, 0] + np.exp(x[:, 1])),
+            Model(name, (u01,) * 2, lambda x: x[:, 0] + np.exp(x[:, 1])),
             analytic={"h_total": AnalyticValue((0.0, 0.5), "closed-form"),
                       "l": AnalyticValue((0.0, 0.5), "closed-form"),
                       "h_bound": AnalyticValue((0.0, 0.5), "closed-form")})
 
     if name == "mono2":
         return BenchmarkModel(
-            name, Model(name, (u01,) * 2, lambda x: x[:, 0] * x[:, 1]),
+            Model(name, (u01,) * 2, lambda x: x[:, 0] * x[:, 1]),
             analytic={"h_total": AnalyticValue((-1.0, -1.0), "closed-form"),
                       "l": AnalyticValue((-1.0, -1.0), "closed-form"),
                       "h_bound": AnalyticValue((-1.0, -1.0), "closed-form")})
@@ -268,7 +267,7 @@ def builtin(name: str, **params) -> BenchmarkModel:
     if name == "mono3":
         ln3 = math.log(3.0)
         return BenchmarkModel(
-            name, Model(name, (u01,) * 2, lambda x: x[:, 0] + 3.0 * x[:, 1]),
+            Model(name, (u01,) * 2, lambda x: x[:, 0] + 3.0 * x[:, 1]),
             analytic={"h_total": AnalyticValue((0.0, ln3), "closed-form"),
                       "l": AnalyticValue((0.0, ln3), "closed-form"),
                       "h_bound": AnalyticValue((0.0, ln3), "closed-form"),
@@ -282,7 +281,6 @@ def builtin(name: str, **params) -> BenchmarkModel:
         r = r[0]
         vals = (-r, math.log(r) - r)
         return BenchmarkModel(
-            f"mono4[r={r:g}]",
             Model(f"mono4[r={r:g}]", (u01,) * 2, lambda x: x[:, 0] * x[:, 1] ** r),
             analytic={"h_total": AnalyticValue(vals, "closed-form"),
                       "l": AnalyticValue(vals, "closed-form"),
@@ -299,7 +297,6 @@ def builtin(name: str, **params) -> BenchmarkModel:
         coeffs = np.array(a)
         label = "mono5[d=%d]" % len(a)
         return BenchmarkModel(
-            label,
             Model(label, tuple(Gaussian(0.0, s * s) for s in sigma),
                   lambda x: x @ coeffs),
             analytic=_mono5_analytic(a, sigma))
@@ -319,7 +316,7 @@ def builtin(name: str, **params) -> BenchmarkModel:
         analytic["exp_input_entropy"] = AnalyticValue(
             tuple(math.exp(d.entropy()) for d in inputs), "closed-form")
         return BenchmarkModel(
-            name, Model(name, inputs, _flood),
+            Model(name, inputs, _flood),
             analytic=analytic,
             var_names=FLOOD_VAR_NAMES,
             entropy_fix={3: 55.0, 5: 55.5, 6: 5000.0, 7: 300.0},

@@ -98,16 +98,18 @@ def _run_config_from_args(args) -> RunConfig:
     return RunConfig.from_mapping(data)
 
 
-def _output_path(path: str, made: list, is_dir: bool = False) -> Path:
+def _output_path(path: str, is_dir: bool = False) -> Path:
     """``path`` under $ENTROSA_OUTPUT_DIR when it is relative and the variable
-    is set. Its directory is made now, before any computation, so that a path
-    that cannot hold a file fails first rather than last; the directories
-    made are added to ``made``, innermost first."""
+    is set. This creates nothing: the writer creates missing directories.
+    But the nearest existing ancestor of the output's directory must be a
+    writable directory, so that a path that cannot hold a file fails before
+    the computation rather than after it."""
     path = Path(os.environ.get("ENTROSA_OUTPUT_DIR", ""), path)
-    directory = path if is_dir else path.parent
-    missing = [p for p in (directory, *directory.parents) if not p.exists()]
-    directory.mkdir(parents=True, exist_ok=True)
-    made.extend(missing)
+    existing = path if is_dir else path.parent
+    while not existing.exists() and existing != existing.parent:
+        existing = existing.parent
+    if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
+        raise OSError(f"{existing} is not a writable directory, so {path} cannot be written")
     return path
 
 
@@ -115,17 +117,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    made: list[Path] = []
-    code = 1  # until the command ends: an escaping exception fails it too
     try:
         if args.command == "run":
             config = _run_config_from_args(args)
             if config.output:
-                config = replace(config, output=str(_output_path(config.output, made)))
+                config = replace(config, output=str(_output_path(config.output)))
             report = run_from_config(config)
             print(f"report written: {config.output}" if config.output else report.to_json())
         elif args.command == "metastudy":
-            output = _output_path(args.output, made)
+            output = _output_path(args.output)
             result = metastudy(_coerce("n_functions", _parse_count, args.n_functions),
                                _coerce("n_samples", _parse_count, args.n_samples), args.seed,
                                output=output,
@@ -134,39 +134,30 @@ def main(argv=None) -> int:
             for family, vals in result["summary"]["agreement"].items():
                 print(f"  {family}: " + " ".join(f"{k}={v:.3f}" for k, v in vals.items()))
         elif args.command == "convergence":
-            output = _output_path(args.output, made)
+            output = _output_path(args.output)
             ladder = [_coerce("ladder", _parse_count, v) for v in args.ladder.split(",")]
             convergence(args.model, args.method, ladder,
                         _coerce("reps", _parse_count, args.reps), args.seed,
                         output=output)
             print(f"convergence table written: {output}")
         elif args.command == "tables":
-            paths = run_table_preset(args.name, _output_path(args.outdir, made, is_dir=True),
+            paths = run_table_preset(args.name, _output_path(args.outdir, is_dir=True),
                                      seed=args.seed, scale=args.scale)
             for p in paths:
                 print(f"written: {p}")
-        code = 0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        code = EXIT_CONFIG
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
-        code = EXIT_CONFIG
+        return EXIT_CONFIG
     except SparseGridError as exc:
         print(f"sparse-grid abort: {exc}", file=sys.stderr)
-        code = EXIT_SPARSE
+        return EXIT_SPARSE
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        code = EXIT_NUMERICAL
-    finally:
-        # a failed command removes the directories it made, innermost first,
-        # stopping at the first that holds something
-        for directory in made if code else ():
-            try:
-                directory.rmdir()
-            except OSError:
-                break
-    return code
+        return EXIT_NUMERICAL
+    return 0
 
 
 if __name__ == "__main__":

@@ -173,7 +173,7 @@ def entropy_histogram(samples: np.ndarray, spec: HistogramSpec = HistogramSpec()
 
 def conditional_entropy(y: np.ndarray, x_cond: np.ndarray,
                         spec: HistogramSpec = HistogramSpec()) -> float:
-    """Expected conditional entropy H(Y|X) over a dense conditioning grid.
+    """Expected conditional entropy H(Y|X) on an equal-width conditioning grid.
 
     ``x_cond`` is (n,) or (n, k) with k <= 4; beyond that the grid cannot be
     populated at sane sample sizes and the operation refuses (fix variables

@@ -230,12 +230,12 @@ def load_config_file(path: str | Path) -> RunConfig:
 
 
 def rank_descending(values) -> tuple[list[int], bool]:
-    """Dense 1-based ranks by descending value.
+    """Ordinal 1-based ranks by descending value: no two values share a rank.
 
     Finite values within a relative 1e-12 of each other tie, whatever the
-    output's scale; ties are resolved by ascending variable index and the
-    returned flag reports whether any tie-break was applied. Non-finite
-    values rank last, in index order, and never count as a tie.
+    output's scale; tied values take consecutive ranks in index order, and
+    the returned flag reports whether any tie was broken. None and
+    non-finite values rank last, in index order, and never count as a tie.
     """
     vals = [(-math.inf if v is None or not np.isfinite(v) else float(v), i)
             for i, v in enumerate(values)]
@@ -257,14 +257,12 @@ class SensitivityReport:
     rankings: dict = field(default_factory=dict)
 
     def compute_rankings(self):
-        """Dense descending ranks per index family present in the rows."""
+        """Ordinal descending ranks per index family present in the rows."""
         for family in RANK_FAMILIES:
             values = [row.get(family) for row in self.rows]
-            present = [v for v in values if v is not None]
-            if not present:
+            if all(v is None for v in values):
                 continue
-            scored = [v if v is not None else float("nan") for v in values]
-            ranks, tie = rank_descending(scored)
+            ranks, tie = rank_descending(values)
             # reduced-out variables (None entries) carry no rank
             self.rankings[family] = {
                 "ranks": [r if values[i] is not None else None for i, r in enumerate(ranks)],
@@ -287,7 +285,7 @@ class SensitivityReport:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns + rank_cols)
         for i, row in enumerate(self.rows):
-            cells = [row.get("variable", f"x{i + 1}")]
+            cells = [row["variable"]]
             for col in columns[1:]:
                 v = row.get(col)
                 cells.append("" if v is None else repr(v))

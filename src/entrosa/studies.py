@@ -66,7 +66,7 @@ def build_benchmark(config: RunConfig) -> BenchmarkModel:
     if config.metafunction_seed is not None:
         rng = np.random.default_rng(config.metafunction_seed)
         _, model = draw_metafunction(rng, seed=config.metafunction_seed)
-        bench = BenchmarkModel(name=model.name, model=model)
+        bench = BenchmarkModel(model)
     else:
         bench = builtin(config.model, **config.model_params)
     names = bench.var_names or tuple(f"x{i + 1}" for i in range(bench.model.dim))
@@ -76,6 +76,7 @@ def build_benchmark(config: RunConfig) -> BenchmarkModel:
     from .distributions import parse_distribution
 
     model = bench.model
+    constants = list(bench.poincare_constants or (None,) * model.dim)
     if config.input_overrides:
         inputs = list(model.inputs)
         for one_based, text in config.input_overrides:
@@ -83,13 +84,15 @@ def build_benchmark(config: RunConfig) -> BenchmarkModel:
                 raise ConfigurationError(
                     f"input override index {one_based} out of range for dim {model.dim}")
             inputs[one_based - 1] = parse_distribution(text)
+            constants[one_based - 1] = None  # the table's was for the old law
         model = Model(f"{model.name}[custom inputs]", tuple(inputs), model.evaluator)
     if config.fix:
         fixed = {i - 1: v for i, v in config.fix}
         model = fix_variables(model, fixed)
         names = tuple(n for j, n in enumerate(names) if j not in fixed)
+        constants = [c for j, c in enumerate(constants) if j not in fixed]
     # composed models drop the builtin's analytic record: it no longer applies
-    return BenchmarkModel(name=model.name, model=model, var_names=names)
+    return BenchmarkModel(model, var_names=names, poincare_constants=tuple(constants))
 
 
 def _usable_cpus() -> int:
@@ -292,9 +295,18 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
 # ---------------------------------------------------------------------------
 # convergence ladders
 
+_CONVERGENCE_COLUMNS = {"entropy": "h_total", "deriv": "l"}  # method -> report column
+
+
 def convergence(model_name: str, method: str, ladder: list[int], reps: int,
                 seed: int, output: str | Path | None = None) -> list[dict]:
     """Estimates along an ascending sample ladder with repetition stds.
+
+    Repetition k of rung n is one ``run_from_config`` run of ``method`` at n
+    samples, ``cube_root_bins(n)`` bins on every axis and seed ``seed + k``,
+    so the rungs are independent and ``entrosa run`` replays each run bitwise.
+    ``mean`` and ``std`` (ddof 0) are over a rung's runs; a variable the run
+    leaves out (pinned by the builtin for its entropy indices) reads NaN.
 
     For benchmarks with closed-form references the rows carry the reference
     and a relative error on the exponential-entropy scale (well defined even
@@ -302,26 +314,23 @@ def convergence(model_name: str, method: str, ladder: list[int], reps: int,
     """
     if sorted(ladder) != list(ladder):
         raise ConfigurationError("sample ladder must be ascending")
-    if method not in ("entropy", "deriv"):
+    if method not in _CONVERGENCE_COLUMNS:
         raise ConfigurationError(f"convergence supports entropy or deriv, got {method!r}")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
+    if reps < 1:
+        raise ConfigurationError(f"convergence needs at least one repetition, got {reps}")
+    column = _CONVERGENCE_COLUMNS[method]
     bench = builtin(model_name)
-    model = bench.model
-    analytic = bench.analytic.get("h_total" if method == "entropy" else "l")
+    analytic = bench.analytic.get(column)
     reference = analytic.values if analytic and analytic.source == "closed-form" else None
     rows = []
-    rng = np.random.default_rng(seed)
     for n in ladder:
-        if method == "entropy":
-            bins = cube_root_bins(n)
-            er = estimate_entropy_indices(
-                model, n, HistogramSpec(bins, bins), reps, rng)
-            mean, std = er.h_total, er.h_total_std
-        else:
-            samples = np.array([estimate_deriv_measures(model, n, rng=rng).l
-                                for _ in range(reps)])
-            mean, std = samples.mean(axis=0), samples.std(axis=0, ddof=0)
+        b = cube_root_bins(n)
+        values = np.array([
+            [row.get(column, math.nan) for row in run_from_config(RunConfig(
+                model=model_name, methods=(method,), n_samples=n, n_deriv=n,
+                bins_output=b, bins_cond=b, seed=seed + k)).rows]
+            for k in range(reps)])
+        mean, std = values.mean(axis=0), values.std(axis=0)
         row = {"n": n, "mean": [float(v) for v in mean], "std": [float(v) for v in std]}
         if reference is not None:
             row["reference"] = list(reference)
@@ -330,7 +339,7 @@ def convergence(model_name: str, method: str, ladder: list[int], reps: int,
                 for m, r in zip(mean, reference)]
         rows.append(row)
     if output:
-        write_atomic(output, json_text({"model": model.name, "method": method,
+        write_atomic(output, json_text({"model": bench.model.name, "method": method,
                                         "seed": seed, "rows": rows}, indent=2))
     return rows
 

@@ -76,12 +76,13 @@ class PoincareBound:
 
 
 def variance_upper_bound(measures: DerivMeasures, inputs: tuple[Distribution, ...],
-                         table_constants: tuple[float, ...] | None = None) -> PoincareBound:
+                         table_constants: tuple[float | None, ...] | None = None
+                         ) -> PoincareBound:
     """Derivative-based upper bound ``C_i * nu_i`` on the total-effect variance.
 
-    Constants come from closed forms where available, otherwise from
-    ``table_constants``; a missing constant is a configuration error naming
-    the variable. Requires independent inputs.
+    Input i takes ``table_constants[i]`` when that is given and not None,
+    else the closed form of its law (Gaussian or Uniform); an input with
+    neither is a configuration error naming it. Requires independent inputs.
     """
     d = len(inputs)
     if measures.dim != d:
@@ -98,6 +99,7 @@ def variance_upper_bound(measures: DerivMeasures, inputs: tuple[Distribution, ..
             source.append("closed-form")
         else:
             raise ConfigurationError(
-                f"no variance-bound constant available for input {i + 1} "
-                f"({type(dist).__name__}); supply table_constants")
+                f"no variance-bound constant for input {i + 1} ({type(dist).__name__}): "
+                "closed forms exist only for Gaussian and Uniform laws, and no "
+                "table constant is given for it")
     return PoincareBound(bound=constants * measures.nu, source=tuple(source))

@@ -38,7 +38,7 @@ def _criterion1_case(name, params, spec, seed):
                                       np.random.default_rng(seed))
     bound = np.array(bench.analytic["h_bound"].values)
     gap = np.abs(report.h_total - bound)
-    print(f"  {bench.name}: H_T = {np.round(report.h_total, 4)} "
+    print(f"  {bench.model.name}: H_T = {np.round(report.h_total, 4)} "
           f"oracle = {np.round(bound, 4)} max|gap| = {gap.max():.4f}")
     return gap.max()
 

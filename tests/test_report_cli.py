@@ -6,11 +6,13 @@ import os
 import stat
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrosa import ConfigurationError, RunConfig, SensitivityReport, rank_descending
+from entrosa.benchmarks import FLOOD_POINCARE, FLOOD_VAR_NAMES
 from entrosa.cli import main
 from entrosa.report import load_config_file, reports_equal
 from entrosa.studies import (build_benchmark, convergence, metastudy,
@@ -135,7 +137,7 @@ def test_no_decision_depends_on_the_output_scale(monkeypatch):
     plain = run_from_config(config)
     mono3 = builtin("mono3").model
     scaled = Model("mono3", mono3.inputs, lambda x: mono3.evaluator(x) * 2.0 ** -30)
-    monkeypatch.setattr(studies, "builtin", lambda name: BenchmarkModel(name, scaled))
+    monkeypatch.setattr(studies, "builtin", lambda name: BenchmarkModel(scaled))
     small = run_from_config(config)
     assert [r["s_total"] for r in small.rows] == [r["s_total"] for r in plain.rows]
     assert small.rankings == plain.rankings
@@ -461,6 +463,36 @@ class TestStudies:
     def test_convergence_requires_ascending_ladder(self):
         with pytest.raises(ConfigurationError):
             convergence("mono3", "entropy", [1000, 100], 1, 0)
+        with pytest.raises(ConfigurationError, match="repetition"):
+            convergence("mono3", "deriv", [1000], 0, 0)
+
+    @pytest.mark.parametrize("method", ["entropy", "deriv"])
+    def test_convergence_rungs_are_independent(self, method):
+        # a rung's values do not depend on the rungs before it
+        assert (convergence("ishigami", method, [1000, 20_000], 2, 4)[1]
+                == convergence("ishigami", method, [20_000], 2, 4)[0])
+
+    @pytest.mark.parametrize("method, column", [("entropy", "h_total"), ("deriv", "l")])
+    def test_convergence_runs_replay_with_entrosa_run(self, method, column, capsys):
+        # repetition k of a rung is `entrosa run` at seed + k, bitwise
+        n, b, seed = 5000, 17, 7
+        runs = []
+        for k in (0, 1):
+            assert main(["run", "--model", "mono3", "--methods", method, "--n", str(n),
+                         "--n-deriv", str(n), "--bins-output", str(b), "--bins-cond", str(b),
+                         "--seed", str(seed + k)]) == 0
+            runs.append([row[column] for row in json.loads(capsys.readouterr().out)["rows"]])
+            assert convergence("mono3", method, [n], 1, seed + k)[0]["mean"] == runs[-1]
+        (rung,) = convergence("mono3", method, [n], 2, seed)
+        assert rung["mean"] == np.mean(runs, axis=0).tolist()
+        assert rung["std"] == np.std(runs, axis=0).tolist()
+
+    def test_convergence_reads_the_inputs_a_builtin_pins_as_nan(self):
+        # flood's entropy indices pin four inputs; the other four are estimated
+        (rung,) = convergence("flood", "entropy", [20_000], 2, 0)
+        free = [math.isfinite(v) for v in rung["mean"]]
+        assert free == [True, True, True, False, True, False, False, False]
+        assert free == [math.isfinite(v) for v in rung["std"]]
 
     def test_table_preset_smoke(self, tmp_path):
         paths = run_table_preset("groups", tmp_path, seed=1, scale=0.02)
@@ -539,6 +571,8 @@ class TestCli:
                      ladder + ["0,1e3"],
                      ladder + ["1e3,-5"],
                      ladder + ["1e3", "--reps", "1.5"],
+                     ["convergence", "--model", "mono2", "--seed", "-1", "--ladder", "1e3",
+                      "--output", str(tmp_path / "c.json")],
                      run + ["--model", "mono3", "--reps", "2.5"],
                      meta + ["--n-functions", "10.9"],
                      meta + ["--n-functions", "10", "--n-deriv", "5"],
@@ -575,7 +609,7 @@ class TestCli:
             assert capsys.readouterr().err, argv
         assert not (tmp_path / "c.json").exists()
         assert not (tmp_path / "m.json").exists()
-        # a refused command leaves no directory it made
+        # a refused command makes no directory
         assert not (tmp_path / "t").exists()
         assert not (tmp_path / "new").exists()
 
@@ -635,6 +669,46 @@ class TestCli:
         code = main(["convergence", "--model", "mono2", "--ladder", "1e3,1e4",
                      "--reps", "2", "--seed", "0", "--output", str(out)])
         assert code == 0 and out.exists()
+
+    def test_no_directory_is_made_before_the_report_is_written(self, tmp_path,
+                                                                monkeypatch, capsys):
+        import entrosa.cli as cli
+
+        out = tmp_path / "new" / "d" / "r.json"
+
+        def run_checked(config):
+            assert not (tmp_path / "new").exists()
+            return run_from_config(config)
+
+        monkeypatch.setattr(cli, "run_from_config", run_checked)
+        assert main(["run", "--model", "mono3", "--methods", "deriv", "--n-deriv", "200",
+                     "--output", str(out)]) == 0
+        assert out.is_file()
+
+    def test_composed_flood_keeps_its_table_constants(self, capsys):
+        # pinning an input keeps the other inputs' table constants, and an
+        # overridden input falls back to its law's closed form
+        def rows(*extra):
+            assert main(["run", "--model", "flood", "--methods", "deriv,bounds",
+                         "--n", "1e4", "--n-deriv", "200", *extra]) == 0
+            return {r["variable"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+
+        pinned = rows("--fix", "8:300")
+        assert list(pinned) == list(FLOOD_VAR_NAMES[:7])
+        for name, c in zip(FLOOD_VAR_NAMES[:7], FLOOD_POINCARE):
+            assert pinned[name]["variance_bound"] == c * pinned[name]["nu"]
+        custom = rows("--override-input", "5=Uniform(7,10)")
+        assert custom["Dd"]["variance_bound"] == pytest.approx(9 / math.pi ** 2
+                                                               * custom["Dd"]["nu"])
+        assert custom["Q"]["variance_bound"] == FLOOD_POINCARE[0] * custom["Q"]["nu"]
+
+    def test_missing_variance_constant_names_the_closed_forms(self, capsys):
+        # a replaced law without a closed form has no constant at all
+        assert main(["run", "--model", "flood", "--methods", "deriv,bounds", "--n", "1e4",
+                     "--n-deriv", "200", "--override-input",
+                     "5=Triangular(7,8,9)"]) == 2
+        err = capsys.readouterr().err
+        assert "input 5" in err and "Gaussian and Uniform" in err
 
     def test_output_dir_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ENTROSA_OUTPUT_DIR", str(tmp_path))
