@@ -12,7 +12,9 @@ output cell; H(Y) is H(Y|X) with no conditioning axis. Both go through one
 kernel that folds per-axis cell codes into joint cell codes and counts them;
 ``estimate_entropy_indices`` codes each axis once per repetition and shares
 the codes across H(Y) and all d leave-one-out conditionings, so a one-input
-model gets H_T1 = H(Y). Each repetition draws from its own spawned stream.
+model gets H_T1 = H(Y). Each repetition draws from its own spawned stream,
+and repetitions run concurrently on a thread pool as far as the CPUs and
+``_POOL_BYTES`` allow, with results independent of the pool's width.
 The KL index ``kl_total_index`` takes one input sample for all d inputs:
 g(x) is the shared unconditional baseline.
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import logging
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +42,7 @@ import numpy as np
 from .deriv import DerivMeasures
 from .distributions import Distribution
 from .errors import ConfigurationError, NumericalError, SparseGridError
-from .model import Model, clean_outputs, evaluate_batch, sample_inputs
+from .model import Model, _usable_cpus, clean_outputs, evaluate_batch, sample_inputs
 
 __all__ = ["HistogramSpec", "EntropyReport", "EntropyBounds", "KLResult",
            "entropy_histogram", "conditional_entropy", "estimate_entropy_indices",
@@ -52,6 +55,8 @@ _SINGLETON_ERROR_SHARE = 0.5
 _SPARSE_WARN_MEAN_COUNT = 10.0
 # cell codes are int32, so no axis may have more cells than int32 can index
 _MAX_BINS = 2 ** 31 - 1
+# concurrent entropy repetitions hold at most this many bytes of samples and codes
+_POOL_BYTES = 64 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,17 @@ def _check_grid(k: int, spec: HistogramSpec) -> None:
         raise ConfigurationError(
             f"conditioning grid {spec.bins_per_conditioning_dim}^{k} x {spec.bins_output} "
             "overflows cell codes")
+
+
+def _pool_width(repetitions: int, n: int, d: int) -> int:
+    """Threads for ``repetitions`` repetitions of n samples of d inputs.
+
+    A repetition holds n (8d + 8 + 4(d + 1)) bytes: its float inputs and
+    outputs, and the int32 codes of every column. The width is at most one
+    thread per repetition and per usable CPU, and as many repetitions as fit
+    in ``_POOL_BYTES``; at width 1 the repetitions run one at a time."""
+    rep_bytes = max(n, 1) * (8 * d + 8 + 4 * (d + 1))
+    return min(repetitions, _usable_cpus(), max(1, _POOL_BYTES // rep_bytes))
 
 
 def _conditional_from_codes(ycodes: np.ndarray, width: float, cond_codes: list,
@@ -226,6 +242,12 @@ def estimate_entropy_indices(model: Model, n: int,
     Reports means and stds over repetitions for H(Y), H_Ti, eta_Ti and
     kappa_Ti; kappa values that exceed 1 from estimator noise are clipped
     to 1 and flagged.
+
+    The repetitions run concurrently on ``_pool_width`` threads, or in a
+    plain loop at width 1. Their results are gathered in index order, so the
+    report is bitwise the same at any width. A repetition that raises
+    cancels those not yet started, and the error raised is that of the
+    first failing repetition in index order.
     """
     if rng is None:
         raise ConfigurationError("an explicit rng stream is required")
@@ -233,9 +255,9 @@ def estimate_entropy_indices(model: Model, n: int,
         raise ConfigurationError("repetitions must be >= 1")
     d = model.dim
     _check_grid(d - 1, spec)
-    h_y = np.empty(repetitions)
-    h_t = np.empty((repetitions, d))
-    for r, stream in enumerate(rng.spawn(repetitions)):
+
+    def repetition(stream: np.random.Generator) -> tuple[float, list[float]]:
+        """H(Y) and the H_Ti of every input from one sample of ``stream``."""
         x = sample_inputs(model, n, stream)
         y = evaluate_batch(model, x)
         good = np.isfinite(y)
@@ -244,16 +266,28 @@ def estimate_entropy_indices(model: Model, n: int,
             x = x[good]
         ycodes, width = _axis_codes(y, spec.bins_output)
         if ycodes is None:  # constant output
-            h_y[r] = h_t[r] = -math.inf
-            continue
-        h_y[r] = _conditional_from_codes(ycodes, width, [], spec)
+            return -math.inf, [-math.inf] * d
         cols = [_axis_codes(x[:, j], spec.bins_per_conditioning_dim)[0] for j in range(d)]
         # free the samples before the counting passes; the codes are all they need
         del x, y
-        for i in range(d):
-            h_t[r, i] = _conditional_from_codes(ycodes, width, cols[:i] + cols[i + 1:],
-                                                spec, f"variable {i + 1} of {model.name}")
-        del ycodes, cols
+        return (_conditional_from_codes(ycodes, width, [], spec),
+                [_conditional_from_codes(ycodes, width, cols[:i] + cols[i + 1:], spec,
+                                         f"variable {i + 1} of {model.name}")
+                 for i in range(d)])
+
+    streams = rng.spawn(repetitions)
+    threads = _pool_width(repetitions, n, d)
+    if threads == 1:
+        results = [repetition(stream) for stream in streams]
+    else:
+        pool = ThreadPoolExecutor(threads)
+        try:
+            futures = [pool.submit(repetition, stream) for stream in streams]
+            results = [future.result() for future in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
+    h_y = np.array([h for h, _ in results])
+    h_t = np.array([row for _, row in results])
 
     # degenerate outputs carry -inf entropies; the NaNs they produce here are
     # deliberate and surface as "undefined" to callers

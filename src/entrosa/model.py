@@ -9,6 +9,7 @@ matrix and return an (n,) output vector. Models are immutable and shareable.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,6 +41,15 @@ class Model:
     @property
     def dim(self) -> int:
         return len(self.inputs)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the one bound on the width of
+    every thread pool in the package."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def sample_inputs(model: Model, n: int, rng: np.random.Generator) -> np.ndarray:

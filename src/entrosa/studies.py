@@ -11,7 +11,7 @@ per study in ``STUDY_BINS``.
 from __future__ import annotations
 
 import math
-import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -25,7 +25,7 @@ from .deriv import estimate_deriv_measures
 from .entropy import (HistogramSpec, entropy_histogram, entropy_upper_bounds,
                       estimate_entropy_indices, kl_total_index)
 from .errors import ConfigurationError, NumericalError, SparseGridError
-from .model import (Model, clean_outputs, evaluate_batch, fix_variables,
+from .model import (Model, _usable_cpus, clean_outputs, evaluate_batch, fix_variables,
                     sample_inputs)
 from .report import METHODS, RunConfig, SensitivityReport, json_text, write_atomic
 from .variance import estimate_total_effect_variance, variance_upper_bound
@@ -95,14 +95,6 @@ def build_benchmark(config: RunConfig) -> BenchmarkModel:
     return BenchmarkModel(model, var_names=names, poincare_constants=tuple(constants))
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _method_streams(seed: int) -> dict[str, np.random.Generator]:
     children = np.random.SeedSequence(seed).spawn(len(METHODS))
     return {m: np.random.default_rng(c) for m, c in zip(METHODS, children)}
@@ -116,10 +108,13 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
     t0 = time.perf_counter()
     bench = build_benchmark(config)
     n_evaluations = 0
+    # entropy repetitions evaluate on pool threads, and += is not atomic
+    tally = threading.Lock()
 
     def counted(x: np.ndarray) -> np.ndarray:
         nonlocal n_evaluations
-        n_evaluations += x.shape[0]
+        with tally:
+            n_evaluations += x.shape[0]
         return bench.model.evaluator(x)
 
     model = Model(bench.model.name, bench.model.inputs, counted)
@@ -213,7 +208,9 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
 
     The functions run concurrently on a pool of threads, one per usable CPU.
     Each draws only from its own seed, so the result is bitwise the same
-    whatever the number of CPUs.
+    whatever the number of CPUs. A function runs one entropy repetition,
+    which ``estimate_entropy_indices`` runs without a pool of its own, so
+    pools never nest.
     """
     if n_functions < 10:
         raise ConfigurationError(f"metastudy needs at least 10 functions, got {n_functions}")

@@ -43,6 +43,14 @@ def test_evaluators_match_reference_expressions_bitwise():
         assert np.array_equal(_gfunction(a)(x), expected), a
 
 
+def test_ishigami_closed_form_matches_quadrature():
+    # E ln(1 + 0.1 x^4) by its antiderivative, against adaptive quadrature
+    from scipy.integrate import quad
+    from entrosa.benchmarks import _ishigami_mean_log_amplitude
+    ref = quad(lambda t: math.log(1 + 0.1 * t ** 4), 0, math.pi, epsabs=1e-12)[0] / math.pi
+    assert abs(_ishigami_mean_log_amplitude() - ref) <= 4 * math.ulp(ref)
+
+
 def test_mono4_analytic_record():
     bench = builtin("mono4", r=2.0)
     assert bench.analytic["h_total"].values == pytest.approx((-2.0, math.log(2) - 2))

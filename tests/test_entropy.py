@@ -2,6 +2,8 @@
 
 import logging
 import math
+import os
+import time
 import tracemalloc
 import warnings
 
@@ -17,7 +19,7 @@ from entrosa import (ConfigurationError, HistogramSpec, Model, NumericalError,
                      estimate_entropy_indices, evaluate_batch,
                      fix_variables, kl_total_index,
                      sample_inputs)
-from entrosa.entropy import _SINGLETON_ERROR_SHARE
+from entrosa.entropy import _POOL_BYTES, _SINGLETON_ERROR_SHARE, _pool_width
 from entrosa.studies import run_from_config
 
 # grids are drawn on both sides of this many cells per sample, so the
@@ -363,22 +365,61 @@ class TestEntropyIndices:
             others = [j for j in range(model.dim) if j != i]
             assert report.h_total[i] == conditional_entropy(y, x[:, others], spec)
 
-    def test_each_repetition_draws_from_its_own_spawned_stream(self):
+    def test_each_repetition_draws_from_its_own_spawned_stream(self, monkeypatch):
         # repetition r samples from rng.spawn(repetitions)[r], so its values
-        # do not depend on the repetitions before it
+        # do not depend on the repetitions before it, nor on how many run at once
         model = builtin("ishigami").model
         spec = HistogramSpec(bins_output=30, bins_per_conditioning_dim=10)
-        report = estimate_entropy_indices(model, 20_000, spec, 3, np.random.default_rng(31))
-        h_y, h_t = [], []
-        for stream in np.random.default_rng(31).spawn(3):
-            x = sample_inputs(model, 20_000, stream)
-            y = evaluate_batch(model, x)
-            h_y.append(entropy_histogram(y, spec))
-            h_t.append([conditional_entropy(y, np.delete(x, i, axis=1), spec)
-                        for i in range(model.dim)])
-        assert report.h_y == np.mean(h_y)
-        np.testing.assert_array_equal(report.h_total, np.mean(h_t, axis=0))
-        np.testing.assert_array_equal(report.h_total_std, np.std(h_t, axis=0))
+        for n, reps, cpus in ((20_000, 3, 1), (50_000, 5, 1), (50_000, 5, 2)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            report = estimate_entropy_indices(model, n, spec, reps, np.random.default_rng(31))
+            h_y, h_t = [], []
+            for stream in np.random.default_rng(31).spawn(reps):
+                x = sample_inputs(model, n, stream)
+                y = evaluate_batch(model, x)
+                h_y.append(entropy_histogram(y, spec))
+                h_t.append([conditional_entropy(y, np.delete(x, i, axis=1), spec)
+                            for i in range(model.dim)])
+            assert report.h_y == np.mean(h_y)
+            np.testing.assert_array_equal(report.h_total, np.mean(h_t, axis=0))
+            np.testing.assert_array_equal(report.h_total_std, np.std(h_t, axis=0))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_failing_repetition_raises_and_cancels_the_rest(self, cpus, monkeypatch):
+        # repetitions 1 and 3 fail, 3 first: the error is repetition 1's, and
+        # the repetitions not yet started when it is seen never run
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        reps, n = 40, 1000
+        inputs = (Uniform(0, 1),) * 2
+        firsts = [sample_inputs(Model("m", inputs, None), n, stream)[0, 0]
+                  for stream in np.random.default_rng(5).spawn(reps)]
+        started = []
+
+        def evaluator(x):
+            r = firsts.index(x[0, 0])
+            started.append(r)
+            time.sleep({1: 0.1, 3: 0.0}.get(r, 0.01))
+            if r in (1, 3):
+                raise NumericalError(f"repetition {r}")
+            return x.sum(axis=1)
+
+        with pytest.raises(NumericalError, match="repetition 1"):
+            estimate_entropy_indices(Model("m", inputs, evaluator), n,
+                                     HistogramSpec(10, 4), reps, np.random.default_rng(5))
+        assert 2 <= len(started) < reps
+
+    def test_pool_width_is_capped_by_cpus_and_memory(self, monkeypatch):
+        # an ishigami repetition of the nonlinear preset holds 12 MB, so up to
+        # 5 fit in the 64 MiB ceiling; a flood one holds 90 MB and runs alone
+        for cpus, reps in ((1, 20), (2, 20), (4, 20), (4, 3), (16, 3)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            assert _pool_width(reps, 250_000, 3) == min(reps, cpus)
+            assert _pool_width(reps, 1_500_000, 4) == 1
+        # at 16 CPUs the memory ceiling binds
+        assert _pool_width(20, 250_000, 3) == _POOL_BYTES // (250_000 * 48) == 5
 
     def test_one_input_model_has_total_entropy_of_the_output(self):
         # no other input to condition on: H_T1 = H(Y) and kappa = 1

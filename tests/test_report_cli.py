@@ -315,7 +315,7 @@ def test_report_json_is_strict_and_round_trips(capsys):
     assert report.to_json() == text.strip()
 
 
-D, N, N_DERIV, N_BASE, REPS, GROUPS = 3, 2000, 500, 500, 2, ((0, 1), (2,))
+D, N, N_DERIV, N_BASE, REPS, GROUPS = 3, 2000, 500, 500, 4, ((0, 1), (2,))
 
 
 @pytest.mark.parametrize("method, cost", [
@@ -326,7 +326,9 @@ D, N, N_DERIV, N_BASE, REPS, GROUPS = 3, 2000, 500, 500, 2, ((0, 1), (2,))
     ("bounds", (D + 1) * N_DERIV + N),
     ("groups", N + (len(GROUPS) + 1) * N),
 ])
-def test_evaluation_count_is_the_documented_cost(method, cost):
+def test_evaluation_count_is_the_documented_cost(method, cost, monkeypatch):
+    # entropy repetitions evaluate on two threads, and no count is lost
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = RunConfig(model="ishigami", methods=(method,), n_samples=N, n_deriv=N_DERIV,
                     n_base=N_BASE, repetitions=REPS, bins_output=16, bins_cond=8,
                     groups=GROUPS, seed=0)
@@ -533,6 +535,19 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["metadata"]["dim"] == 2
 
+    def test_nonlinear_tables_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+        # 20 repetitions per model run on one thread or on two; one output
+        # directory, because each report echoes its path
+        texts = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                                raising=False)
+            paths = run_table_preset("nonlinear", tmp_path, seed=3, scale=0.02)
+            texts.append([b"".join(line for line in p.read_bytes().splitlines(keepends=True)
+                                   if not line.startswith(b"# wall_time_s ="))
+                          for p in paths])
+        assert texts[0] == texts[1]
+
     def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch):
         # malformed values exit 2 with a message, whether argparse or the
         # config validation rejects them; a metastudy's functions run on two
@@ -635,6 +650,20 @@ class TestCli:
         code = main(["run", "--model", "gfunction9_case1", "--methods", "entropy",
                      "--n", "2000", "--seed", "0"])
         assert code == 4
+
+    def test_starved_grid_exits_4_alike_at_any_cpu_count(self, capsys, monkeypatch):
+        # every repetition starves with its own cell count; the error printed
+        # is repetition 0's, the one a single repetition gives, at 1 or 2 CPUs
+        run = ["run", "--model", "ishigami", "--methods", "entropy", "--n", "2000",
+               "--bins-cond", "100", "--seed", "0", "--reps"]
+        errors = set()
+        for cpus, reps in ((1, "1"), (1, "4"), (2, "4")):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                                raising=False)
+            assert main(run + [reps]) == 4
+            errors.add(capsys.readouterr().err)
+        assert len(errors) == 1
+        assert errors.pop().startswith("sparse-grid abort: variable 1 of ishigami")
 
     def test_output_range_too_narrow_to_bin_exit_code(self, capsys):
         code = main(["run", "--model", "mono2", "--override-input", "1=Uniform(0,1e-315)",
