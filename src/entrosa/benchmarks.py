@@ -53,21 +53,41 @@ def _ishigami(x: np.ndarray) -> np.ndarray:
 
 
 def _gfunction(a: np.ndarray):
+    def factor(x: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:
+        # (|4 x_j - 2| + a_j) / (1 + a_j), one n-vector, no (n, d) temporary
+        np.multiply(x[:, j], 4.0, out=out)
+        out -= 2.0
+        np.abs(out, out=out)
+        out += a[j]
+        out /= 1.0 + a[j]
+        return out
+
     def evaluator(x: np.ndarray) -> np.ndarray:
-        factors = (np.abs(4.0 * x - 2.0) + a) / (1.0 + a)
         # column by column, left to right: the order .prod(axis=1) uses, but
         # without its per-row reduction over a 3- or 9-wide axis
-        y = factors[:, 0] * factors[:, 1]
-        for j in range(2, factors.shape[1]):
-            y *= factors[:, j]
+        y = factor(x, 0, np.empty(x.shape[0]))
+        f = np.empty_like(y)
+        for j in range(1, x.shape[1]):
+            y *= factor(x, j, f)
         return y
     return evaluator
 
 
 def _flood(x: np.ndarray) -> np.ndarray:
     q, ks, zv, zm, dd, cb, length, width = (x[:, i] for i in range(8))
-    dm = (q / (width * ks * np.sqrt((zm - zv) / length))) ** 0.6
-    return zv + dm - dd - cb
+    # zv + (q / (width * ks * sqrt((zm - zv) / length))) ** 0.6 - dd - cb,
+    # in place on two n-vectors, in the expression's operation order
+    root = np.subtract(zm, zv)
+    root /= length
+    np.sqrt(root, out=root)
+    y = np.multiply(width, ks)
+    y *= root
+    np.divide(q, y, out=y)
+    y **= 0.6
+    np.add(zv, y, out=y)
+    y -= dd
+    y -= cb
+    return y
 
 
 # ---------------------------------------------------------------------------

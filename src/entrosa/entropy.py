@@ -353,13 +353,15 @@ def kl_total_index(model: Model, n: int, spec: HistogramSpec = HistogramSpec(),
     equal-width grid.
 
     One input sample serves every input: g(x) is the unconditional baseline,
-    and input i's conditional sample is x with column i set to its mean, so
-    d inputs cost (d+1) * n model evaluations. Baseline and conditional
-    outputs are coded together by the coder every histogram estimator here
-    uses, and each half is counted by the one sort-runs kernel. p0 is read
-    on the cells p1 occupies, in ascending code order, so no array spans the
-    output grid. The counts can differ from ``np.histogram`` only for a
-    sample exactly on a bin edge, which numpy checks against its edges.
+    and input i's conditional sample is x itself with column i set to its
+    mean for the one evaluation and restored after it, so d inputs cost
+    (d+1) * n model evaluations and no second (n, d) matrix. Baseline and
+    conditional outputs are coded together by the coder every histogram
+    estimator here uses, and each half is counted by the one sort-runs
+    kernel. p0 is read on the cells p1 occupies, in ascending code order, so
+    no array spans the output grid. The counts can differ from
+    ``np.histogram`` only for a sample exactly on a bin edge, which numpy
+    checks against its edges.
 
     Grid cells where the unconditional density is empty but the conditional
     one is not are floored at half a sample; a result with more than 5% of
@@ -378,11 +380,12 @@ def kl_total_index(model: Model, n: int, spec: HistogramSpec = HistogramSpec(),
     y0 = clean_outputs(evaluate_batch(model, x), "kl baseline")
     value, floored_mass = np.zeros((2, model.dim))
     for i, mean_i in enumerate(means):
-        # a copy, not x itself: an evaluator may return a view of its input
-        frozen = x.copy(order="K")
-        frozen[:, i] = mean_i
-        y1 = clean_outputs(evaluate_batch(model, frozen), f"kl conditional x{i + 1}")
-        del frozen
+        x_i = x[:, i].copy()
+        x[:, i] = mean_i
+        try:
+            y1 = clean_outputs(evaluate_batch(model, x), f"kl conditional x{i + 1}")
+        finally:
+            x[:, i] = x_i
         codes, _ = _axis_codes(np.concatenate([y0, y1]), spec.bins_output)
         if codes is None:
             continue

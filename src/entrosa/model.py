@@ -30,6 +30,13 @@ MAX_BAD_FRACTION = 1e-3
 
 @dataclass(frozen=True)
 class Model:
+    """Input laws and a vectorized evaluator from (n, d) inputs to (n,)
+    outputs. The evaluator must not modify its input, and it may be called
+    again on the same array with one column changed: the estimators step,
+    swap or freeze one column of their sample in place rather than copy the
+    sample. It may return a view of its input, which ``evaluate_batch``
+    copies."""
+
     name: str
     inputs: tuple[Distribution, ...]
     evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -67,6 +74,8 @@ def sample_inputs(model: Model, n: int, rng: np.random.Generator) -> np.ndarray:
 def evaluate_batch(model: Model, inputs: np.ndarray) -> np.ndarray:
     """Row-wise, order-preserving evaluation of the model.
 
+    The output never shares memory with ``inputs``: an evaluator's view of
+    its input is copied, so the caller may change ``inputs`` afterwards.
     Non-finite outputs are preserved for the caller's ``finite_within_rate``
     check; the batch as a whole fails only when every row is non-finite.
     """
@@ -80,6 +89,8 @@ def evaluate_batch(model: Model, inputs: np.ndarray) -> np.ndarray:
         raise NumericalError(
             f"evaluator of {model.name!r} returned shape {y.shape}, expected ({inputs.shape[0]},)"
         )
+    if np.may_share_memory(y, inputs):
+        y = y.copy()
     if not np.isfinite(y).any():
         raise NumericalError(f"all {y.size} outputs of {model.name!r} are non-finite")
     return y
@@ -116,6 +127,10 @@ def fd_directional_batch(model: Model, x: np.ndarray, y0: np.ndarray,
     support and +1 elsewhere; returns (g(x + s*h*1_group) - y0) / (s*h) per
     row. A one-element group gives a partial derivative. One batch
     evaluation; rows with a non-finite evaluation get a non-finite result.
+
+    The step is added to ``x``'s group columns in place, so ``x`` must be
+    writeable and must not be read concurrently during the call; the
+    columns are restored, bitwise, before the call returns or raises.
     """
     if not h > 0:
         raise ConfigurationError(f"finite-difference step must be positive, got {h}")
@@ -124,10 +139,14 @@ def fd_directional_batch(model: Model, x: np.ndarray, y0: np.ndarray,
         _, upper = model.inputs[i].support()
         sign = np.where(x[:, i] + h <= upper, sign, -1.0)
     step = sign * h
-    shifted = x.copy(order="K")   # g(x) and g(shifted) see one memory layout
-    for i in group:
-        shifted[:, i] += step
-    return (evaluate_batch(model, shifted) - y0) / step
+    saved = [x[:, i].copy() for i in group]
+    try:
+        for i in group:
+            x[:, i] += step
+        return (evaluate_batch(model, x) - y0) / step
+    finally:
+        for i, column in zip(group, saved):
+            x[:, i] = column
 
 
 def fix_variables(model: Model, fixed: dict[int, float]) -> Model:

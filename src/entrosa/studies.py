@@ -10,10 +10,12 @@ per study in ``STUDY_BINS``.
 
 from __future__ import annotations
 
+import logging
 import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,6 +34,8 @@ from .variance import estimate_total_effect_variance, variance_upper_bound
 
 __all__ = ["build_benchmark", "run_from_config", "metastudy", "convergence",
            "run_table_preset", "TABLE_PRESETS", "cube_root_bins"]
+
+log = logging.getLogger(__name__)
 
 # per-study estimator settings for the reproduction presets (per-axis bins)
 STUDY_BINS = {
@@ -104,7 +108,9 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
     """Execute the requested estimators and assemble the report.
 
     ``metadata["n_evaluations"]`` is the number of input rows the model
-    evaluated, counted at the evaluator."""
+    evaluated, counted at the evaluator. Each method block logs one INFO
+    line when it ends: the method, its sample count, the model evaluations
+    it made and its wall time."""
     t0 = time.perf_counter()
     bench = build_benchmark(config)
     n_evaluations = 0
@@ -131,45 +137,60 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
         for key in keys:
             columns[key] = dict(zip(index, getattr(result, key)))
 
+    @contextmanager
+    def stage(method: str, n: int):
+        started, evaluated = time.perf_counter(), n_evaluations
+        yield
+        log.info("%s: %s on %d samples, %d evaluations, %.3f s", model.name, method, n,
+                 n_evaluations - evaluated, time.perf_counter() - started)
+
     measures = h_y = None
     if "deriv" in methods or "bounds" in methods:
-        measures = estimate_deriv_measures(model, config.n_deriv, config.fd_step,
-                                           streams["deriv"])
+        with stage("deriv", config.n_deriv):
+            measures = estimate_deriv_measures(model, config.n_deriv, config.fd_step,
+                                               streams["deriv"])
         if "deriv" in methods:
             put(measures, ("mu", "nu", "l", "zero_derivative_fraction"))
 
     if "variance" in methods:
-        put(estimate_total_effect_variance(model, config.n_base, streams["variance"]),
-            ("s_total", "v_total"))
+        with stage("variance", config.n_base):
+            put(estimate_total_effect_variance(model, config.n_base, streams["variance"]),
+                ("s_total", "v_total"))
 
     if "entropy" in methods:
         fixed = dict(bench.entropy_fix or {})
-        er = estimate_entropy_indices(fix_variables(model, fixed), config.n_samples, spec,
-                                      config.repetitions, streams["entropy"])
+        with stage("entropy", config.n_samples * config.repetitions):
+            er = estimate_entropy_indices(fix_variables(model, fixed), config.n_samples, spec,
+                                          config.repetitions, streams["entropy"])
         put(er, ("h_total", "h_total_std", "eta", "eta_std", "kappa", "kappa_std"),
             [i for i in range(d) if i not in fixed])
         if not fixed:
             h_y = er.h_y
 
     if "kl" in methods:
-        columns["kl"] = dict(enumerate(kl_total_index(model, config.n_samples, spec,
-                                                      streams["kl"]).value))
+        with stage("kl", config.n_samples):
+            columns["kl"] = dict(enumerate(kl_total_index(model, config.n_samples, spec,
+                                                          streams["kl"]).value))
 
     if "bounds" in methods or "groups" in methods:
         if h_y is None:
-            y = evaluate_batch(model, sample_inputs(model, config.n_samples, streams["bounds"]))
-            h_y = entropy_histogram(clean_outputs(y, "output entropy"), spec)
+            with stage("output entropy", config.n_samples):
+                y = evaluate_batch(model, sample_inputs(model, config.n_samples,
+                                                        streams["bounds"]))
+                h_y = entropy_histogram(clean_outputs(y, "output entropy"), spec)
         metadata["output_entropy"] = {"h_y": h_y, "exp_h_y": math.exp(h_y)}
 
     if "bounds" in methods:
-        put(entropy_upper_bounds(measures, model.inputs, h_y),
-            ("h_bound", "kappa_bound", "nu_kappa_bound"))
-        columns["variance_bound"] = dict(enumerate(variance_upper_bound(
-            measures, model.inputs, table_constants=bench.poincare_constants).bound))
+        with stage("bounds", config.n_deriv):
+            put(entropy_upper_bounds(measures, model.inputs, h_y),
+                ("h_bound", "kappa_bound", "nu_kappa_bound"))
+            columns["variance_bound"] = dict(enumerate(variance_upper_bound(
+                measures, model.inputs, table_constants=bench.poincare_constants).bound))
 
     if "groups" in methods:
-        gm = estimate_deriv_measures(model, config.n_samples, config.fd_step,
-                                     streams["groups"], config.groups)
+        with stage("groups", config.n_samples):
+            gm = estimate_deriv_measures(model, config.n_samples, config.fd_step,
+                                         streams["groups"], config.groups)
         metadata["groups"] = [
             {"group": [i + 1 for i in g], "l": float(l), "exp_l": math.exp(l),
              "zero_derivative_fraction": float(z),

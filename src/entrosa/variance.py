@@ -3,7 +3,9 @@ derivative-based variance screening bound.
 
 The total-effect estimator is the Jansen form: with base matrices A and B and
 hybrids AB_i (column i of A replaced by B's), ``V_Ti = mean((g(A)-g(AB_i))^2)/2``.
-Total cost is n_base * (d + 2) evaluations.
+Total cost is n_base * (d + 2) evaluations. Each AB_i is A itself with B's
+column i swapped in for its evaluation and A's restored after it, so no
+hybrid matrix is ever allocated.
 """
 
 from __future__ import annotations
@@ -46,10 +48,12 @@ def estimate_total_effect_variance(model: Model, n_base: int,
 
     v_total = np.empty(d)
     for i in range(d):
-        ab = a.copy(order="K")   # g(A) and g(AB_i) see one memory layout
-        ab[:, i] = b[:, i]
-        y_ab = evaluate_batch(model, ab)
-        diff = y_a - y_ab
+        a_i = a[:, i].copy()
+        a[:, i] = b[:, i]
+        try:
+            diff = y_a - evaluate_batch(model, a)
+        finally:
+            a[:, i] = a_i
         diff = diff[finite_within_rate(diff, f"variance x{i + 1}")]
         v_total[i] = 0.5 * float(np.mean(diff * diff))
 

@@ -8,7 +8,7 @@ from scipy.stats import chisquare
 
 from entrosa import (ConfigurationError, MetaFunctionSpec, builtin,
                      builtin_names, build_metafunction, draw_metafunction,
-                     evaluate_batch)
+                     evaluate_batch, sample_inputs)
 
 
 def test_every_builtin_constructs():
@@ -23,8 +23,9 @@ def test_unknown_name_rejected():
 
 
 def test_evaluators_match_reference_expressions_bitwise():
-    # the evaluators reuse a sine and multiply factors column by column; the
-    # bits must be those of the plain expressions
+    # the evaluators reuse a sine, multiply factors column by column and work
+    # in place; the bits must be those of the plain whole-matrix expressions,
+    # for C- and F-order inputs, and the inputs must be left unchanged
     from entrosa.benchmarks import _G9_CASES, _gfunction
     rng = np.random.default_rng(17)
     x = rng.uniform(-math.pi, math.pi, size=(20_000, 3))
@@ -39,8 +40,25 @@ def test_evaluators_match_reference_expressions_bitwise():
             coefficients.append(a)
     for a in coefficients:
         x = rng.random((2_000, a.size))
+        x[:3] = np.array([0.0, 0.5, 1.0])[:, None]   # every factor's kink and ends
+        x[rng.random(x.shape) < 0.05] = 0.5
         expected = ((np.abs(4.0 * x - 2.0) + a) / (1.0 + a)).prod(axis=1)
-        assert np.array_equal(_gfunction(a)(x), expected), a
+        for order in "CF":
+            x = np.asarray(x, order=order)
+            before = x.copy(order="K")
+            assert np.array_equal(_gfunction(a)(x), expected), (a, order)
+            assert np.array_equal(x, before)
+
+    # the flood evaluator works in place on n-vectors, in this expression's order
+    model = builtin("flood").model
+    x = sample_inputs(model, 20_000, rng)
+    q, ks, zv, zm, dd, cb, length, width = (x[:, i] for i in range(8))
+    expected = zv + (q / (width * ks * np.sqrt((zm - zv) / length))) ** 0.6 - dd - cb
+    for order in "CF":
+        x = np.asarray(x, order=order)
+        before = x.copy(order="K")
+        assert np.array_equal(model.evaluator(x), expected), order
+        assert np.array_equal(x, before)
 
 
 def test_ishigami_closed_form_matches_quadrature():

@@ -2,14 +2,20 @@
 
 import logging
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import entrosa.entropy
+import entrosa.variance
 from entrosa import (ConfigurationError, Gaussian, Model, NumericalError,
                      Uniform, builtin, estimate_deriv_measures,
                      estimate_total_effect_variance, evaluate_batch,
-                     fd_directional_batch, fix_variables, sample_inputs)
+                     fd_directional_batch, fix_variables, kl_total_index,
+                     sample_inputs)
 
 
 def test_ishigami_at_origin():
@@ -171,6 +177,149 @@ class TestGradient:
         x = np.full((1, 2), 0.5)
         with pytest.raises(ConfigurationError):
             fd_directional_batch(model, x, evaluate_batch(model, x), (0,), h=0.0)
+
+
+def _fd_by_copy(model, x, y0, group, h):
+    """The forward difference on a shifted copy of x: the reference for the
+    in-place step."""
+    sign = np.ones(x.shape[0])
+    for i in group:
+        sign = np.where(x[:, i] + h <= model.inputs[i].support()[1], sign, -1.0)
+    step = sign * h
+    shifted = x.copy(order="K")
+    for i in group:
+        shifted[:, i] += step
+    return (evaluate_batch(model, shifted) - y0) / step
+
+
+def _columnwise(x):
+    # elementwise in each column, so its bits do not depend on the layout
+    y = np.zeros(x.shape[0])
+    for j in range(x.shape[1]):
+        y += (j + 1.0) * x[:, j] * x[:, j] + np.sin(x[:, j])
+    return y
+
+
+def _failing_on_call(k, evaluator):
+    """``evaluator``, raising NumericalError on its k-th call; ``evaluator``
+    itself when k is None."""
+    if k is None:
+        return evaluator
+    calls = 0
+
+    def wrapped(x):
+        nonlocal calls
+        calls += 1
+        if calls == k:
+            raise NumericalError(f"call {k} fails")
+        return evaluator(x)
+    return wrapped
+
+
+def _outcome(fail_on):
+    return (nullcontext() if fail_on is None
+            else pytest.raises(NumericalError, match=f"call {fail_on}"))
+
+
+# module, estimate and number of model calls on three Uniform(0, 1) inputs
+_SAMPLE_HOLDERS = {
+    # g(A), g(B), then g(AB_i) for i = 1, 2, 3
+    "variance": (entrosa.variance,
+                 lambda model, rng: estimate_total_effect_variance(model, 300, rng), 5),
+    # g(x), then g(x with x_i at its mean) for i = 1, 2, 3
+    "kl": (entrosa.entropy, lambda model, rng: kl_total_index(model, 2000, rng=rng), 4),
+}
+
+
+class TestInPlacePerturbation:
+    """The estimators step, swap or freeze one column of their sample in
+    place, and must leave the sample as they found it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_fd_equals_the_copy_reference_and_restores_x(self, data):
+        n = data.draw(st.integers(1, 200), label="n")
+        d = data.draw(st.integers(1, 6), label="d")
+        order = data.draw(st.sampled_from("CF"), label="order")
+        group = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d,
+                                   unique=True), label="group")
+        h = data.draw(st.floats(1e-9, 0.5), label="h")
+        inputs = tuple(Uniform(-1.0, 1.0 + j) for j in range(d))
+        model = Model("columnwise", inputs, _columnwise)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        x = np.asarray(sample_inputs(model, n, rng), order=order)
+        # rows on the upper edge of a column, which step backward
+        edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, d - 1)),
+                                   max_size=n), label="edges")
+        for row, col in edges:
+            x[row, col] = inputs[col].support()[1]
+        before = x.copy(order="K")
+        y0 = evaluate_batch(model, x)
+        got = fd_directional_batch(model, x, y0, tuple(group), h)
+        assert np.array_equal(x, before)
+        assert np.array_equal(got, _fd_by_copy(model, x, y0, tuple(group), h))
+
+    @pytest.mark.parametrize("group", [(1,), (0, 1, 2)])
+    @pytest.mark.parametrize("fail_on", [None, 2])
+    def test_fd_restores_x(self, group, fail_on):
+        model = Model("columnwise", (Uniform(0, 1),) * 3,
+                      _failing_on_call(fail_on, _columnwise))
+        x = sample_inputs(model, 500, np.random.default_rng(8))
+        x[::7, 1] = 1.0
+        before = x.copy(order="K")
+        y0 = evaluate_batch(model, x)
+        with _outcome(fail_on):
+            fd_directional_batch(model, x, y0, group)
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("method, fail_on", [
+        (method, k) for method, (_, _, calls) in _SAMPLE_HOLDERS.items()
+        for k in (None, *range(2, calls + 1))])
+    def test_pick_and_freeze_and_kl_restore_their_samples(self, method, fail_on,
+                                                          monkeypatch):
+        module, estimate, _ = _SAMPLE_HOLDERS[method]
+        drawn = []
+
+        def sample_and_keep(model, n, rng):
+            drawn.append(sample_inputs(model, n, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(module, "sample_inputs", sample_and_keep)
+        model = Model("columnwise", (Uniform(0, 1),) * 3,
+                      _failing_on_call(fail_on, _columnwise))
+        with _outcome(fail_on):
+            estimate(model, np.random.default_rng(9))
+        replay = np.random.default_rng(9)
+        for sample in drawn:
+            assert np.array_equal(sample, sample_inputs(model, sample.shape[0], replay))
+
+
+class TestEvaluatorReturningAView:
+    """``lambda x: x[:, 0]`` hands back the memory of its input, which the
+    in-place perturbations then change; ``evaluate_batch`` copies it."""
+
+    model = Model("view", (Uniform(0, 1),) * 2, lambda x: x[:, 0])
+
+    def test_evaluate_batch_copies_the_view(self):
+        x = sample_inputs(self.model, 50, np.random.default_rng(12))
+        y = evaluate_batch(self.model, x)
+        assert not np.may_share_memory(y, x)
+        assert np.array_equal(y, x[:, 0])
+
+    def test_derivative_measures(self):
+        m = estimate_deriv_measures(self.model, 2000, rng=np.random.default_rng(13))
+        np.testing.assert_allclose(m.mu, [1.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(m.nu, [1.0, 0.0], atol=1e-9)
+        assert abs(m.l[0]) < 1e-9 and m.l[1] == -math.inf
+
+    def test_pick_and_freeze(self):
+        vr = estimate_total_effect_variance(self.model, 1000, np.random.default_rng(14))
+        replay = np.random.default_rng(14)
+        a = sample_inputs(self.model, 1000, replay)
+        b = sample_inputs(self.model, 1000, replay)
+        diff = a[:, 0] - b[:, 0]
+        assert vr.v_total[1] == 0.0
+        assert vr.v_total[0] == 0.5 * float(np.mean(diff * diff))
 
 
 class TestFixVariables:

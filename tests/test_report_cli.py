@@ -3,14 +3,19 @@
 import json
 import math
 import os
+import re
 import stat
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entrosa
 from entrosa import ConfigurationError, RunConfig, SensitivityReport, rank_descending
 from entrosa.benchmarks import FLOOD_POINCARE, FLOOD_VAR_NAMES
 from entrosa.cli import main
@@ -515,6 +520,23 @@ class TestStudies:
 
 
 class TestCli:
+    def test_verbose_logs_each_stage_to_stderr(self):
+        # a fresh interpreter, so that the CLI configures logging itself
+        env = {**os.environ, "PYTHONPATH": str(Path(entrosa.__file__).parents[1])}
+        argv = ["run", "--model", "mono3", "--methods", "deriv", "--n-deriv", "1000",
+                "--seed", "3"]
+        runs = [subprocess.run([sys.executable, "-c", "import sys; from entrosa.cli import "
+                                "main; sys.exit(main())", *flags, *argv], env=env,
+                               capture_output=True, text=True, check=True)
+                for flags in ([], ["--verbose"])]
+        quiet, verbose = runs
+        assert quiet.stderr == ""
+        assert re.fullmatch(r"INFO entrosa\.studies: mono3: deriv on 1000 samples, "
+                            r"3000 evaluations, \d+\.\d{3} s\n", verbose.stderr)
+        # the log changes nothing in the report
+        report = json.loads(verbose.stdout)
+        assert report["rows"] == json.loads(quiet.stdout)["rows"]
+
     def test_run_writes_report(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         code = main(["run", "--model", "mono3", "--methods", "deriv",
