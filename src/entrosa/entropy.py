@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,8 @@ import numpy as np
 from .deriv import DerivMeasures
 from .distributions import Distribution
 from .errors import ConfigurationError, NumericalError, SparseGridError
-from .model import Model, _usable_cpus, clean_outputs, evaluate_batch, sample_inputs
+from .model import (Model, _map_in_order, _restoring, _usable_cpus, clean_outputs,
+                    evaluate_batch, finite_within_rate, sample_inputs)
 
 __all__ = ["HistogramSpec", "EntropyReport", "EntropyBounds", "KLResult",
            "entropy_histogram", "conditional_entropy", "estimate_entropy_indices",
@@ -176,15 +176,11 @@ def _conditional_from_codes(ycodes: np.ndarray, width: float, cond_codes: list,
 
 
 def entropy_histogram(samples: np.ndarray, spec: HistogramSpec = HistogramSpec()) -> float:
-    """Differential entropy (nats) of a 1-D sample. A degenerate range (all
-    samples equal) is reported as -inf."""
+    """Differential entropy (nats) of a 1-D sample: ``conditional_entropy``
+    with no conditioning axis. A degenerate range (all samples equal) is
+    reported as -inf."""
     samples = np.asarray(samples, dtype=float).ravel()
-    if samples.size < 1:
-        raise ConfigurationError("entropy_histogram needs at least one sample")
-    codes, width = _axis_codes(samples, spec.bins_output)
-    if codes is None:
-        return -math.inf
-    return _conditional_from_codes(codes, width, [], spec)
+    return conditional_entropy(samples, np.empty((samples.size, 0)), spec)
 
 
 def conditional_entropy(y: np.ndarray, x_cond: np.ndarray,
@@ -205,7 +201,7 @@ def conditional_entropy(y: np.ndarray, x_cond: np.ndarray,
     if n != y.size:
         raise ConfigurationError("y and x_cond disagree on sample count")
     if n < 1:
-        raise ConfigurationError("conditional_entropy needs at least one sample")
+        raise ConfigurationError("a histogram entropy needs at least one sample")
     _check_grid(k, spec)
     ycodes, width = _axis_codes(y, spec.bins_output)
     if ycodes is None:
@@ -243,11 +239,8 @@ def estimate_entropy_indices(model: Model, n: int,
     kappa_Ti; kappa values that exceed 1 from estimator noise are clipped
     to 1 and flagged.
 
-    The repetitions run concurrently on ``_pool_width`` threads, or in a
-    plain loop at width 1. Their results are gathered in index order, so the
-    report is bitwise the same at any width. A repetition that raises
-    cancels those not yet started, and the error raised is that of the
-    first failing repetition in index order.
+    The repetitions go through ``_map_in_order`` on ``_pool_width``
+    threads, so the report is bitwise the same at any width.
     """
     if rng is None:
         raise ConfigurationError("an explicit rng stream is required")
@@ -260,10 +253,9 @@ def estimate_entropy_indices(model: Model, n: int,
         """H(Y) and the H_Ti of every input from one sample of ``stream``."""
         x = sample_inputs(model, n, stream)
         y = evaluate_batch(model, x)
-        good = np.isfinite(y)
+        good = finite_within_rate(y, model.name)
         if not good.all():
-            y = clean_outputs(y, model.name)
-            x = x[good]
+            x, y = x[good], y[good]
         ycodes, width = _axis_codes(y, spec.bins_output)
         if ycodes is None:  # constant output
             return -math.inf, [-math.inf] * d
@@ -275,17 +267,8 @@ def estimate_entropy_indices(model: Model, n: int,
                                          f"variable {i + 1} of {model.name}")
                  for i in range(d)])
 
-    streams = rng.spawn(repetitions)
-    threads = _pool_width(repetitions, n, d)
-    if threads == 1:
-        results = [repetition(stream) for stream in streams]
-    else:
-        pool = ThreadPoolExecutor(threads)
-        try:
-            futures = [pool.submit(repetition, stream) for stream in streams]
-            results = [future.result() for future in futures]
-        finally:
-            pool.shutdown(cancel_futures=True)
+    results = _map_in_order(repetition, rng.spawn(repetitions),
+                            _pool_width(repetitions, n, d))
     h_y = np.array([h for h, _ in results])
     h_t = np.array([row for _, row in results])
 
@@ -380,12 +363,9 @@ def kl_total_index(model: Model, n: int, spec: HistogramSpec = HistogramSpec(),
     y0 = clean_outputs(evaluate_batch(model, x), "kl baseline")
     value, floored_mass = np.zeros((2, model.dim))
     for i, mean_i in enumerate(means):
-        x_i = x[:, i].copy()
-        x[:, i] = mean_i
-        try:
+        with _restoring(x, (i,)):
+            x[:, i] = mean_i
             y1 = clean_outputs(evaluate_batch(model, x), f"kl conditional x{i + 1}")
-        finally:
-            x[:, i] = x_i
         codes, _ = _axis_codes(np.concatenate([y0, y1]), spec.bins_output)
         if codes is None:
             continue

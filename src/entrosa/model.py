@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import logging
 import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -57,6 +59,36 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _map_in_order(fn: Callable, items: Iterable, width: int) -> list:
+    """``[fn(item) for item in items]`` on ``width`` threads, the one task
+    runner of the package.
+
+    Results come back in item order, so they are the same at any width, and
+    the first failure in item order is the one raised; the items not yet
+    started when it is seen never run. At width 1 this is the plain loop and
+    starts no thread, so a task on the pool that maps at width 1 nests none."""
+    if width <= 1:
+        return [fn(item) for item in items]
+    pool = ThreadPoolExecutor(width)
+    try:
+        futures = [pool.submit(fn, item) for item in items]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+@contextmanager
+def _restoring(x: np.ndarray, columns: Iterable[int]):
+    """Save ``x``'s ``columns`` and write them back, bitwise, when the block
+    ends or raises, so the block may change them in place."""
+    saved = [(i, x[:, i].copy()) for i in columns]
+    try:
+        yield
+    finally:
+        for i, column in saved:
+            x[:, i] = column
 
 
 def sample_inputs(model: Model, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -139,14 +171,10 @@ def fd_directional_batch(model: Model, x: np.ndarray, y0: np.ndarray,
         _, upper = model.inputs[i].support()
         sign = np.where(x[:, i] + h <= upper, sign, -1.0)
     step = sign * h
-    saved = [x[:, i].copy() for i in group]
-    try:
+    with _restoring(x, group):
         for i in group:
             x[:, i] += step
         return (evaluate_batch(model, x) - y0) / step
-    finally:
-        for i, column in zip(group, saved):
-            x[:, i] = column
 
 
 def fix_variables(model: Model, fixed: dict[int, float]) -> Model:

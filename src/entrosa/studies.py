@@ -1,11 +1,10 @@
 """Experiment orchestration: full runs from a config, the metafunction
 ranking-agreement study, convergence ladders, and named table presets.
 
-Histogram bin counts follow a cells-scale-with-samples rule in the presets:
-for a model with c conditioning axes the per-axis bin count is N**(1/3),
-which keeps 3-axis grids at about one sample per cell and leaves 2-axis
-grids comfortably populated. Deviations (the flood reduction) are pinned
-per study in ``STUDY_BINS``.
+The presets pin their full-scale bin counts per study in ``STUDY_BINS``;
+below full scale, ``_scaled_spec`` shrinks every axis by (n/n_full)**(1/3),
+so the samples per cell stay roughly those of the full-scale study. Only
+the convergence ladders use ``cube_root_bins``, N**(1/3) bins per axis.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import logging
 import math
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -27,8 +25,8 @@ from .deriv import estimate_deriv_measures
 from .entropy import (HistogramSpec, entropy_histogram, entropy_upper_bounds,
                       estimate_entropy_indices, kl_total_index)
 from .errors import ConfigurationError, NumericalError, SparseGridError
-from .model import (Model, _usable_cpus, clean_outputs, evaluate_batch, fix_variables,
-                    sample_inputs)
+from .model import (Model, _map_in_order, _usable_cpus, clean_outputs, evaluate_batch,
+                    fix_variables, sample_inputs)
 from .report import METHODS, RunConfig, SensitivityReport, json_text, write_atomic
 from .variance import estimate_total_effect_variance, variance_upper_bound
 
@@ -227,11 +225,9 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
     squared-derivative bound. Degenerate draws (constant output) are excluded
     with a reason and counted.
 
-    The functions run concurrently on a pool of threads, one per usable CPU.
+    The functions go through ``_map_in_order`` on one thread per usable CPU.
     Each draws only from its own seed, so the result is bitwise the same
-    whatever the number of CPUs. A function runs one entropy repetition,
-    which ``estimate_entropy_indices`` runs without a pool of its own, so
-    pools never nest.
+    whatever the number of CPUs.
     """
     if n_functions < 10:
         raise ConfigurationError(f"metastudy needs at least 10 functions, got {n_functions}")
@@ -244,7 +240,6 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
              "nu_bound": {"full": 0, "max": 0, "min": 0}}
     functions = []
     excluded = []
-    included = 0
 
     def run(fn_seed: int) -> SensitivityReport | str:
         """The function's report, or the reason it is excluded."""
@@ -260,33 +255,26 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
             return str(exc)
         return report
 
-    # results are read in index order, whatever order the functions finish
-    # in; any other error cancels the functions not yet started
-    pool = ThreadPoolExecutor(min(n_functions, _usable_cpus()))
-    try:
-        futures = [pool.submit(run, fn_seed) for fn_seed in seeds]
-        for idx, (fn_seed, future) in enumerate(zip(seeds, futures)):
-            report = future.result()
-            fn_spec, _ = draw_metafunction(np.random.default_rng(fn_seed), seed=fn_seed)
-            record = {"index": idx, "spec": fn_spec.to_dict()}
-            if isinstance(report, str):
-                record["excluded"] = report
-                excluded.append(record)
-                continue
+    reports = _map_in_order(run, seeds, min(n_functions, _usable_cpus()))
+    for idx, (fn_seed, report) in enumerate(zip(seeds, reports)):
+        fn_spec, _ = draw_metafunction(np.random.default_rng(fn_seed), seed=fn_seed)
+        record = {"index": idx, "spec": fn_spec.to_dict()}
+        if isinstance(report, str):
+            record["excluded"] = report
+            excluded.append(record)
+            continue
 
-            kappa_rank = report.rankings["kappa"]["ranks"]
-            included += 1
-            for family, key in (("l_bound", "kappa_bound"), ("nu_bound", "nu_kappa_bound")):
-                rank = report.rankings[key]["ranks"]
-                agree[family]["full"] += int(rank == kappa_rank)
-                agree[family]["max"] += int(rank.index(1) == kappa_rank.index(1))
-                agree[family]["min"] += int(rank.index(3) == kappa_rank.index(3))
-            record.update({key: [row[key] for row in report.rows]
-                           for key in ("kappa", "kappa_bound", "nu_kappa_bound")},
-                          h_y=report.metadata["output_entropy"]["h_y"])
-            functions.append(record)
-    finally:
-        pool.shutdown(cancel_futures=True)
+        kappa_rank = report.rankings["kappa"]["ranks"]
+        for family, key in (("l_bound", "kappa_bound"), ("nu_bound", "nu_kappa_bound")):
+            rank = report.rankings[key]["ranks"]
+            agree[family]["full"] += int(rank == kappa_rank)
+            agree[family]["max"] += int(rank.index(1) == kappa_rank.index(1))
+            agree[family]["min"] += int(rank.index(3) == kappa_rank.index(3))
+        record.update({key: [row[key] for row in report.rows]
+                       for key in ("kappa", "kappa_bound", "nu_kappa_bound")},
+                      h_y=report.metadata["output_entropy"]["h_y"])
+        functions.append(record)
+    included = len(functions)
 
     summary = {
         "n_functions": n_functions,

@@ -17,7 +17,7 @@ import numpy as np
 from .deriv import DerivMeasures
 from .distributions import Distribution, Gaussian, Uniform
 from .errors import ConfigurationError
-from .model import (Model, clean_outputs, evaluate_batch, finite_within_rate,
+from .model import (Model, _restoring, clean_outputs, evaluate_batch, finite_within_rate,
                     sample_inputs)
 
 __all__ = ["VarianceReport", "PoincareBound", "estimate_total_effect_variance",
@@ -48,12 +48,9 @@ def estimate_total_effect_variance(model: Model, n_base: int,
 
     v_total = np.empty(d)
     for i in range(d):
-        a_i = a[:, i].copy()
-        a[:, i] = b[:, i]
-        try:
+        with _restoring(a, (i,)):
+            a[:, i] = b[:, i]
             diff = y_a - evaluate_batch(model, a)
-        finally:
-            a[:, i] = a_i
         diff = diff[finite_within_rate(diff, f"variance x{i + 1}")]
         v_total[i] = 0.5 * float(np.mean(diff * diff))
 

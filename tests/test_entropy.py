@@ -120,6 +120,8 @@ class TestConditionalEntropy:
     def test_no_samples(self):
         with pytest.raises(ConfigurationError, match="at least one sample"):
             conditional_entropy(np.zeros(0), np.zeros((0, 1)))
+        with pytest.raises(ConfigurationError, match="at least one sample"):
+            entropy_histogram(np.zeros(0))
 
     def test_scale_mixture_interaction_property(self):
         # y = z*x + (2z + 1): conditional variance averages E[z^2]*Var(x) and

@@ -24,3 +24,10 @@ def test_only_the_cli_reads_the_environment():
     readers = [name for name in MODULES
                if "environ" in Path(importlib.import_module(name).__file__).read_text()]
     assert readers == ["entrosa.cli"]
+
+
+def test_only_the_model_runs_a_thread_pool():
+    # every concurrent map goes through model._map_in_order
+    owners = [name for name in MODULES
+              if "ThreadPoolExecutor" in Path(importlib.import_module(name).__file__).read_text()]
+    assert owners == ["entrosa.model"]

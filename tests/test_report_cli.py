@@ -426,6 +426,31 @@ class TestStudies:
         assert result["excluded_records"]
         assert len(result["functions"]) + len(result["excluded_records"]) == 12
 
+    def test_first_failing_function_raises_and_cancels_the_rest(self, monkeypatch):
+        # every function starts with a short sleep, and function 1 then fails:
+        # its error is the one raised, and the functions not yet started when
+        # it is seen never run
+        import time
+        import entrosa.studies as studies
+        draw = studies.draw_metafunction
+        n_functions = 20
+        master = np.random.default_rng(4)
+        seeds = [int(master.integers(0, 2 ** 62)) for _ in range(n_functions)]
+        started = []
+
+        def failing_second(rng, seed=-1):
+            started.append(seeds.index(seed))
+            time.sleep(0.1)
+            if seed == seeds[1]:
+                raise ConfigurationError("function 1")
+            return draw(rng, seed)
+
+        monkeypatch.setattr(studies, "draw_metafunction", failing_second)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with pytest.raises(ConfigurationError, match="function 1"):
+            metastudy(n_functions, 20_000, seed=4, n_deriv=200)
+        assert 2 <= len(started) < n_functions
+
     def test_metastudy_rejects_tiny_runs(self):
         with pytest.raises(ConfigurationError):
             metastudy(5, 1000, seed=0)
