@@ -6,7 +6,9 @@ kinds sample by their closed-form quantile function on the restricted
 quantile range, and integrate entropy and mean by adaptive quadrature in the
 quantile domain, so semi-infinite truncation windows pose no problem. All
 distribution objects are immutable and safe to share between threads;
-sampling always takes an explicit ``numpy.random.Generator``.
+sampling always takes an explicit ``numpy.random.Generator``. Every law
+draws in place into the vector it is given (``_draw``), bitwise as numpy's
+own sampler draws and with the same use of the stream.
 """
 
 from __future__ import annotations
@@ -38,13 +40,17 @@ _LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
 class Distribution:
     """Common interface: sample / entropy / mean / support."""
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``n`` i.i.d. values; deterministic for a fixed generator state."""
+    def sample(self, n: int, rng: np.random.Generator, out=None) -> np.ndarray:
+        """Draw ``n`` i.i.d. values, in place into the float64 n-vector ``out``
+        if it is given; deterministic for a fixed generator state."""
         if n < 1:
             raise ConfigurationError(f"sample size must be >= 1, got {n}")
-        return self._sample(n, rng)
+        out = np.empty(n) if out is None else out
+        self._draw(rng, out)
+        return out
 
-    def _sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def _draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill the float64 vector ``out`` in place, one draw per element."""
         raise NotImplementedError
 
     def entropy(self) -> float:
@@ -68,8 +74,10 @@ class Uniform(Distribution):
         if not (self.a < self.b and math.isfinite(self.b - self.a)):
             raise ConfigurationError(f"Uniform requires finite a < b, got ({self.a}, {self.b})")
 
-    def _sample(self, n, rng):
-        return rng.uniform(self.a, self.b, n)
+    def _draw(self, rng, out):
+        rng.random(out=out)
+        out *= self.b - self.a
+        out += self.a
 
     def entropy(self):
         return math.log(self.b - self.a)
@@ -91,8 +99,10 @@ class Gaussian(Distribution):
             raise ConfigurationError(
                 f"Gaussian requires finite mu and 0 < var < inf, got ({self.mu}, {self.var})")
 
-    def _sample(self, n, rng):
-        return rng.normal(self.mu, math.sqrt(self.var), n)
+    def _draw(self, rng, out):
+        rng.standard_normal(out=out)
+        out *= math.sqrt(self.var)
+        out += self.mu
 
     def entropy(self):
         return _HALF_LN_2PIE + 0.5 * math.log(self.var)
@@ -118,8 +128,17 @@ class Triangular(Distribution):
                 f"got ({self.a}, {self.c}, {self.b})"
             )
 
-    def _sample(self, n, rng):
-        return rng.triangular(self.a, self.c, self.b, n)
+    def _draw(self, rng, out):
+        # numpy's random_triangular: the left branch in place, the right in a temporary
+        a, c, b = self.a, self.c, self.b
+        rng.random(out=out)
+        right = (1.0 - out) * ((b - c) * (b - a))
+        np.subtract(b, np.sqrt(right, out=right), out=right)
+        use_right = out > (c - a) / (b - a)
+        out *= (c - a) * (b - a)
+        np.sqrt(out, out=out)
+        out += a
+        np.copyto(out, right, where=use_right)
 
     def entropy(self):
         return 0.5 + math.log((self.b - self.a) / 2.0)
@@ -141,8 +160,9 @@ class ChiSquared(Distribution):
         if not 0 < self.df < math.inf:
             raise ConfigurationError(f"ChiSquared requires 0 < df < inf, got {self.df}")
 
-    def _sample(self, n, rng):
-        return rng.chisquare(self.df, n)
+    def _draw(self, rng, out):
+        rng.standard_gamma(self.df / 2.0, out=out)
+        out *= 2.0
 
     def entropy(self):
         from scipy.special import digamma, gammaln
@@ -165,9 +185,9 @@ class _Truncated(Distribution):
     with numpy ufuncs. Loc and scale are applied here once, in the order
     scipy's frozen ``norm`` and ``gumbel_r`` apply them, so every value is
     bitwise that of the matching scipy law. Sampling maps uniforms onto the restricted quantile
-    range ``[F(lower), F(upper)]`` and applies the quantile function, so the
-    cost is fixed and draws are exact for a fixed stream. Entropy and mean
-    integrate in the quantile domain.
+    range ``[F(lower), F(upper)]`` and applies the quantile function, in
+    place, so the cost is fixed and draws are exact for a fixed stream.
+    Entropy and mean integrate in the quantile domain.
     """
 
     lower: float
@@ -188,19 +208,23 @@ class _Truncated(Distribution):
         loc, scale = self._loc_scale()
         return tuple(float(self._zcdf((x - loc) / scale)) for x in (self.lower, self.upper))
 
-    def _ppf(self, q):
-        """Quantile function of the untruncated law."""
+    def _ppf(self, q, out=None):
+        """Quantile function of the untruncated law, into ``out`` if given."""
         loc, scale = self._loc_scale()
-        return self._zppf(q) * scale + loc
+        z = self._zppf(q, out=out)
+        return np.add(np.multiply(z, scale, out=out), loc, out=out)
 
     def _logpdf(self, x):
         """Log-density of the untruncated law."""
         loc, scale = self._loc_scale()
         return self._zlogpdf(np.asarray((x - loc) / scale)) - np.log(scale)
 
-    def _sample(self, n, rng):
+    def _draw(self, rng, out):
         qa, qb = self._qrange()
-        return self._ppf(qa + (qb - qa) * rng.random(n))
+        rng.random(out=out)
+        out *= qb - qa
+        out += qa
+        self._ppf(out, out=out)
 
     @lru_cache(maxsize=None)
     def entropy(self):
@@ -261,10 +285,10 @@ class TruncatedGaussian(_Truncated):
         return ndtr(z)
 
     @staticmethod
-    def _zppf(q):
+    def _zppf(q, out=None):
         from scipy.special import ndtri
 
-        return ndtri(q)
+        return ndtri(q, out=out)
 
     @staticmethod
     def _zlogpdf(z):
@@ -293,8 +317,9 @@ class TruncatedGumbel(_Truncated):
         return np.exp(-np.exp(-z))
 
     @staticmethod
-    def _zppf(q):
-        return -np.log(-np.log(q))
+    def _zppf(q, out=None):
+        z = np.negative(np.log(q, out=out), out=out)
+        return np.negative(np.log(z, out=out), out=out)
 
     @staticmethod
     def _zlogpdf(z):

@@ -28,6 +28,8 @@ log = logging.getLogger(__name__)
 DEFAULT_FD_STEP = 1e-5
 # estimator runs abort above this rate of non-finite model outputs
 MAX_BAD_FRACTION = 1e-3
+# rows per evaluator call of a model with pinned variables
+_BLOCK_ROWS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -92,14 +94,16 @@ def _restoring(x: np.ndarray, columns: Iterable[int]):
 
 
 def sample_inputs(model: Model, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw an (n, d) matrix of independent inputs, one column per
-    distribution, in Fortran order so that each column is contiguous."""
+    """Draw an (n, d) matrix of independent inputs in Fortran order, each
+    law straight into its own contiguous column."""
+    if n < 1:
+        raise ConfigurationError(f"sample size must be >= 1, got {n}")
     try:
         x = np.empty((n, model.dim), order="F")
     except (MemoryError, ValueError) as exc:
         raise ConfigurationError(f"cannot allocate {n} x {model.dim} inputs: {exc}") from None
     for j, dist in enumerate(model.inputs):
-        x[:, j] = dist.sample(n, rng)
+        dist.sample(n, rng, out=x[:, j])
     return x
 
 
@@ -178,38 +182,44 @@ def fd_directional_batch(model: Model, x: np.ndarray, y0: np.ndarray,
 
 
 def fix_variables(model: Model, fixed: dict[int, float]) -> Model:
-    """Reduce the model by pinning coordinates to constants.
+    """Reduce the model by pinning coordinates (0-based keys) to constants.
 
-    The reduced model has dimension ``d - len(fixed)``; its evaluator injects
-    the fixed values into the original input layout, and the fixed
-    coordinates' distributions are dropped.
+    The reduced model has dimension ``d - len(fixed)`` and drops the fixed
+    coordinates' distributions. Its evaluator calls the original one on
+    row blocks of at most ``_BLOCK_ROWS`` rows of one Fortran-order block,
+    whose fixed columns are written once.
     """
     if not fixed:
         return model
     d = model.dim
     for i, v in fixed.items():
         if not 0 <= i < d:
-            raise ConfigurationError(f"fixed index {i} out of range for dim {d}")
+            raise ConfigurationError(f"cannot fix x{i + 1}: the model has inputs x1..x{d}")
         lo, hi = model.inputs[i].support()
         if not lo <= v <= hi:
-            raise ConfigurationError(f"fixed value {v} outside support of input {i}")
+            raise ConfigurationError(f"fixed x{i + 1} = {v} is outside its support [{lo}, {hi}]")
     if len(fixed) >= d:
         raise ConfigurationError("cannot fix every variable of the model")
 
     free = tuple(i for i in range(d) if i not in fixed)
-    fixed_items = tuple(sorted(fixed.items()))
+    pinned, values = map(list, zip(*sorted(fixed.items())))
     base_eval = model.evaluator
 
     def reduced_eval(xr: np.ndarray) -> np.ndarray:
         # contiguous columns, the layout sample_inputs gives an unreduced model
-        full = np.empty((xr.shape[0], d), order="F")
-        for j, i in enumerate(free):
-            full[:, i] = xr[:, j]
-        for i, v in fixed_items:
-            full[:, i] = v
-        return base_eval(full)
+        block = np.empty((min(len(xr), _BLOCK_ROWS), d), order="F")
+        block[:, pinned] = values
+        y = np.empty(len(xr))
+        for start in range(0, len(xr), _BLOCK_ROWS):
+            rows = block[:min(len(xr) - start, _BLOCK_ROWS)]
+            for j, i in enumerate(free):
+                rows[:, i] = xr[start:start + len(rows), j]
+            if np.shape(out := base_eval(rows)) != (len(rows),):
+                raise NumericalError(f"evaluator of {model.name!r} returned shape {np.shape(out)}")
+            y[start:start + len(rows)] = out
+        return y
 
-    label = ",".join(f"x{i + 1}={v:g}" for i, v in fixed_items)
+    label = ",".join(f"x{i + 1}={v:g}" for i, v in zip(pinned, values))
     return Model(
         name=f"{model.name}[{label}]",
         inputs=tuple(model.inputs[i] for i in free),

@@ -159,6 +159,11 @@ class RunConfig:
         if self.seed < 0 or self.metafunction_seed is not None and self.metafunction_seed < 0:
             raise ConfigurationError("seeds must be non-negative integers")
         HistogramSpec(self.bins_output, self.bins_cond)   # raises on bad bin counts
+        for key, verb in (("fix", "pinned"), ("input_overrides", "replaced")):
+            seen = [i for i, _ in getattr(self, key) or ()]
+            twice = sorted({i for i in seen if seen.count(i) > 1})
+            if twice:
+                raise ConfigurationError(f"input x{twice[0]} is {verb} more than once in {key}")
 
     def to_mapping(self) -> dict:
         return asdict(self)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
@@ -84,6 +86,52 @@ def test_truncated_laws_match_scipy_bitwise(dist):
     assert dist.entropy() == -h / df
     m, _ = quad(lambda u: base.ppf(qa + df * u), 0.0, 1.0, epsabs=1e-10, limit=200)
     assert dist.mean() == m
+
+
+def _truncated_reference(dist, n, rng):
+    qa, qb = dist._qrange()
+    return dist._ppf(qa + (qb - qa) * rng.random(n))
+
+
+def _truncated_law(cls, loc, scale, za, zb, side):
+    """A truncated law whose window ends are ``za`` and ``zb`` in standard
+    units, open below, open above or closed."""
+    lower, upper = {"below": (-math.inf, za), "above": (za, math.inf),
+                    "both": (min(za, zb), max(za, zb) + 0.5)}[side]
+    spread = scale * scale if cls is TruncatedGaussian else scale
+    return cls(loc, spread, loc + scale * lower, loc + scale * upper)
+
+
+_LOC = st.floats(-1e3, 1e3)
+_WIDTH = st.floats(1e-3, 1e3)
+_Z = st.floats(-3.0, 3.0)  # a window end in standard units
+# (law, numpy reference); the truncated windows include semi-infinite ones
+_LAWS = st.one_of(
+    st.builds(lambda a, w: (Uniform(a, a + w), lambda n, r: r.uniform(a, a + w, n)),
+              _LOC, _WIDTH),
+    st.builds(lambda a, w, f: (Triangular(a, a + f * w, a + w),
+                               lambda n, r: r.triangular(a, a + f * w, a + w, n)),
+              _LOC, _WIDTH, st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))),
+    st.builds(lambda mu, sd: (Gaussian(mu, sd * sd),
+                              lambda n, r: r.normal(mu, math.sqrt(sd * sd), n)),
+              _LOC, _WIDTH),
+    st.builds(lambda df: (ChiSquared(df), lambda n, r: r.chisquare(df, n)),
+              st.floats(0.05, 50.0)),
+    st.builds(lambda law: (law, lambda n, r: _truncated_reference(law, n, r)),
+              st.builds(_truncated_law, st.sampled_from([TruncatedGaussian, TruncatedGumbel]),
+                        _LOC, _WIDTH, _Z, _Z, st.sampled_from(["below", "above", "both"]))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(law=_LAWS, n=st.integers(1, 3000), seed=st.integers(0, 2 ** 32 - 1))
+def test_sample_is_numpys_sampler_bitwise(law, n, seed):
+    # each law draws in place, but its values and its use of the stream are
+    # those of numpy's own sampler
+    dist, reference = law
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(dist.sample(n, ours), reference(n, theirs))
+    assert ours.random() == theirs.random()
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -336,15 +337,6 @@ class TestFixVariables:
         np.testing.assert_allclose(evaluate_batch(reduced, xr),
                                    evaluate_batch(bench.model, full), rtol=1e-13)
 
-    def test_flood_reduction_is_bitwise_the_full_model(self):
-        bench = builtin("flood")
-        reduced = fix_variables(bench.model, dict(bench.entropy_fix))
-        xr = sample_inputs(reduced, 50, np.random.default_rng(4))
-        full = np.empty((50, 8))
-        full[:, [0, 1, 2, 4]] = xr
-        full[:, 3], full[:, 5], full[:, 6], full[:, 7] = 55.0, 55.5, 5000.0, 300.0
-        assert np.array_equal(evaluate_batch(reduced, xr), evaluate_batch(bench.model, full))
-
     def test_reduced_model_passes_fortran_columns(self):
         # the layout sample_inputs gives an unreduced model
         seen = []
@@ -356,6 +348,50 @@ class TestFixVariables:
         reduced = fix_variables(Model("spy", (Uniform(0, 1),) * 3, spy), {1: 0.5})
         evaluate_batch(reduced, sample_inputs(reduced, 20, np.random.default_rng(6)))
         assert seen == [True]
+
+    @staticmethod
+    def _flood_pinned(n, seed, evaluator=None):
+        """Flood's entropy reduction, its reduced sample of ``n`` rows and the
+        full (n, 8) matrix with the pinned values written in."""
+        bench = builtin("flood")
+        base = Model("flood", bench.model.inputs, evaluator or bench.model.evaluator)
+        reduced = fix_variables(base, dict(bench.entropy_fix))
+        xr = sample_inputs(reduced, n, np.random.default_rng(seed))
+        full = np.empty((n, 8), order="F")
+        full[:, [0, 1, 2, 4]] = xr
+        for i, v in bench.entropy_fix.items():
+            full[:, i] = v
+        return bench.model, reduced, xr, full
+
+    @pytest.mark.parametrize("n, blocks", [(50, [50]), (2 * 2 ** 16 + 3, [2 ** 16, 2 ** 16, 3])],
+                             ids=["one-block", "three-blocks"])
+    def test_flood_reduction_is_bitwise_the_full_model(self, n, blocks):
+        # the evaluator sees row blocks of at most 2**16 rows
+        rows = []
+
+        def spy(x):
+            rows.append(x.shape[0])
+            return builtin("flood").model.evaluator(x)
+
+        model, reduced, xr, full = self._flood_pinned(n, 4, spy)
+        assert np.array_equal(evaluate_batch(reduced, xr), evaluate_batch(model, full))
+        assert rows == blocks
+
+    def test_row_blocks_bound_the_memory_of_an_evaluation(self):
+        # a full (n, 8) copy of the sample alone would be 96 MB; the output is 12 MB
+        _, reduced, xr, _ = self._flood_pinned(1_500_000, 10)
+        tracemalloc.start()
+        try:
+            evaluate_batch(reduced, xr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
+
+    def test_wrong_output_shape_of_a_block_is_refused(self):
+        reduced = fix_variables(Model("scalar", (Uniform(0, 1),) * 2, lambda x: 1.0), {0: 0.5})
+        with pytest.raises(NumericalError, match="returned shape"):
+            evaluate_batch(reduced, np.zeros((5, 1)))
 
     def test_fix_nothing_is_identity(self):
         model = builtin("ishigami").model
@@ -371,16 +407,30 @@ class TestFixVariables:
         np.testing.assert_allclose(evaluate_batch(reduced, xr), expected, rtol=1e-13)
 
     def test_bad_index_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"x6: the model has inputs x1\.\.x3"):
             fix_variables(builtin("ishigami").model, {5: 0.0})
 
     def test_value_outside_support_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"fixed x1 = 2\.0 is outside its support \[0"):
             fix_variables(builtin("gfunction3").model, {0: 2.0})
 
     def test_cannot_fix_everything(self):
         with pytest.raises(ConfigurationError):
             fix_variables(builtin("mono2").model, {0: 0.5, 1: 0.5})
+
+
+def test_sample_inputs_draws_each_column_as_its_law_would():
+    model = builtin("flood").model
+    x = sample_inputs(model, 1000, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    for j, dist in enumerate(model.inputs):
+        assert np.array_equal(x[:, j], dist.sample(1000, rng))
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_sample_inputs_refuses_an_empty_sample(n):
+    with pytest.raises(ConfigurationError, match="sample size must be >= 1"):
+        sample_inputs(builtin("ishigami").model, n, np.random.default_rng(0))
 
 
 def test_gaussian_inputs_sampling_shape():

@@ -285,6 +285,20 @@ def test_cli_fix_and_override_flags(capsys):
     assert payload["metadata"]["dim"] == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--model", "flood", "--fix", "9:1"], "cannot fix x9: the model has inputs x1..x8"),
+    (["--model", "flood", "--fix", "1:10"],
+     "fixed x1 = 10.0 is outside its support [500.0, 3000.0]"),
+    (["--model", "ishigami", "--fix", "2:0,2:1"], "input x2 is pinned more than once"),
+    (["--model", "ishigami", "--override-input", "2=Uniform(0,1)",
+      "--override-input", "2=Uniform(0,2)"], "input x2 is replaced more than once"),
+], ids=["index", "support", "pinned-twice", "replaced-twice"])
+def test_cli_refuses_a_bad_pin_by_the_input_name(flags, message, capsys):
+    code = main(["run", "--methods", "deriv", "--n-deriv", "200", *flags])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_fix_keeps_the_names_of_the_free_inputs(capsys):
     code = main(["run", "--model", "ishigami", "--fix", "1:0", "--methods", "deriv",
                  "--n-deriv", "200", "--seed", "3"])
