@@ -1,10 +1,9 @@
 """Univariate input distributions: sampling, differential entropy, mean and
 support.
 
-Entropy is returned in nats. Closed forms are used where known. Truncated
-kinds sample by their closed-form quantile function on the restricted
-quantile range, and integrate entropy and mean by adaptive quadrature in the
-quantile domain, so semi-infinite truncation windows pose no problem. All
+Entropy is returned in nats. Every entropy and mean is closed form: truncated
+kinds take theirs from the moments of the standard law on the window, and
+sample by their quantile function on the restricted quantile range. All
 distribution objects are immutable and safe to share between threads;
 sampling always takes an explicit ``numpy.random.Generator``. Every law
 draws in place into the vector it is given (``_draw``), bitwise as numpy's
@@ -15,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError
 
 __all__ = [
     "Distribution",
@@ -33,8 +31,6 @@ __all__ = [
 ]
 
 _HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
-# computed as scipy's norm computes its log-density constant, for equal bits
-_LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
 
 
 class Distribution:
@@ -180,14 +176,14 @@ class ChiSquared(Distribution):
 class _Truncated(Distribution):
     """A location-scale law truncated to ``[lower, upper]``.
 
-    A subclass gives ``_loc_scale()`` and the standard law's ``_zcdf``,
-    ``_zppf`` and ``_zlogpdf`` in ``z = (x - loc) / scale``, in closed form
-    with numpy ufuncs. Loc and scale are applied here once, in the order
-    scipy's frozen ``norm`` and ``gumbel_r`` apply them, so every value is
-    bitwise that of the matching scipy law. Sampling maps uniforms onto the restricted quantile
-    range ``[F(lower), F(upper)]`` and applies the quantile function, in
-    place, so the cost is fixed and draws are exact for a fixed stream.
-    Entropy and mean integrate in the quantile domain.
+    A subclass gives ``_loc_scale()`` and, for the standard law in
+    ``z = (x - loc) / scale``, the closed-form ``_zcdf``, ``_zppf`` and
+    ``_zmoments`` (E[z] and E[-ln f(z)] on the window), applied with loc and
+    scale in scipy's order, so every draw is bitwise that of scipy's ``norm``
+    or ``gumbel_r``. Sampling maps uniforms onto the quantile range
+    ``[F(lower), F(upper)]`` and applies the quantile function in place;
+    entropy and mean use the mass of that range, so a right-tail window of
+    tiny mass loses digits to cancellation in both alike.
     """
 
     lower: float
@@ -214,11 +210,6 @@ class _Truncated(Distribution):
         z = self._zppf(q, out=out)
         return np.add(np.multiply(z, scale, out=out), loc, out=out)
 
-    def _logpdf(self, x):
-        """Log-density of the untruncated law."""
-        loc, scale = self._loc_scale()
-        return self._zlogpdf(np.asarray((x - loc) / scale)) - np.log(scale)
-
     def _draw(self, rng, out):
         qa, qb = self._qrange()
         rng.random(out=out)
@@ -226,35 +217,21 @@ class _Truncated(Distribution):
         out += qa
         self._ppf(out, out=out)
 
-    @lru_cache(maxsize=None)
+    def _moments(self):
+        """The window's mass Z, and E[z] and E[-ln f(z)] of the standard law on it."""
+        loc, scale = self._loc_scale()
+        qa, qb = self._qrange()
+        a, b = ((x - loc) / scale for x in (self.lower, self.upper))
+        return (qb - qa, *self._zmoments(a, b, qb - qa))
+
     def entropy(self):
-        from scipy.integrate import quad
+        mass, _, neg_log_f = self._moments()
+        return math.log(self._loc_scale()[1] * mass) + neg_log_f
 
-        # H = -(1/dF) * int_{qa}^{qb} ln(f(Q(u)) / dF) du  in the quantile domain
-        qa, qb = self._qrange()
-        df = qb - qa
-        log_df = math.log(df)
-
-        def integrand(u):
-            return self._logpdf(self._ppf(u)) - log_df
-
-        val, err = quad(integrand, qa, qb, epsabs=1e-12, epsrel=1e-10, limit=200)
-        if err > 1e-6:
-            raise NumericalError(
-                f"entropy quadrature did not converge for {self!r}: estimated error {err:.3e}"
-            )
-        return -val / df
-
-    @lru_cache(maxsize=None)
     def mean(self):
-        from scipy.integrate import quad
-
-        qa, qb = self._qrange()
-        df = qb - qa
-        m1, e1 = quad(lambda u: self._ppf(qa + df * u), 0.0, 1.0, epsabs=1e-10, limit=200)
-        if e1 > 1e-5 * max(1.0, abs(m1)):
-            raise NumericalError(f"mean quadrature did not converge for {self!r}")
-        return m1
+        loc, scale = self._loc_scale()
+        # clamped, so rounding cannot put the mean of a narrow window outside it
+        return min(max(loc + scale * self._moments()[1], self.lower), self.upper)
 
     def support(self):
         return (self.lower, self.upper)
@@ -291,8 +268,15 @@ class TruncatedGaussian(_Truncated):
         return ndtri(q, out=out)
 
     @staticmethod
-    def _zlogpdf(z):
-        return -z**2 / 2.0 - _LOG_SQRT_2PI
+    def _zmoments(a, b, mass):
+        # Johnson, Kotz & Balakrishnan: E[z] = (phi(a) - phi(b)) / Z and
+        # E[-ln f] = ln(2 pi e) / 2 + (a phi(a) - b phi(b)) / 2Z
+        def ends(z):  # (phi(z), z phi(z)), both 0 at an infinite end
+            p = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+            return p, 0.0 if math.isinf(z) else z * p
+
+        (pa, zpa), (pb, zpb) = ends(a), ends(b)
+        return (pa - pb) / mass, _HALF_LN_2PIE + (zpa - zpb) / (2.0 * mass)
 
 
 @dataclass(frozen=True)
@@ -314,7 +298,8 @@ class TruncatedGumbel(_Truncated):
 
     @staticmethod
     def _zcdf(z):
-        return np.exp(-np.exp(-z))
+        with np.errstate(over="ignore"):  # exp(-z) is inf far left, where F is 0
+            return np.exp(-np.exp(-z))
 
     @staticmethod
     def _zppf(q, out=None):
@@ -322,8 +307,22 @@ class TruncatedGumbel(_Truncated):
         return np.negative(np.log(z, out=out), out=out)
 
     @staticmethod
-    def _zlogpdf(z):
-        return -z - np.exp(-z)
+    def _zmoments(a, b, mass):
+        # t = e^-z is Exp(1) on [e^-b, e^-a] and -ln f(z) = z + t, so
+        # Z E[z] = [E1(t) - z e^-t] and Z E[t] = [-(t + 1) e^-t] from e^-b to e^-a
+        from scipy.special import exp1
+
+        def ends(z):
+            with np.errstate(over="ignore"):
+                t = float(np.exp(-z))
+            if t == math.inf:
+                return 0.0, 0.0
+            if t == 0.0:
+                return -np.euler_gamma, -1.0
+            return exp1(t) - z * math.exp(-t), -(t + 1.0) * math.exp(-t)
+
+        (za, ta), (zb, tb) = ends(a), ends(b)
+        return (za - zb) / mass, (za - zb + ta - tb) / mass
 
 
 _KINDS = {

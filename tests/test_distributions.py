@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -80,12 +81,35 @@ def test_truncated_laws_match_scipy_bitwise(dist):
     for seed in (0, 1):
         ref = base.ppf(qa + df * np.random.default_rng(seed).random(200_000))
         assert np.array_equal(dist.sample(200_000, np.random.default_rng(seed)), ref)
+    # entropy and mean are closed forms; the reference integrates in the quantile domain
     log_df = math.log(df)
     h, _ = quad(lambda u: base.logpdf(base.ppf(u)) - log_df, qa, qb,
                 epsabs=1e-12, epsrel=1e-10, limit=200)
-    assert dist.entropy() == -h / df
+    assert abs(dist.entropy() - (-h / df)) <= 1e-9
     m, _ = quad(lambda u: base.ppf(qa + df * u), 0.0, 1.0, epsabs=1e-10, limit=200)
-    assert dist.mean() == m
+    assert abs(dist.mean() - m) <= 1e-9 * max(1.0, abs(m))
+
+
+# (law, H, mean) by mpmath quadrature at 40 digits
+REFERENCE_MOMENTS = [
+    (TruncatedGumbel(1013.0, 558.0, 500.0, 3000.0), 7.6263214940791348, 1356.8782151491518),
+    (TruncatedGaussian(30.0, 64.0, 15.0, math.inf), 3.401003405663443, 30.567541400334877),
+    (TruncatedGaussian(0.0, 1.0, 4.5, math.inf), -0.58876155164600801, 4.7043198448277324),
+    (TruncatedGumbel(0.0, 1.0, 12.0, math.inf), 1.0000015360520397, 13.000001536053613),
+    (TruncatedGumbel(0.0, 1.0, -math.inf, -2.6), -1.6694339919001575, -2.6694339919001575),
+    (TruncatedGaussian(0.0, 1.0, 0.0, 2.5e-6), -12.899219826090119, 1.2499999999993491e-6),
+    (TruncatedGaussian(0.0, 1.0, 3.0, 3.001), -6.9077556541071489, 3.0004997499583791),
+    (TruncatedGumbel(0.0, 1.0, 2.0, 2.001), -6.9077553101389989, 2.0004999279389708),
+    (TruncatedGumbel(0.0, 1.0, -math.inf, -3.2), -2.2392217953746335, -3.2392217953746335),
+    (TruncatedGaussian(0.0, 1.0, -math.inf, -6.5), -0.91548153808807107, -6.6473013611904907),
+]
+
+
+@pytest.mark.parametrize("dist, h, mean", REFERENCE_MOMENTS,
+                         ids=[repr(d) for d, _, _ in REFERENCE_MOMENTS])
+def test_truncated_moments_match_reference(dist, h, mean):
+    assert abs(dist.entropy() - h) <= 1e-9
+    assert abs(dist.mean() - mean) <= 1e-9 * max(1.0, abs(mean))
 
 
 def _truncated_reference(dist, n, rng):
@@ -105,6 +129,9 @@ def _truncated_law(cls, loc, scale, za, zb, side):
 _LOC = st.floats(-1e3, 1e3)
 _WIDTH = st.floats(1e-3, 1e3)
 _Z = st.floats(-3.0, 3.0)  # a window end in standard units
+_TRUNCATED_LAWS = st.builds(_truncated_law,
+                            st.sampled_from([TruncatedGaussian, TruncatedGumbel]),
+                            _LOC, _WIDTH, _Z, _Z, st.sampled_from(["below", "above", "both"]))
 # (law, numpy reference); the truncated windows include semi-infinite ones
 _LAWS = st.one_of(
     st.builds(lambda a, w: (Uniform(a, a + w), lambda n, r: r.uniform(a, a + w, n)),
@@ -118,9 +145,45 @@ _LAWS = st.one_of(
     st.builds(lambda df: (ChiSquared(df), lambda n, r: r.chisquare(df, n)),
               st.floats(0.05, 50.0)),
     st.builds(lambda law: (law, lambda n, r: _truncated_reference(law, n, r)),
-              st.builds(_truncated_law, st.sampled_from([TruncatedGaussian, TruncatedGumbel]),
-                        _LOC, _WIDTH, _Z, _Z, st.sampled_from(["below", "above", "both"]))),
+              _TRUNCATED_LAWS),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(dist=_TRUNCATED_LAWS)
+def test_truncated_moments_are_finite_and_in_window(dist):
+    h, mean = dist.entropy(), dist.mean()
+    assert math.isfinite(h)
+    assert dist.lower <= mean <= dist.upper
+    if math.isfinite(dist.upper - dist.lower):
+        # the uniform law maximises entropy on a finite window
+        assert h <= math.log(dist.upper - dist.lower)
+
+
+@pytest.mark.parametrize("cls", [TruncatedGaussian, TruncatedGumbel])
+def test_truncated_moments_limits(cls):
+    loc, s = 3.0, 2.5
+    spread = s * s if cls is TruncatedGaussian else s
+    whole = cls(loc, spread, -math.inf, math.inf)
+    if cls is TruncatedGaussian:
+        assert whole.entropy() == pytest.approx(Gaussian(loc, s * s).entropy(), abs=1e-12)
+        assert whole.mean() == pytest.approx(loc, abs=1e-12)
+    else:
+        assert whole.entropy() == pytest.approx(math.log(s) + np.euler_gamma + 1.0, abs=1e-12)
+        assert whole.mean() == pytest.approx(loc + np.euler_gamma * s, abs=1e-12)
+    # a lower end far beyond the mass behaves as an open one
+    far, open_ = cls(loc, spread, -1e6, 10.0), cls(loc, spread, -math.inf, 10.0)
+    assert far.entropy() == pytest.approx(open_.entropy(), abs=1e-12)
+    assert far.mean() == pytest.approx(open_.mean(), abs=1e-12)
+
+
+def test_far_left_gumbel_end_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = TruncatedGumbel(1013.0, 558.0, -1e6, 3000.0)
+        assert d._qrange()[0] == 0.0
+        assert math.isfinite(d.entropy()) and 500.0 < d.mean() < 3000.0
+        d.sample(1000, np.random.default_rng(0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -136,13 +199,17 @@ def test_sample_is_numpys_sampler_bitwise(law, n, seed):
 
 def test_import_leaves_scipy_stats_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(entrosa.__file__).parents[1])}
-    for setup in ("",
-                  # the analytic records of these builtins are closed forms
-                  "[entrosa.builtin(m) for m in ('ishigami', 'gfunction3', 'mono1', "
-                  "'mono2', 'mono3', 'mono4', 'mono5')]; "):
+    for setup, unloaded in (
+            ("", "'scipy.stats', 'scipy.integrate', 'scipy.special'"),
+            # the analytic records of these builtins are closed forms
+            ("[entrosa.builtin(m) for m in ('ishigami', 'gfunction3', 'mono1', "
+             "'mono2', 'mono3', 'mono4', 'mono5')]; ",
+             "'scipy.stats', 'scipy.integrate', 'scipy.special'"),
+            # so are the truncated laws' entropies and means, from scipy.special
+            ("[(d.entropy(), d.mean()) for d in entrosa.builtin('flood').model.inputs]; ",
+             "'scipy.stats', 'scipy.integrate'")):
         code = ("import sys, entrosa, entrosa.studies; " + setup +
-                "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.special') "
-                "if m in sys.modules])")
+                f"print([m for m in ({unloaded}) if m in sys.modules])")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "[]", setup
