@@ -10,7 +10,7 @@ from .distributions import (ChiSquared, Distribution, Gaussian, Triangular,
                             TruncatedGaussian, TruncatedGumbel, Uniform,
                             parse_distribution)
 from .entropy import (EntropyBounds, EntropyReport, HistogramSpec,
-                      conditional_entropy, entropy_histogram,
+                      conditional_entropy, entropy_histogram, entropy_knn,
                       entropy_upper_bounds, estimate_entropy_indices,
                       kl_total_index)
 from .errors import (ConfigurationError, EntrosaError, NumericalError,

@@ -40,6 +40,7 @@ class DerivMeasures:
     nu: np.ndarray                        # E[(dg/dz_k)^2]
     l: np.ndarray                         # E[ln|dg/dz_k|], -inf if all floored
     zero_derivative_fraction: np.ndarray  # share of samples at/below the floor
+    y: np.ndarray                         # g(x) on the derivative sample, as evaluated
 
     @property
     def dim(self) -> int:
@@ -89,4 +90,4 @@ def estimate_deriv_measures(model: Model, n: int, h: float = DEFAULT_FD_STEP,
         nu[k] = (mag * mag).mean()
         l[k] = -np.inf if floored.all() else np.log(np.maximum(mag, floor_k)).mean()
         zfrac[k] = floored.mean()
-    return DerivMeasures(mu=mu, nu=nu, l=l, zero_derivative_fraction=zfrac)
+    return DerivMeasures(mu=mu, nu=nu, l=l, zero_derivative_fraction=zfrac, y=y0)

@@ -177,13 +177,12 @@ class _Truncated(Distribution):
     """A location-scale law truncated to ``[lower, upper]``.
 
     A subclass gives ``_loc_scale()`` and, for the standard law in
-    ``z = (x - loc) / scale``, the closed-form ``_zcdf``, ``_zppf`` and
-    ``_zmoments`` (E[z] and E[-ln f(z)] on the window), applied with loc and
-    scale in scipy's order, so every draw is bitwise that of scipy's ``norm``
-    or ``gumbel_r``. Sampling maps uniforms onto the quantile range
-    ``[F(lower), F(upper)]`` and applies the quantile function in place;
-    entropy and mean use the mass of that range, so a right-tail window of
-    tiny mass loses digits to cancellation in both alike.
+    ``z = (x - loc) / scale``, the closed-form ``_zcdf``, ``_zsf`` (1 - F),
+    ``_zppf`` and ``_zmoments`` (E[z] and E[-ln f(z)] on the window), with
+    loc and scale in scipy's order, so every draw is bitwise scipy's ``norm``
+    or ``gumbel_r``. Sampling maps uniforms onto ``[F(lower), F(upper)]`` and
+    applies the quantile function in place. Entropy and mean take the mass of
+    a window right of the median as S(lower) - S(upper), which does not cancel.
     """
 
     lower: float
@@ -222,7 +221,8 @@ class _Truncated(Distribution):
         loc, scale = self._loc_scale()
         qa, qb = self._qrange()
         a, b = ((x - loc) / scale for x in (self.lower, self.upper))
-        return (qb - qa, *self._zmoments(a, b, qb - qa))
+        mass = float(self._zsf(a) - self._zsf(b)) if qa > 0.5 else qb - qa
+        return (mass, *self._zmoments(a, b, mass))
 
     def entropy(self):
         mass, _, neg_log_f = self._moments()
@@ -260,6 +260,8 @@ class TruncatedGaussian(_Truncated):
         from scipy.special import ndtr
 
         return ndtr(z)
+
+    _zsf = staticmethod(lambda z: TruncatedGaussian._zcdf(-z))
 
     @staticmethod
     def _zppf(q, out=None):
@@ -301,6 +303,8 @@ class TruncatedGumbel(_Truncated):
         with np.errstate(over="ignore"):  # exp(-z) is inf far left, where F is 0
             return np.exp(-np.exp(-z))
 
+    _zsf = staticmethod(lambda z: -np.expm1(-np.exp(-z)))
+
     @staticmethod
     def _zppf(q, out=None):
         z = np.negative(np.log(q, out=out), out=out)
@@ -311,12 +315,16 @@ class TruncatedGumbel(_Truncated):
         # t = e^-z is Exp(1) on [e^-b, e^-a] and -ln f(z) = z + t, so
         # Z E[z] = [E1(t) - z e^-t] and Z E[t] = [-(t + 1) e^-t] from e^-b to e^-a
         from scipy.special import exp1
+        right = a > -math.log(math.log(2.0))  # past the median: brackets less their t = 0 values
 
         def ends(z):
             with np.errstate(over="ignore"):
                 t = float(np.exp(-z))
             if t == math.inf:
                 return 0.0, 0.0
+            if right:  # t < ln 2 and Ein(t) = E1(t) + gamma - z, by its series
+                ein = -sum((-t) ** k / (k * math.factorial(k)) for k in range(1, 18))
+                return ein - (z * math.expm1(-t) if t else 0.0), -math.expm1(-t) - t * math.exp(-t)
             if t == 0.0:
                 return -np.euler_gamma, -1.0
             return exp1(t) - z * math.exp(-t), -(t + 1.0) * math.exp(-t)

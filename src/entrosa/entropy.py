@@ -1,4 +1,4 @@
-"""Histogram-based differential entropy estimation and the entropy-based
+"""Histogram (and 1-D kNN) differential entropy estimation and the entropy-based
 sensitivity indices with their derivative-based upper bounds.
 
 The estimators grid each axis with equal-width cells spanning the sample
@@ -45,8 +45,8 @@ from .model import (Model, _map_in_order, _restoring, _usable_cpus, clean_output
                     evaluate_batch, finite_within_rate, sample_inputs)
 
 __all__ = ["HistogramSpec", "EntropyReport", "EntropyBounds", "KLResult",
-           "entropy_histogram", "conditional_entropy", "estimate_entropy_indices",
-           "entropy_upper_bounds", "kl_total_index"]
+           "entropy_histogram", "entropy_knn", "conditional_entropy",
+           "estimate_entropy_indices", "entropy_upper_bounds", "kl_total_index"]
 
 log = logging.getLogger(__name__)
 
@@ -181,6 +181,24 @@ def entropy_histogram(samples: np.ndarray, spec: HistogramSpec = HistogramSpec()
     reported as -inf."""
     samples = np.asarray(samples, dtype=float).ravel()
     return conditional_entropy(samples, np.empty((samples.size, 0)), spec)
+
+
+def entropy_knn(samples: np.ndarray) -> float:
+    """Kozachenko-Leonenko entropy (nats) of a 1-D sample, k = 3: psi(n) - psi(3) + ln 2 +
+    mean ln r. Sorted, a point's 3rd-neighbour distance r is the least, over the 4 windows
+    of 4 points that hold it, of its distance to the farther end; r = 0 gives -inf."""
+    s = np.sort(np.asarray(samples, dtype=float).ravel())
+    if (n := s.size) < 4 or not (math.isfinite(s[0]) and math.isfinite(s[-1])):  # NaN sorts last
+        raise ConfigurationError(f"a kNN entropy needs at least 4 samples, all finite, got {n}")
+    r, near, far = np.full(n, np.inf), np.empty(n - 3), np.empty(n - 3)
+    for o in range(4):  # the point sits o places into the window s[j:j + 4]
+        np.maximum(np.subtract(s[o:n - 3 + o], s[:-3], out=near),
+                   np.subtract(s[3:], s[o:n - 3 + o], out=far), out=near)
+        np.minimum(r[o:n - 3 + o], near, out=r[o:n - 3 + o])
+    if not r.min() >= np.finfo(float).tiny:  # an atom, or subnormal; before any log
+        return -math.inf
+    psi_n = math.log(n) - 1 / (2 * n) - 1 / (12 * n * n)
+    return psi_n - (1.5 - np.euler_gamma) + math.log(2.0) + float(np.log(r, out=r).mean())
 
 
 def conditional_entropy(y: np.ndarray, x_cond: np.ndarray,

@@ -17,8 +17,8 @@ import numpy as np
 from .entropy import HistogramSpec
 from .errors import ConfigurationError
 
-__all__ = ["RunConfig", "SensitivityReport", "rank_descending", "METHODS",
-           "load_config_file", "reports_equal", "write_atomic", "json_text"]
+__all__ = ["RunConfig", "SensitivityReport", "rank_descending", "METHODS", "MAX_RUNS",
+           "write_atomic", "json_text"]
 
 METHODS = ("deriv", "variance", "entropy", "kl", "bounds", "groups")
 
@@ -30,6 +30,8 @@ RANK_FAMILIES = ("s_total", "variance_bound", "kappa", "kappa_bound", "nu_kappa_
 # largest 1-based index a text group range may name; far above any model's
 # dimension, which the estimator checks once the model is built
 _MAX_GROUP_INDEX = 2 ** 16
+# most entropy repetitions, metastudy functions or convergence repetitions a call takes
+MAX_RUNS = 10_000
 
 
 def _parse_count(value) -> int:
@@ -159,6 +161,8 @@ class RunConfig:
         if self.seed < 0 or self.metafunction_seed is not None and self.metafunction_seed < 0:
             raise ConfigurationError("seeds must be non-negative integers")
         HistogramSpec(self.bins_output, self.bins_cond)   # raises on bad bin counts
+        if self.repetitions > MAX_RUNS:
+            raise ConfigurationError(f"at most {MAX_RUNS} repetitions, got {self.repetitions}")
         for key, verb in (("fix", "pinned"), ("input_overrides", "replaced")):
             seen = [i for i, _ in getattr(self, key) or ()]
             twice = sorted({i for i in seen if seen.count(i) > 1})
@@ -224,14 +228,6 @@ def _read_config_file(path: str | Path) -> dict:
             else:
                 raise ConfigurationError(f"unknown key {key!r} in section [{section}]")
     return data
-
-
-def load_config_file(path: str | Path) -> RunConfig:
-    """Load a sectioned key = value config file (format in the README).
-
-    An unreadable or malformed file, an unknown section or key, and a
-    malformed value all raise ``ConfigurationError``."""
-    return RunConfig.from_mapping(_read_config_file(path))
 
 
 def rank_descending(values) -> tuple[list[int], bool]:
@@ -356,10 +352,3 @@ def write_atomic(path: str | Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def reports_equal(a: SensitivityReport, b: SensitivityReport) -> bool:
-    """Value-level equality, ignoring the wall time."""
-    meta_a = {k: v for k, v in a.metadata.items() if k != "wall_time_s"}
-    meta_b = {k: v for k, v in b.metadata.items() if k != "wall_time_s"}
-    return meta_a == meta_b and a.rows == b.rows and a.rankings == b.rankings

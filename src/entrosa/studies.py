@@ -22,12 +22,11 @@ import numpy as np
 from . import __version__
 from .benchmarks import BenchmarkModel, builtin, draw_metafunction
 from .deriv import estimate_deriv_measures
-from .entropy import (HistogramSpec, entropy_histogram, entropy_upper_bounds,
+from .entropy import (HistogramSpec, entropy_histogram, entropy_knn, entropy_upper_bounds,
                       estimate_entropy_indices, kl_total_index)
 from .errors import ConfigurationError, NumericalError, SparseGridError
-from .model import (Model, _map_in_order, _usable_cpus, clean_outputs, evaluate_batch,
-                    fix_variables, sample_inputs)
-from .report import METHODS, RunConfig, SensitivityReport, json_text, write_atomic
+from .model import Model, _map_in_order, _usable_cpus, clean_outputs, fix_variables
+from .report import MAX_RUNS, METHODS, RunConfig, SensitivityReport, json_text, write_atomic
 from .variance import estimate_total_effect_variance, variance_upper_bound
 
 __all__ = ["build_benchmark", "run_from_config", "metastudy", "convergence",
@@ -98,6 +97,7 @@ def build_benchmark(config: RunConfig) -> BenchmarkModel:
 
 
 def _method_streams(seed: int) -> dict[str, np.random.Generator]:
+    # "bounds" keeps its child though it draws nothing, so no other stream moves
     children = np.random.SeedSequence(seed).spawn(len(METHODS))
     return {m: np.random.default_rng(c) for m, c in zip(METHODS, children)}
 
@@ -163,20 +163,26 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
         put(er, ("h_total", "h_total_std", "eta", "eta_std", "kappa", "kappa_std"),
             [i for i in range(d) if i not in fixed])
         if not fixed:
-            h_y = er.h_y
+            h_y, estimator = er.h_y, "entropy"
 
     if "kl" in methods:
         with stage("kl", config.n_samples):
             columns["kl"] = dict(enumerate(kl_total_index(model, config.n_samples, spec,
                                                           streams["kl"]).value))
 
+    if "groups" in methods:
+        with stage("groups", config.n_samples):
+            gm = estimate_deriv_measures(model, config.n_samples, config.fd_step,
+                                         streams["groups"], config.groups)
+
     if "bounds" in methods or "groups" in methods:
-        if h_y is None:
-            with stage("output entropy", config.n_samples):
-                y = evaluate_batch(model, sample_inputs(model, config.n_samples,
-                                                        streams["bounds"]))
-                h_y = entropy_histogram(clean_outputs(y, "output entropy"), spec)
-        metadata["output_entropy"] = {"h_y": h_y, "exp_h_y": math.exp(h_y)}
+        if h_y is None:  # the derivative (or groups) sample's g(x); an atom defeats the kNN
+            y = clean_outputs((measures or gm).y, "output entropy")
+            h_y, estimator = entropy_knn(y), "knn"
+            if h_y == -math.inf:
+                h_y, estimator = entropy_histogram(y, spec), "histogram"
+        metadata["output_entropy"] = {"h_y": h_y, "exp_h_y": math.exp(h_y),
+                                      "estimator": estimator}
 
     if "bounds" in methods:
         with stage("bounds", config.n_deriv):
@@ -186,9 +192,6 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
                 measures, model.inputs, table_constants=bench.poincare_constants).bound))
 
     if "groups" in methods:
-        with stage("groups", config.n_samples):
-            gm = estimate_deriv_measures(model, config.n_samples, config.fd_step,
-                                         streams["groups"], config.groups)
         metadata["groups"] = [
             {"group": [i + 1 for i in g], "l": float(l), "exp_l": math.exp(l),
              "zero_derivative_fraction": float(z),
@@ -229,8 +232,8 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
     Each draws only from its own seed, so the result is bitwise the same
     whatever the number of CPUs.
     """
-    if n_functions < 10:
-        raise ConfigurationError(f"metastudy needs at least 10 functions, got {n_functions}")
+    if not 10 <= n_functions <= MAX_RUNS:
+        raise ConfigurationError(f"metastudy needs 10 to {MAX_RUNS} functions, got {n_functions}")
     if seed < 0:
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
     spec = STUDY_BINS["metastudy"]
@@ -322,8 +325,8 @@ def convergence(model_name: str, method: str, ladder: list[int], reps: int,
         raise ConfigurationError("sample ladder must be ascending")
     if method not in _CONVERGENCE_COLUMNS:
         raise ConfigurationError(f"convergence supports entropy or deriv, got {method!r}")
-    if reps < 1:
-        raise ConfigurationError(f"convergence needs at least one repetition, got {reps}")
+    if not 1 <= reps <= MAX_RUNS:
+        raise ConfigurationError(f"convergence needs 1 to {MAX_RUNS} repetitions, got {reps}")
     column = _CONVERGENCE_COLUMNS[method]
     bench = builtin(model_name)
     analytic = bench.analytic.get(column)

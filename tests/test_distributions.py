@@ -17,7 +17,7 @@ from scipy.integrate import quad
 
 import entrosa
 from entrosa import (ChiSquared, ConfigurationError, Gaussian, Triangular,
-                     TruncatedGaussian, TruncatedGumbel, Uniform,
+                     TruncatedGaussian, TruncatedGumbel, Uniform, builtin,
                      parse_distribution)
 
 ALL_KINDS = [
@@ -110,6 +110,27 @@ REFERENCE_MOMENTS = [
 def test_truncated_moments_match_reference(dist, h, mean):
     assert abs(dist.entropy() - h) <= 1e-9
     assert abs(dist.mean() - mean) <= 1e-9 * max(1.0, abs(mean))
+
+
+@pytest.mark.parametrize("dist, h, mean", [
+    # 60-digit mpmath values: the standard law's closed forms on the window
+    (TruncatedGaussian(0.0, 1.0, 6.8294156, math.inf),
+     -0.961082642402654934707945665997296569733, 6.97014610225136337480744772336368950312),
+    (TruncatedGumbel(0.0, 1.0, 25.0, 27.0),
+     0.541551256633577799325177162072687058758, 25.6869647145024368562978313205901600870),
+], ids=["gaussian-6.83-inf", "gumbel-25-27"])
+def test_right_tail_windows_keep_their_digits(dist, h, mean):
+    # both ends near F = 1: the mass comes from the survival side, where
+    # F(upper) - F(lower) lost 1.4e-4 and 3.9e-4 nats
+    assert dist.entropy() == pytest.approx(h, rel=1e-9)
+    assert dist.mean() == pytest.approx(mean, rel=1e-9)
+
+
+def test_flood_input_entropies_are_unchanged_bitwise():
+    # Q's and Ks's windows start below the median, on the quantile-range mass
+    assert builtin("flood").analytic["exp_input_entropy"].values == (
+        2051.4897060027547, 29.994181284402462, 1.6487212707001282, 1.6487212707001282,
+        2.0, 0.8243606353500641, 16.487212707001284, 8.243606353500642)
 
 
 def _truncated_reference(dist, n, rng):

@@ -12,15 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrosa import (ConfigurationError, HistogramSpec, Model, NumericalError,
-                     RunConfig, SparseGridError, Uniform, builtin,
-                     conditional_entropy, entropy_histogram,
+from entrosa import (ChiSquared, ConfigurationError, Gaussian, HistogramSpec, Model,
+                     NumericalError, RunConfig, SparseGridError, Uniform, builtin,
+                     conditional_entropy, entropy_histogram, entropy_knn,
                      entropy_upper_bounds, estimate_deriv_measures,
                      estimate_entropy_indices, evaluate_batch,
                      fix_variables, kl_total_index,
                      sample_inputs)
+from entrosa import studies
+from entrosa.benchmarks import BenchmarkModel
 from entrosa.entropy import _POOL_BYTES, _SINGLETON_ERROR_SHARE, _pool_width
-from entrosa.studies import run_from_config
+from entrosa.studies import _method_streams, run_from_config
 
 # grids are drawn on both sides of this many cells per sample, so the
 # counting kernel meets grids smaller and far larger than the sample
@@ -492,6 +494,72 @@ class TestEntropyIndices:
         sparse = [r.getMessage() for r in caplog.records if "sparse" in r.getMessage()]
         assert [m.partition(":")[0] for m in sparse] == ["variable 1 of mono2",
                                                          "variable 2 of mono2"]
+
+
+class TestKNNEntropy:
+    @pytest.mark.parametrize("dist, closed", [
+        (Gaussian(0.0, 1.0), 0.5 * math.log(2 * math.pi * math.e)),
+        (Uniform(0.0, 1.0), 0.0),
+        (ChiSquared(2.0), 1.0 + math.log(2.0)),  # the exponential law of mean 2
+    ], ids=["gaussian", "uniform", "chi2-2"])
+    def test_closed_forms(self, dist, closed):
+        h = np.array([entropy_knn(dist.sample(30_000, np.random.default_rng(seed)))
+                      for seed in range(20)])
+        assert abs(h.mean() - closed) <= 0.005
+        assert np.all(np.abs(h - closed) <= 5 * h.std())
+
+    def test_matches_a_kd_tree(self):
+        # the 3rd-neighbour distances of the four windows are those of a tree query
+        from scipy.spatial import cKDTree
+        from scipy.special import digamma
+
+        y = np.random.default_rng(1).standard_cauchy(500)
+        r = cKDTree(y[:, None]).query(y[:, None], k=4)[0][:, 3]
+        ref = digamma(500) - digamma(3) + math.log(2.0) + np.log(r).mean()
+        assert entropy_knn(y) == pytest.approx(ref, abs=1e-12)
+
+    def test_an_atom_gives_minus_inf_quietly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert entropy_knn(np.r_[np.random.default_rng(2).random(100), [0.5] * 4]) == -math.inf
+            assert entropy_knn(np.full(10, 2.0)) == -math.inf
+
+    @pytest.mark.parametrize("samples", [np.arange(3.0), np.r_[np.arange(9.0), np.nan],
+                                         np.r_[np.arange(9.0), -np.inf]],
+                             ids=["three", "nan", "-inf"])
+    def test_needs_four_finite_samples(self, samples):
+        with pytest.raises(ConfigurationError, match="at least 4 samples, all finite"):
+            entropy_knn(samples)
+
+    @pytest.mark.parametrize("evaluator, method, estimator", [
+        (lambda x: np.floor(4 * x[:, 0]) + x[:, 1] * (x[:, 0] > 0.5), "bounds", "histogram"),
+        (lambda x: x[:, 0] + x[:, 1], "bounds", "knn"),
+        (lambda x: x[:, 0] + x[:, 1], "groups", "knn"),
+    ], ids=["step", "deriv-sample", "groups-sample"])
+    def test_run_takes_h_y_from_its_derivative_sample(self, evaluator, method, estimator,
+                                                      monkeypatch):
+        # the step in x1 puts atoms at 0 and 1, so the kNN gives way to the
+        # histogram on the same g(x); a groups-only run reads the groups sample
+        model = Model("m", (Uniform(0, 1),) * 2, evaluator)
+        monkeypatch.setattr(studies, "builtin", lambda name: BenchmarkModel(model))
+        config = RunConfig(model="m", methods=(method,), n_samples=3000, n_deriv=2000,
+                           groups=((0, 1),), seed=4)
+        out = run_from_config(config).metadata["output_entropy"]
+        stream, n, groups = (("deriv", config.n_deriv, None) if method == "bounds"
+                             else ("groups", config.n_samples, config.groups))
+        y = estimate_deriv_measures(model, n, config.fd_step, _method_streams(4)[stream],
+                                    groups).y
+        h_y = entropy_knn(y) if estimator == "knn" else entropy_histogram(y, HistogramSpec())
+        assert out["estimator"] == estimator and out["h_y"] == h_y
+
+    def test_full_model_entropy_supplies_h_y(self):
+        config = RunConfig(model="ishigami", methods=("deriv", "entropy", "bounds"),
+                           n_samples=20_000, n_deriv=500, repetitions=2, bins_output=32,
+                           bins_cond=16, seed=6)
+        out = run_from_config(config).metadata["output_entropy"]
+        er = estimate_entropy_indices(builtin("ishigami").model, 20_000, HistogramSpec(32, 16),
+                                      2, _method_streams(6)["entropy"])
+        assert out["estimator"] == "entropy" and out["h_y"] == er.h_y
 
 
 class TestBounds:

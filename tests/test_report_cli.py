@@ -19,9 +19,21 @@ import entrosa
 from entrosa import ConfigurationError, RunConfig, SensitivityReport, rank_descending
 from entrosa.benchmarks import FLOOD_POINCARE, FLOOD_VAR_NAMES
 from entrosa.cli import main
-from entrosa.report import load_config_file, reports_equal
+from entrosa.report import MAX_RUNS, _read_config_file
 from entrosa.studies import (build_benchmark, convergence, metastudy,
                              run_from_config, run_table_preset)
+
+
+def load_config_file(path) -> RunConfig:
+    """The config a sectioned key = value file gives, as ``entrosa run --config`` reads it."""
+    return RunConfig.from_mapping(_read_config_file(path))
+
+
+def reports_equal(a: SensitivityReport, b: SensitivityReport) -> bool:
+    """Value-level equality, ignoring the wall time."""
+    meta_a = {k: v for k, v in a.metadata.items() if k != "wall_time_s"}
+    meta_b = {k: v for k, v in b.metadata.items() if k != "wall_time_s"}
+    return meta_a == meta_b and a.rows == b.rows and a.rankings == b.rankings
 
 
 class TestRunConfig:
@@ -342,8 +354,8 @@ D, N, N_DERIV, N_BASE, REPS, GROUPS = 3, 2000, 500, 500, 4, ((0, 1), (2,))
     ("variance", N_BASE * (D + 2)),
     ("entropy", N * REPS),
     ("kl", (D + 1) * N),
-    ("bounds", (D + 1) * N_DERIV + N),
-    ("groups", N + (len(GROUPS) + 1) * N),
+    ("bounds", (D + 1) * N_DERIV),
+    ("groups", (len(GROUPS) + 1) * N),
 ])
 def test_evaluation_count_is_the_documented_cost(method, cost, monkeypatch):
     # entropy repetitions evaluate on two threads, and no count is lost
@@ -352,6 +364,30 @@ def test_evaluation_count_is_the_documented_cost(method, cost, monkeypatch):
                     n_base=N_BASE, repetitions=REPS, bins_output=16, bins_cond=8,
                     groups=GROUPS, seed=0)
     assert run_from_config(cfg).metadata["n_evaluations"] == cost
+
+
+def test_counts_above_the_cap_are_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    # cap + 1 only: the refusal comes before any stream is spawned or run started
+    import entrosa.studies as studies
+
+    def no_run(config):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(studies, "run_from_config", no_run)
+    too_many = str(MAX_RUNS + 1)
+    with pytest.raises(ConfigurationError, match=f"at most {MAX_RUNS}"):
+        RunConfig(model="ishigami", methods=("entropy",), repetitions=MAX_RUNS + 1)
+    with pytest.raises(ConfigurationError, match="functions"):
+        metastudy(MAX_RUNS + 1, 1000, seed=0)
+    with pytest.raises(ConfigurationError, match="repetitions"):
+        convergence("mono3", "deriv", [200], MAX_RUNS + 1, 0)
+    for argv in (["run", "--model", "ishigami", "--methods", "entropy", "--reps", too_many],
+                 ["metastudy", "--n-functions", too_many, "--seed", "0",
+                  "--output", str(tmp_path / "m.json")],
+                 ["convergence", "--model", "mono3", "--ladder", "200", "--reps", too_many,
+                  "--output", str(tmp_path / "c.json")]):
+        assert main(argv) == 2, argv
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("mapping", [
