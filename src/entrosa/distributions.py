@@ -6,8 +6,12 @@ kinds take theirs from the moments of the standard law on the window, and
 sample by their quantile function on the restricted quantile range. All
 distribution objects are immutable and safe to share between threads;
 sampling always takes an explicit ``numpy.random.Generator``. Every law
-draws in place into the vector it is given (``_draw``), bitwise as numpy's
-own sampler draws and with the same use of the stream.
+draws in place into the vector it is given in two steps: one serial stream
+call fills it (``_fill``: uniforms, or numpy's normal or gamma variates),
+and an elementwise transform maps the fill to the law (``_transform``). The
+transform of one element reads no other, so it may run on any row blocks,
+in any order; the draw is bitwise as numpy's own sampler draws, with the
+same use of the stream.
 """
 
 from __future__ import annotations
@@ -42,11 +46,17 @@ class Distribution:
         if n < 1:
             raise ConfigurationError(f"sample size must be >= 1, got {n}")
         out = np.empty(n) if out is None else out
-        self._draw(rng, out)
+        self._fill(rng, out)
+        self._transform(out)
         return out
 
-    def _draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Fill the float64 vector ``out`` in place, one draw per element."""
+    def _fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill the float64 vector ``out`` from the stream in one call."""
+        rng.random(out=out)
+
+    def _transform(self, out: np.ndarray) -> None:
+        """Map the fill to the law in place, element by element, so that
+        each row block of a fill may be transformed on its own."""
         raise NotImplementedError
 
     def entropy(self) -> float:
@@ -70,8 +80,7 @@ class Uniform(Distribution):
         if not (self.a < self.b and math.isfinite(self.b - self.a)):
             raise ConfigurationError(f"Uniform requires finite a < b, got ({self.a}, {self.b})")
 
-    def _draw(self, rng, out):
-        rng.random(out=out)
+    def _transform(self, out):
         out *= self.b - self.a
         out += self.a
 
@@ -95,8 +104,10 @@ class Gaussian(Distribution):
             raise ConfigurationError(
                 f"Gaussian requires finite mu and 0 < var < inf, got ({self.mu}, {self.var})")
 
-    def _draw(self, rng, out):
+    def _fill(self, rng, out):
         rng.standard_normal(out=out)
+
+    def _transform(self, out):
         out *= math.sqrt(self.var)
         out += self.mu
 
@@ -124,10 +135,9 @@ class Triangular(Distribution):
                 f"got ({self.a}, {self.c}, {self.b})"
             )
 
-    def _draw(self, rng, out):
+    def _transform(self, out):
         # numpy's random_triangular: the left branch in place, the right in a temporary
         a, c, b = self.a, self.c, self.b
-        rng.random(out=out)
         right = (1.0 - out) * ((b - c) * (b - a))
         np.subtract(b, np.sqrt(right, out=right), out=right)
         use_right = out > (c - a) / (b - a)
@@ -156,8 +166,10 @@ class ChiSquared(Distribution):
         if not 0 < self.df < math.inf:
             raise ConfigurationError(f"ChiSquared requires 0 < df < inf, got {self.df}")
 
-    def _draw(self, rng, out):
+    def _fill(self, rng, out):
         rng.standard_gamma(self.df / 2.0, out=out)
+
+    def _transform(self, out):
         out *= 2.0
 
     def entropy(self):
@@ -178,11 +190,14 @@ class _Truncated(Distribution):
 
     A subclass gives ``_loc_scale()`` and, for the standard law in
     ``z = (x - loc) / scale``, the closed-form ``_zcdf``, ``_zsf`` (1 - F),
-    ``_zppf`` and ``_zmoments`` (E[z] and E[-ln f(z)] on the window), with
-    loc and scale in scipy's order, so every draw is bitwise scipy's ``norm``
-    or ``gumbel_r``. Sampling maps uniforms onto ``[F(lower), F(upper)]`` and
-    applies the quantile function in place. Entropy and mean take the mass of
-    a window right of the median as S(lower) - S(upper), which does not cancel.
+    ``_zppf``, ``_zisf`` (the inverse of S) and ``_zmoments`` (E[z] and
+    E[-ln f(z)] on the window), each in the form scipy's ``norm`` or
+    ``gumbel_r`` uses, so every draw is bitwise scipy's. A window right of
+    the median (F(lower) > 1/2) is taken on the survival side, where its
+    small tail probabilities keep their digits: sampling maps uniforms onto
+    ``[S(upper), S(lower)]`` and applies the inverse survival function, and
+    the mass is S(lower) - S(upper). Any other window maps uniforms onto
+    ``[F(lower), F(upper)]`` and applies the quantile function.
     """
 
     lower: float
@@ -203,26 +218,31 @@ class _Truncated(Distribution):
         loc, scale = self._loc_scale()
         return tuple(float(self._zcdf((x - loc) / scale)) for x in (self.lower, self.upper))
 
-    def _ppf(self, q, out=None):
-        """Quantile function of the untruncated law, into ``out`` if given."""
-        loc, scale = self._loc_scale()
-        z = self._zppf(q, out=out)
-        return np.add(np.multiply(z, scale, out=out), loc, out=out)
-
-    def _draw(self, rng, out):
+    def _window(self) -> tuple[bool, float, float]:
+        """Whether the window lies right of the median, and its probability
+        range: ``(S(upper), S(lower))`` if it does, ``_qrange()`` if not."""
         qa, qb = self._qrange()
-        rng.random(out=out)
-        out *= qb - qa
-        out += qa
-        self._ppf(out, out=out)
+        if not qa > 0.5:
+            return False, qa, qb
+        loc, scale = self._loc_scale()
+        sb, sa = (float(self._zsf((x - loc) / scale)) for x in (self.upper, self.lower))
+        return True, sb, sa
+
+    def _transform(self, out):
+        loc, scale = self._loc_scale()
+        right, lo, hi = self._window()
+        out *= hi - lo
+        out += lo
+        z = (self._zisf if right else self._zppf)(out, out=out)
+        np.multiply(z, scale, out=out)
+        out += loc
 
     def _moments(self):
         """The window's mass Z, and E[z] and E[-ln f(z)] of the standard law on it."""
         loc, scale = self._loc_scale()
-        qa, qb = self._qrange()
+        _, lo, hi = self._window()
         a, b = ((x - loc) / scale for x in (self.lower, self.upper))
-        mass = float(self._zsf(a) - self._zsf(b)) if qa > 0.5 else qb - qa
-        return (mass, *self._zmoments(a, b, mass))
+        return (hi - lo, *self._zmoments(a, b, hi - lo))
 
     def entropy(self):
         mass, _, neg_log_f = self._moments()
@@ -269,6 +289,9 @@ class TruncatedGaussian(_Truncated):
 
         return ndtri(q, out=out)
 
+    _zisf = staticmethod(lambda q, out=None: np.negative(TruncatedGaussian._zppf(q, out=out),
+                                                         out=out))
+
     @staticmethod
     def _zmoments(a, b, mass):
         # Johnson, Kotz & Balakrishnan: E[z] = (phi(a) - phi(b)) / Z and
@@ -303,11 +326,20 @@ class TruncatedGumbel(_Truncated):
         with np.errstate(over="ignore"):  # exp(-z) is inf far left, where F is 0
             return np.exp(-np.exp(-z))
 
-    _zsf = staticmethod(lambda z: -np.expm1(-np.exp(-z)))
+    @staticmethod
+    def _zsf(z):
+        from scipy.special import expm1  # scipy's, as gumbel_r's sf; numpy's differs in ulps
+
+        return -expm1(-np.exp(-z))
 
     @staticmethod
     def _zppf(q, out=None):
         z = np.negative(np.log(q, out=out), out=out)
+        return np.negative(np.log(z, out=out), out=out)
+
+    @staticmethod
+    def _zisf(q, out=None):
+        z = np.negative(np.log1p(np.negative(q, out=out), out=out), out=out)
         return np.negative(np.log(z, out=out), out=out)
 
     @staticmethod

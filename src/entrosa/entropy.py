@@ -41,8 +41,8 @@ import numpy as np
 from .deriv import DerivMeasures
 from .distributions import Distribution
 from .errors import ConfigurationError, NumericalError, SparseGridError
-from .model import (Model, _map_in_order, _restoring, _usable_cpus, clean_outputs,
-                    evaluate_batch, finite_within_rate, sample_inputs)
+from .model import (Model, _map_in_order, _map_rows, _restoring, _usable_cpus,
+                    clean_outputs, evaluate_batch, finite_within_rate, sample_inputs)
 
 __all__ = ["HistogramSpec", "EntropyReport", "EntropyBounds", "KLResult",
            "entropy_histogram", "entropy_knn", "conditional_entropy",
@@ -75,10 +75,9 @@ def _axis_codes(values: np.ndarray, bins: int) -> tuple[np.ndarray, float]:
     """Equal-width cell index per sample and the cell width; grid spans the
     sample min/max with no padding. Returns (None, 0) on a degenerate range
     and raises NumericalError on a range float64 cannot divide into cells."""
-    # the one float temporary, scaled in place below
-    scaled = np.array(values, dtype=float)
-    lo = float(scaled.min())
-    hi = float(scaled.max())
+    values = np.asarray(values, dtype=float)
+    lo = float(values.min())
+    hi = float(values.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericalError("histogram input contains non-finite values")
     if hi <= lo:
@@ -89,12 +88,18 @@ def _axis_codes(values: np.ndarray, bins: int) -> tuple[np.ndarray, float]:
     if not 0 < factor < math.inf:
         raise NumericalError(f"sample range [{lo!r}, {hi!r}] is too narrow or too wide "
                              f"for {bins} histogram cells")
-    scaled -= lo
-    scaled *= factor
-    # scaled >= 0, so truncating before the clip gives the same codes as after
-    codes = scaled.astype(np.int32)
-    del scaled
-    np.minimum(codes, bins - 1, out=codes)
+    codes = np.empty(values.size, dtype=np.int32)
+
+    def code(rows: slice) -> None:
+        # a float temporary of one row block, scaled in place
+        scaled = np.subtract(values[rows], lo)
+        scaled *= factor
+        # scaled >= 0, so truncating before the clip gives the same codes as after
+        block = codes[rows]
+        np.copyto(block, scaled, casting="unsafe")
+        np.minimum(block, bins - 1, out=block)
+
+    _map_rows(code, values.size)
     return codes, width
 
 
@@ -142,11 +147,16 @@ def _conditional_from_codes(ycodes: np.ndarray, width: float, cond_codes: list,
     live = [codes for codes in cond_codes if codes is not None]
     n_cells = spec.bins_per_conditioning_dim ** len(live) * bins_out
     joint = np.zeros(n, dtype=np.int32 if n_cells < 2 ** 31 else np.int64)
-    for codes in live:
-        joint *= spec.bins_per_conditioning_dim
-        joint += codes
-    joint *= bins_out
-    joint += ycodes
+
+    def fold(rows: slice) -> None:
+        block = joint[rows]
+        for codes in live:
+            block *= spec.bins_per_conditioning_dim
+            block += codes[rows]
+        block *= bins_out
+        block += ycodes[rows]
+
+    _map_rows(fold, n)
 
     # the occupied cells come in ascending code order, so the cells of one
     # conditioning cell are a contiguous block of them

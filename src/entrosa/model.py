@@ -2,15 +2,23 @@
 and variable fixing.
 
 A model is a pure map from a d-vector to a real, evaluated row-wise over
-(n, d) input matrices. Evaluators must be vectorized: they receive the full
-matrix and return an (n,) output vector. Models are immutable and shareable.
+(n, d) input matrices. Evaluators must be vectorized: they receive row
+blocks of at most ``_BLOCK_ROWS`` rows, possibly on several threads at once,
+and return one output per row. Models are immutable and shareable.
+
+Every elementwise pass over a sample (evaluation, the laws' transforms, the
+histogram's axis and joint codes) runs on those row blocks through
+``_map_rows``, and every concurrent map of the package goes through
+``_map_in_order``. Stream fills, sorts and reductions stay serial and
+whole-array, so no result depends on the number of threads.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -28,7 +36,7 @@ log = logging.getLogger(__name__)
 DEFAULT_FD_STEP = 1e-5
 # estimator runs abort above this rate of non-finite model outputs
 MAX_BAD_FRACTION = 1e-3
-# rows per evaluator call of a model with pinned variables
+# rows per evaluator call and per elementwise pass over a sample
 _BLOCK_ROWS = 2 ** 16
 
 
@@ -38,8 +46,9 @@ class Model:
     outputs. The evaluator must not modify its input, and it may be called
     again on the same array with one column changed: the estimators step,
     swap or freeze one column of their sample in place rather than copy the
-    sample. It may return a view of its input, which ``evaluate_batch``
-    copies."""
+    sample. It is called on row blocks, possibly on several threads at once,
+    so it must be row-wise and thread-safe. It may return a view of its
+    input, which ``evaluate_batch`` copies."""
 
     name: str
     inputs: tuple[Distribution, ...]
@@ -63,22 +72,69 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# set on a thread while it runs a task of a map, so that a map called there runs inline
+_in_task = threading.local()
+_pool_lock = threading.Lock()
+_pool: tuple[int, int, ThreadPoolExecutor] | None = None  # (pid, threads, executor)
+
+
+def _helpers(threads: int) -> ThreadPoolExecutor:
+    """The process-wide pool of helper threads, built on first use and built
+    again with more threads, or in a forked child, whose copy has none."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid() or _pool[1] < threads:
+            _pool = (os.getpid(), threads, ThreadPoolExecutor(threads))
+        return _pool[2]
+
+
 def _map_in_order(fn: Callable, items: Iterable, width: int) -> list:
     """``[fn(item) for item in items]`` on ``width`` threads, the one task
-    runner of the package.
+    runner of the package: the calling thread and ``width - 1`` threads of
+    one process-wide pool take the items in order, one at a time.
 
     Results come back in item order, so they are the same at any width, and
-    the first failure in item order is the one raised; the items not yet
-    started when it is seen never run. At width 1 this is the plain loop and
-    starts no thread, so a task on the pool that maps at width 1 nests none."""
-    if width <= 1:
+    the first failure in item order is the one raised, once every running
+    item has ended; the items not yet started when a failure is seen never
+    run. At width 1, and inside a task of a map, this is the plain loop:
+    maps nest without nesting pools, as an inner map runs on the thread of
+    its task."""
+    if width <= 1 or getattr(_in_task, "marked", False):
         return [fn(item) for item in items]
-    pool = ThreadPoolExecutor(width)
+    items = list(items)
+    results = [None] * len(items)
+    failures = {}
+    indices = iter(range(len(items)))  # next() on it is atomic under the GIL
+    stop = False
+
+    def take_items() -> None:
+        _in_task.marked = True
+        try:
+            while not (stop or failures) and (i := next(indices, None)) is not None:
+                try:
+                    results[i] = fn(items[i])
+                except BaseException as exc:  # raised by the caller, in item order
+                    failures[i] = exc
+        finally:
+            _in_task.marked = False
+
+    helpers = [_helpers(width - 1).submit(take_items) for _ in range(min(width, len(items)) - 1)]
     try:
-        futures = [pool.submit(fn, item) for item in items]
-        return [future.result() for future in futures]
+        take_items()
     finally:
-        pool.shutdown(cancel_futures=True)
+        # the caller alone can run every item: a helper not yet started never will
+        stop = True
+        wait([helper for helper in helpers if not helper.cancel()])
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
+def _map_rows(fn: Callable[[slice], object], n: int) -> list:
+    """``_map_in_order`` of ``fn`` over the row blocks of n rows, slices of
+    at most ``_BLOCK_ROWS`` rows, one thread per block and usable CPU."""
+    blocks = [slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS)]
+    return _map_in_order(fn, blocks, min(len(blocks), _usable_cpus()))
 
 
 @contextmanager
@@ -95,7 +151,8 @@ def _restoring(x: np.ndarray, columns: Iterable[int]):
 
 def sample_inputs(model: Model, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an (n, d) matrix of independent inputs in Fortran order, each
-    law straight into its own contiguous column."""
+    law straight into its own contiguous column: the stream fills the
+    column in one call, and the law's transform maps it in row blocks."""
     if n < 1:
         raise ConfigurationError(f"sample size must be >= 1, got {n}")
     try:
@@ -103,30 +160,41 @@ def sample_inputs(model: Model, n: int, rng: np.random.Generator) -> np.ndarray:
     except (MemoryError, ValueError) as exc:
         raise ConfigurationError(f"cannot allocate {n} x {model.dim} inputs: {exc}") from None
     for j, dist in enumerate(model.inputs):
-        dist.sample(n, rng, out=x[:, j])
+        dist._fill(rng, x[:, j])
+
+    def transform(rows: slice) -> None:
+        for j, dist in enumerate(model.inputs):
+            dist._transform(x[rows, j])
+
+    _map_rows(transform, n)
     return x
 
 
 def evaluate_batch(model: Model, inputs: np.ndarray) -> np.ndarray:
-    """Row-wise, order-preserving evaluation of the model.
+    """Row-wise, order-preserving evaluation of the model, in row blocks
+    through ``_map_rows``; each block's output is copied into the result.
 
-    The output never shares memory with ``inputs``: an evaluator's view of
-    its input is copied, so the caller may change ``inputs`` afterwards.
-    Non-finite outputs are preserved for the caller's ``finite_within_rate``
-    check; the batch as a whole fails only when every row is non-finite.
+    The output never shares memory with ``inputs``, so the caller may change
+    ``inputs`` afterwards. Non-finite outputs are preserved for the caller's
+    ``finite_within_rate`` check; the batch as a whole fails only when every
+    row is non-finite.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if inputs.shape[1] != model.dim:
         raise ConfigurationError(
             f"input matrix has {inputs.shape[1]} columns, model {model.name!r} has dim {model.dim}"
         )
-    y = np.asarray(model.evaluator(inputs), dtype=float)
-    if y.shape != (inputs.shape[0],):
-        raise NumericalError(
-            f"evaluator of {model.name!r} returned shape {y.shape}, expected ({inputs.shape[0]},)"
-        )
-    if np.may_share_memory(y, inputs):
-        y = y.copy()
+    y = np.empty(inputs.shape[0])
+
+    def evaluate(rows: slice) -> None:
+        out = np.asarray(model.evaluator(inputs[rows]), dtype=float)
+        if out.shape != y[rows].shape:
+            raise NumericalError(
+                f"evaluator of {model.name!r} returned shape {out.shape}, "
+                f"expected {y[rows].shape}")
+        y[rows] = out
+
+    _map_rows(evaluate, y.size)
     if not np.isfinite(y).any():
         raise NumericalError(f"all {y.size} outputs of {model.name!r} are non-finite")
     return y
@@ -185,9 +253,9 @@ def fix_variables(model: Model, fixed: dict[int, float]) -> Model:
     """Reduce the model by pinning coordinates (0-based keys) to constants.
 
     The reduced model has dimension ``d - len(fixed)`` and drops the fixed
-    coordinates' distributions. Its evaluator calls the original one on
-    row blocks of at most ``_BLOCK_ROWS`` rows of one Fortran-order block,
-    whose fixed columns are written once.
+    coordinates' distributions. Its evaluator calls the original one on a
+    Fortran-order copy of the row block it is given, with the fixed columns
+    written in.
     """
     if not fixed:
         return model
@@ -201,23 +269,16 @@ def fix_variables(model: Model, fixed: dict[int, float]) -> Model:
     if len(fixed) >= d:
         raise ConfigurationError("cannot fix every variable of the model")
 
-    free = tuple(i for i in range(d) if i not in fixed)
+    free = [i for i in range(d) if i not in fixed]
     pinned, values = map(list, zip(*sorted(fixed.items())))
     base_eval = model.evaluator
 
     def reduced_eval(xr: np.ndarray) -> np.ndarray:
         # contiguous columns, the layout sample_inputs gives an unreduced model
-        block = np.empty((min(len(xr), _BLOCK_ROWS), d), order="F")
-        block[:, pinned] = values
-        y = np.empty(len(xr))
-        for start in range(0, len(xr), _BLOCK_ROWS):
-            rows = block[:min(len(xr) - start, _BLOCK_ROWS)]
-            for j, i in enumerate(free):
-                rows[:, i] = xr[start:start + len(rows), j]
-            if np.shape(out := base_eval(rows)) != (len(rows),):
-                raise NumericalError(f"evaluator of {model.name!r} returned shape {np.shape(out)}")
-            y[start:start + len(rows)] = out
-        return y
+        x = np.empty((len(xr), d), order="F")
+        x[:, pinned] = values
+        x[:, free] = xr
+        return base_eval(x)
 
     label = ",".join(f"x{i + 1}={v:g}" for i, v in zip(pinned, values))
     return Model(

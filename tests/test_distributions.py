@@ -61,6 +61,19 @@ def _scipy_variance(dist):
     return base.expect(lambda x: (x - m) ** 2, lb=lb, ub=ub, conditional=True)
 
 
+def _truncated_reference(dist, n, rng):
+    """Inverse transform sampling through the scipy.stats base law: its isf
+    on [S(upper), S(lower)] for a window right of the median, its ppf on
+    [F(lower), F(upper)] for any other."""
+    base = _scipy_base(dist)
+    qa, qb = float(base.cdf(dist.lower)), float(base.cdf(dist.upper))
+    if qa > 0.5:
+        lo, hi, inverse = float(base.sf(dist.upper)), float(base.sf(dist.lower)), base.isf
+    else:
+        lo, hi, inverse = qa, qb, base.ppf
+    return inverse(lo + (hi - lo) * rng.random(n))
+
+
 TRUNCATED_WINDOWS = [
     TruncatedGumbel(1013.0, 558.0, 500.0, 3000.0),      # flood Q
     TruncatedGaussian(30.0, 64.0, 15.0, math.inf),      # flood Ks
@@ -79,7 +92,7 @@ def test_truncated_laws_match_scipy_bitwise(dist):
     assert dist._qrange() == (qa, qb)
     df = qb - qa
     for seed in (0, 1):
-        ref = base.ppf(qa + df * np.random.default_rng(seed).random(200_000))
+        ref = _truncated_reference(dist, 200_000, np.random.default_rng(seed))
         assert np.array_equal(dist.sample(200_000, np.random.default_rng(seed)), ref)
     # entropy and mean are closed forms; the reference integrates in the quantile domain
     log_df = math.log(df)
@@ -133,9 +146,15 @@ def test_flood_input_entropies_are_unchanged_bitwise():
         2.0, 0.8243606353500641, 16.487212707001284, 8.243606353500642)
 
 
-def _truncated_reference(dist, n, rng):
-    qa, qb = dist._qrange()
-    return dist._ppf(qa + (qb - qa) * rng.random(n))
+@pytest.mark.parametrize("dist", [TruncatedGaussian(0.0, 1.0, 6.8294156, math.inf),
+                                  TruncatedGumbel(0.0, 1.0, 25.0, 27.0)], ids=repr)
+def test_right_tail_windows_draw_inside_their_support(dist):
+    # q = F(lower) + u (F(upper) - F(lower)) near F = 1 had about 39k values
+    # and rounded to 1.0, where the quantile is +inf
+    x = dist.sample(1_000_000, np.random.default_rng(0))
+    assert np.isfinite(x).all()
+    assert dist.lower <= x.min() and x.max() <= dist.upper
+    assert np.unique(x).size > 900_000
 
 
 def _truncated_law(cls, loc, scale, za, zb, side):

@@ -2,7 +2,6 @@
 
 import logging
 import math
-import os
 import time
 import tracemalloc
 import warnings
@@ -369,14 +368,13 @@ class TestEntropyIndices:
             others = [j for j in range(model.dim) if j != i]
             assert report.h_total[i] == conditional_entropy(y, x[:, others], spec)
 
-    def test_each_repetition_draws_from_its_own_spawned_stream(self, monkeypatch):
+    def test_each_repetition_draws_from_its_own_spawned_stream(self, cpus):
         # repetition r samples from rng.spawn(repetitions)[r], so its values
         # do not depend on the repetitions before it, nor on how many run at once
         model = builtin("ishigami").model
         spec = HistogramSpec(bins_output=30, bins_per_conditioning_dim=10)
-        for n, reps, cpus in ((20_000, 3, 1), (50_000, 5, 1), (50_000, 5, 2)):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                                raising=False)
+        for n, reps, k in ((20_000, 3, 1), (50_000, 5, 1), (50_000, 5, 2)):
+            cpus(k)
             report = estimate_entropy_indices(model, n, spec, reps, np.random.default_rng(31))
             h_y, h_t = [], []
             for stream in np.random.default_rng(31).spawn(reps):
@@ -389,12 +387,11 @@ class TestEntropyIndices:
             np.testing.assert_array_equal(report.h_total, np.mean(h_t, axis=0))
             np.testing.assert_array_equal(report.h_total_std, np.std(h_t, axis=0))
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_first_failing_repetition_raises_and_cancels_the_rest(self, cpus, monkeypatch):
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_first_failing_repetition_raises_and_cancels_the_rest(self, k, cpus):
         # repetitions 1 and 3 fail, 3 first: the error is repetition 1's, and
         # the repetitions not yet started when it is seen never run
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
+        cpus(k)
         reps, n = 40, 1000
         inputs = (Uniform(0, 1),) * 2
         firsts = [sample_inputs(Model("m", inputs, None), n, stream)[0, 0]
@@ -414,13 +411,12 @@ class TestEntropyIndices:
                                      HistogramSpec(10, 4), reps, np.random.default_rng(5))
         assert 2 <= len(started) < reps
 
-    def test_pool_width_is_capped_by_cpus_and_memory(self, monkeypatch):
+    def test_pool_width_is_capped_by_cpus_and_memory(self, cpus):
         # an ishigami repetition of the nonlinear preset holds 12 MB, so up to
         # 5 fit in the 64 MiB ceiling; a flood one holds 90 MB and runs alone
-        for cpus, reps in ((1, 20), (2, 20), (4, 20), (4, 3), (16, 3)):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                                raising=False)
-            assert _pool_width(reps, 250_000, 3) == min(reps, cpus)
+        for k, reps in ((1, 20), (2, 20), (4, 20), (4, 3), (16, 3)):
+            cpus(k)
+            assert _pool_width(reps, 250_000, 3) == min(reps, k)
             assert _pool_width(reps, 1_500_000, 4) == 1
         # at 16 CPUs the memory ceiling binds
         assert _pool_width(20, 250_000, 3) == _POOL_BYTES // (250_000 * 48) == 5

@@ -1,7 +1,12 @@
-"""Model evaluation, finite differences, and variable fixing."""
+"""Model evaluation, finite differences, variable fixing, and the row-block
+rule every elementwise pass over a sample follows."""
 
 import logging
 import math
+import multiprocessing
+import sys
+import threading
+import time
 import tracemalloc
 from contextlib import nullcontext
 
@@ -12,11 +17,13 @@ from hypothesis import strategies as st
 
 import entrosa.entropy
 import entrosa.variance
-from entrosa import (ConfigurationError, Gaussian, Model, NumericalError,
-                     Uniform, builtin, estimate_deriv_measures,
-                     estimate_total_effect_variance, evaluate_batch,
-                     fd_directional_batch, fix_variables, kl_total_index,
+from entrosa import (ChiSquared, ConfigurationError, Gaussian, Model, NumericalError,
+                     Triangular, TruncatedGaussian, TruncatedGumbel, Uniform, builtin,
+                     estimate_deriv_measures, estimate_total_effect_variance,
+                     evaluate_batch, fd_directional_batch, fix_variables, kl_total_index,
                      sample_inputs)
+from entrosa.entropy import _axis_codes
+from entrosa.model import _BLOCK_ROWS, _map_in_order, clean_outputs
 
 
 def test_ishigami_at_origin():
@@ -363,10 +370,14 @@ class TestFixVariables:
             full[:, i] = v
         return bench.model, reduced, xr, full
 
-    @pytest.mark.parametrize("n, blocks", [(50, [50]), (2 * 2 ** 16 + 3, [2 ** 16, 2 ** 16, 3])],
-                             ids=["one-block", "three-blocks"])
-    def test_flood_reduction_is_bitwise_the_full_model(self, n, blocks):
-        # the evaluator sees row blocks of at most 2**16 rows
+    @pytest.mark.parametrize("n, k, blocks", [
+        (50, 1, [50]), (2 * 2 ** 16 + 3, 1, [2 ** 16, 2 ** 16, 3]),
+        (2 * 2 ** 16 + 3, 2, [3, 2 ** 16, 2 ** 16])],
+        ids=["one-block", "three-blocks", "three-blocks-on-two-cpus"])
+    def test_flood_reduction_is_bitwise_the_full_model(self, n, k, blocks, cpus):
+        # the evaluator sees row blocks of at most 2**16 rows, in row order on
+        # one CPU and in any order on two
+        cpus(k)
         rows = []
 
         def spy(x):
@@ -375,7 +386,7 @@ class TestFixVariables:
 
         model, reduced, xr, full = self._flood_pinned(n, 4, spy)
         assert np.array_equal(evaluate_batch(reduced, xr), evaluate_batch(model, full))
-        assert rows == blocks
+        assert (rows if k == 1 else sorted(rows)) == blocks
 
     def test_row_blocks_bound_the_memory_of_an_evaluation(self):
         # a full (n, 8) copy of the sample alone would be 96 MB; the output is 12 MB
@@ -438,3 +449,143 @@ def test_gaussian_inputs_sampling_shape():
     x = sample_inputs(model, 1000, np.random.default_rng(0))
     assert x.shape == (1000, 2)
     assert abs(x[:, 1].std() - 2.0) < 0.15
+
+
+class TestRowBlocks:
+    """Evaluation, the laws' transforms and the histogram's axis codes run on
+    row blocks of at most 2^16 rows, on one thread or several, with the same
+    bits; a map called inside a task of another runs inline."""
+
+    SIZES = [1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 3]
+    # the six kinds, with truncated windows left and right of the median
+    LAWS = (Uniform(7.0, 9.0), Gaussian(30.0, 64.0), Triangular(49.0, 50.0, 51.0),
+            ChiSquared(13.978), TruncatedGaussian(30.0, 64.0, 15.0, math.inf),
+            TruncatedGumbel(1013.0, 558.0, 500.0, 3000.0),
+            TruncatedGaussian(0.0, 1.0, 6.8294156, math.inf),
+            TruncatedGumbel(0.0, 1.0, 0.5, math.inf))
+
+    @staticmethod
+    def _at_one_and_two_cpus(cpus, run):
+        results = []
+        for k in (1, 2):
+            cpus(k)
+            results.append(run())
+        return results
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_evaluation_is_bitwise_the_same_at_one_and_two_cpus(self, n, cpus):
+        for name in ("ishigami", "gfunction9_case1", "flood", "mono5"):
+            model = builtin(name).model
+            x = sample_inputs(model, n, np.random.default_rng(n))
+            one, two = self._at_one_and_two_cpus(cpus, lambda: evaluate_batch(model, x))
+            assert np.array_equal(one, two), name
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_sampling_is_bitwise_the_same_at_one_and_two_cpus(self, n, cpus):
+        model = Model("laws", self.LAWS, None)
+        one, two = self._at_one_and_two_cpus(
+            cpus, lambda: sample_inputs(model, n, np.random.default_rng(3)))
+        assert np.array_equal(one, two)
+        # and each column is its law's draw on the whole vector
+        rng = np.random.default_rng(3)
+        for j, dist in enumerate(self.LAWS):
+            assert np.array_equal(two[:, j], dist.sample(n, rng)), dist
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_axis_codes_are_bitwise_the_same_at_one_and_two_cpus(self, n, cpus):
+        # a strided column too, as conditional_entropy may pass one
+        for values in (np.random.default_rng(n).standard_normal((n, 2))[:, 1],
+                       np.linspace(-1.0, 1.0, n) ** 3):
+            one, two = self._at_one_and_two_cpus(cpus, lambda: _axis_codes(values, 37))
+            assert one[1] == two[1]
+            if n == 1:
+                assert one[0] is two[0] is None
+                continue
+            assert np.array_equal(one[0], two[0])
+            lo = values.min()
+            reference = ((values - lo) * (37 / (values.max() - lo))).astype(np.int32)
+            assert np.array_equal(two[0], np.minimum(reference, 36))
+
+    def test_a_map_inside_a_task_runs_on_the_thread_of_the_task(self, cpus):
+        cpus(2)
+        caller = threading.get_ident()
+        # the two tasks meet, so they run on two threads at once
+        meet = threading.Barrier(2, timeout=30)
+
+        def inner_item(_):
+            time.sleep(0.01)
+            return threading.get_ident()
+
+        def task(_):
+            meet.wait()
+            if threading.get_ident() == caller:
+                time.sleep(0.2)  # the pool's thread is idle by now, and is not used
+            return threading.get_ident(), _map_in_order(inner_item, range(4), 2)
+
+        results = _map_in_order(task, range(2), 2)
+        assert len({outer for outer, _ in results}) == 2
+        for outer, inner in results:
+            assert inner == [outer] * 4
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_the_error_raised_is_the_first_failing_block_in_row_order(self, k, cpus):
+        # blocks 1 and 2 fail, block 2 first at two CPUs
+        cpus(k)
+
+        def evaluator(x):
+            block = int(x[0, 0]) // _BLOCK_ROWS
+            if block == 1:
+                time.sleep(0.05)
+            if block in (1, 2):
+                raise NumericalError(f"block {block}")
+            return x[:, 0]
+
+        x = np.arange(3 * _BLOCK_ROWS, dtype=float)[:, None]
+        with pytest.raises(NumericalError, match="block 1"):
+            evaluate_batch(Model("m", (Uniform(0.0, x.size),), evaluator), x)
+
+    def test_one_non_finite_block_fails_the_rate_check_not_the_batch(self, cpus):
+        cpus(2)
+        model = Model("second block non-finite", (Uniform(0.0, 1.0),),
+                      lambda x: x[:, 0] if x[0, 0] < _BLOCK_ROWS else np.full(len(x), np.nan))
+        y = evaluate_batch(model, np.arange(2 * _BLOCK_ROWS, dtype=float)[:, None])
+        assert np.isfinite(y[:_BLOCK_ROWS]).all() and np.isnan(y[_BLOCK_ROWS:]).all()
+        with pytest.raises(NumericalError, match="non-finite value rate 50.00%"):
+            clean_outputs(y, "second block")
+
+    def test_every_item_runs_once_under_frequent_thread_switches(self):
+        # more threads than cores, switching every microsecond
+        ran = [0] * 20_000
+
+        def item(i):
+            ran[i] += 1
+            return 3 * i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = _map_in_order(item, range(len(ran)), 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [3 * i for i in range(len(ran))]
+        assert ran == [1] * len(ran)
+
+    def test_a_forked_child_gets_a_pool_of_its_own(self, cpus):
+        cpus(2)
+        meet = threading.Barrier(2, timeout=30)
+
+        def meet_and_name_the_thread(_):
+            meet.wait()
+            return threading.get_ident()
+
+        def on_two_threads():
+            return len(set(_map_in_order(meet_and_name_the_thread, range(2), 2))) == 2
+
+        assert on_two_threads()  # the parent's pool has started its thread
+        child = multiprocessing.get_context("fork").Process(
+            target=lambda: sys.exit(0 if on_two_threads() else 1))
+        child.start()
+        child.join(60)
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0

@@ -357,9 +357,9 @@ D, N, N_DERIV, N_BASE, REPS, GROUPS = 3, 2000, 500, 500, 4, ((0, 1), (2,))
     ("bounds", (D + 1) * N_DERIV),
     ("groups", (len(GROUPS) + 1) * N),
 ])
-def test_evaluation_count_is_the_documented_cost(method, cost, monkeypatch):
+def test_evaluation_count_is_the_documented_cost(method, cost, cpus):
     # entropy repetitions evaluate on two threads, and no count is lost
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cpus(2)
     cfg = RunConfig(model="ishigami", methods=(method,), n_samples=N, n_deriv=N_DERIV,
                     n_base=N_BASE, repetitions=REPS, bins_output=16, bins_cond=8,
                     groups=GROUPS, seed=0)
@@ -447,7 +447,7 @@ class TestStudies:
             assert [row[key] for row in rows] == record[key], key
 
     def test_metastudy_output_does_not_depend_on_the_cpu_count(self, tmp_path,
-                                                                monkeypatch):
+                                                                monkeypatch, cpus):
         from entrosa import MetaFunctionSpec, build_metafunction
         import entrosa.studies as studies
         draw = studies.draw_metafunction
@@ -462,10 +462,9 @@ class TestStudies:
 
         monkeypatch.setattr(studies, "draw_metafunction", some_constant)
         texts = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
-                                raising=False)
-            out = tmp_path / f"meta{cpus}.json"
+        for k in (1, 2):
+            cpus(k)
+            out = tmp_path / f"meta{k}.json"
             result = metastudy(12, 20_000, seed=4, output=out, n_deriv=200)
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
@@ -476,7 +475,7 @@ class TestStudies:
         assert result["excluded_records"]
         assert len(result["functions"]) + len(result["excluded_records"]) == 12
 
-    def test_first_failing_function_raises_and_cancels_the_rest(self, monkeypatch):
+    def test_first_failing_function_raises_and_cancels_the_rest(self, monkeypatch, cpus):
         # every function starts with a short sleep, and function 1 then fails:
         # its error is the one raised, and the functions not yet started when
         # it is seen never run
@@ -496,7 +495,7 @@ class TestStudies:
             return draw(rng, seed)
 
         monkeypatch.setattr(studies, "draw_metafunction", failing_second)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cpus(2)
         with pytest.raises(ConfigurationError, match="function 1"):
             metastudy(n_functions, 20_000, seed=4, n_deriv=200)
         assert 2 <= len(started) < n_functions
@@ -632,24 +631,23 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["metadata"]["dim"] == 2
 
-    def test_nonlinear_tables_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+    def test_nonlinear_tables_do_not_depend_on_the_cpu_count(self, tmp_path, cpus):
         # 20 repetitions per model run on one thread or on two; one output
         # directory, because each report echoes its path
         texts = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
-                                raising=False)
+        for k in (1, 2):
+            cpus(k)
             paths = run_table_preset("nonlinear", tmp_path, seed=3, scale=0.02)
             texts.append([b"".join(line for line in p.read_bytes().splitlines(keepends=True)
                                    if not line.startswith(b"# wall_time_s ="))
                           for p in paths])
         assert texts[0] == texts[1]
 
-    def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch):
+    def test_config_error_exit_code(self, tmp_path, capsys, cpus):
         # malformed values exit 2 with a message, whether argparse or the
         # config validation rejects them; a metastudy's functions run on two
         # threads, and an error in one cancels the rest
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cpus(2)
         run = ["run", "--methods", "deriv", "--n-deriv", "200"]
         files = {"seed": "[run]\nseed = abc\n[model]\nname = mono2\n",
                  "fd_step": "[run]\nfd_step = abc\n[model]\nname = mono2\n",
@@ -748,15 +746,14 @@ class TestCli:
                      "--n", "2000", "--seed", "0"])
         assert code == 4
 
-    def test_starved_grid_exits_4_alike_at_any_cpu_count(self, capsys, monkeypatch):
+    def test_starved_grid_exits_4_alike_at_any_cpu_count(self, capsys, cpus):
         # every repetition starves with its own cell count; the error printed
         # is repetition 0's, the one a single repetition gives, at 1 or 2 CPUs
         run = ["run", "--model", "ishigami", "--methods", "entropy", "--n", "2000",
                "--bins-cond", "100", "--seed", "0", "--reps"]
         errors = set()
-        for cpus, reps in ((1, "1"), (1, "4"), (2, "4")):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
-                                raising=False)
+        for k, reps in ((1, "1"), (1, "4"), (2, "4")):
+            cpus(k)
             assert main(run + [reps]) == 4
             errors.add(capsys.readouterr().err)
         assert len(errors) == 1
