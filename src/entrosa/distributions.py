@@ -3,15 +3,15 @@ support.
 
 Entropy is returned in nats. Every entropy and mean is closed form: truncated
 kinds take theirs from the moments of the standard law on the window, and
-sample by their quantile function on the restricted quantile range. All
-distribution objects are immutable and safe to share between threads;
-sampling always takes an explicit ``numpy.random.Generator``. Every law
-draws in place into the vector it is given in two steps: one serial stream
-call fills it (``_fill``: uniforms, or numpy's normal or gamma variates),
-and an elementwise transform maps the fill to the law (``_transform``). The
-transform of one element reads no other, so it may run on any row blocks,
-in any order; the draw is bitwise as numpy's own sampler draws, with the
-same use of the stream.
+sample by its quantile or inverse survival function on the window's
+probability range. All distribution objects are immutable and safe to share
+between threads; sampling always takes an explicit ``numpy.random.Generator``.
+Every law draws in place into the vector it is given in two steps: one
+serial stream call fills it (``_fill``: uniforms, or numpy's normal or gamma
+variates), and an elementwise transform maps the fill to the law
+(``_transform``). The transform of one element reads no other, so it may run
+on any row blocks, in any order; the draw is bitwise as numpy's own sampler
+draws, with the same use of the stream.
 """
 
 from __future__ import annotations
@@ -40,12 +40,11 @@ _HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 class Distribution:
     """Common interface: sample / entropy / mean / support."""
 
-    def sample(self, n: int, rng: np.random.Generator, out=None) -> np.ndarray:
-        """Draw ``n`` i.i.d. values, in place into the float64 n-vector ``out``
-        if it is given; deterministic for a fixed generator state."""
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw ``n`` i.i.d. values; deterministic for a fixed generator state."""
         if n < 1:
             raise ConfigurationError(f"sample size must be >= 1, got {n}")
-        out = np.empty(n) if out is None else out
+        out = np.empty(n)
         self._fill(rng, out)
         self._transform(out)
         return out
@@ -208,25 +207,22 @@ class _Truncated(Distribution):
             raise ConfigurationError(
                 f"truncation window requires lower < upper, got [{self.lower}, {self.upper}]"
             )
-        qa, qb = self._qrange()
-        if not qb - qa > 1e-12:
+        _, lo, hi = self._window()
+        if not hi - lo > 1e-12:
             raise ConfigurationError(
                 f"truncation window [{self.lower}, {self.upper}] carries no probability mass"
             )
 
-    def _qrange(self) -> tuple[float, float]:
-        loc, scale = self._loc_scale()
-        return tuple(float(self._zcdf((x - loc) / scale)) for x in (self.lower, self.upper))
-
     def _window(self) -> tuple[bool, float, float]:
         """Whether the window lies right of the median, and its probability
-        range: ``(S(upper), S(lower))`` if it does, ``_qrange()`` if not."""
-        qa, qb = self._qrange()
-        if not qa > 0.5:
-            return False, qa, qb
+        range: ``(S(upper), S(lower))`` if it does, ``(F(lower), F(upper))``
+        if not."""
         loc, scale = self._loc_scale()
-        sb, sa = (float(self._zsf((x - loc) / scale)) for x in (self.upper, self.lower))
-        return True, sb, sa
+        a, b = ((x - loc) / scale for x in (self.lower, self.upper))
+        qa = float(self._zcdf(a))
+        if not qa > 0.5:
+            return False, qa, float(self._zcdf(b))
+        return True, float(self._zsf(b)), float(self._zsf(a))
 
     def _transform(self, out):
         loc, scale = self._loc_scale()

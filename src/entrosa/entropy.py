@@ -13,8 +13,8 @@ kernel that folds per-axis cell codes into joint cell codes and counts them;
 ``estimate_entropy_indices`` codes each axis once per repetition and shares
 the codes across H(Y) and all d leave-one-out conditionings, so a one-input
 model gets H_T1 = H(Y). Each repetition draws from its own spawned stream,
-and repetitions run concurrently on a thread pool as far as the CPUs and
-``_POOL_BYTES`` allow, with results independent of the pool's width.
+and repetitions run concurrently through ``_map_in_order``, with results
+independent of the number of threads.
 The KL index ``kl_total_index`` takes one input sample for all d inputs:
 g(x) is the shared unconditional baseline.
 
@@ -41,8 +41,8 @@ import numpy as np
 from .deriv import DerivMeasures
 from .distributions import Distribution
 from .errors import ConfigurationError, NumericalError, SparseGridError
-from .model import (Model, _map_in_order, _map_rows, _restoring, _usable_cpus,
-                    clean_outputs, evaluate_batch, finite_within_rate, sample_inputs)
+from .model import (Model, _map_in_order, _map_rows, _restoring, clean_outputs,
+                    evaluate_batch, finite_within_rate, sample_inputs)
 
 __all__ = ["HistogramSpec", "EntropyReport", "EntropyBounds", "KLResult",
            "entropy_histogram", "entropy_knn", "conditional_entropy",
@@ -55,8 +55,6 @@ _SINGLETON_ERROR_SHARE = 0.5
 _SPARSE_WARN_MEAN_COUNT = 10.0
 # cell codes are int32, so no axis may have more cells than int32 can index
 _MAX_BINS = 2 ** 31 - 1
-# concurrent entropy repetitions hold at most this many bytes of samples and codes
-_POOL_BYTES = 64 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -121,17 +119,6 @@ def _check_grid(k: int, spec: HistogramSpec) -> None:
         raise ConfigurationError(
             f"conditioning grid {spec.bins_per_conditioning_dim}^{k} x {spec.bins_output} "
             "overflows cell codes")
-
-
-def _pool_width(repetitions: int, n: int, d: int) -> int:
-    """Threads for ``repetitions`` repetitions of n samples of d inputs.
-
-    A repetition holds n (8d + 8 + 4(d + 1)) bytes: its float inputs and
-    outputs, and the int32 codes of every column. The width is at most one
-    thread per repetition and per usable CPU, and as many repetitions as fit
-    in ``_POOL_BYTES``; at width 1 the repetitions run one at a time."""
-    rep_bytes = max(n, 1) * (8 * d + 8 + 4 * (d + 1))
-    return min(repetitions, _usable_cpus(), max(1, _POOL_BYTES // rep_bytes))
 
 
 def _conditional_from_codes(ycodes: np.ndarray, width: float, cond_codes: list,
@@ -267,8 +254,8 @@ def estimate_entropy_indices(model: Model, n: int,
     kappa_Ti; kappa values that exceed 1 from estimator noise are clipped
     to 1 and flagged.
 
-    The repetitions go through ``_map_in_order`` on ``_pool_width``
-    threads, so the report is bitwise the same at any width.
+    The repetitions go through ``_map_in_order``, so the report is bitwise
+    the same at any width.
     """
     if rng is None:
         raise ConfigurationError("an explicit rng stream is required")
@@ -295,8 +282,9 @@ def estimate_entropy_indices(model: Model, n: int,
                                          f"variable {i + 1} of {model.name}")
                  for i in range(d)])
 
-    results = _map_in_order(repetition, rng.spawn(repetitions),
-                            _pool_width(repetitions, n, d))
+    # a repetition holds its float inputs and outputs, n (8d + 8) bytes, and
+    # the int32 codes of every column, n 4(d + 1)
+    results = _map_in_order(repetition, rng.spawn(repetitions), n * (12 * d + 12))
     h_y = np.array([h for h, _ in results])
     h_t = np.array([row for _, row in results])
 

@@ -38,6 +38,8 @@ DEFAULT_FD_STEP = 1e-5
 MAX_BAD_FRACTION = 1e-3
 # rows per evaluator call and per elementwise pass over a sample
 _BLOCK_ROWS = 2 ** 16
+# the running items of a map that declares their bytes hold at most this many
+_POOL_BYTES = 64 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,7 @@ class Model:
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on: the one bound on the width of
-    every thread pool in the package."""
+    """The CPUs this process may run on, which bound the width of every map."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -88,10 +89,12 @@ def _helpers(threads: int) -> ThreadPoolExecutor:
         return _pool[2]
 
 
-def _map_in_order(fn: Callable, items: Iterable, width: int) -> list:
+def _map_in_order(fn: Callable, items: Iterable, item_bytes: int = 0) -> list:
     """``[fn(item) for item in items]`` on ``width`` threads, the one task
     runner of the package: the calling thread and ``width - 1`` threads of
-    one process-wide pool take the items in order, one at a time.
+    one process-wide pool take the items in order, one at a time. The width
+    is the least of the number of items, the usable CPUs and, for items that
+    hold ``item_bytes`` bytes each, how many fit in ``_POOL_BYTES`` (or 1).
 
     Results come back in item order, so they are the same at any width, and
     the first failure in item order is the one raised, once every running
@@ -99,9 +102,14 @@ def _map_in_order(fn: Callable, items: Iterable, width: int) -> list:
     run. At width 1, and inside a task of a map, this is the plain loop:
     maps nest without nesting pools, as an inner map runs on the thread of
     its task."""
-    if width <= 1 or getattr(_in_task, "marked", False):
+    if getattr(_in_task, "marked", False):
         return [fn(item) for item in items]
     items = list(items)
+    width = min(len(items), _usable_cpus())
+    if item_bytes:
+        width = min(width, max(1, _POOL_BYTES // item_bytes))
+    if width <= 1:
+        return [fn(item) for item in items]
     results = [None] * len(items)
     failures = {}
     indices = iter(range(len(items)))  # next() on it is atomic under the GIL
@@ -118,7 +126,7 @@ def _map_in_order(fn: Callable, items: Iterable, width: int) -> list:
         finally:
             _in_task.marked = False
 
-    helpers = [_helpers(width - 1).submit(take_items) for _ in range(min(width, len(items)) - 1)]
+    helpers = [_helpers(width - 1).submit(take_items) for _ in range(width - 1)]
     try:
         take_items()
     finally:
@@ -132,9 +140,9 @@ def _map_in_order(fn: Callable, items: Iterable, width: int) -> list:
 
 def _map_rows(fn: Callable[[slice], object], n: int) -> list:
     """``_map_in_order`` of ``fn`` over the row blocks of n rows, slices of
-    at most ``_BLOCK_ROWS`` rows, one thread per block and usable CPU."""
+    at most ``_BLOCK_ROWS`` rows."""
     blocks = [slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS)]
-    return _map_in_order(fn, blocks, min(len(blocks), _usable_cpus()))
+    return _map_in_order(fn, blocks)
 
 
 @contextmanager

@@ -131,8 +131,8 @@ class RunConfig:
     n_base: int = 10_000
     n_deriv: int = 1000
     repetitions: int = 1
-    bins_output: int = 100
-    bins_cond: int = 20
+    bins_output: int = HistogramSpec.bins_output
+    bins_cond: int = HistogramSpec.bins_per_conditioning_dim
     fd_step: float = 1e-5
     seed: int = 0
     groups: tuple[tuple[int, ...], ...] | None = None

@@ -25,7 +25,7 @@ from .deriv import estimate_deriv_measures
 from .entropy import (HistogramSpec, entropy_histogram, entropy_knn, entropy_upper_bounds,
                       estimate_entropy_indices, kl_total_index)
 from .errors import ConfigurationError, NumericalError, SparseGridError
-from .model import Model, _map_in_order, _usable_cpus, clean_outputs, fix_variables
+from .model import Model, _map_in_order, clean_outputs, fix_variables
 from .report import MAX_RUNS, METHODS, RunConfig, SensitivityReport, json_text, write_atomic
 from .variance import estimate_total_effect_variance, variance_upper_bound
 
@@ -78,6 +78,7 @@ def build_benchmark(config: RunConfig) -> BenchmarkModel:
 
     model = bench.model
     constants = list(bench.poincare_constants or (None,) * model.dim)
+    pins = dict(bench.entropy_fix or {})
     if config.input_overrides:
         inputs = list(model.inputs)
         for one_based, text in config.input_overrides:
@@ -86,14 +87,17 @@ def build_benchmark(config: RunConfig) -> BenchmarkModel:
                     f"input override index {one_based} out of range for dim {model.dim}")
             inputs[one_based - 1] = parse_distribution(text)
             constants[one_based - 1] = None  # the table's was for the old law
+            pins.pop(one_based - 1, None)  # so was the builtin's pin
         model = Model(f"{model.name}[custom inputs]", tuple(inputs), model.evaluator)
     if config.fix:
         fixed = {i - 1: v for i, v in config.fix}
         model = fix_variables(model, fixed)
         names = tuple(n for j, n in enumerate(names) if j not in fixed)
         constants = [c for j, c in enumerate(constants) if j not in fixed]
+        pins = {j - sum(i < j for i in fixed): v for j, v in pins.items() if j not in fixed}
     # composed models drop the builtin's analytic record: it no longer applies
-    return BenchmarkModel(model, var_names=names, poincare_constants=tuple(constants))
+    return BenchmarkModel(model, var_names=names, entropy_fix=pins or None,
+                          poincare_constants=tuple(constants))
 
 
 def _method_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -112,7 +116,7 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
     t0 = time.perf_counter()
     bench = build_benchmark(config)
     n_evaluations = 0
-    # entropy repetitions evaluate on pool threads, and += is not atomic
+    # evaluations run on pool threads, and += is not atomic
     tally = threading.Lock()
 
     def counted(x: np.ndarray) -> np.ndarray:
@@ -228,9 +232,8 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
     squared-derivative bound. Degenerate draws (constant output) are excluded
     with a reason and counted.
 
-    The functions go through ``_map_in_order`` on one thread per usable CPU.
-    Each draws only from its own seed, so the result is bitwise the same
-    whatever the number of CPUs.
+    The functions go through ``_map_in_order``. Each draws only from its own
+    seed, so the result is bitwise the same whatever the number of CPUs.
     """
     if not 10 <= n_functions <= MAX_RUNS:
         raise ConfigurationError(f"metastudy needs 10 to {MAX_RUNS} functions, got {n_functions}")
@@ -258,7 +261,9 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
             return str(exc)
         return report
 
-    reports = _map_in_order(run, seeds, min(n_functions, _usable_cpus()))
+    # no bytes declared: a function holds about 72 MB at 1e6 samples, which
+    # the byte budget would run one at a time
+    reports = _map_in_order(run, seeds)
     for idx, (fn_seed, report) in enumerate(zip(seeds, reports)):
         fn_spec, _ = draw_metafunction(np.random.default_rng(fn_seed), seed=fn_seed)
         record = {"index": idx, "spec": fn_spec.to_dict()}

@@ -20,7 +20,7 @@ from entrosa import (ChiSquared, ConfigurationError, Gaussian, HistogramSpec, Mo
                      sample_inputs)
 from entrosa import studies
 from entrosa.benchmarks import BenchmarkModel
-from entrosa.entropy import _POOL_BYTES, _SINGLETON_ERROR_SHARE, _pool_width
+from entrosa.entropy import _SINGLETON_ERROR_SHARE
 from entrosa.studies import _method_streams, run_from_config
 
 # grids are drawn on both sides of this many cells per sample, so the
@@ -73,6 +73,10 @@ class TestMarginalEntropy:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="too narrow"):
                 entropy_histogram(np.array([0.0, 1e-315]))
+
+    def test_non_finite_sample_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="non-finite"):
+            entropy_histogram([0.0, 1.0, math.inf])
 
     def test_affine_law_shift_preserving_counts(self):
         rng = np.random.default_rng(3)
@@ -411,15 +415,20 @@ class TestEntropyIndices:
                                      HistogramSpec(10, 4), reps, np.random.default_rng(5))
         assert 2 <= len(started) < reps
 
-    def test_pool_width_is_capped_by_cpus_and_memory(self, cpus):
-        # an ishigami repetition of the nonlinear preset holds 12 MB, so up to
-        # 5 fit in the 64 MiB ceiling; a flood one holds 90 MB and runs alone
-        for k, reps in ((1, 20), (2, 20), (4, 20), (4, 3), (16, 3)):
-            cpus(k)
-            assert _pool_width(reps, 250_000, 3) == min(reps, k)
-            assert _pool_width(reps, 1_500_000, 4) == 1
-        # at 16 CPUs the memory ceiling binds
-        assert _pool_width(20, 250_000, 3) == _POOL_BYTES // (250_000 * 48) == 5
+    def test_non_finite_rows_are_dropped_before_coding(self):
+        # about 10 of the 20 000 outputs are NaN, a rate below the limit
+        model = Model("nan corner", (Uniform(0, 1),) * 2,
+                      lambda x: np.where(x[:, 0] < 5e-4, np.nan, x[:, 0] + x[:, 1] ** 2))
+        report = estimate_entropy_indices(model, 20_000, repetitions=1,
+                                          rng=np.random.default_rng(42))
+        x = sample_inputs(model, 20_000, np.random.default_rng(42).spawn(1)[0])
+        y = evaluate_batch(model, x)
+        good = np.isfinite(y)
+        assert 0 < (~good).sum() <= 20
+        x, y = x[good], y[good]
+        assert report.h_y == entropy_histogram(y)
+        assert report.h_total.tolist() == [conditional_entropy(y, x[:, 1]),
+                                           conditional_entropy(y, x[:, 0])]
 
     def test_one_input_model_has_total_entropy_of_the_output(self):
         # no other input to condition on: H_T1 = H(Y) and kappa = 1
@@ -608,6 +617,13 @@ class TestKL:
         res = kl_total_index(model, 50_000, rng=np.random.default_rng(22))
         assert res.floor_warning[0]
         assert res.floored_mass[0] > 0.5
+
+    def test_constant_output_has_zero_divergence_quietly(self, caplog):
+        model = Model("constant", (Uniform(0, 1),) * 2, lambda x: np.full(len(x), 3.0))
+        with caplog.at_level(logging.WARNING):
+            res = kl_total_index(model, 1000, rng=np.random.default_rng(23))
+        assert res.value.tolist() == [0.0, 0.0] and res.floored_mass.tolist() == [0.0, 0.0]
+        assert not res.floor_warning.any() and caplog.records == []
 
     def test_rng_is_required(self):
         with pytest.raises(ConfigurationError):

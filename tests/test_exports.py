@@ -27,7 +27,9 @@ def test_only_the_cli_reads_the_environment():
 
 
 def test_only_the_model_runs_a_thread_pool():
-    # every concurrent map goes through model._map_in_order
-    owners = [name for name in MODULES
-              if "ThreadPoolExecutor" in Path(importlib.import_module(name).__file__).read_text()]
-    assert owners == ["entrosa.model"]
+    # every concurrent map goes through model._map_in_order, which alone
+    # reads the CPU count and the byte budget that size it
+    for word in ("ThreadPoolExecutor", "_usable_cpus", "sched_getaffinity", "_POOL_BYTES"):
+        owners = [name for name in MODULES
+                  if word in Path(importlib.import_module(name).__file__).read_text()]
+        assert owners == ["entrosa.model"], word

@@ -16,12 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entrosa.entropy
+import entrosa.model
+import entrosa.studies
 import entrosa.variance
 from entrosa import (ChiSquared, ConfigurationError, Gaussian, Model, NumericalError,
                      Triangular, TruncatedGaussian, TruncatedGumbel, Uniform, builtin,
-                     estimate_deriv_measures, estimate_total_effect_variance,
-                     evaluate_batch, fd_directional_batch, fix_variables, kl_total_index,
-                     sample_inputs)
+                     estimate_deriv_measures, estimate_entropy_indices,
+                     estimate_total_effect_variance, evaluate_batch, fd_directional_batch,
+                     fix_variables, kl_total_index, sample_inputs)
 from entrosa.entropy import _axis_codes
 from entrosa.model import _BLOCK_ROWS, _map_in_order, clean_outputs
 
@@ -506,8 +508,16 @@ class TestRowBlocks:
             reference = ((values - lo) * (37 / (values.max() - lo))).astype(np.int32)
             assert np.array_equal(two[0], np.minimum(reference, 36))
 
-    def test_a_map_inside_a_task_runs_on_the_thread_of_the_task(self, cpus):
+    def test_a_map_inside_a_task_runs_on_the_thread_of_the_task(self, cpus, monkeypatch):
         cpus(2)
+        cpu_reads = []
+        usable_cpus = entrosa.model._usable_cpus
+
+        def counted_usable_cpus():
+            cpu_reads.append(threading.get_ident())
+            return usable_cpus()
+
+        monkeypatch.setattr(entrosa.model, "_usable_cpus", counted_usable_cpus)
         caller = threading.get_ident()
         # the two tasks meet, so they run on two threads at once
         meet = threading.Barrier(2, timeout=30)
@@ -520,12 +530,70 @@ class TestRowBlocks:
             meet.wait()
             if threading.get_ident() == caller:
                 time.sleep(0.2)  # the pool's thread is idle by now, and is not used
-            return threading.get_ident(), _map_in_order(inner_item, range(4), 2)
+            return threading.get_ident(), _map_in_order(inner_item, range(4))
 
-        results = _map_in_order(task, range(2), 2)
+        results = _map_in_order(task, range(2))
         assert len({outer for outer, _ in results}) == 2
         for outer, inner in results:
             assert inner == [outer] * 4
+        assert cpu_reads == [caller]  # the inner maps read no CPU count
+
+    def test_every_map_keeps_its_width(self, cpus, monkeypatch):
+        # width = min(items, CPUs, _POOL_BYTES // item_bytes): a repetition of
+        # the nonlinear preset (2.5e5 samples of 3 inputs) holds 12 MB, so 5
+        # fit in 64 MiB, and a flood one (1.5e6 of 4) holds 90 MB and runs
+        # alone; metastudy functions and row blocks declare no bytes
+        declared = {}
+
+        class Declared(Exception):
+            pass
+
+        def record(name):
+            def stop_before_any_item_runs(fn, items, item_bytes=0):
+                declared[name] = list(items), item_bytes
+                raise Declared
+            return stop_before_any_item_runs
+
+        def repetitions(d, n, reps):
+            return lambda: estimate_entropy_indices(Model("m", (Uniform(0, 1),) * d, None), n,
+                                                    repetitions=reps,
+                                                    rng=np.random.default_rng(0))
+
+        blocks = Model("m", (Uniform(0, 1),), lambda x: x[:, 0])
+        for name, module, call in (
+                ("nonlinear", entrosa.entropy, repetitions(3, 250_000, 20)),
+                ("flood", entrosa.entropy, repetitions(4, 1_500_000, 3)),
+                ("metastudy", entrosa.studies, lambda: entrosa.studies.metastudy(10, 1000, 0)),
+                ("row blocks", entrosa.model,
+                 lambda: evaluate_batch(blocks, np.zeros((3 * _BLOCK_ROWS + 1, 1))))):
+            with monkeypatch.context() as patch, pytest.raises(Declared):
+                patch.setattr(module, "_map_in_order", record(name))
+                call()
+        assert declared["nonlinear"][1] == 250_000 * 48
+        assert declared["flood"][1] == 1_500_000 * 60
+
+        # a map of width w asks the pool for w - 1 helper threads, and a map
+        # of width 1 for none
+        widths = []
+        helpers = entrosa.model._helpers
+
+        def counted_helpers(threads):
+            widths.append(threads + 1)
+            return helpers(threads)
+
+        monkeypatch.setattr(entrosa.model, "_helpers", counted_helpers)
+
+        def width(name):
+            widths.clear()
+            _map_in_order(lambda item: item, *declared[name])
+            return max(widths, default=1)
+
+        for k in (1, 2, 4, 16):
+            cpus(k)
+            assert width("nonlinear") == min(20, k, 5)
+            assert width("flood") == 1
+            assert width("metastudy") == min(10, k)
+            assert width("row blocks") == min(4, k)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_the_error_raised_is_the_first_failing_block_in_row_order(self, k, cpus):
@@ -553,8 +621,9 @@ class TestRowBlocks:
         with pytest.raises(NumericalError, match="non-finite value rate 50.00%"):
             clean_outputs(y, "second block")
 
-    def test_every_item_runs_once_under_frequent_thread_switches(self):
+    def test_every_item_runs_once_under_frequent_thread_switches(self, cpus):
         # more threads than cores, switching every microsecond
+        cpus(8)
         ran = [0] * 20_000
 
         def item(i):
@@ -564,7 +633,7 @@ class TestRowBlocks:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = _map_in_order(item, range(len(ran)), 8)
+            results = _map_in_order(item, range(len(ran)))
         finally:
             sys.setswitchinterval(interval)
         assert results == [3 * i for i in range(len(ran))]
@@ -579,7 +648,7 @@ class TestRowBlocks:
             return threading.get_ident()
 
         def on_two_threads():
-            return len(set(_map_in_order(meet_and_name_the_thread, range(2), 2))) == 2
+            return len(set(_map_in_order(meet_and_name_the_thread, range(2)))) == 2
 
         assert on_two_threads()  # the parent's pool has started its thread
         child = multiprocessing.get_context("fork").Process(

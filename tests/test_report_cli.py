@@ -825,6 +825,22 @@ class TestCli:
                                                                * custom["Dd"]["nu"])
         assert custom["Q"]["variance_bound"] == FLOOD_POINCARE[0] * custom["Q"]["nu"]
 
+    def test_composed_flood_keeps_its_entropy_pins(self, capsys):
+        # the builtin's pins of the other inputs stay, re-indexed past a pinned
+        # input, so the free inputs' entropies are those of the plain run
+        def run(*extra):
+            assert main(["run", "--model", "flood", "--methods", "entropy",
+                         "--n", "2e4", *extra]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            return ({r["variable"]: r.get("h_total") for r in payload["rows"]},
+                    payload["metadata"]["n_evaluations"])
+
+        (plain, plain_evals), (pinned, pinned_evals) = run(), run("--fix", "8:300")
+        assert pinned == {name: h for name, h in plain.items() if name != "B"}
+        assert pinned_evals == plain_evals
+        custom, _ = run("--override-input", "5=Uniform(7,10)")
+        assert [name for name, h in custom.items() if h is not None] == ["Q", "Ks", "Zv", "Dd"]
+
     def test_missing_variance_constant_names_the_closed_forms(self, capsys):
         # a replaced law without a closed form has no constant at all
         assert main(["run", "--model", "flood", "--methods", "deriv,bounds", "--n", "1e4",
