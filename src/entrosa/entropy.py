@@ -21,8 +21,13 @@ g(x) is the shared unconditional baseline.
 ``_cell_counts`` counts every histogram, the KL halves included: it sorts
 the cell codes in place and reads the occupied cells and their counts off
 the run boundaries. No array spans the whole grid, so grids far larger than
-memory are fine. Joint codes take 4 bytes per sample, or 8 when the grid has
-at least 2^31 cells, plus run arrays over the occupied cells.
+memory are fine. Axis codes take 2 bytes per sample, or 4 on an axis of more
+than 2^15 cells. Joint codes take 4 bytes per sample, or 8 when the grid has
+at least 2^31 cells, plus run arrays over the occupied cells. The H(Y) pass
+and the d leave-one-out passes of a repetition run through ``_map_in_order``
+too; each sort and sum is whole-array within its pass, and the sparse-grid
+checks run after them in variable order, so the warnings and errors are the
+same at any width.
 
 Bin counts drive a bias trade-off: coarse conditioning inflates the estimate
 (within-cell variation leaks into the conditional law), fine grids starve
@@ -53,7 +58,9 @@ log = logging.getLogger(__name__)
 MAX_CONDITIONING_DIMS = 4
 _SINGLETON_ERROR_SHARE = 0.5
 _SPARSE_WARN_MEAN_COUNT = 10.0
-# cell codes are int32, so no axis may have more cells than int32 can index
+# axis codes are int16 up to this many cells and int32 above, so no axis
+# may have more cells than int32 can index
+_INT16_BINS = 2 ** 15
 _MAX_BINS = 2 ** 31 - 1
 
 
@@ -86,16 +93,16 @@ def _axis_codes(values: np.ndarray, bins: int) -> tuple[np.ndarray, float]:
     if not 0 < factor < math.inf:
         raise NumericalError(f"sample range [{lo!r}, {hi!r}] is too narrow or too wide "
                              f"for {bins} histogram cells")
-    codes = np.empty(values.size, dtype=np.int32)
+    codes = np.empty(values.size, dtype=np.int16 if bins <= _INT16_BINS else np.int32)
 
     def code(rows: slice) -> None:
-        # a float temporary of one row block, scaled in place
+        # a float temporary of one row block, scaled in place; scaled >= 0, so
+        # clipping before the truncation gives the same codes as after, and
+        # the top edge, scaled = bins, never meets a type that cannot hold it
         scaled = np.subtract(values[rows], lo)
         scaled *= factor
-        # scaled >= 0, so truncating before the clip gives the same codes as after
-        block = codes[rows]
-        np.copyto(block, scaled, casting="unsafe")
-        np.minimum(block, bins - 1, out=block)
+        np.minimum(scaled, bins - 1, out=scaled)
+        np.copyto(codes[rows], scaled, casting="unsafe")
 
     _map_rows(code, values.size)
     return codes, width
@@ -121,19 +128,24 @@ def _check_grid(k: int, spec: HistogramSpec) -> None:
             "overflows cell codes")
 
 
+def _joint_dtype(n_live: int, spec: HistogramSpec) -> np.dtype:
+    """The joint code type of a grid on ``n_live`` conditioning axes."""
+    n_cells = spec.bins_per_conditioning_dim ** n_live * spec.bins_output
+    return np.dtype(np.int32 if n_cells < 2 ** 31 else np.int64)
+
+
 def _conditional_from_codes(ycodes: np.ndarray, width: float, cond_codes: list,
-                            spec: HistogramSpec, where: str = "") -> float:
+                            spec: HistogramSpec) -> tuple[float, int, float]:
     """Plug-in H(Y|X) from the output cell codes (cell width ``width``) and one
     code array per conditioning axis, None for a constant column, which
-    carries no information; with none, this is H(Y). Escalates to an error
-    when more than half of the occupied conditioning cells hold a single
-    sample. ``where``, such as ``variable 2 of ishigami``, prefixes the
-    sparse-grid warning and error."""
+    carries no information; with none, this is H(Y). Returns it with the
+    number of occupied conditioning cells and the share of them that hold a
+    single sample, for ``_check_cells``; both are 0 with no conditioning
+    axis, as no grid can then be sparse."""
     n = ycodes.size
     bins_out = spec.bins_output
     live = [codes for codes in cond_codes if codes is not None]
-    n_cells = spec.bins_per_conditioning_dim ** len(live) * bins_out
-    joint = np.zeros(n, dtype=np.int32 if n_cells < 2 ** 31 else np.int64)
+    joint = np.zeros(n, dtype=_joint_dtype(len(live), spec))
 
     def fold(rows: slice) -> None:
         block = joint[rows]
@@ -153,23 +165,27 @@ def _conditional_from_codes(ycodes: np.ndarray, width: float, cond_codes: list,
     del cells
     k_i = np.add.reduceat(counts, blocks)
     k_i_full = np.repeat(k_i, np.diff(blocks, append=counts.size))
-
-    # with no conditioning axis this is H(Y), and no grid can be sparse
-    if live:
-        occupied = k_i.size
-        prefix = f"{where}: " if where else ""
-        singleton_share = float((k_i == 1).mean())
-        if singleton_share > _SINGLETON_ERROR_SHARE:
-            raise SparseGridError(
-                f"{prefix}{singleton_share:.0%} of {occupied} occupied conditioning cells "
-                "hold a single sample; use fewer bins or more samples")
-        mean_count = n / occupied
-        if mean_count < _SPARSE_WARN_MEAN_COUNT:
-            log.warning("%ssparse conditioning grid: %.1f samples per occupied cell "
-                        "(%d cells)", prefix, mean_count, occupied)
-
+    occupied, singleton_share = (k_i.size, float((k_i == 1).mean())) if live else (0, 0.0)
     h = -(counts / n * np.log(counts / k_i_full)).sum() + math.log(width)
-    return float(h)
+    return float(h), occupied, singleton_share
+
+
+def _check_cells(n: int, occupied: int, singleton_share: float, where: str = "") -> None:
+    """Raise when more than half of the ``occupied`` conditioning cells of n
+    samples hold a single sample, and warn when they hold fewer than
+    ``_SPARSE_WARN_MEAN_COUNT`` on average. ``where``, such as
+    ``variable 2 of ishigami``, prefixes the warning and the error."""
+    if not occupied:
+        return
+    prefix = f"{where}: " if where else ""
+    if singleton_share > _SINGLETON_ERROR_SHARE:
+        raise SparseGridError(
+            f"{prefix}{singleton_share:.0%} of {occupied} occupied conditioning cells "
+            "hold a single sample; use fewer bins or more samples")
+    mean_count = n / occupied
+    if mean_count < _SPARSE_WARN_MEAN_COUNT:
+        log.warning("%ssparse conditioning grid: %.1f samples per occupied cell "
+                    "(%d cells)", prefix, mean_count, occupied)
 
 
 def entropy_histogram(samples: np.ndarray, spec: HistogramSpec = HistogramSpec()) -> float:
@@ -223,7 +239,9 @@ def conditional_entropy(y: np.ndarray, x_cond: np.ndarray,
         return -math.inf
     cond_codes = [_axis_codes(x_cond[:, j], spec.bins_per_conditioning_dim)[0]
                   for j in range(k)]
-    return _conditional_from_codes(ycodes, width, cond_codes, spec)
+    h, occupied, singleton_share = _conditional_from_codes(ycodes, width, cond_codes, spec)
+    _check_cells(n, occupied, singleton_share)
+    return h
 
 
 @dataclass(frozen=True)
@@ -254,8 +272,10 @@ def estimate_entropy_indices(model: Model, n: int,
     kappa_Ti; kappa values that exceed 1 from estimator noise are clipped
     to 1 and flagged.
 
-    The repetitions go through ``_map_in_order``, so the report is bitwise
-    the same at any width.
+    The repetitions, and within a repetition that runs alone its d + 1
+    counting passes, go through ``_map_in_order``; the sparse-grid warnings
+    and errors follow in variable order, so the report and the log are the
+    same at any width.
     """
     if rng is None:
         raise ConfigurationError("an explicit rng stream is required")
@@ -277,13 +297,21 @@ def estimate_entropy_indices(model: Model, n: int,
         cols = [_axis_codes(x[:, j], spec.bins_per_conditioning_dim)[0] for j in range(d)]
         # free the samples before the counting passes; the codes are all they need
         del x, y
-        return (_conditional_from_codes(ycodes, width, [], spec),
-                [_conditional_from_codes(ycodes, width, cols[:i] + cols[i + 1:], spec,
-                                         f"variable {i + 1} of {model.name}")
-                 for i in range(d)])
+        # the H(Y) pass, then one pass per input i conditioning on every other
+        # input; a pass holds its joint codes and, at one cell per sample, its
+        # int64 run starts and counts
+        n_kept = ycodes.size
+        passes = _map_in_order(
+            lambda cond: _conditional_from_codes(ycodes, width, cond, spec),
+            [[]] + [cols[:i] + cols[i + 1:] for i in range(d)],
+            n_kept * (_joint_dtype(d - 1, spec).itemsize + 16))
+        for i, (_, occupied, singleton_share) in enumerate(passes[1:]):
+            _check_cells(n_kept, occupied, singleton_share, f"variable {i + 1} of {model.name}")
+        return passes[0][0], [h for h, _, _ in passes[1:]]
 
     # a repetition holds its float inputs and outputs, n (8d + 8) bytes, and
-    # the int32 codes of every column, n 4(d + 1)
+    # its codes, n 4(d + 1) at most, though they take half that at 2^15 cells
+    # an axis or fewer
     results = _map_in_order(repetition, rng.spawn(repetitions), n * (12 * d + 12))
     h_y = np.array([h for h, _ in results])
     h_t = np.array([row for _, row in results])

@@ -9,8 +9,9 @@ and return one output per row. Models are immutable and shareable.
 Every elementwise pass over a sample (evaluation, the laws' transforms, the
 histogram's axis and joint codes) runs on those row blocks through
 ``_map_rows``, and every concurrent map of the package goes through
-``_map_in_order``. Stream fills, sorts and reductions stay serial and
-whole-array, so no result depends on the number of threads.
+``_map_in_order``, the histogram's counting passes included. Stream fills
+are serial, and each sort and reduction is whole-array within its task, so
+no result depends on the number of threads.
 """
 
 from __future__ import annotations

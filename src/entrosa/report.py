@@ -8,7 +8,6 @@ import io
 import json
 import math
 import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -336,17 +335,16 @@ def write_atomic(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path`` via a uniquely named temp file in the same
     directory and ``os.replace``: concurrent writers never share a temp file,
     readers never see a partial file, and a failed write leaves no temp file.
-    The file gets the mode ``open`` would give it (0o666 less the umask)."""
+    The file gets the mode ``open`` would give it (0o666 less the umask),
+    which the kernel applies as it creates the temp file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    # O_EXCL: the file is new, so no other writer holds it
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        # mkstemp creates the file 0o600 whatever the umask
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

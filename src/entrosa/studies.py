@@ -261,7 +261,7 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
             return str(exc)
         return report
 
-    # no bytes declared: a function holds about 72 MB at 1e6 samples, which
+    # no bytes declared: a function holds about 42 MB at 1e6 samples, which
     # the byte budget would run one at a time
     reports = _map_in_order(run, seeds)
     for idx, (fn_seed, report) in enumerate(zip(seeds, reports)):

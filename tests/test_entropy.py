@@ -295,6 +295,15 @@ class TestCountingMatchesSortReference:
         if name == "off-support":
             assert floored_mass[0] > 0.5
 
+    @pytest.mark.parametrize("bins", [2 ** 15, 40_000], ids=["int16", "int32"])
+    def test_kl_on_either_side_of_the_int16_code_limit(self, bins):
+        model = builtin("ishigami").model
+        spec = HistogramSpec(bins_output=bins)
+        value, floored_mass = _reference_kl(model, 20_000, spec, np.random.default_rng(38))
+        res = kl_total_index(model, 20_000, spec, np.random.default_rng(38))
+        np.testing.assert_array_equal(res.value, value)
+        np.testing.assert_array_equal(res.floored_mass, floored_mass)
+
     @pytest.mark.parametrize("estimate", [
         lambda spec: entropy_histogram(np.random.default_rng(34).random(1000), spec),
         lambda spec: kl_total_index(_KL_MODELS["shifted"], 1000, spec,
@@ -490,15 +499,40 @@ class TestEntropyIndices:
         bounds = np.array([h_x[i] + m.l[i] for i in (0, 1, 2, 4)])
         assert np.all(er.h_total <= bounds + 3 * er.h_total_std + 1e-9)
 
-    def test_sparse_grid_warning_names_the_model_and_variable(self, caplog):
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_sparse_grid_warning_names_the_model_and_variable(self, k, caplog, cpus):
         # about 5 samples per conditioning cell: sparse, but few singletons;
-        # warnings of functions run side by side must say which is which
+        # warnings of functions run side by side must say which is which, and
+        # passes run side by side warn in variable order
+        cpus(k)
         with caplog.at_level(logging.WARNING, logger="entrosa.entropy"):
             estimate_entropy_indices(builtin("mono2").model, 2000, HistogramSpec(100, 400),
                                      rng=np.random.default_rng(3))
         sparse = [r.getMessage() for r in caplog.records if "sparse" in r.getMessage()]
         assert [m.partition(":")[0] for m in sparse] == ["variable 1 of mono2",
                                                          "variable 2 of mono2"]
+
+    def test_counting_passes_are_bitwise_the_same_at_one_and_two_cpus(self, cpus):
+        # one repetition runs alone, so its H(Y) pass and its four
+        # leave-one-out passes run side by side at two CPUs
+        bench = builtin("flood")
+        reduced = fix_variables(bench.model, dict(bench.entropy_fix))
+        reports = []
+        for k in (1, 2):
+            cpus(k)
+            reports.append(estimate_entropy_indices(reduced, 2 * 2 ** 16 + 3, repetitions=1,
+                                                    rng=np.random.default_rng(36)))
+        one, two = reports
+        for name in vars(one):
+            assert np.array_equal(getattr(one, name), getattr(two, name)), name
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_first_starved_variable_raises_at_any_cpu_count(self, k, cpus):
+        # 5000 cells on each 1-D grid for 1000 samples: both variables starve
+        cpus(k)
+        with pytest.raises(SparseGridError, match="^variable 1 of mono2: "):
+            estimate_entropy_indices(builtin("mono2").model, 1000, HistogramSpec(100, 5000),
+                                     rng=np.random.default_rng(37))
 
 
 class TestKNNEntropy:

@@ -19,9 +19,9 @@ import entrosa.entropy
 import entrosa.model
 import entrosa.studies
 import entrosa.variance
-from entrosa import (ChiSquared, ConfigurationError, Gaussian, Model, NumericalError,
-                     Triangular, TruncatedGaussian, TruncatedGumbel, Uniform, builtin,
-                     estimate_deriv_measures, estimate_entropy_indices,
+from entrosa import (ChiSquared, ConfigurationError, Gaussian, HistogramSpec, Model,
+                     NumericalError, Triangular, TruncatedGaussian, TruncatedGumbel, Uniform,
+                     builtin, estimate_deriv_measures, estimate_entropy_indices,
                      estimate_total_effect_variance, evaluate_batch, fd_directional_batch,
                      fix_variables, kl_total_index, sample_inputs)
 from entrosa.entropy import _axis_codes
@@ -493,20 +493,24 @@ class TestRowBlocks:
         for j, dist in enumerate(self.LAWS):
             assert np.array_equal(two[:, j], dist.sample(n, rng)), dist
 
+    @pytest.mark.parametrize("bins, dtype", [(37, np.int16), (2 ** 15, np.int16),
+                                             (2 ** 15 + 1, np.int32)])
     @pytest.mark.parametrize("n", SIZES)
-    def test_axis_codes_are_bitwise_the_same_at_one_and_two_cpus(self, n, cpus):
-        # a strided column too, as conditional_entropy may pass one
+    def test_axis_codes_are_bitwise_the_same_at_one_and_two_cpus(self, n, bins, dtype, cpus):
+        # a strided column too, as conditional_entropy may pass one; codes
+        # take 2 bytes up to 2^15 cells and 4 above
         for values in (np.random.default_rng(n).standard_normal((n, 2))[:, 1],
                        np.linspace(-1.0, 1.0, n) ** 3):
-            one, two = self._at_one_and_two_cpus(cpus, lambda: _axis_codes(values, 37))
+            one, two = self._at_one_and_two_cpus(cpus, lambda: _axis_codes(values, bins))
             assert one[1] == two[1]
             if n == 1:
                 assert one[0] is two[0] is None
                 continue
             assert np.array_equal(one[0], two[0])
+            assert two[0].dtype == dtype and two[0].max() == bins - 1
             lo = values.min()
-            reference = ((values - lo) * (37 / (values.max() - lo))).astype(np.int32)
-            assert np.array_equal(two[0], np.minimum(reference, 36))
+            reference = ((values - lo) * (bins / (values.max() - lo))).astype(np.int32)
+            assert np.array_equal(two[0], np.minimum(reference, bins - 1))
 
     def test_a_map_inside_a_task_runs_on_the_thread_of_the_task(self, cpus, monkeypatch):
         cpus(2)
@@ -542,14 +546,21 @@ class TestRowBlocks:
         # width = min(items, CPUs, _POOL_BYTES // item_bytes): a repetition of
         # the nonlinear preset (2.5e5 samples of 3 inputs) holds 12 MB, so 5
         # fit in 64 MiB, and a flood one (1.5e6 of 4) holds 90 MB and runs
-        # alone; metastudy functions and row blocks declare no bytes
+        # alone; its 5 counting passes hold 30 MB each, so 2 of those run at
+        # once; metastudy functions and row blocks declare no bytes
         declared = {}
 
         class Declared(Exception):
             pass
 
-        def record(name):
+        def record(name, calls_before=0):
+            # the first ``calls_before`` maps run, and the next is recorded
+            calls = []
+
             def stop_before_any_item_runs(fn, items, item_bytes=0):
+                calls.append(item_bytes)
+                if len(calls) <= calls_before:
+                    return _map_in_order(fn, items, item_bytes)
                 declared[name] = list(items), item_bytes
                 raise Declared
             return stop_before_any_item_runs
@@ -560,17 +571,22 @@ class TestRowBlocks:
                                                     rng=np.random.default_rng(0))
 
         blocks = Model("m", (Uniform(0, 1),), lambda x: x[:, 0])
-        for name, module, call in (
-                ("nonlinear", entrosa.entropy, repetitions(3, 250_000, 20)),
-                ("flood", entrosa.entropy, repetitions(4, 1_500_000, 3)),
-                ("metastudy", entrosa.studies, lambda: entrosa.studies.metastudy(10, 1000, 0)),
+        flood_shaped = Model("m", (Uniform(0, 1),) * 4, lambda x: x.sum(axis=1))
+        for name, module, call, calls_before in (
+                ("nonlinear", entrosa.entropy, repetitions(3, 250_000, 20), 0),
+                ("flood", entrosa.entropy, repetitions(4, 1_500_000, 3), 0),
+                ("flood passes", entrosa.entropy,
+                 lambda: estimate_entropy_indices(flood_shaped, 1_500_000, repetitions=3,
+                                                  rng=np.random.default_rng(0)), 1),
+                ("metastudy", entrosa.studies, lambda: entrosa.studies.metastudy(10, 1000, 0), 0),
                 ("row blocks", entrosa.model,
-                 lambda: evaluate_batch(blocks, np.zeros((3 * _BLOCK_ROWS + 1, 1))))):
+                 lambda: evaluate_batch(blocks, np.zeros((3 * _BLOCK_ROWS + 1, 1))), 0)):
             with monkeypatch.context() as patch, pytest.raises(Declared):
-                patch.setattr(module, "_map_in_order", record(name))
+                patch.setattr(module, "_map_in_order", record(name, calls_before))
                 call()
         assert declared["nonlinear"][1] == 250_000 * 48
         assert declared["flood"][1] == 1_500_000 * 60
+        assert declared["flood passes"][1] == 1_500_000 * 20
 
         # a map of width w asks the pool for w - 1 helper threads, and a map
         # of width 1 for none
@@ -592,8 +608,20 @@ class TestRowBlocks:
             cpus(k)
             assert width("nonlinear") == min(20, k, 5)
             assert width("flood") == 1
+            assert width("flood passes") == min(5, k, 2)
             assert width("metastudy") == min(10, k)
             assert width("row blocks") == min(4, k)
+
+        # inside a repetition on the pool or a metastudy function, the passes
+        # run inline: the outer map is the one that asks for helper threads
+        cpus(2)
+        ishigami = builtin("ishigami").model
+        for run in (lambda: estimate_entropy_indices(ishigami, 2000, HistogramSpec(10, 4), 4,
+                                                     np.random.default_rng(0)),
+                    lambda: entrosa.studies.metastudy(10, 1000, 0)):
+            widths.clear()
+            run()
+            assert widths == [2]
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_the_error_raised_is_the_first_failing_block_in_row_order(self, k, cpus):

@@ -19,7 +19,7 @@ import entrosa
 from entrosa import ConfigurationError, RunConfig, SensitivityReport, rank_descending
 from entrosa.benchmarks import FLOOD_POINCARE, FLOOD_VAR_NAMES
 from entrosa.cli import main
-from entrosa.report import MAX_RUNS, _read_config_file
+from entrosa.report import MAX_RUNS, _read_config_file, write_atomic
 from entrosa.studies import (build_benchmark, convergence, metastudy,
                              run_from_config, run_table_preset)
 
@@ -246,6 +246,21 @@ def test_outputs_follow_the_umask(small_report, tmp_path):
     for path in [tmp_path / "report.csv", tmp_path / "meta.json",
                  tmp_path / "conv.json"] + flood:
         assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
+
+
+def test_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # reading the umask means setting it, and a file another thread creates
+    # meanwhile would get the interim value, so the writer never touches it
+    calls = []
+    old_umask = os.umask(0o027)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "umask", lambda mask: calls.append(mask) or 0o027)
+            write_atomic(tmp_path / "out.json", "{}")
+    finally:
+        os.umask(old_umask)
+    assert calls == []
+    assert stat.S_IMODE((tmp_path / "out.json").stat().st_mode) == 0o640
 
 
 def test_flood_run_marks_reduced_variables_absent():
