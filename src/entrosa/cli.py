@@ -102,9 +102,12 @@ def _output_path(path: str, is_dir: bool = False) -> Path:
     """``path`` under $ENTROSA_OUTPUT_DIR when it is relative and the variable
     is set. This creates nothing: the writer creates missing directories.
     But the nearest existing ancestor of the output's directory must be a
-    writable directory, so that a path that cannot hold a file fails before
-    the computation rather than after it."""
+    writable directory, and a file's path must not name an existing
+    directory, so that a path that cannot hold the output fails before the
+    computation rather than after it."""
     path = Path(os.environ.get("ENTROSA_OUTPUT_DIR", ""), path)
+    if not is_dir and path.is_dir():
+        raise OSError(f"{path} is a directory, not a file")
     existing = path if is_dir else path.parent
     while not existing.exists() and existing != existing.parent:
         existing = existing.parent

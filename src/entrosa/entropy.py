@@ -368,7 +368,7 @@ def entropy_upper_bounds(measures: DerivMeasures, inputs: tuple[Distribution, ..
 
 @dataclass(frozen=True)
 class KLResult:
-    value: np.ndarray          # per input
+    kl: np.ndarray             # per input
     floored_mass: np.ndarray   # output probability mass sitting on floored cells
     floor_warning: np.ndarray
 
@@ -405,7 +405,7 @@ def kl_total_index(model: Model, n: int, spec: HistogramSpec = HistogramSpec(),
 
     x = sample_inputs(model, n, rng)
     y0 = clean_outputs(evaluate_batch(model, x), "kl baseline")
-    value, floored_mass = np.zeros((2, model.dim))
+    kl, floored_mass = np.zeros((2, model.dim))
     for i, mean_i in enumerate(means):
         with _restoring(x, (i,)):
             x[:, i] = mean_i
@@ -421,9 +421,9 @@ def kl_total_index(model: Model, n: int, spec: HistogramSpec = HistogramSpec(),
         p0 = np.where(cells0[at] == cells1, counts0[at] / y0.size, 0.0)
         p1 = counts1 / y1.size
         floored_mass[i] = p1[p0 == 0].sum()
-        value[i] = (p1 * np.log(p1 / np.maximum(p0, 0.5 / y0.size))).sum()
+        kl[i] = (p1 * np.log(p1 / np.maximum(p0, 0.5 / y0.size))).sum()
         if floored_mass[i] > 0.05:
             log.warning("kl_total_index(%s, x%d): %.1f%% of conditional mass on floored "
                         "cells", model.name, i + 1, 100 * floored_mass[i])
-    return KLResult(value=value, floored_mass=floored_mass,
+    return KLResult(kl=kl, floored_mass=floored_mass,
                     floor_warning=floored_mass > 0.05)

@@ -272,6 +272,8 @@ def fix_variables(model: Model, fixed: dict[int, float]) -> Model:
     for i, v in fixed.items():
         if not 0 <= i < d:
             raise ConfigurationError(f"cannot fix x{i + 1}: the model has inputs x1..x{d}")
+        if not np.isfinite(v):
+            raise ConfigurationError(f"fixed x{i + 1} = {v} is not finite")
         lo, hi = model.inputs[i].support()
         if not lo <= v <= hi:
             raise ConfigurationError(f"fixed x{i + 1} = {v} is outside its support [{lo}, {hi}]")

@@ -14,7 +14,7 @@ import math
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,8 @@ from .entropy import (HistogramSpec, entropy_histogram, entropy_knn, entropy_upp
                       estimate_entropy_indices, kl_total_index)
 from .errors import ConfigurationError, NumericalError, SparseGridError
 from .model import Model, _map_in_order, clean_outputs, fix_variables
-from .report import MAX_RUNS, METHODS, RunConfig, SensitivityReport, json_text, write_atomic
+from .report import (MAX_RUNS, METHODS, ROW_FIELDS, RunConfig, SensitivityReport, json_text,
+                     write_atomic)
 from .variance import estimate_total_effect_variance, variance_upper_bound
 
 __all__ = ["build_benchmark", "run_from_config", "metastudy", "convergence",
@@ -131,13 +132,16 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
     methods = config.methods
     spec = HistogramSpec(config.bins_output, config.bins_cond)
     streams = _method_streams(config.seed)
-    columns = {}  # report column -> {variable index: value}
+    rows = [{"variable": name} for name in names]
     metadata = {"config": config.to_mapping(), "toolkit_version": __version__,
                 "model": model.name, "dim": d, "variables": names}
 
-    def put(result, keys, index=range(d)):
-        for key in keys:
-            columns[key] = dict(zip(index, getattr(result, key)))
+    def put(result, index=range(d)):
+        # every field of the result that is a report column, one value per variable
+        for f in fields(result):
+            if f.name in ROW_FIELDS:
+                for i, v in zip(index, getattr(result, f.name)):
+                    rows[i][f.name] = float(v)
 
     @contextmanager
     def stage(method: str, n: int):
@@ -152,27 +156,24 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
             measures = estimate_deriv_measures(model, config.n_deriv, config.fd_step,
                                                streams["deriv"])
         if "deriv" in methods:
-            put(measures, ("mu", "nu", "l", "zero_derivative_fraction"))
+            put(measures)
 
     if "variance" in methods:
         with stage("variance", config.n_base):
-            put(estimate_total_effect_variance(model, config.n_base, streams["variance"]),
-                ("s_total", "v_total"))
+            put(estimate_total_effect_variance(model, config.n_base, streams["variance"]))
 
     if "entropy" in methods:
         fixed = dict(bench.entropy_fix or {})
         with stage("entropy", config.n_samples * config.repetitions):
             er = estimate_entropy_indices(fix_variables(model, fixed), config.n_samples, spec,
                                           config.repetitions, streams["entropy"])
-        put(er, ("h_total", "h_total_std", "eta", "eta_std", "kappa", "kappa_std"),
-            [i for i in range(d) if i not in fixed])
+        put(er, [i for i in range(d) if i not in fixed])
         if not fixed:
             h_y, estimator = er.h_y, "entropy"
 
     if "kl" in methods:
         with stage("kl", config.n_samples):
-            columns["kl"] = dict(enumerate(kl_total_index(model, config.n_samples, spec,
-                                                          streams["kl"]).value))
+            put(kl_total_index(model, config.n_samples, spec, streams["kl"]))
 
     if "groups" in methods:
         with stage("groups", config.n_samples):
@@ -190,10 +191,9 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
 
     if "bounds" in methods:
         with stage("bounds", config.n_deriv):
-            put(entropy_upper_bounds(measures, model.inputs, h_y),
-                ("h_bound", "kappa_bound", "nu_kappa_bound"))
-            columns["variance_bound"] = dict(enumerate(variance_upper_bound(
-                measures, model.inputs, table_constants=bench.poincare_constants).bound))
+            put(entropy_upper_bounds(measures, model.inputs, h_y))
+            put(variance_upper_bound(measures, model.inputs,
+                                     table_constants=bench.poincare_constants))
 
     if "groups" in methods:
         metadata["groups"] = [
@@ -202,10 +202,6 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
              "bound": 0.0 if l == -math.inf else float(np.exp(l - h_y))}
             for g, l, z in zip(config.groups, gm.l, gm.zero_derivative_fraction)]
 
-    rows = [{"variable": name} for name in names]
-    for key, values in columns.items():
-        for i, v in values.items():
-            rows[i][key] = float(v)
     metadata["n_evaluations"] = n_evaluations
     metadata["wall_time_s"] = round(time.perf_counter() - t0, 3)
     report = SensitivityReport(metadata=metadata, rows=rows)

@@ -72,7 +72,7 @@ def poincare_constant(dist: Distribution) -> float | None:
 
 @dataclass(frozen=True)
 class PoincareBound:
-    bound: np.ndarray                 # C_i * nu_i
+    variance_bound: np.ndarray        # C_i * nu_i
     source: tuple[str, ...]           # "closed-form" or "table" per variable
 
 
@@ -103,4 +103,4 @@ def variance_upper_bound(measures: DerivMeasures, inputs: tuple[Distribution, ..
                 f"no variance-bound constant for input {i + 1} ({type(dist).__name__}): "
                 "closed forms exist only for Gaussian and Uniform laws, and no "
                 "table constant is given for it")
-    return PoincareBound(bound=constants * measures.nu, source=tuple(source))
+    return PoincareBound(variance_bound=constants * measures.nu, source=tuple(source))

@@ -290,7 +290,7 @@ class TestCountingMatchesSortReference:
         spec = HistogramSpec(bins_output=bins)
         value, floored_mass = _reference_kl(model, 20_000, spec, np.random.default_rng(33))
         res = kl_total_index(model, 20_000, spec, np.random.default_rng(33))
-        np.testing.assert_array_equal(res.value, value)
+        np.testing.assert_array_equal(res.kl, value)
         np.testing.assert_array_equal(res.floored_mass, floored_mass)
         if name == "off-support":
             assert floored_mass[0] > 0.5
@@ -301,7 +301,7 @@ class TestCountingMatchesSortReference:
         spec = HistogramSpec(bins_output=bins)
         value, floored_mass = _reference_kl(model, 20_000, spec, np.random.default_rng(38))
         res = kl_total_index(model, 20_000, spec, np.random.default_rng(38))
-        np.testing.assert_array_equal(res.value, value)
+        np.testing.assert_array_equal(res.kl, value)
         np.testing.assert_array_equal(res.floored_mass, floored_mass)
 
     @pytest.mark.parametrize("estimate", [
@@ -640,9 +640,9 @@ class TestKL:
         # samples must not overwrite
         model = Model("inert-first", (Uniform(0, 1),) * 2, lambda x: x[:, 1])
         res = kl_total_index(model, 500_000, rng=np.random.default_rng(21))
-        assert abs(res.value[0]) < 0.01
+        assert abs(res.kl[0]) < 0.01
         assert not res.floor_warning[0]
-        assert res.value[1] > 1.0   # freezing the output's only input
+        assert res.kl[1] > 1.0   # freezing the output's only input
 
     def test_floor_warning_when_conditional_leaves_support(self):
         def evaluator(x):
@@ -656,7 +656,7 @@ class TestKL:
         model = Model("constant", (Uniform(0, 1),) * 2, lambda x: np.full(len(x), 3.0))
         with caplog.at_level(logging.WARNING):
             res = kl_total_index(model, 1000, rng=np.random.default_rng(23))
-        assert res.value.tolist() == [0.0, 0.0] and res.floored_mass.tolist() == [0.0, 0.0]
+        assert res.kl.tolist() == [0.0, 0.0] and res.floored_mass.tolist() == [0.0, 0.0]
         assert not res.floor_warning.any() and caplog.records == []
 
     def test_rng_is_required(self):

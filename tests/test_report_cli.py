@@ -19,9 +19,13 @@ import entrosa
 from entrosa import ConfigurationError, RunConfig, SensitivityReport, rank_descending
 from entrosa.benchmarks import FLOOD_POINCARE, FLOOD_VAR_NAMES
 from entrosa.cli import main
-from entrosa.report import MAX_RUNS, _read_config_file, write_atomic
-from entrosa.studies import (build_benchmark, convergence, metastudy,
+from entrosa.deriv import DerivMeasures, estimate_deriv_measures
+from entrosa.entropy import (EntropyBounds, EntropyReport, HistogramSpec, KLResult,
+                             kl_total_index)
+from entrosa.report import MAX_RUNS, ROW_FIELDS, _read_config_file, write_atomic
+from entrosa.studies import (_method_streams, build_benchmark, convergence, metastudy,
                              run_from_config, run_table_preset)
+from entrosa.variance import PoincareBound, VarianceReport, variance_upper_bound
 
 
 def load_config_file(path) -> RunConfig:
@@ -232,6 +236,39 @@ class TestRunReports:
         assert list(failed.iterdir()) == []
 
 
+def test_every_report_column_is_a_field_of_one_result():
+    results = (DerivMeasures, VarianceReport, EntropyReport, KLResult, EntropyBounds,
+               PoincareBound)
+    for column in ROW_FIELDS:
+        owners = [r.__name__ for r in results if column in {f.name for f in fields(r)}]
+        assert len(owners) == 1, f"{column} is a field of {owners}"
+
+
+def test_every_method_fills_its_columns_through_one_path(tmp_path):
+    cfg = RunConfig(model="mono3", methods=("variance", "deriv", "entropy", "kl", "bounds",
+                                            "groups"),
+                    groups=((0, 1),), n_samples=20_000, n_base=1000, n_deriv=1000,
+                    repetitions=2, bins_output=32, bins_cond=10, seed=7)
+    report = run_from_config(cfg)
+    assert all(set(row) == {"variable", *ROW_FIELDS} for row in report.rows)
+
+    bench, streams = build_benchmark(cfg), _method_streams(cfg.seed)
+    spec = HistogramSpec(cfg.bins_output, cfg.bins_cond)
+    kl = kl_total_index(bench.model, cfg.n_samples, spec, streams["kl"]).kl
+    measures = estimate_deriv_measures(bench.model, cfg.n_deriv, cfg.fd_step, streams["deriv"])
+    bound = variance_upper_bound(measures, bench.model.inputs,
+                                 table_constants=bench.poincare_constants).variance_bound
+    assert [row["kl"] for row in report.rows] == kl.tolist()
+    assert [row["variance_bound"] for row in report.rows] == bound.tolist()
+
+    report.write(tmp_path / "r.csv")
+    header = next(line for line in (tmp_path / "r.csv").read_text().splitlines()
+                  if not line.startswith("#")).split(",")
+    columns = [c for c in header if not c.startswith("rank_")]
+    assert columns == ["variable", *ROW_FIELDS]
+    assert all(set(row) == set(columns) for row in report.rows)
+
+
 def test_outputs_follow_the_umask(small_report, tmp_path):
     # every output kind is created with the mode open() would give it
     _, report = small_report
@@ -319,7 +356,9 @@ def test_cli_fix_and_override_flags(capsys):
     (["--model", "ishigami", "--fix", "2:0,2:1"], "input x2 is pinned more than once"),
     (["--model", "ishigami", "--override-input", "2=Uniform(0,1)",
       "--override-input", "2=Uniform(0,2)"], "input x2 is replaced more than once"),
-], ids=["index", "support", "pinned-twice", "replaced-twice"])
+    (["--model", "mono5", "--fix", "1:inf"], "fixed x1 = inf is not finite"),
+    (["--model", "mono5", "--fix=1:-inf"], "fixed x1 = -inf is not finite"),
+], ids=["index", "support", "pinned-twice", "replaced-twice", "inf", "minus-inf"])
 def test_cli_refuses_a_bad_pin_by_the_input_name(flags, message, capsys):
     code = main(["run", "--methods", "deriv", "--n-deriv", "200", *flags])
     assert code == 2
@@ -822,6 +861,23 @@ class TestCli:
         assert main(["run", "--model", "mono3", "--methods", "deriv", "--n-deriv", "200",
                      "--output", str(out)]) == 0
         assert out.is_file()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--model", "mono3", "--methods", "deriv", "--n-deriv", "200"],
+        ["metastudy", "--n-functions", "10", "--n", "2000", "--seed", "0"],
+        ["convergence", "--model", "mono2", "--ladder", "1e3", "--seed", "0"],
+    ], ids=["run", "metastudy", "convergence"])
+    def test_an_existing_directory_is_refused_as_output_before_the_computation(
+            self, argv, tmp_path, monkeypatch, capsys):
+        import entrosa.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the computation started")
+
+        for name in ("run_from_config", "metastudy", "convergence"):
+            monkeypatch.setattr(cli, name, never)
+        assert main([*argv, "--output", str(tmp_path)]) == 2
+        assert f"{tmp_path} is a directory" in capsys.readouterr().err
 
     def test_composed_flood_keeps_its_table_constants(self, capsys):
         # pinning an input keeps the other inputs' table constants, and an

@@ -64,14 +64,14 @@ class TestPoincareBound:
         bench = builtin("mono5")
         m = estimate_deriv_measures(bench.model, 1000, rng=np.random.default_rng(4))
         pb = variance_upper_bound(m, bench.model.inputs)
-        np.testing.assert_allclose(pb.bound, bench.analytic["v_total"].values, rtol=1e-7)
+        np.testing.assert_allclose(pb.variance_bound, bench.analytic["v_total"].values, rtol=1e-7)
         assert pb.source == ("closed-form",) * 5
 
     def test_uniform_constant_derivative(self):
         model = Model("lin", (Uniform(0, 1),), lambda x: 2.0 * x[:, 0])
         m = estimate_deriv_measures(model, 100, rng=np.random.default_rng(5))
         pb = variance_upper_bound(m, model.inputs)
-        assert pb.bound[0] == pytest.approx(m.nu[0] / np.pi ** 2, rel=1e-12)
+        assert pb.variance_bound[0] == pytest.approx(m.nu[0] / np.pi ** 2, rel=1e-12)
 
     def test_bound_dominates_total_effect_with_slack(self):
         bench = builtin("mono5", a=(1.0, -2.0, 0.5))
@@ -79,7 +79,7 @@ class TestPoincareBound:
         vr = estimate_total_effect_variance(bench.model, 50_000, rng)
         m = estimate_deriv_measures(bench.model, 2000, rng=rng)
         pb = variance_upper_bound(m, bench.model.inputs)
-        assert np.all(vr.v_total <= pb.bound * 1.05)
+        assert np.all(vr.v_total <= pb.variance_bound * 1.05)
 
     def test_missing_constant_names_variable(self):
         bench = builtin("ratio_chi2")
@@ -94,7 +94,7 @@ class TestPoincareBound:
                                   table_constants=bench.poincare_constants)
         assert pb.source == ("table",) * 8
         # uniform dyke level has a unit derivative, so its bound is its constant
-        assert pb.bound[4] == pytest.approx(0.405, rel=1e-6)
+        assert pb.variance_bound[4] == pytest.approx(0.405, rel=1e-6)
 
     def test_flood_bounds_match_reference_table(self):
         bench = builtin("flood")
@@ -102,7 +102,7 @@ class TestPoincareBound:
         pb = variance_upper_bound(m, bench.model.inputs,
                                   table_constants=bench.poincare_constants)
         expected = bench.analytic["variance_bound"].values
-        np.testing.assert_allclose(pb.bound, expected, atol=0.03)
+        np.testing.assert_allclose(pb.variance_bound, expected, atol=0.03)
 
 
 def test_nonfinite_differences_count_against_the_rate():
