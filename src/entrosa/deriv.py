@@ -13,6 +13,12 @@ One x and one g(x) serve every group, through one step rule,
 group's common direction, taken backward on rows where a member would
 leave its support. Each magnitude is floored at the resolution
 eps*|g(x)|/h, and at least at ``GRAD_FLOOR``, before the log.
+
+Per group, one pass of row blocks steps, evaluates and writes the
+differences, and a second takes their magnitudes, squares, floored logs
+and floored mask, all into n-vectors allocated once per call and shared
+by the groups. The means over them are whole-array, so the measures are
+the same at any number of CPUs.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import (DEFAULT_FD_STEP, Model, evaluate_batch,
-                    fd_directional_batch, finite_within_rate, sample_inputs)
+from .model import (DEFAULT_FD_STEP, Model, _fd_into, _map_rows, evaluate_batch,
+                    finite_within_rate, sample_inputs)
 
 __all__ = ["DerivMeasures", "estimate_deriv_measures", "GRAD_FLOOR"]
 
@@ -79,15 +85,29 @@ def estimate_deriv_measures(model: Model, n: int, h: float = DEFAULT_FD_STEP,
     # forward difference can resolve
     floor = np.maximum(np.finfo(float).eps * np.abs(y0) / h, GRAD_FLOOR)
 
+    # per group: |derivative|, its square, the log of its floored magnitude
+    # and the floored mask, in n-vectors shared by every group
+    mag, square, log_mag = np.empty((3, n))
+    floored = np.empty(n, dtype=bool)
+
+    def stats(rows: slice) -> None:
+        m = np.abs(mag[rows], out=mag[rows])
+        np.multiply(m, m, out=square[rows])
+        np.less_equal(m, floor[rows], out=floored[rows])
+        np.log(np.maximum(m, floor[rows], out=log_mag[rows]), out=log_mag[rows])
+
     mu, nu, l, zfrac = np.empty((4, len(groups)))
     for k, g in enumerate(groups):
-        mag = np.abs(fd_directional_batch(model, x, y0, g, h))
+        _fd_into(model, x, y0, g, h, mag)
+        _map_rows(stats, n)
         keep = finite_within_rate(mag, f"derivative x{g[0] + 1}" if len(g) == 1
                                   else f"group derivative {[i + 1 for i in g]}")
-        mag, floor_k = mag[keep], floor[keep]
-        floored = mag <= floor_k
-        mu[k] = mag.mean()
-        nu[k] = (mag * mag).mean()
-        l[k] = -np.inf if floored.all() else np.log(np.maximum(mag, floor_k)).mean()
-        zfrac[k] = floored.mean()
+        kept = (mag, square, log_mag, floored)
+        if not keep.all():
+            kept = tuple(v[keep] for v in kept)
+        m, sq, log_m, fl = kept
+        mu[k] = m.mean()
+        nu[k] = sq.mean()
+        l[k] = -np.inf if fl.all() else log_m.mean()
+        zfrac[k] = fl.mean()
     return DerivMeasures(mu=mu, nu=nu, l=l, zero_derivative_fraction=zfrac, y=y0)

@@ -46,8 +46,8 @@ import numpy as np
 from .deriv import DerivMeasures
 from .distributions import Distribution
 from .errors import ConfigurationError, NumericalError, SparseGridError
-from .model import (Model, _map_in_order, _map_rows, _restoring, clean_outputs,
-                    evaluate_batch, finite_within_rate, sample_inputs)
+from .model import (Model, _map_evaluations, _map_in_order, _map_rows, _refuse_overflow,
+                    clean_outputs, evaluate_batch, finite_within_rate, sample_inputs)
 
 __all__ = ["HistogramSpec", "EntropyReport", "EntropyBounds", "KLResult",
            "entropy_histogram", "entropy_knn", "conditional_entropy",
@@ -356,12 +356,17 @@ def entropy_upper_bounds(measures: DerivMeasures, inputs: tuple[Distribution, ..
     if not np.isfinite(h_x).all():
         raise ConfigurationError("input entropy must be finite for every variable")
     h_bound = h_x + measures.l
-    # a constant output makes -inf - -inf and inf * 0 here, in the entries
-    # that the zero derivatives replace
-    with np.errstate(over="raise", invalid="ignore"):
-        kappa_bound = np.where(np.isneginf(h_bound), 0.0, np.exp(h_bound - h_y))
+    # a constant output makes -inf - -inf and inf * 0 here, and a wide input
+    # law can overflow e^(H(X_i) - H(Y)), in the entries that the zero
+    # derivatives replace; an overflow in any other entry names its input
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa_terms, nu_terms = h_bound - h_y, h_x - h_y
+        kappa_bound = np.where(np.isneginf(h_bound), 0.0, np.exp(kappa_terms))
         nu_kappa_bound = np.where(measures.nu == 0, 0.0,
-                                  np.exp(h_x - h_y) * np.sqrt(measures.nu))
+                                  np.exp(nu_terms) * np.sqrt(measures.nu))
+    _refuse_overflow(kappa_bound, np.isfinite(kappa_terms), "kappa_bound")
+    _refuse_overflow(nu_kappa_bound, np.isfinite(nu_terms) & np.isfinite(measures.nu),
+                     "nu_kappa_bound")
     return EntropyBounds(h_bound=h_bound, kappa_bound=kappa_bound,
                          nu_kappa_bound=nu_kappa_bound)
 
@@ -381,8 +386,11 @@ def kl_total_index(model: Model, n: int, spec: HistogramSpec = HistogramSpec(),
 
     One input sample serves every input: g(x) is the unconditional baseline,
     and input i's conditional sample is x itself with column i set to its
-    mean for the one evaluation and restored after it, so d inputs cost
-    (d+1) * n model evaluations and no second (n, d) matrix. Baseline and
+    mean, so d inputs cost (d+1) * n model evaluations and no second (n, d)
+    matrix. One pass of row blocks freezes a block's rows, evaluates them
+    into a buffer shared by the inputs, right after the baseline, and
+    restores them; the coder reads baseline and conditional outputs from
+    that buffer with no copy when every output is finite. Baseline and
     conditional outputs are coded together by the coder every histogram
     estimator here uses, and each half is counted by the one sort-runs
     kernel. p0 is read on the cells p1 occupies, in ascending code order, so
@@ -404,24 +412,36 @@ def kl_total_index(model: Model, n: int, spec: HistogramSpec = HistogramSpec(),
         raise ConfigurationError(f"input means must be finite, got {means}")
 
     x = sample_inputs(model, n, rng)
+    # the baseline's finite outputs, then each conditional sample's
     y0 = clean_outputs(evaluate_batch(model, x), "kl baseline")
+    n0 = y0.size
+    both = np.empty(n0 + n)
+    both[:n0] = y0
+    del y0
+    y1 = both[n0:]
     kl, floored_mass = np.zeros((2, model.dim))
     for i, mean_i in enumerate(means):
-        with _restoring(x, (i,)):
-            x[:, i] = mean_i
-            y1 = clean_outputs(evaluate_batch(model, x), f"kl conditional x{i + 1}")
-        codes, _ = _axis_codes(np.concatenate([y0, y1]), spec.bins_output)
+        def freeze(rows: slice, x_rows: np.ndarray, evaluate) -> None:
+            x_rows[:, i] = mean_i
+            y1[rows] = evaluate()
+
+        _map_evaluations(model, x, freeze, (i,))
+        good = finite_within_rate(y1, f"kl conditional x{i + 1}")
+        n1 = int(good.sum())
+        if n1 < n:
+            both[n0:n0 + n1] = y1[good]
+        codes, _ = _axis_codes(both[:n0 + n1], spec.bins_output)
         if codes is None:
             continue
-        cells0, counts0 = _cell_counts(codes[:y0.size])
-        cells1, counts1 = _cell_counts(codes[y0.size:])
+        cells0, counts0 = _cell_counts(codes[:n0])
+        cells1, counts1 = _cell_counts(codes[n0:])
         del codes
         # p0 on the cells p1 occupies, 0 where the baseline has no sample
         at = np.minimum(np.searchsorted(cells0, cells1), cells0.size - 1)
-        p0 = np.where(cells0[at] == cells1, counts0[at] / y0.size, 0.0)
-        p1 = counts1 / y1.size
+        p0 = np.where(cells0[at] == cells1, counts0[at] / n0, 0.0)
+        p1 = counts1 / n1
         floored_mass[i] = p1[p0 == 0].sum()
-        kl[i] = (p1 * np.log(p1 / np.maximum(p0, 0.5 / y0.size))).sum()
+        kl[i] = (p1 * np.log(p1 / np.maximum(p0, 0.5 / n0))).sum()
         if floored_mass[i] > 0.05:
             log.warning("kl_total_index(%s, x%d): %.1f%% of conditional mass on floored "
                         "cells", model.name, i + 1, 100 * floored_mass[i])

@@ -6,11 +6,16 @@ A model is a pure map from a d-vector to a real, evaluated row-wise over
 blocks of at most ``_BLOCK_ROWS`` rows, possibly on several threads at once,
 and return one output per row. Models are immutable and shareable.
 
-Every elementwise pass over a sample (evaluation, the laws' transforms, the
-histogram's axis and joint codes) runs on those row blocks through
-``_map_rows``, and every concurrent map of the package goes through
-``_map_in_order``, the histogram's counting passes included. Stream fills
-are serial, and each sort and reduction is whole-array within its task, so
+Every elementwise pass over a sample runs on those row blocks through
+``_map_rows``: evaluation, the laws' transforms, the histogram's axis and
+joint codes, and the estimators' per-input passes, each one pass of its
+row blocks: the finite differences (step, evaluate, difference, restore),
+pick-and-freeze (swap in B's column, evaluate, difference, restore) and
+the KL index (freeze at the mean, evaluate, restore). Every evaluator call
+goes through ``_map_evaluations``, which checks the evaluator's contract.
+Every concurrent map of the package goes through ``_map_in_order``, the
+histogram's counting passes included. Stream fills are serial, and every
+reduction (mean, variance, sort, sum) is whole-array within its task, so
 no result depends on the number of threads.
 """
 
@@ -20,7 +25,6 @@ import logging
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -48,10 +52,11 @@ class Model:
     """Input laws and a vectorized evaluator from (n, d) inputs to (n,)
     outputs. The evaluator must not modify its input, and it may be called
     again on the same array with one column changed: the estimators step,
-    swap or freeze one column of their sample in place rather than copy the
-    sample. It is called on row blocks, possibly on several threads at once,
-    so it must be row-wise and thread-safe. It may return a view of its
-    input, which ``evaluate_batch`` copies."""
+    swap or freeze one column of their sample in place, a row block at a
+    time, rather than copy the sample. It is called on row blocks, possibly
+    on several threads at once, so it must be row-wise and thread-safe. It
+    may return a view of its input: each pass uses a block's output before
+    it restores the block, and ``evaluate_batch`` copies it."""
 
     name: str
     inputs: tuple[Distribution, ...]
@@ -146,18 +151,6 @@ def _map_rows(fn: Callable[[slice], object], n: int) -> list:
     return _map_in_order(fn, blocks)
 
 
-@contextmanager
-def _restoring(x: np.ndarray, columns: Iterable[int]):
-    """Save ``x``'s ``columns`` and write them back, bitwise, when the block
-    ends or raises, so the block may change them in place."""
-    saved = [(i, x[:, i].copy()) for i in columns]
-    try:
-        yield
-    finally:
-        for i, column in saved:
-            x[:, i] = column
-
-
 def sample_inputs(model: Model, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an (n, d) matrix of independent inputs in Fortran order, each
     law straight into its own contiguous column: the stream fills the
@@ -179,9 +172,53 @@ def sample_inputs(model: Model, n: int, rng: np.random.Generator) -> np.ndarray:
     return x
 
 
+def _map_evaluations(model: Model, x: np.ndarray,
+                     block: Callable[[slice, np.ndarray, Callable[[], np.ndarray]], None],
+                     columns: Iterable[int] = ()) -> None:
+    """``_map_rows`` of ``block(rows, x_rows, evaluate)`` over the rows of
+    ``x``, with ``x_rows = x[rows]``: the one pass that calls the evaluator,
+    and the one check of its contract. ``evaluate()`` returns the
+    evaluator's output on ``x_rows`` as floats and raises
+    ``NumericalError`` unless it holds one value per row; the pass raises
+    ``NumericalError`` when no output of any block is finite.
+
+    The block may change the ``columns`` of ``x_rows`` in place before it
+    evaluates; they are restored, bitwise, when it ends or raises. The
+    output may be a view of ``x_rows``, so the block uses it before it
+    returns.
+    """
+    columns = tuple(columns)
+
+    def run(rows: slice) -> bool:
+        x_rows = x[rows]
+        finite = False
+
+        def evaluate() -> np.ndarray:
+            nonlocal finite
+            out = np.asarray(model.evaluator(x_rows), dtype=float)
+            if out.shape != (x_rows.shape[0],):
+                raise NumericalError(
+                    f"evaluator of {model.name!r} returned shape {out.shape}, "
+                    f"expected {(x_rows.shape[0],)}")
+            finite = bool(np.isfinite(out).any())
+            return out
+
+        saved = [x_rows[:, i].copy() for i in columns]
+        try:
+            block(rows, x_rows, evaluate)
+        finally:
+            for i, column in zip(columns, saved):
+                x_rows[:, i] = column
+        return finite
+
+    if not any(_map_rows(run, x.shape[0])):
+        raise NumericalError(f"all {x.shape[0]} outputs of {model.name!r} are non-finite")
+
+
 def evaluate_batch(model: Model, inputs: np.ndarray) -> np.ndarray:
     """Row-wise, order-preserving evaluation of the model, in row blocks
-    through ``_map_rows``; each block's output is copied into the result.
+    through ``_map_evaluations``; each block's output is copied into the
+    result.
 
     The output never shares memory with ``inputs``, so the caller may change
     ``inputs`` afterwards. Non-finite outputs are preserved for the caller's
@@ -195,17 +232,10 @@ def evaluate_batch(model: Model, inputs: np.ndarray) -> np.ndarray:
         )
     y = np.empty(inputs.shape[0])
 
-    def evaluate(rows: slice) -> None:
-        out = np.asarray(model.evaluator(inputs[rows]), dtype=float)
-        if out.shape != y[rows].shape:
-            raise NumericalError(
-                f"evaluator of {model.name!r} returned shape {out.shape}, "
-                f"expected {y[rows].shape}")
-        y[rows] = out
+    def copy(rows: slice, x_rows: np.ndarray, evaluate: Callable[[], np.ndarray]) -> None:
+        y[rows] = evaluate()
 
-    _map_rows(evaluate, y.size)
-    if not np.isfinite(y).any():
-        raise NumericalError(f"all {y.size} outputs of {model.name!r} are non-finite")
+    _map_evaluations(model, inputs, copy)
     return y
 
 
@@ -225,6 +255,16 @@ def finite_within_rate(values: np.ndarray, where: str) -> np.ndarray:
     return good
 
 
+def _refuse_overflow(bound: np.ndarray, terms_finite: np.ndarray, name: str) -> np.ndarray:
+    """``bound`` under the one overflow rule of the bounds: an entry that is
+    not finite though its terms are overflowed float64, and raises
+    ``NumericalError`` naming its input."""
+    over = np.flatnonzero(terms_finite & ~np.isfinite(bound))
+    if over.size:
+        raise NumericalError(f"{name} of input {over[0] + 1} overflows float64")
+    return bound
+
+
 def clean_outputs(y: np.ndarray, where: str = "estimator") -> np.ndarray:
     """Drop non-finite rows under the ``finite_within_rate`` policy."""
     good = finite_within_rate(y, where)
@@ -238,24 +278,36 @@ def fd_directional_batch(model: Model, x: np.ndarray, y0: np.ndarray,
     ``y0`` is ``g(x)``. Every coordinate in ``group`` moves by the same
     signed step s*h, with s = -1 on rows where a group member would leave its
     support and +1 elsewhere; returns (g(x + s*h*1_group) - y0) / (s*h) per
-    row. A one-element group gives a partial derivative. One batch
-    evaluation; rows with a non-finite evaluation get a non-finite result.
+    row. A one-element group gives a partial derivative. One evaluation per
+    row; rows with a non-finite evaluation get a non-finite result.
 
     The step is added to ``x``'s group columns in place, so ``x`` must be
     writeable and must not be read concurrently during the call; the
     columns are restored, bitwise, before the call returns or raises.
     """
+    return _fd_into(model, x, y0, group, h, np.empty(x.shape[0]))
+
+
+def _fd_into(model: Model, x: np.ndarray, y0: np.ndarray, group: tuple[int, ...],
+             h: float, out: np.ndarray) -> np.ndarray:
+    """``fd_directional_batch`` written into ``out``, in one pass of row
+    blocks: each block takes its step signs, steps its group columns,
+    evaluates, writes its differences and restores the columns."""
     if not h > 0:
         raise ConfigurationError(f"finite-difference step must be positive, got {h}")
-    sign = np.ones(x.shape[0])
-    for i in group:
-        _, upper = model.inputs[i].support()
-        sign = np.where(x[:, i] + h <= upper, sign, -1.0)
-    step = sign * h
-    with _restoring(x, group):
+    uppers = [model.inputs[i].support()[1] for i in group]
+
+    def step(rows: slice, x_rows: np.ndarray, evaluate: Callable[[], np.ndarray]) -> None:
+        sign = np.ones(x_rows.shape[0])
+        for i, upper in zip(group, uppers):
+            sign = np.where(x_rows[:, i] + h <= upper, sign, -1.0)
+        sign *= h
         for i in group:
-            x[:, i] += step
-        return (evaluate_batch(model, x) - y0) / step
+            x_rows[:, i] += sign
+        np.divide(evaluate() - y0[rows], sign, out=out[rows])
+
+    _map_evaluations(model, x, step, group)
+    return out
 
 
 def fix_variables(model: Model, fixed: dict[int, float]) -> Model:

@@ -4,12 +4,16 @@ derivative-based variance screening bound.
 The total-effect estimator is the Jansen form: with base matrices A and B and
 hybrids AB_i (column i of A replaced by B's), ``V_Ti = mean((g(A)-g(AB_i))^2)/2``.
 Total cost is n_base * (d + 2) evaluations. Each AB_i is A itself with B's
-column i swapped in for its evaluation and A's restored after it, so no
-hybrid matrix is ever allocated.
+column i swapped in for its evaluation, so no hybrid matrix is ever
+allocated: one pass of row blocks swaps B's rows in, evaluates, writes
+g(A) - g(AB_i) into a difference vector shared by the inputs, and restores
+A's rows. The mean of the squares is whole-array, so V_Ti is the same at
+any number of CPUs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +21,8 @@ import numpy as np
 from .deriv import DerivMeasures
 from .distributions import Distribution, Gaussian, Uniform
 from .errors import ConfigurationError
-from .model import (Model, _restoring, clean_outputs, evaluate_batch, finite_within_rate,
-                    sample_inputs)
+from .model import (Model, _map_evaluations, _refuse_overflow, clean_outputs, evaluate_batch,
+                    finite_within_rate, sample_inputs)
 
 __all__ = ["VarianceReport", "PoincareBound", "estimate_total_effect_variance",
            "variance_upper_bound", "poincare_constant"]
@@ -47,12 +51,16 @@ def estimate_total_effect_variance(model: Model, n_base: int,
     del y
 
     v_total = np.empty(d)
+    diff = np.empty(n_base)
     for i in range(d):
-        with _restoring(a, (i,)):
-            a[:, i] = b[:, i]
-            diff = y_a - evaluate_batch(model, a)
-        diff = diff[finite_within_rate(diff, f"variance x{i + 1}")]
-        v_total[i] = 0.5 * float(np.mean(diff * diff))
+        def swap(rows: slice, a_rows: np.ndarray, evaluate) -> None:
+            a_rows[:, i] = b[rows, i]
+            np.subtract(y_a[rows], evaluate(), out=diff[rows])
+
+        _map_evaluations(model, a, swap, (i,))
+        good = finite_within_rate(diff, f"variance x{i + 1}")
+        kept = diff if good.all() else diff[good]
+        v_total[i] = 0.5 * float(np.mean(np.multiply(kept, kept, out=kept)))
 
     s_total = np.full(d, np.nan) if constant else v_total / v_y
     return VarianceReport(v_y=v_y, v_total=v_total, s_total=s_total)
@@ -61,12 +69,16 @@ def estimate_total_effect_variance(model: Model, n_base: int,
 def poincare_constant(dist: Distribution) -> float | None:
     """Optimal constant for the supported closed-form kinds, else None.
 
-    Gaussian: the variance. Uniform(a, b): (b - a)^2 / pi^2.
+    Gaussian: the variance. Uniform(a, b): (b - a)^2 / pi^2, inf when
+    that overflows float64.
     """
     if isinstance(dist, Gaussian):
         return dist.var
     if isinstance(dist, Uniform):
-        return (dist.b - dist.a) ** 2 / np.pi ** 2
+        try:
+            return (dist.b - dist.a) ** 2 / np.pi ** 2
+        except OverflowError:
+            return math.inf
     return None
 
 
@@ -103,4 +115,8 @@ def variance_upper_bound(measures: DerivMeasures, inputs: tuple[Distribution, ..
                 f"no variance-bound constant for input {i + 1} ({type(dist).__name__}): "
                 "closed forms exist only for Gaussian and Uniform laws, and no "
                 "table constant is given for it")
-    return PoincareBound(variance_bound=constants * measures.nu, source=tuple(source))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = constants * measures.nu
+    return PoincareBound(
+        variance_bound=_refuse_overflow(bound, np.isfinite(measures.nu), "variance_bound"),
+        source=tuple(source))

@@ -20,6 +20,7 @@ from entrosa import (ChiSquared, ConfigurationError, Gaussian, HistogramSpec, Mo
                      sample_inputs)
 from entrosa import studies
 from entrosa.benchmarks import BenchmarkModel
+from entrosa.deriv import DerivMeasures
 from entrosa.entropy import _SINGLETON_ERROR_SHARE
 from entrosa.studies import _method_streams, run_from_config
 
@@ -625,6 +626,23 @@ class TestBounds:
             warnings.simplefilter("error")
             row, = run_from_config(config).rows
         assert row["kappa_bound"] == 0.0 and row["nu_kappa_bound"] == 0.0
+
+    def test_a_bound_that_overflows_names_its_input(self):
+        # H(X_2) = ln 1e308 and H(Y) = -1: e^(H(X_2) - H(Y)) overflows float64
+        inputs = (Uniform(0, 1), Uniform(0, 1e308))
+
+        def measures(l, nu):
+            return DerivMeasures(mu=np.sqrt(nu), nu=np.array(nu), l=np.array(l),
+                                 zero_derivative_fraction=np.zeros(2), y=np.zeros(1))
+
+        with pytest.raises(NumericalError, match="^kappa_bound of input 2 overflows float64"):
+            entropy_upper_bounds(measures([0.0, 0.0], [1.0, 1.0]), inputs, h_y=-1.0)
+        with pytest.raises(NumericalError,
+                           match="^nu_kappa_bound of input 2 overflows float64"):
+            entropy_upper_bounds(measures([0.0, -10.0], [1.0, 1.0]), inputs, h_y=-1.0)
+        # a zero derivative sets both bounds to 0 whatever e^(H(X_2) - H(Y)) does
+        eb = entropy_upper_bounds(measures([0.0, -math.inf], [1.0, 0.0]), inputs, h_y=-1.0)
+        assert eb.kappa_bound[1] == eb.nu_kappa_bound[1] == 0.0
 
     def test_nu_bound_dominates_l_bound(self):
         # e^l <= sqrt(nu) transfers to the exponentiated bounds

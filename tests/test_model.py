@@ -24,8 +24,9 @@ from entrosa import (ChiSquared, ConfigurationError, Gaussian, HistogramSpec, Mo
                      builtin, estimate_deriv_measures, estimate_entropy_indices,
                      estimate_total_effect_variance, evaluate_batch, fd_directional_batch,
                      fix_variables, kl_total_index, sample_inputs)
-from entrosa.entropy import _axis_codes
-from entrosa.model import _BLOCK_ROWS, _map_in_order, clean_outputs
+from entrosa.deriv import GRAD_FLOOR
+from entrosa.entropy import _axis_codes, _cell_counts
+from entrosa.model import DEFAULT_FD_STEP, _BLOCK_ROWS, _map_in_order, clean_outputs
 
 
 def test_ishigami_at_origin():
@@ -547,7 +548,8 @@ class TestRowBlocks:
         # the nonlinear preset (2.5e5 samples of 3 inputs) holds 12 MB, so 5
         # fit in 64 MiB, and a flood one (1.5e6 of 4) holds 90 MB and runs
         # alone; its 5 counting passes hold 30 MB each, so 2 of those run at
-        # once; metastudy functions and row blocks declare no bytes
+        # once; metastudy functions and row blocks declare no bytes, the
+        # estimators' per-input passes included
         declared = {}
 
         class Declared(Exception):
@@ -580,7 +582,20 @@ class TestRowBlocks:
                                                   rng=np.random.default_rng(0)), 1),
                 ("metastudy", entrosa.studies, lambda: entrosa.studies.metastudy(10, 1000, 0), 0),
                 ("row blocks", entrosa.model,
-                 lambda: evaluate_batch(blocks, np.zeros((3 * _BLOCK_ROWS + 1, 1))), 0)):
+                 lambda: evaluate_batch(blocks, np.zeros((3 * _BLOCK_ROWS + 1, 1))), 0),
+                # after the maps that draw and evaluate the samples
+                ("finite differences", entrosa.model,
+                 lambda: fd_directional_batch(blocks, np.zeros((3 * _BLOCK_ROWS + 1, 1)),
+                                              np.zeros(3 * _BLOCK_ROWS + 1), (0,)), 0),
+                ("derivative stats", entrosa.model,
+                 lambda: estimate_deriv_measures(blocks, 3 * _BLOCK_ROWS + 1,
+                                                 rng=np.random.default_rng(0)), 3),
+                ("pick-and-freeze", entrosa.model,
+                 lambda: estimate_total_effect_variance(blocks, 3 * _BLOCK_ROWS + 1,
+                                                        np.random.default_rng(0)), 4),
+                ("kl", entrosa.model,
+                 lambda: kl_total_index(blocks, 3 * _BLOCK_ROWS + 1,
+                                        rng=np.random.default_rng(0)), 2)):
             with monkeypatch.context() as patch, pytest.raises(Declared):
                 patch.setattr(module, "_map_in_order", record(name, calls_before))
                 call()
@@ -610,10 +625,14 @@ class TestRowBlocks:
             assert width("flood") == 1
             assert width("flood passes") == min(5, k, 2)
             assert width("metastudy") == min(10, k)
-            assert width("row blocks") == min(4, k)
+            for name in ("row blocks", "finite differences", "derivative stats",
+                         "pick-and-freeze", "kl"):
+                assert declared[name][1] == 0
+                assert width(name) == min(4, k), name
 
         # inside a repetition on the pool or a metastudy function, the passes
-        # run inline: the outer map is the one that asks for helper threads
+        # run inline, its finite differences too: the outer map is the one
+        # that asks for helper threads
         cpus(2)
         ishigami = builtin("ishigami").model
         for run in (lambda: estimate_entropy_indices(ishigami, 2000, HistogramSpec(10, 4), 4,
@@ -686,3 +705,167 @@ class TestRowBlocks:
         if child.is_alive():
             child.kill()
         assert child.exitcode == 0
+
+
+def _deriv_by_copy(model, n, h, seed, groups):
+    """mu, nu, l and the floored share per group, by whole-array formulas on
+    shifted copies of the sample."""
+    x = sample_inputs(model, n, np.random.default_rng(seed))
+    y0 = evaluate_batch(model, x)
+    floor = np.maximum(np.finfo(float).eps * np.abs(y0) / h, GRAD_FLOOR)
+    measures = []
+    for group in groups:
+        mag = np.abs(_fd_by_copy(model, x, y0, group, h))
+        keep = np.isfinite(mag)
+        mag, floor_k = mag[keep], floor[keep]
+        floored = mag <= floor_k
+        measures.append((mag.mean(), (mag * mag).mean(),
+                         -np.inf if floored.all() else np.log(np.maximum(mag, floor_k)).mean(),
+                         floored.mean()))
+    return np.array(measures).T
+
+
+def _variance_by_copy(model, n, seed):
+    """V(Y) and the V_Ti of pick-and-freeze on hybrid copies of A."""
+    rng = np.random.default_rng(seed)
+    a, b = sample_inputs(model, n, rng), sample_inputs(model, n, rng)
+    y_a = evaluate_batch(model, a)
+    y = np.concatenate([y_a, evaluate_batch(model, b)])
+    v_total = []
+    for i in range(model.dim):
+        hybrid = a.copy(order="F")
+        hybrid[:, i] = b[:, i]
+        diff = y_a - evaluate_batch(model, hybrid)
+        diff = diff[np.isfinite(diff)]
+        v_total.append(0.5 * float(np.mean(diff * diff)))
+    return float(np.var(y[np.isfinite(y)], ddof=1)), np.array(v_total)
+
+
+def _kl_by_copy(model, n, bins, seed):
+    """The KL index and floored mass per input, on frozen copies of x."""
+    x = sample_inputs(model, n, np.random.default_rng(seed))
+    y0 = evaluate_batch(model, x)
+    y0 = y0[np.isfinite(y0)]
+    kl, floored_mass = [], []
+    for i, dist in enumerate(model.inputs):
+        frozen = x.copy(order="F")
+        frozen[:, i] = dist.mean()
+        y1 = evaluate_batch(model, frozen)
+        y1 = y1[np.isfinite(y1)]
+        codes, _ = _axis_codes(np.concatenate([y0, y1]), bins)
+        cells0, counts0 = _cell_counts(codes[:y0.size])
+        cells1, counts1 = _cell_counts(codes[y0.size:])
+        at = np.minimum(np.searchsorted(cells0, cells1), cells0.size - 1)
+        p0 = np.where(cells0[at] == cells1, counts0[at] / y0.size, 0.0)
+        p1 = counts1 / y1.size
+        floored_mass.append(p1[p0 == 0].sum())
+        kl.append((p1 * np.log(p1 / np.maximum(p0, 0.5 / y0.size))).sum())
+    return np.array(kl), np.array(floored_mass)
+
+
+def _rarely_nan(x):
+    # NaN on about 5e-5 of the rows, below the excluded-rate cap
+    return np.where(x[:, 0] < 5e-5, np.nan, _columnwise(x))
+
+
+def _raise_in_block_1(x):
+    # x2 is the row index, so a block's first row names its block
+    if int(x[0, 1]) // _BLOCK_ROWS == 1:
+        raise NumericalError("block 1")
+    return np.full(len(x), np.nan)
+
+
+class TestFusedPasses:
+    """The estimators' per-input passes run in row blocks, and every
+    reduction stays whole-array: three blocks give the whole-array
+    formulas' bits at one CPU and at two."""
+
+    N = 2 * _BLOCK_ROWS + 3
+    MODELS = (Model("columnwise", (Uniform(0, 1), Uniform(-1, 2), Uniform(0, 1)), _columnwise),
+              Model("rarely NaN", (Uniform(0, 1),) * 3, _rarely_nan))
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("groups", [None, ((0, 2), (1,), (0, 1, 2))])
+    def test_derivative_measures(self, model, groups, cpus):
+        # a step of 1e-3 goes backward on about a thousandth of each column's rows
+        h = 1e-3
+        reference = _deriv_by_copy(model, self.N, h, 5,
+                                   groups or [(i,) for i in range(model.dim)])
+        x = sample_inputs(model, self.N, np.random.default_rng(5))
+        assert all(((x[:, i] + h > dist.support()[1]).sum() > 10)
+                   for i, dist in enumerate(model.inputs))
+        for k in (1, 2):
+            cpus(k)
+            m = estimate_deriv_measures(model, self.N, h, np.random.default_rng(5), groups)
+            assert np.array_equal(np.stack([m.mu, m.nu, m.l, m.zero_derivative_fraction]),
+                                  reference)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_pick_and_freeze(self, model, cpus):
+        v_y, v_total = _variance_by_copy(model, self.N, 6)
+        for k in (1, 2):
+            cpus(k)
+            vr = estimate_total_effect_variance(model, self.N, np.random.default_rng(6))
+            assert vr.v_y == v_y
+            assert np.array_equal(vr.v_total, v_total)
+            assert np.array_equal(vr.s_total, v_total / v_y)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_kl(self, model, cpus):
+        kl, floored_mass = _kl_by_copy(model, self.N, 64, 7)
+        for k in (1, 2):
+            cpus(k)
+            res = kl_total_index(model, self.N, HistogramSpec(64, 2), np.random.default_rng(7))
+            assert np.array_equal(res.kl, kl)
+            assert np.array_equal(res.floored_mass, floored_mass)
+
+    # a sample whose x1 is 0.25, x2 the row index and x3 0 (B's x1 is 0.75
+    # and x3 1), and the evaluator's fault on the blocks of that sample
+    # where a pass has changed x1
+    FAULTS = {
+        "shape": lambda x: np.ones((len(x), 2)),
+        "non-finite": lambda x: np.full(len(x), np.nan),
+        "raises in block 1": _raise_in_block_1,
+    }
+
+    @staticmethod
+    def _passes(monkeypatch, a):
+        b = a.copy(order="F")
+        b[:, 0], b[:, 2] = 0.75, 1.0
+        drawn = {entrosa.variance: [a, b], entrosa.entropy: [a]}
+        for module, samples in drawn.items():
+            monkeypatch.setattr(module, "sample_inputs",
+                                lambda model, n, rng, samples=samples: samples.pop(0))
+        n = len(a)
+        return {
+            "finite differences": lambda model: fd_directional_batch(model, a, np.zeros(n), (0,)),
+            "pick-and-freeze": lambda model: estimate_total_effect_variance(model, n, None),
+            "kl": lambda model: kl_total_index(model, n, rng=np.random.default_rng(0)),
+        }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("name", ["finite differences", "pick-and-freeze", "kl"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_a_faulty_evaluator_fails_a_pass_as_it_fails_evaluate_batch(
+            self, k, name, fault, cpus, monkeypatch):
+        cpus(k)
+        a = np.zeros((self.N, 3), order="F")
+        a[:, 0], a[:, 1] = 0.25, np.arange(self.N)
+        before = a.copy(order="F")
+        inputs = (Uniform(0, 1), Uniform(0, self.N), Uniform(0, 1))
+
+        def evaluator(x):
+            # g(A) and g(B) are sound; the blocks a pass changed are not
+            changed = x[0, 0] != 0.25 and x[0, 2] == 0.0
+            return self.FAULTS[fault](x) if changed else x[:, 0] + x[:, 1]
+
+        model = Model("m", inputs, evaluator)
+        changed = a.copy(order="F")
+        changed[:, 0] = 0.5
+        with pytest.raises(NumericalError) as expected:
+            evaluate_batch(model, changed)
+        with pytest.raises(NumericalError) as raised:
+            self._passes(monkeypatch, a)[name](model)
+        assert str(raised.value) == str(expected.value)
+        assert np.array_equal(a, before)
+

@@ -818,6 +818,24 @@ class TestCli:
                      "--methods", "groups", "--groups", "1,2", "--n", "1e4"])
         assert code == 3
 
+    def test_an_overflowing_bound_exits_3_naming_its_input(self, capsys):
+        # the Poincare constant of U(0, 1e200), (b - a)^2 / pi^2, overflows float64
+        code = main(["run", "--model", "mono1", "--methods", "bounds",
+                     "--override-input", "1=Uniform(0,1e200)"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: variance_bound of input 1 overflows float64\n")
+
+    def test_an_overflow_that_a_zero_derivative_replaces_is_no_failure(self, capsys):
+        # e^(H(X_2) - H(Y)) overflows for x2 ~ U(0, 1e308), but x2's derivative
+        # is 0, so its bounds are 0; the run goes on to the variance bound,
+        # which has no constant for the chi-squared x1
+        code = main(["run", "--model", "ratio_chi2", "--methods", "bounds",
+                     "--override-input", "2=Uniform(0,1e308)"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: no variance-bound constant for input 1 (ChiSquared)")
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
     def test_mostly_nonfinite_outputs_exit_code(self, capsys):
         # Zm and Zv share one law, so sqrt(Zm - Zv) is NaN on about half the rows

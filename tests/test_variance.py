@@ -59,6 +59,15 @@ class TestPoincareBound:
         assert poincare_constant(Uniform(1, 3)) == pytest.approx(4 / np.pi ** 2)
         assert poincare_constant(builtin("ratio_chi2").model.inputs[0]) is None
 
+    def test_a_constant_that_overflows_fails_the_bound_naming_its_input(self):
+        # (b - a)^2 overflows float64, and so does every bound it enters
+        assert poincare_constant(Uniform(0, 1e200)) == np.inf
+        model = Model("wide-second", (Uniform(0, 1), Uniform(0, 1e200)),
+                      lambda x: x[:, 0] + 1e-200 * x[:, 1])
+        m = estimate_deriv_measures(model, 1000, rng=np.random.default_rng(4))
+        with pytest.raises(NumericalError, match="^variance_bound of input 2 overflows float64"):
+            variance_upper_bound(m, model.inputs)
+
     def test_gaussian_linear_equality_regime(self):
         # constant derivatives: C_i * nu_i equals the analytic V_Ti exactly
         bench = builtin("mono5")
