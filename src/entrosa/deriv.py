@@ -15,10 +15,13 @@ leave its support. Each magnitude is floored at the resolution
 eps*|g(x)|/h, and at least at ``GRAD_FLOOR``, before the log.
 
 Per group, one pass of row blocks steps, evaluates and writes the
-differences, and a second takes their magnitudes, squares, floored logs
-and floored mask, all into n-vectors allocated once per call and shared
-by the groups. The means over them are whole-array, so the measures are
-the same at any number of CPUs.
+differences, and a second takes their magnitudes, squares and floored
+logs, into n-vectors allocated once per call and shared by the groups.
+The second pass also tallies, per block, the non-finite magnitudes and
+the floored ones, so that a sample with no non-finite derivative needs no
+mask and no whole-array scan besides the means. The means are
+whole-array and the counts exact, so the measures are the same at any
+number of CPUs.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import (DEFAULT_FD_STEP, Model, _fd_into, _map_rows, evaluate_batch,
+from .model import (DEFAULT_FD_STEP, Model, _fd_into, _map_rows, _non_finite, evaluate_batch,
                     finite_within_rate, sample_inputs)
 
 __all__ = ["DerivMeasures", "estimate_deriv_measures", "GRAD_FLOOR"]
@@ -85,29 +88,31 @@ def estimate_deriv_measures(model: Model, n: int, h: float = DEFAULT_FD_STEP,
     # forward difference can resolve
     floor = np.maximum(np.finfo(float).eps * np.abs(y0) / h, GRAD_FLOOR)
 
-    # per group: |derivative|, its square, the log of its floored magnitude
-    # and the floored mask, in n-vectors shared by every group
+    # per group: |derivative|, its square and the log of its floored
+    # magnitude, in n-vectors shared by every group
     mag, square, log_mag = np.empty((3, n))
-    floored = np.empty(n, dtype=bool)
 
-    def stats(rows: slice) -> None:
+    def stats(rows: slice) -> tuple[int, int]:
         m = np.abs(mag[rows], out=mag[rows])
         np.multiply(m, m, out=square[rows])
-        np.less_equal(m, floor[rows], out=floored[rows])
+        n_floored = int(np.count_nonzero(m <= floor[rows]))
         np.log(np.maximum(m, floor[rows], out=log_mag[rows]), out=log_mag[rows])
+        return _non_finite(m), n_floored
 
     mu, nu, l, zfrac = np.empty((4, len(groups)))
     for k, g in enumerate(groups):
         _fd_into(model, x, y0, g, h, mag)
-        _map_rows(stats, n)
+        n_bad, n_floored = map(sum, zip(*_map_rows(stats, n)))
         keep = finite_within_rate(mag, f"derivative x{g[0] + 1}" if len(g) == 1
-                                  else f"group derivative {[i + 1 for i in g]}")
-        kept = (mag, square, log_mag, floored)
-        if not keep.all():
-            kept = tuple(v[keep] for v in kept)
-        m, sq, log_m, fl = kept
+                                  else f"group derivative {[i + 1 for i in g]}", n_bad)
+        m, sq, log_m = mag, square, log_mag
+        if keep is not None:
+            # a row whose magnitude and floor are both infinite is floored
+            # but not kept
+            m, sq, log_m = mag[keep], square[keep], log_mag[keep]
+            n_floored = int(np.count_nonzero(m <= floor[keep]))
         mu[k] = m.mean()
         nu[k] = sq.mean()
-        l[k] = -np.inf if fl.all() else log_m.mean()
-        zfrac[k] = fl.mean()
+        l[k] = -np.inf if n_floored == m.size else log_m.mean()
+        zfrac[k] = n_floored / m.size
     return DerivMeasures(mu=mu, nu=nu, l=l, zero_derivative_fraction=zfrac, y=y0)

@@ -7,11 +7,13 @@ sample by its quantile or inverse survival function on the window's
 probability range. All distribution objects are immutable and safe to share
 between threads; sampling always takes an explicit ``numpy.random.Generator``.
 Every law draws in place into the vector it is given in two steps: one
-serial stream call fills it (``_fill``: uniforms, or numpy's normal or gamma
+stream call fills it (``_fill``: uniforms, or numpy's normal or gamma
 variates), and an elementwise transform maps the fill to the law
 (``_transform``). The transform of one element reads no other, so it may run
 on any row blocks, in any order; the draw is bitwise as numpy's own sampler
-draws, with the same use of the stream.
+draws, with the same use of the stream. A fill of uniforms takes one 64-bit
+draw per element, so ``model.sample_inputs`` may split it into row blocks,
+each filled from a copy of the stream advanced to its first draw.
 """
 
 from __future__ import annotations
@@ -135,15 +137,19 @@ class Triangular(Distribution):
             )
 
     def _transform(self, out):
-        # numpy's random_triangular: the left branch in place, the right in a temporary
+        # numpy's random_triangular: the left branch in place, the right in a
+        # temporary, and the right one's bits selected where ``mask`` is all ones
         a, c, b = self.a, self.c, self.b
         right = (1.0 - out) * ((b - c) * (b - a))
         np.subtract(b, np.sqrt(right, out=right), out=right)
-        use_right = out > (c - a) / (b - a)
+        mask = np.negative(out > (c - a) / (b - a), dtype=np.int64)
         out *= (c - a) * (b - a)
         np.sqrt(out, out=out)
         out += a
-        np.copyto(out, right, where=use_right)
+        left, right = out.view(np.int64), right.view(np.int64)
+        right ^= left
+        right &= mask
+        left ^= right
 
     def entropy(self):
         return 0.5 + math.log((self.b - self.a) / 2.0)

@@ -20,12 +20,18 @@ g(x) is the shared unconditional baseline.
 
 ``_cell_counts`` counts every histogram, the KL halves included: it sorts
 the cell codes in place and reads the occupied cells and their counts off
-the run boundaries. No array spans the whole grid, so grids far larger than
-memory are fine. Axis codes take 2 bytes per sample, or 4 on an axis of more
-than 2^15 cells. Joint codes take 4 bytes per sample, or 8 when the grid has
-at least 2^31 cells, plus run arrays over the occupied cells. The H(Y) pass
-and the d leave-one-out passes of a repetition run through ``_map_in_order``
-too; each sort and sum is whole-array within its pass, and the sparse-grid
+the run boundaries, as the counting passes of a repetition do; a
+conditioning cell's count is the span of its runs, and the H(Y) pass,
+with one conditioning cell, skips that bookkeeping. The passes that draw
+and evaluate a sample tally, per row block, the non-finite outputs and the
+minimum and maximum of the output and of each input column, so the coder
+reads the grid's span from them rather than scan the sample again. No
+array spans the whole grid, so grids far larger than memory are fine. Axis
+codes take 2 bytes per sample, or 4 on an axis of more than 2^15 cells.
+Joint codes take 4 bytes per sample, or 8 when the grid has at least 2^31
+cells, plus run arrays over the occupied cells. The H(Y) pass and the d
+leave-one-out passes of a repetition run through ``_map_in_order`` too;
+each sort and sum is whole-array within its pass, and the sparse-grid
 checks run after them in variable order, so the warnings and errors are the
 same at any width.
 
@@ -46,8 +52,9 @@ import numpy as np
 from .deriv import DerivMeasures
 from .distributions import Distribution
 from .errors import ConfigurationError, NumericalError, SparseGridError
-from .model import (Model, _map_evaluations, _map_in_order, _map_rows, _refuse_overflow,
-                    clean_outputs, evaluate_batch, finite_within_rate, sample_inputs)
+from .model import (Model, _add_range_tallies, _draw_inputs, _evaluate_into, _map_evaluations,
+                    _map_in_order, _map_rows, _range_tally, _refuse_overflow, finite_within_rate,
+                    sample_inputs)
 
 __all__ = ["HistogramSpec", "EntropyReport", "EntropyBounds", "KLResult",
            "entropy_histogram", "entropy_knn", "conditional_entropy",
@@ -76,13 +83,15 @@ class HistogramSpec:
             raise ConfigurationError(f"histogram allows at most {_MAX_BINS} bins per dimension")
 
 
-def _axis_codes(values: np.ndarray, bins: int) -> tuple[np.ndarray, float]:
+def _axis_codes(values: np.ndarray, bins: int,
+                span: tuple[float, float] | None = None) -> tuple[np.ndarray, float]:
     """Equal-width cell index per sample and the cell width; grid spans the
-    sample min/max with no padding. Returns (None, 0) on a degenerate range
-    and raises NumericalError on a range float64 cannot divide into cells."""
+    sample min/max with no padding. ``span``, when the pass that wrote the
+    values has tallied it, is that (min, max) and spares the two scans.
+    Returns (None, 0) on a degenerate range and raises NumericalError on a
+    range float64 cannot divide into cells."""
     values = np.asarray(values, dtype=float)
-    lo = float(values.min())
-    hi = float(values.max())
+    lo, hi = map(float, (values.min(), values.max()) if span is None else span)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericalError("histogram input contains non-finite values")
     if hi <= lo:
@@ -108,11 +117,19 @@ def _axis_codes(values: np.ndarray, bins: int) -> tuple[np.ndarray, float]:
     return codes, width
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """The indices where the runs of equal values of a sorted array start."""
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
 def _cell_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort the cell codes in place and return the occupied cells in
     ascending code order with their counts, read off the run boundaries."""
     codes.sort()
-    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    starts = _run_starts(codes)
     return codes[starts], np.diff(starts, append=codes.size)
 
 
@@ -157,15 +174,24 @@ def _conditional_from_codes(ycodes: np.ndarray, width: float, cond_codes: list,
 
     _map_rows(fold, n)
 
-    # the occupied cells come in ascending code order, so the cells of one
-    # conditioning cell are a contiguous block of them
-    cells, counts = _cell_counts(joint)
-    del joint
-    blocks = np.flatnonzero(np.r_[True, np.diff(cells // bins_out) != 0])
-    del cells
-    k_i = np.add.reduceat(counts, blocks)
-    k_i_full = np.repeat(k_i, np.diff(blocks, append=counts.size))
-    occupied, singleton_share = (k_i.size, float((k_i == 1).mean())) if live else (0, 0.0)
+    joint.sort()
+    starts = _run_starts(joint)
+    counts = np.diff(starts, append=n)
+    if live:
+        # the occupied cells come in ascending code order, so the cells of
+        # one conditioning cell are a contiguous block of runs, and its
+        # count k_i spans them
+        conditioning = joint[starts]
+        del joint
+        conditioning //= bins_out
+        blocks = _run_starts(conditioning)
+        del conditioning
+        k_i = np.diff(starts[blocks], append=n)
+        k_i_full = np.repeat(k_i, np.diff(blocks, append=counts.size))
+        occupied, singleton_share = k_i.size, float((k_i == 1).mean())
+    else:  # H(Y): one conditioning cell holds every sample
+        del joint
+        k_i_full, occupied, singleton_share = n, 0, 0.0
     h = -(counts / n * np.log(counts / k_i_full)).sum() + math.log(width)
     return float(h), occupied, singleton_share
 
@@ -265,9 +291,11 @@ def estimate_entropy_indices(model: Model, n: int,
 
     Repetition r draws from its own stream, ``rng.spawn(repetitions)[r]``,
     so its values do not depend on the other repetitions. Per repetition:
-    draw n inputs, evaluate, code the output and every input column once,
-    then for each variable i compute the conditional entropy of the output
-    given all other input columns from the shared codes.
+    draw n inputs, evaluate, code the output and then every input column
+    once, on the spans the drawing and evaluating passes tallied, freeing
+    the outputs once they are coded; then for each variable i compute the
+    conditional entropy of the output given all other input columns from
+    the shared codes.
     Reports means and stds over repetitions for H(Y), H_Ti, eta_Ti and
     kappa_Ti; kappa values that exceed 1 from estimator noise are clipped
     to 1 and flagged.
@@ -286,17 +314,23 @@ def estimate_entropy_indices(model: Model, n: int,
 
     def repetition(stream: np.random.Generator) -> tuple[float, list[float]]:
         """H(Y) and the H_Ti of every input from one sample of ``stream``."""
-        x = sample_inputs(model, n, stream)
-        y = evaluate_batch(model, x)
-        good = finite_within_rate(y, model.name)
-        if not good.all():
-            x, y = x[good], y[good]
-        ycodes, width = _axis_codes(y, spec.bins_output)
+        # the coder's spans, output first, as the passes that write the
+        # sample tally them; rows dropped for a non-finite output void them
+        x, x_spans = _draw_inputs(model, n, stream, ranges=True)
+        y = np.empty(n)
+        n_bad, *y_span = _evaluate_into(model, x, y)
+        spans = [y_span, *x_spans.T]
+        good = finite_within_rate(y, model.name, n_bad)
+        if good is not None:
+            x, y, spans = x[good], y[good], [None] * (d + 1)
+        ycodes, width = _axis_codes(y, spec.bins_output, spans[0])
+        # free each sample once it is coded; the codes are all the passes need
+        del y
         if ycodes is None:  # constant output
             return -math.inf, [-math.inf] * d
-        cols = [_axis_codes(x[:, j], spec.bins_per_conditioning_dim)[0] for j in range(d)]
-        # free the samples before the counting passes; the codes are all they need
-        del x, y
+        cols = [_axis_codes(x[:, j], spec.bins_per_conditioning_dim, spans[j + 1])[0]
+                for j in range(d)]
+        del x
         # the H(Y) pass, then one pass per input i conditioning on every other
         # input; a pass holds its joint codes and, at one cell per sample, its
         # int64 run starts and counts
@@ -388,9 +422,11 @@ def kl_total_index(model: Model, n: int, spec: HistogramSpec = HistogramSpec(),
     and input i's conditional sample is x itself with column i set to its
     mean, so d inputs cost (d+1) * n model evaluations and no second (n, d)
     matrix. One pass of row blocks freezes a block's rows, evaluates them
-    into a buffer shared by the inputs, right after the baseline, and
-    restores them; the coder reads baseline and conditional outputs from
-    that buffer with no copy when every output is finite. Baseline and
+    into a buffer shared by the inputs, right after the baseline, restores
+    them and tallies their non-finite count, minimum and maximum, as the
+    baseline's pass does; the coder reads baseline and conditional outputs
+    from that buffer, on the span the tallies give, with no copy and no
+    scan when every output is finite. Baseline and
     conditional outputs are coded together by the coder every histogram
     estimator here uses, and each half is counted by the one sort-runs
     kernel. p0 is read on the cells p1 occupies, in ascending code order, so
@@ -413,24 +449,29 @@ def kl_total_index(model: Model, n: int, spec: HistogramSpec = HistogramSpec(),
 
     x = sample_inputs(model, n, rng)
     # the baseline's finite outputs, then each conditional sample's
-    y0 = clean_outputs(evaluate_batch(model, x), "kl baseline")
-    n0 = y0.size
-    both = np.empty(n0 + n)
-    both[:n0] = y0
-    del y0
-    y1 = both[n0:]
+    both = np.empty(2 * n)
+    n_bad, lo0, hi0 = _evaluate_into(model, x, both[:n])
+    good = finite_within_rate(both[:n], "kl baseline", n_bad)
+    n0 = n
+    if good is not None:
+        y0 = both[:n][good]
+        n0 = y0.size
+        both[:n0], lo0, hi0 = y0, y0.min(), y0.max()
+        del y0
+    y1 = both[n0:n0 + n]
     kl, floored_mass = np.zeros((2, model.dim))
     for i, mean_i in enumerate(means):
-        def freeze(rows: slice, x_rows: np.ndarray, evaluate) -> None:
+        def freeze(rows: slice, x_rows: np.ndarray, evaluate) -> tuple[int, float, float]:
             x_rows[:, i] = mean_i
             y1[rows] = evaluate()
+            return _range_tally(y1[rows])
 
-        _map_evaluations(model, x, freeze, (i,))
-        good = finite_within_rate(y1, f"kl conditional x{i + 1}")
-        n1 = int(good.sum())
-        if n1 < n:
-            both[n0:n0 + n1] = y1[good]
-        codes, _ = _axis_codes(both[:n0 + n1], spec.bins_output)
+        n_bad, lo, hi = _add_range_tallies(_map_evaluations(model, x, freeze, (i,)))
+        good = finite_within_rate(y1, f"kl conditional x{i + 1}", n_bad)
+        n1, span = n - n_bad, (np.minimum(lo0, lo), np.maximum(hi0, hi))
+        if good is not None:
+            both[n0:n0 + n1], span = y1[good], None
+        codes, _ = _axis_codes(both[:n0 + n1], spec.bins_output, span)
         if codes is None:
             continue
         cells0, counts0 = _cell_counts(codes[:n0])

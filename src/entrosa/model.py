@@ -14,9 +14,16 @@ pick-and-freeze (swap in B's column, evaluate, difference, restore) and
 the KL index (freeze at the mean, evaluate, restore). Every evaluator call
 goes through ``_map_evaluations``, which checks the evaluator's contract.
 Every concurrent map of the package goes through ``_map_in_order``, the
-histogram's counting passes included. Stream fills are serial, and every
-reduction (mean, variance, sort, sum) is whole-array within its task, so
-no result depends on the number of threads.
+histogram's counting passes included.
+
+On several threads, a sample's uniform columns are drawn in the same row
+blocks as their transforms: each block fills from a copy of the stream
+advanced to its first draw, so the draws are those of one serial fill.
+A pass also hands back exact tallies of what it wrote, per block: the
+counts of non-finite or floored values, and minima and maxima. Counts add
+and extremes combine exactly, so they replace whole-array scans. Every
+other reduction (mean, variance, sort, sum) is whole-array within its
+task, so no result depends on the number of threads or on the blocks.
 """
 
 from __future__ import annotations
@@ -41,8 +48,11 @@ log = logging.getLogger(__name__)
 DEFAULT_FD_STEP = 1e-5
 # estimator runs abort above this rate of non-finite model outputs
 MAX_BAD_FRACTION = 1e-3
-# rows per evaluator call and per elementwise pass over a sample
+# rows per evaluator call and per elementwise pass over a sample, at most
 _BLOCK_ROWS = 2 ** 16
+# on several threads every block boundary is a multiple of this many rows,
+# where a BLAS product of a block gives the bits it gives in 2^16-row blocks
+_BLOCK_ALIGN = 1024
 # the running items of a map that declares their bytes hold at most this many
 _POOL_BYTES = 64 * 2 ** 20
 
@@ -95,12 +105,23 @@ def _helpers(threads: int) -> ThreadPoolExecutor:
         return _pool[2]
 
 
+def _map_width(n_items: int, item_bytes: int = 0) -> int:
+    """The width of a map of ``n_items`` items that hold ``item_bytes``
+    bytes each, the one sizing rule of every map: 1 inside a task of a map,
+    else the least of the number of items, the usable CPUs and, for items
+    that declare their bytes, how many fit in ``_POOL_BYTES`` (or 1)."""
+    if getattr(_in_task, "marked", False):
+        return 1
+    width = min(n_items, _usable_cpus())
+    if item_bytes:
+        width = min(width, max(1, _POOL_BYTES // item_bytes))
+    return width
+
+
 def _map_in_order(fn: Callable, items: Iterable, item_bytes: int = 0) -> list:
-    """``[fn(item) for item in items]`` on ``width`` threads, the one task
-    runner of the package: the calling thread and ``width - 1`` threads of
-    one process-wide pool take the items in order, one at a time. The width
-    is the least of the number of items, the usable CPUs and, for items that
-    hold ``item_bytes`` bytes each, how many fit in ``_POOL_BYTES`` (or 1).
+    """``[fn(item) for item in items]`` on ``_map_width`` threads, the one
+    task runner of the package: the calling thread and ``width - 1`` threads
+    of one process-wide pool take the items in order, one at a time.
 
     Results come back in item order, so they are the same at any width, and
     the first failure in item order is the one raised, once every running
@@ -108,12 +129,8 @@ def _map_in_order(fn: Callable, items: Iterable, item_bytes: int = 0) -> list:
     run. At width 1, and inside a task of a map, this is the plain loop:
     maps nest without nesting pools, as an inner map runs on the thread of
     its task."""
-    if getattr(_in_task, "marked", False):
-        return [fn(item) for item in items]
     items = list(items)
-    width = min(len(items), _usable_cpus())
-    if item_bytes:
-        width = min(width, max(1, _POOL_BYTES // item_bytes))
+    width = _map_width(len(items), item_bytes)
     if width <= 1:
         return [fn(item) for item in items]
     results = [None] * len(items)
@@ -144,43 +161,116 @@ def _map_in_order(fn: Callable, items: Iterable, item_bytes: int = 0) -> list:
     return results
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """The row blocks of n rows. A map of width 1 takes slices of
+    ``_BLOCK_ROWS`` rows. A map of width w > 1 takes ceil(n / _BLOCK_ROWS)
+    blocks rounded up to a multiple of w, as even as whole units of
+    ``_BLOCK_ALIGN`` rows allow, so that no thread idles on a short tail;
+    none is longer than ``_BLOCK_ROWS`` rows."""
+    count = -(-n // _BLOCK_ROWS)
+    width = _map_width(count)
+    if width <= 1:
+        return [slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS)]
+    count = -(-count // width) * width
+    units = -(-n // _BLOCK_ALIGN)
+    bounds = [min(k * units // count * _BLOCK_ALIGN, n) for k in range(count + 1)]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
 def _map_rows(fn: Callable[[slice], object], n: int) -> list:
-    """``_map_in_order`` of ``fn`` over the row blocks of n rows, slices of
-    at most ``_BLOCK_ROWS`` rows."""
-    blocks = [slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS)]
-    return _map_in_order(fn, blocks)
+    """``_map_in_order`` of ``fn`` over the ``_row_blocks`` of n rows."""
+    return _map_in_order(fn, _row_blocks(n))
+
+
+def _skip(bitgen: np.random.BitGenerator, draws: int) -> None:
+    """Move ``bitgen`` past ``draws`` 64-bit draws, where a serial fill of
+    that many uniforms leaves it, with the 32-bit buffer that ``advance``
+    clears put back."""
+    buffered = bitgen.state
+    bitgen.advance(draws)
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = buffered["has_uint32"], buffered["uinteger"]
+    bitgen.state = state
 
 
 def sample_inputs(model: Model, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an (n, d) matrix of independent inputs in Fortran order, each
-    law straight into its own contiguous column: the stream fills the
-    column in one call, and the law's transform maps it in row blocks."""
+    law straight into its own contiguous column, bitwise as each law's
+    ``sample`` draws it in column order, and leaving ``rng`` where those
+    draws leave it; see ``_draw_inputs``."""
+    return _draw_inputs(model, n, rng)[0]
+
+
+def _draw_inputs(model: Model, n: int, rng: np.random.Generator,
+                 ranges: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """``sample_inputs``, and with ``ranges`` each column's minimum and
+    maximum, a (2, d) array tallied by the blocks that transform it.
+
+    A law's fill and its transform are split as follows. In one pass of
+    ``_row_blocks``, every block transforms its rows of each column. On a
+    map of width above 1 and a PCG64 or PCG64DXSM stream, a column
+    that fills with uniforms (the base ``Distribution._fill``) is filled in
+    the same pass: each block draws its rows from a copy of the stream
+    advanced to the column's first draw plus the block's first row. Other
+    columns, and every column on a map of width 1, are filled by the caller
+    in one stream call each, before the pass."""
     if n < 1:
         raise ConfigurationError(f"sample size must be >= 1, got {n}")
     try:
         x = np.empty((n, model.dim), order="F")
     except (MemoryError, ValueError) as exc:
         raise ConfigurationError(f"cannot allocate {n} x {model.dim} inputs: {exc}") from None
+    blocks = _row_blocks(n)
+    bitgen = rng.bit_generator
+    # streams whose ``advance`` steps one 64-bit draw, as ``random`` draws;
+    # named here, as numpy.random is imported with the first stream
+    split = (isinstance(bitgen, (np.random.PCG64, np.random.PCG64DXSM))
+             and _map_width(len(blocks)) > 1)
+    # a split column's fill: the stream state at the last serial fill, and
+    # the column's first draw counted from there
+    fills, base, skipped = {}, None, 0
     for j, dist in enumerate(model.inputs):
-        dist._fill(rng, x[:, j])
+        if split and type(dist)._fill is Distribution._fill:
+            base = bitgen.state if base is None else base
+            fills[j] = base, skipped
+            skipped += n
+        else:
+            if skipped:
+                _skip(bitgen, skipped)
+                base, skipped = None, 0
+            dist._fill(rng, x[:, j])
+    if skipped:
+        _skip(bitgen, skipped)
 
-    def transform(rows: slice) -> None:
+    def draw(rows: slice) -> np.ndarray | None:
+        if fills:
+            stream = type(bitgen)(0)
+            uniforms = np.random.Generator(stream)
+            for j, (state, first) in fills.items():
+                stream.state = state
+                stream.advance(first + rows.start)
+                uniforms.random(out=x[rows, j])
         for j, dist in enumerate(model.inputs):
             dist._transform(x[rows, j])
+        return np.stack([x[rows].min(axis=0), x[rows].max(axis=0)]) if ranges else None
 
-    _map_rows(transform, n)
-    return x
+    tallies = _map_in_order(draw, blocks)
+    if not ranges:
+        return x, None
+    tallies = np.stack(tallies)
+    return x, np.stack([np.min(tallies[:, 0], axis=0), np.max(tallies[:, 1], axis=0)])
 
 
 def _map_evaluations(model: Model, x: np.ndarray,
-                     block: Callable[[slice, np.ndarray, Callable[[], np.ndarray]], None],
-                     columns: Iterable[int] = ()) -> None:
+                     block: Callable[[slice, np.ndarray, Callable[[], np.ndarray]], object],
+                     columns: Iterable[int] = ()) -> list:
     """``_map_rows`` of ``block(rows, x_rows, evaluate)`` over the rows of
     ``x``, with ``x_rows = x[rows]``: the one pass that calls the evaluator,
     and the one check of its contract. ``evaluate()`` returns the
     evaluator's output on ``x_rows`` as floats and raises
     ``NumericalError`` unless it holds one value per row; the pass raises
-    ``NumericalError`` when no output of any block is finite.
+    ``NumericalError`` when no output of any block is finite, and else
+    returns what each block returned, such as its tallies, in row order.
 
     The block may change the ``columns`` of ``x_rows`` in place before it
     evaluates; they are restored, bitwise, when it ends or raises. The
@@ -189,7 +279,7 @@ def _map_evaluations(model: Model, x: np.ndarray,
     """
     columns = tuple(columns)
 
-    def run(rows: slice) -> bool:
+    def run(rows: slice) -> tuple[bool, object]:
         x_rows = x[rows]
         finite = False
 
@@ -205,14 +295,35 @@ def _map_evaluations(model: Model, x: np.ndarray,
 
         saved = [x_rows[:, i].copy() for i in columns]
         try:
-            block(rows, x_rows, evaluate)
+            tally = block(rows, x_rows, evaluate)
         finally:
             for i, column in zip(columns, saved):
                 x_rows[:, i] = column
-        return finite
+        return finite, tally
 
-    if not any(_map_rows(run, x.shape[0])):
+    finite, tallies = zip(*_map_rows(run, x.shape[0]))
+    if not any(finite):
         raise NumericalError(f"all {x.shape[0]} outputs of {model.name!r} are non-finite")
+    return list(tallies)
+
+
+def _non_finite(values: np.ndarray) -> int:
+    """The number of non-finite entries of ``values``."""
+    return values.size - int(np.count_nonzero(np.isfinite(values)))
+
+
+def _range_tally(values: np.ndarray) -> tuple[int, float, float]:
+    """A block's tally for the histogram coder: its non-finite count,
+    minimum and maximum."""
+    return _non_finite(values), values.min(), values.max()
+
+
+def _add_range_tallies(tallies: list) -> tuple[int, float, float]:
+    """The whole array's ``_range_tally`` from its blocks': the counts add,
+    and ``np.min`` and ``np.max`` combine the extremes, propagating a NaN
+    as a whole-array scan does."""
+    bad, lo, hi = zip(*tallies)
+    return sum(bad), np.min(lo), np.max(hi)
 
 
 def evaluate_batch(model: Model, inputs: np.ndarray) -> np.ndarray:
@@ -231,28 +342,39 @@ def evaluate_batch(model: Model, inputs: np.ndarray) -> np.ndarray:
             f"input matrix has {inputs.shape[1]} columns, model {model.name!r} has dim {model.dim}"
         )
     y = np.empty(inputs.shape[0])
-
-    def copy(rows: slice, x_rows: np.ndarray, evaluate: Callable[[], np.ndarray]) -> None:
-        y[rows] = evaluate()
-
-    _map_evaluations(model, inputs, copy)
+    _evaluate_into(model, inputs, y)
     return y
 
 
-def finite_within_rate(values: np.ndarray, where: str) -> np.ndarray:
-    """The finite mask of ``values``, the one non-finite policy of every
-    estimator: non-finite values are logged and may be excluded, and a rate
-    above ``MAX_BAD_FRACTION`` raises ``NumericalError``."""
-    good = np.isfinite(values)
-    n_bad = int(values.size - good.sum())
-    if n_bad:
-        rate = n_bad / values.size
-        log.warning("%s: excluded %d non-finite values (rate %.4f%%)", where, n_bad, 100 * rate)
-        if rate > MAX_BAD_FRACTION:
-            raise NumericalError(
-                f"{where}: non-finite value rate {rate:.2%} exceeds {MAX_BAD_FRACTION:.2%}"
-            )
-    return good
+def _evaluate_into(model: Model, x: np.ndarray, y: np.ndarray) -> tuple[int, float, float]:
+    """``evaluate_batch`` of the sample ``x`` into ``y``, returning y's
+    ``_range_tally``, tallied by the blocks that write it."""
+    def copy(rows: slice, x_rows: np.ndarray, evaluate: Callable[[], np.ndarray]) -> tuple:
+        y[rows] = evaluate()
+        return _range_tally(y[rows])
+
+    return _add_range_tallies(_map_evaluations(model, x, copy))
+
+
+def finite_within_rate(values: np.ndarray, where: str,
+                       n_bad: int | None = None) -> np.ndarray | None:
+    """The finite mask of ``values``, or None when every value is finite:
+    the one non-finite policy of every estimator. Non-finite values are
+    logged and may be excluded, and a rate above ``MAX_BAD_FRACTION`` raises
+    ``NumericalError``. ``n_bad``, the count of non-finite values when a
+    pass has tallied it, spares the scan; the mask is built only when some
+    value is not finite."""
+    if n_bad is None:
+        n_bad = _non_finite(values)
+    if not n_bad:
+        return None
+    rate = n_bad / values.size
+    log.warning("%s: excluded %d non-finite values (rate %.4f%%)", where, n_bad, 100 * rate)
+    if rate > MAX_BAD_FRACTION:
+        raise NumericalError(
+            f"{where}: non-finite value rate {rate:.2%} exceeds {MAX_BAD_FRACTION:.2%}"
+        )
+    return np.isfinite(values)
 
 
 def _refuse_overflow(bound: np.ndarray, terms_finite: np.ndarray, name: str) -> np.ndarray:
@@ -268,7 +390,7 @@ def _refuse_overflow(bound: np.ndarray, terms_finite: np.ndarray, name: str) -> 
 def clean_outputs(y: np.ndarray, where: str = "estimator") -> np.ndarray:
     """Drop non-finite rows under the ``finite_within_rate`` policy."""
     good = finite_within_rate(y, where)
-    return y if good.all() else y[good]
+    return y if good is None else y[good]
 
 
 def fd_directional_batch(model: Model, x: np.ndarray, y0: np.ndarray,

@@ -6,9 +6,12 @@ hybrids AB_i (column i of A replaced by B's), ``V_Ti = mean((g(A)-g(AB_i))^2)/2`
 Total cost is n_base * (d + 2) evaluations. Each AB_i is A itself with B's
 column i swapped in for its evaluation, so no hybrid matrix is ever
 allocated: one pass of row blocks swaps B's rows in, evaluates, writes
-g(A) - g(AB_i) into a difference vector shared by the inputs, and restores
-A's rows. The mean of the squares is whole-array, so V_Ti is the same at
-any number of CPUs.
+g(A) - g(AB_i) into a difference vector shared by the inputs, restores
+A's rows and counts the block's non-finite differences. g(A) and g(B) are
+written side by side into one vector, with the count, minimum and maximum
+of each block, so V(Y) and the constant-output test need no further scan
+of a finite sample. The mean of the squares is whole-array and the
+tallies exact, so V_Ti is the same at any number of CPUs.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import numpy as np
 from .deriv import DerivMeasures
 from .distributions import Distribution, Gaussian, Uniform
 from .errors import ConfigurationError
-from .model import (Model, _map_evaluations, _refuse_overflow, clean_outputs, evaluate_batch,
-                    finite_within_rate, sample_inputs)
+from .model import (Model, _add_range_tallies, _evaluate_into, _map_evaluations, _non_finite,
+                    _refuse_overflow, finite_within_rate, sample_inputs)
 
 __all__ = ["VarianceReport", "PoincareBound", "estimate_total_effect_variance",
            "variance_upper_bound", "poincare_constant"]
@@ -42,24 +45,28 @@ def estimate_total_effect_variance(model: Model, n_base: int,
     d = model.dim
     a = sample_inputs(model, n_base, rng)
     b = sample_inputs(model, n_base, rng)
-    y_a = evaluate_batch(model, a)
-    y_b = evaluate_batch(model, b)
-    y = clean_outputs(np.concatenate([y_a, y_b]), "variance")
+    y = np.empty(2 * n_base)
+    y_a = y[:n_base]
+    n_bad, lo, hi = _add_range_tallies([_evaluate_into(model, a, y_a),
+                                        _evaluate_into(model, b, y[n_base:])])
+    good = finite_within_rate(y, "variance", n_bad)
+    if good is not None:
+        y = y[good]
+        lo, hi = y.min(), y.max()
     v_y = float(np.var(y, ddof=1))
     # constant by the histogram coder's rule, which no rescaling of g changes
-    constant = y.max() == y.min()
-    del y
+    constant = hi == lo
 
     v_total = np.empty(d)
     diff = np.empty(n_base)
     for i in range(d):
-        def swap(rows: slice, a_rows: np.ndarray, evaluate) -> None:
+        def swap(rows: slice, a_rows: np.ndarray, evaluate) -> int:
             a_rows[:, i] = b[rows, i]
-            np.subtract(y_a[rows], evaluate(), out=diff[rows])
+            return _non_finite(np.subtract(y_a[rows], evaluate(), out=diff[rows]))
 
-        _map_evaluations(model, a, swap, (i,))
-        good = finite_within_rate(diff, f"variance x{i + 1}")
-        kept = diff if good.all() else diff[good]
+        n_bad = sum(_map_evaluations(model, a, swap, (i,)))
+        good = finite_within_rate(diff, f"variance x{i + 1}", n_bad)
+        kept = diff if good is None else diff[good]
         v_total[i] = 0.5 * float(np.mean(np.multiply(kept, kept, out=kept)))
 
     s_total = np.full(d, np.nan) if constant else v_total / v_y

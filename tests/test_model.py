@@ -24,9 +24,11 @@ from entrosa import (ChiSquared, ConfigurationError, Gaussian, HistogramSpec, Mo
                      builtin, estimate_deriv_measures, estimate_entropy_indices,
                      estimate_total_effect_variance, evaluate_batch, fd_directional_batch,
                      fix_variables, kl_total_index, sample_inputs)
+from entrosa.benchmarks import draw_metafunction
 from entrosa.deriv import GRAD_FLOOR
-from entrosa.entropy import _axis_codes, _cell_counts
-from entrosa.model import DEFAULT_FD_STEP, _BLOCK_ROWS, _map_in_order, clean_outputs
+from entrosa.entropy import _axis_codes, _cell_counts, conditional_entropy, entropy_histogram
+from entrosa.model import (DEFAULT_FD_STEP, _BLOCK_ALIGN, _BLOCK_ROWS, _map_in_order,
+                           _row_blocks, clean_outputs)
 
 
 def test_ishigami_at_origin():
@@ -375,11 +377,12 @@ class TestFixVariables:
 
     @pytest.mark.parametrize("n, k, blocks", [
         (50, 1, [50]), (2 * 2 ** 16 + 3, 1, [2 ** 16, 2 ** 16, 3]),
-        (2 * 2 ** 16 + 3, 2, [3, 2 ** 16, 2 ** 16])],
+        (2 * 2 ** 16 + 3, 2, [2 ** 15, 2 ** 15, 2 ** 15, 2 ** 15 + 3])],
         ids=["one-block", "three-blocks", "three-blocks-on-two-cpus"])
     def test_flood_reduction_is_bitwise_the_full_model(self, n, k, blocks, cpus):
         # the evaluator sees row blocks of at most 2**16 rows, in row order on
-        # one CPU and in any order on two
+        # one CPU; on two, the 3 blocks of 2**16 rows become 4 even ones in
+        # whole 1024-row units, in any order
         cpus(k)
         rows = []
 
@@ -494,6 +497,81 @@ class TestRowBlocks:
         for j, dist in enumerate(self.LAWS):
             assert np.array_equal(two[:, j], dist.sample(n, rng)), dist
 
+    @pytest.mark.parametrize("n", [1, 1023, 1024, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   2 * _BLOCK_ROWS + 3, 200_000, 300_000, 1_500_000])
+    def test_row_blocks_are_even_and_aligned_on_several_cpus(self, n, cpus):
+        # one CPU: 2^16-row blocks; k CPUs: ceil(n / 2^16) blocks rounded up
+        # to a multiple of the width, on 1024-row boundaries, none above 2^16
+        for k in (1, 2, 3, 4):
+            cpus(k)
+            blocks = _row_blocks(n)
+            starts = [b.start for b in blocks]
+            assert starts[0] == 0 and blocks[-1].stop == n
+            assert [b.stop for b in blocks[:-1]] == starts[1:]
+            assert all(0 < b.stop - b.start <= _BLOCK_ROWS for b in blocks)
+            count = -(-n // _BLOCK_ROWS)
+            width = min(count, k)
+            if width == 1:
+                assert starts == list(range(0, n, _BLOCK_ROWS))
+                continue
+            assert len(blocks) == -(-count // width) * width
+            assert all(start % _BLOCK_ALIGN == 0 for start in starts)
+            sizes = [b.stop - b.start for b in blocks]
+            # block sizes differ by at most one unit, plus the last block's short unit
+            assert max(sizes) - min(sizes) < 2 * _BLOCK_ALIGN
+
+    # the stream kinds whose uniform fills split into row blocks, and two that
+    # fill serially
+    STREAMS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox)
+
+    @pytest.mark.parametrize("stream", STREAMS, ids=lambda s: s.__name__)
+    @pytest.mark.parametrize("n", [1000, 2 * _BLOCK_ROWS + 3, 300_000])
+    def test_split_fills_draw_and_leave_the_stream_as_serial_ones(self, n, stream, cpus,
+                                                                  monkeypatch):
+        # a Gaussian and a chi-squared column between uniform-filled ones, and
+        # a stream holding a buffered 32-bit draw, which the split fill keeps
+        model = Model("laws", self.LAWS[:1] + self.LAWS + self.LAWS[2:3], None)
+        skips = []
+        skip = entrosa.model._skip
+        monkeypatch.setattr(entrosa.model, "_skip",
+                            lambda bitgen, draws: skips.append(draws) or skip(bitgen, draws))
+
+        def fresh():
+            rng = np.random.Generator(stream(17))
+            rng.integers(2 ** 31)
+            return rng
+
+        serial = fresh()
+        columns = [dist.sample(n, serial) for dist in model.inputs]
+        after = serial.random(), serial.integers(2 ** 31), serial.random()
+        for k in (1, 2, 3):
+            cpus(k)
+            skips.clear()
+            rng = fresh()
+            x = sample_inputs(model, n, rng)
+            for j, column in enumerate(columns):
+                assert np.array_equal(x[:, j], column), (k, model.inputs[j])
+            assert (rng.random(), rng.integers(2 ** 31), rng.random()) == after
+            split = k > 1 and n > _BLOCK_ROWS and stream in (np.random.PCG64,
+                                                             np.random.PCG64DXSM)
+            # two uniform-filled columns, the Gaussian, one, the chi-squared,
+            # then five
+            assert skips == ([2 * n, n, 5 * n] if split else []), k
+
+    @pytest.mark.parametrize("n", [2 * _BLOCK_ROWS + 3, 300_000])
+    def test_blas_evaluators_keep_their_bits_at_one_two_and_three_cpus(self, n, cpus):
+        # mono5 and the metafunctions take matrix products of their blocks,
+        # whose bits hold on blocks that start on 1024-row boundaries
+        rng = np.random.default_rng(41)
+        models = [builtin("mono5").model] + [draw_metafunction(rng, s)[1] for s in range(20)]
+        for model in models:
+            x = sample_inputs(model, n, np.random.default_rng(n))
+            results = []
+            for k in (1, 2, 3):
+                cpus(k)
+                results.append(evaluate_batch(model, x))
+            assert all(np.array_equal(results[0], r) for r in results[1:]), model.name
+
     @pytest.mark.parametrize("bins, dtype", [(37, np.int16), (2 ** 15, np.int16),
                                              (2 ** 15 + 1, np.int32)])
     @pytest.mark.parametrize("n", SIZES)
@@ -549,7 +627,10 @@ class TestRowBlocks:
         # fit in 64 MiB, and a flood one (1.5e6 of 4) holds 90 MB and runs
         # alone; its 5 counting passes hold 30 MB each, so 2 of those run at
         # once; metastudy functions and row blocks declare no bytes, the
-        # estimators' per-input passes included
+        # estimators' per-input passes included. The blocks are cut at two
+        # CPUs, where 3 * 2^16 + 1 rows make 4 blocks, and 4 is a multiple of
+        # the width
+        cpus(2)
         declared = {}
 
         class Declared(Exception):
@@ -768,6 +849,12 @@ def _rarely_nan(x):
     return np.where(x[:, 0] < 5e-5, np.nan, _columnwise(x))
 
 
+def _rarely_inf(x):
+    # g = inf on about 5e-5 of the rows: a step off such a row gives an
+    # infinite derivative on an infinite floor, floored but not kept
+    return np.where(x[:, 0] < 5e-5, np.inf, _columnwise(x))
+
+
 def _raise_in_block_1(x):
     # x2 is the row index, so a block's first row names its block
     if int(x[0, 1]) // _BLOCK_ROWS == 1:
@@ -775,14 +862,17 @@ def _raise_in_block_1(x):
     return np.full(len(x), np.nan)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 class TestFusedPasses:
-    """The estimators' per-input passes run in row blocks, and every
-    reduction stays whole-array: three blocks give the whole-array
-    formulas' bits at one CPU and at two."""
+    """The estimators' per-input passes run in row blocks, their tallies
+    are exact, and every other reduction stays whole-array: three blocks,
+    or four at two CPUs, give the whole-array formulas' bits at one CPU and
+    at two, with and without a few non-finite outputs."""
 
     N = 2 * _BLOCK_ROWS + 3
     MODELS = (Model("columnwise", (Uniform(0, 1), Uniform(-1, 2), Uniform(0, 1)), _columnwise),
-              Model("rarely NaN", (Uniform(0, 1),) * 3, _rarely_nan))
+              Model("rarely NaN", (Uniform(0, 1),) * 3, _rarely_nan),
+              Model("rarely inf", (Uniform(0, 1),) * 3, _rarely_inf))
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
     @pytest.mark.parametrize("groups", [None, ((0, 2), (1,), (0, 1, 2))])
@@ -818,6 +908,22 @@ class TestFusedPasses:
             res = kl_total_index(model, self.N, HistogramSpec(64, 2), np.random.default_rng(7))
             assert np.array_equal(res.kl, kl)
             assert np.array_equal(res.floored_mass, floored_mass)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_entropy_repetition(self, model, cpus):
+        # the coder's spans and the non-finite count come from the passes
+        # that draw and evaluate the sample
+        spec = HistogramSpec(64, 8)
+        x = sample_inputs(model, self.N, np.random.default_rng(8).spawn(1)[0])
+        y = evaluate_batch(model, x)
+        good = np.isfinite(y)
+        x, y = x[good], y[good]
+        h_t = [conditional_entropy(y, np.delete(x, i, axis=1), spec) for i in range(3)]
+        for k in (1, 2):
+            cpus(k)
+            report = estimate_entropy_indices(model, self.N, spec, 1, np.random.default_rng(8))
+            assert report.h_y == entropy_histogram(y, spec)
+            assert report.h_total.tolist() == h_t
 
     # a sample whose x1 is 0.25, x2 the row index and x3 0 (B's x1 is 0.75
     # and x3 1), and the evaluator's fault on the blocks of that sample

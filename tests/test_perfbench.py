@@ -1,4 +1,5 @@
-"""The benchmark's traced worker against this source tree.
+"""The benchmark's traced worker against this source tree, and the
+workloads' outputs at one CPU and at two.
 
 The tracer looks up names in ``entrosa`` (``Distribution.sample``,
 ``SensitivityReport.write``) and binds the wrapped functions' arguments by
@@ -17,11 +18,15 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS = ("nonlinear", "flood", "agreement", "screening")
 
 
+def _perfbench_module(name: str):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _layer_units() -> dict:
-    spec = importlib.util.spec_from_file_location("tracing", PERFBENCH / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing.LAYER_UNITS
+    return _perfbench_module("tracing").LAYER_UNITS
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -34,3 +39,18 @@ def test_traced_workload_passes_its_checks(workload, tmp_path):
     assert [label for label, ok in record["checks"] if not ok] == []
     # the launcher fills in the tracing overhead from an untraced run
     assert set(record["layers"]) == set(_layer_units()) - {"trace.overhead_s"}
+
+
+@pytest.mark.parametrize("workload", ["screening", "flood"])
+def test_workload_digest_is_the_same_at_one_and_two_cpus(workload, tmp_path, monkeypatch, cpus):
+    # in process, where the row blocks, split fills and tallies follow the CPU count
+    monkeypatch.chdir(tmp_path)
+    bench = _perfbench_module("workloads").WORKLOADS[workload]()
+    bench.setup()
+    digests = []
+    for k in (1, 2):
+        cpus(k)
+        checks, _, digest = bench.check(bench.body(11))
+        assert [label for label, ok in checks if not ok] == []
+        digests.append(digest)
+    assert digests[0] == digests[1]

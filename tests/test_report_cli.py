@@ -1,5 +1,7 @@
 """Run configuration, report serialization, rankings, CLI, and studies."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entrosa
@@ -22,7 +24,7 @@ from entrosa.cli import main
 from entrosa.deriv import DerivMeasures, estimate_deriv_measures
 from entrosa.entropy import (EntropyBounds, EntropyReport, HistogramSpec, KLResult,
                              kl_total_index)
-from entrosa.report import MAX_RUNS, ROW_FIELDS, _read_config_file, write_atomic
+from entrosa.report import METHODS, MAX_RUNS, ROW_FIELDS, _read_config_file, write_atomic
 from entrosa.studies import (_method_streams, build_benchmark, convergence, metastudy,
                              run_from_config, run_table_preset)
 from entrosa.variance import PoincareBound, VarianceReport, variance_upper_bound
@@ -976,3 +978,58 @@ class TestCli:
         assert code == 0 and out.exists()
         report = SensitivityReport.from_json(out.read_text())
         assert report.metadata["config"]["seed"] == 9
+
+
+# ``entrosa run`` argument lists one field away from a valid one: a valid
+# model and methods with small samples, then one flag's value replaced by a
+# malformed, out-of-range or extreme one, or the flag dropped; no value
+# draws a large sample
+RUN_MODELS = ("ishigami", "mono1", "mono5", "ratio_chi2", "flood", "gfunction9_case1")
+RUN_METHODS = ("deriv", "bounds", "variance", "entropy,kl", "groups,bounds", ",".join(METHODS))
+RUN_FLAGS = {"--n": "2000", "--n-base": "200", "--n-deriv": "500", "--reps": "2",
+             "--bins-output": "20", "--bins-cond": "5", "--fd-step": "1e-5",
+             "--groups": "1-2", "--seed": "1"}
+COUNTS = ("0", "-5", "1", "3", "10", "99", "100", "1e3", "2.5", "1e400", "nan", "x", "")
+BINS = ("0", "1", "2", "3", "2147483647", "2147483648", "1e10", "x")
+PERTURBATIONS = {
+    "--model": ("gfunction3", "mono2", "nope", ""),
+    "--methods": ("entropy,entropy", "kl,bogus", "", ","),
+    "--param": ("r=2", "a=1,2,3", "x=1", "r=nan", "a=", "="),
+    "--n": COUNTS, "--n-base": COUNTS, "--n-deriv": COUNTS,
+    "--reps": ("0", "1", "-1", "2.5", "x", ""),
+    "--bins-output": BINS, "--bins-cond": BINS,
+    "--fd-step": ("0", "-1e-5", "1e-300", "1e300", "inf", "nan", "x"),
+    "--groups": ("1", "1-3", "3-1", "0", "1,1", "1-9", "", "a"),
+    "--fix": ("1:0.5", "1:nan", "1:1e300", "9:0", "1:0.5,2:0.5,3:0.5", "x", ""),
+    "--override-input": ("1=Uniform(0,1e200)", "2=Uniform(0,1e308)",
+                         "1=Uniform(-1e308,1e308)", "1=Uniform(0,1e-315)", "1=Uniform(1,0)",
+                         "1=Gaussian(0,1)", "1=Gaussian(0,0)", "2=Triangular(0,0,1)",
+                         "1=ChiSquared(3)", "1=TruncatedGaussian(0,1,6.8,inf)",
+                         "1=TruncatedGumbel(0,1,-1e308,1e308)", "9=Uniform(0,1)",
+                         "1=Bogus(1)"),
+    "--seed": ("0", "-1", "18446744073709551616", "1e3", "x"),
+}
+# tracebacks an earlier probe found, each now a documented exit
+PINNED_EXITS = {("mono1", "bounds", "--override-input", "1=Uniform(0,1e200)"): 3,
+                ("ratio_chi2", "bounds", "--override-input", "2=Uniform(0,1e308)"): 2}
+
+
+@settings(max_examples=100, deadline=None)
+@example(model="mono1", methods="bounds", perturbation=("--override-input", "1=Uniform(0,1e200)"))
+@example(model="ratio_chi2", methods="bounds",
+         perturbation=("--override-input", "2=Uniform(0,1e308)"))
+@given(model=st.sampled_from(RUN_MODELS), methods=st.sampled_from(RUN_METHODS),
+       perturbation=st.sampled_from(sorted(PERTURBATIONS)).flatmap(
+           lambda flag: st.tuples(st.just(flag), st.sampled_from((None,) + PERTURBATIONS[flag]))))
+def test_a_perturbed_run_ends_in_a_documented_exit_code(model, methods, perturbation):
+    flags = {"--model": model, "--methods": methods, **RUN_FLAGS}
+    flag, value = perturbation
+    if value is None:
+        flags.pop(flag, None)
+    else:
+        flags[flag] = value
+    argv = ["run", *(f"{flag}={value}" for flag, value in flags.items())]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code == PINNED_EXITS.get((model, methods, *perturbation), code), argv
+    assert code in (0, 2, 3, 4), argv
