@@ -18,14 +18,14 @@ independent of the number of threads.
 The KL index ``kl_total_index`` takes one input sample for all d inputs:
 g(x) is the shared unconditional baseline.
 
-``_cell_counts`` counts every histogram, the KL halves included: it sorts
+``_cell_counts`` counts every histogram, the KL index's too: it sorts
 the cell codes in place and reads the occupied cells and their counts off
 the run boundaries, as the counting passes of a repetition do; a
 conditioning cell's count is the span of its runs, and the H(Y) pass,
-with one conditioning cell, skips that bookkeeping. The passes that draw
-and evaluate a sample tally, per row block, the non-finite outputs and the
-minimum and maximum of the output and of each input column, so the coder
-reads the grid's span from them rather than scan the sample again. No
+with one conditioning cell, skips that bookkeeping. The evaluation pass
+tallies the non-finite outputs and the outputs' minimum and maximum, and
+the drawing pass the minimum and maximum of each input column, so the
+coder reads the grid's span from them rather than scan the sample again. No
 array spans the whole grid, so grids far larger than memory are fine. Axis
 codes take 2 bytes per sample, or 4 on an axis of more than 2^15 cells.
 Joint codes take 4 bytes per sample, or 8 when the grid has at least 2^31
@@ -52,9 +52,8 @@ import numpy as np
 from .deriv import DerivMeasures
 from .distributions import Distribution
 from .errors import ConfigurationError, NumericalError, SparseGridError
-from .model import (Model, _add_range_tallies, _draw_inputs, _evaluate_into, _map_evaluations,
-                    _map_in_order, _map_rows, _range_tally, _refuse_overflow, finite_within_rate,
-                    sample_inputs)
+from .model import (Model, _draw_inputs, _evaluate_into, _map_evaluations, _map_in_order,
+                    _map_rows, _refuse_overflow, finite_within_rate, sample_inputs)
 
 __all__ = ["HistogramSpec", "EntropyReport", "EntropyBounds", "KLResult",
            "entropy_histogram", "entropy_knn", "conditional_entropy",
@@ -422,17 +421,16 @@ def kl_total_index(model: Model, n: int, spec: HistogramSpec = HistogramSpec(),
     and input i's conditional sample is x itself with column i set to its
     mean, so d inputs cost (d+1) * n model evaluations and no second (n, d)
     matrix. One pass of row blocks freezes a block's rows, evaluates them
-    into a buffer shared by the inputs, right after the baseline, restores
-    them and tallies their non-finite count, minimum and maximum, as the
-    baseline's pass does; the coder reads baseline and conditional outputs
-    from that buffer, on the span the tallies give, with no copy and no
-    scan when every output is finite. Baseline and
-    conditional outputs are coded together by the coder every histogram
-    estimator here uses, and each half is counted by the one sort-runs
-    kernel. p0 is read on the cells p1 occupies, in ascending code order, so
-    no array spans the output grid. The counts can differ from
-    ``np.histogram`` only for a sample exactly on a bin edge, which numpy
-    checks against its edges.
+    into a vector shared by the inputs and restores them; like the
+    baseline's, the pass tallies the outputs' non-finite count, minimum and
+    maximum, so the coder reads the grid's span from the two tallies, with
+    no scan when every output is finite. Baseline and conditional outputs
+    are coded on that one span by the coder every histogram estimator here
+    uses, which codes each sample as it would the two joined, and each is
+    counted by the one sort-runs kernel. p0 is read on the cells p1
+    occupies, in ascending code order, so no array spans the output grid.
+    The counts can differ from ``np.histogram`` only for a sample exactly on
+    a bin edge, which numpy checks against its edges.
 
     Grid cells where the unconditional density is empty but the conditional
     one is not are floored at half a sample; a result with more than 5% of
@@ -448,35 +446,35 @@ def kl_total_index(model: Model, n: int, spec: HistogramSpec = HistogramSpec(),
         raise ConfigurationError(f"input means must be finite, got {means}")
 
     x = sample_inputs(model, n, rng)
-    # the baseline's finite outputs, then each conditional sample's
-    both = np.empty(2 * n)
-    n_bad, lo0, hi0 = _evaluate_into(model, x, both[:n])
-    good = finite_within_rate(both[:n], "kl baseline", n_bad)
-    n0 = n
+    # the baseline's finite outputs, and each conditional sample's
+    y0 = np.empty(n)
+    n_bad, lo0, hi0 = _evaluate_into(model, x, y0)
+    good = finite_within_rate(y0, "kl baseline", n_bad)
     if good is not None:
-        y0 = both[:n][good]
-        n0 = y0.size
-        both[:n0], lo0, hi0 = y0, y0.min(), y0.max()
-        del y0
-    y1 = both[n0:n0 + n]
+        y0 = y0[good]
+        lo0, hi0 = y0.min(), y0.max()
+    n0 = y0.size
+    y1 = np.empty(n)
     kl, floored_mass = np.zeros((2, model.dim))
     for i, mean_i in enumerate(means):
-        def freeze(rows: slice, x_rows: np.ndarray, evaluate) -> tuple[int, float, float]:
+        def freeze(rows: slice, x_rows: np.ndarray, evaluate) -> None:
             x_rows[:, i] = mean_i
             y1[rows] = evaluate()
-            return _range_tally(y1[rows])
 
-        n_bad, lo, hi = _add_range_tallies(_map_evaluations(model, x, freeze, (i,)))
+        n_bad, lo, hi = _map_evaluations(model, x, freeze, (i,))
         good = finite_within_rate(y1, f"kl conditional x{i + 1}", n_bad)
-        n1, span = n - n_bad, (np.minimum(lo0, lo), np.maximum(hi0, hi))
+        kept = y1
         if good is not None:
-            both[n0:n0 + n1], span = y1[good], None
-        codes, _ = _axis_codes(both[:n0 + n1], spec.bins_output, span)
-        if codes is None:
+            kept = y1[good]
+            lo, hi = kept.min(), kept.max()
+        n1 = kept.size
+        # one grid spans both samples, so each codes as it would with the other
+        span = np.minimum(lo0, lo), np.maximum(hi0, hi)
+        codes0, _ = _axis_codes(y0, spec.bins_output, span)
+        if codes0 is None:
             continue
-        cells0, counts0 = _cell_counts(codes[:n0])
-        cells1, counts1 = _cell_counts(codes[n0:])
-        del codes
+        cells0, counts0 = _cell_counts(codes0)
+        cells1, counts1 = _cell_counts(_axis_codes(kept, spec.bins_output, span)[0])
         # p0 on the cells p1 occupies, 0 where the baseline has no sample
         at = np.minimum(np.searchsorted(cells0, cells1), cells0.size - 1)
         p0 = np.where(cells0[at] == cells1, counts0[at] / n0, 0.0)

@@ -19,11 +19,14 @@ histogram's counting passes included.
 On several threads, a sample's uniform columns are drawn in the same row
 blocks as their transforms: each block fills from a copy of the stream
 advanced to its first draw, so the draws are those of one serial fill.
-A pass also hands back exact tallies of what it wrote, per block: the
-counts of non-finite or floored values, and minima and maxima. Counts add
-and extremes combine exactly, so they replace whole-array scans. Every
-other reduction (mean, variance, sort, sum) is whole-array within its
-task, so no result depends on the number of threads or on the blocks.
+Three passes take exact tallies, per block: the evaluation pass counts
+the non-finite outputs and takes their minimum and maximum, the drawing
+pass takes each input column's minimum and maximum, and the derivative
+measures' second pass counts the non-finite and the floored magnitudes.
+Counts add and extremes combine exactly, so they replace whole-array
+scans. Every other reduction (mean, variance, sort, sum) is whole-array
+within its task, so no result depends on the number of threads or on the
+blocks.
 """
 
 from __future__ import annotations
@@ -226,29 +229,22 @@ def _draw_inputs(model: Model, n: int, rng: np.random.Generator,
     # named here, as numpy.random is imported with the first stream
     split = (isinstance(bitgen, (np.random.PCG64, np.random.PCG64DXSM))
              and _map_width(len(blocks)) > 1)
-    # a split column's fill: the stream state at the last serial fill, and
-    # the column's first draw counted from there
-    fills, base, skipped = {}, None, 0
+    # a split column's fill: the stream state at its first draw
+    fills = {}
     for j, dist in enumerate(model.inputs):
         if split and type(dist)._fill is Distribution._fill:
-            base = bitgen.state if base is None else base
-            fills[j] = base, skipped
-            skipped += n
+            fills[j] = bitgen.state
+            _skip(bitgen, n)
         else:
-            if skipped:
-                _skip(bitgen, skipped)
-                base, skipped = None, 0
             dist._fill(rng, x[:, j])
-    if skipped:
-        _skip(bitgen, skipped)
 
     def draw(rows: slice) -> np.ndarray | None:
         if fills:
             stream = type(bitgen)(0)
             uniforms = np.random.Generator(stream)
-            for j, (state, first) in fills.items():
+            for j, state in fills.items():
                 stream.state = state
-                stream.advance(first + rows.start)
+                stream.advance(rows.start)
                 uniforms.random(out=x[rows, j])
         for j, dist in enumerate(model.inputs):
             dist._transform(x[rows, j])
@@ -262,15 +258,17 @@ def _draw_inputs(model: Model, n: int, rng: np.random.Generator,
 
 
 def _map_evaluations(model: Model, x: np.ndarray,
-                     block: Callable[[slice, np.ndarray, Callable[[], np.ndarray]], object],
-                     columns: Iterable[int] = ()) -> list:
+                     block: Callable[[slice, np.ndarray, Callable[[], np.ndarray]], None],
+                     columns: Iterable[int] = ()) -> tuple[int, float, float]:
     """``_map_rows`` of ``block(rows, x_rows, evaluate)`` over the rows of
     ``x``, with ``x_rows = x[rows]``: the one pass that calls the evaluator,
-    and the one check of its contract. ``evaluate()`` returns the
-    evaluator's output on ``x_rows`` as floats and raises
-    ``NumericalError`` unless it holds one value per row; the pass raises
-    ``NumericalError`` when no output of any block is finite, and else
-    returns what each block returned, such as its tallies, in row order.
+    the one check of its contract and the one tally of its outputs.
+    ``evaluate()`` returns the evaluator's output on ``x_rows`` as floats
+    and raises ``NumericalError`` unless it holds one value per row. The
+    pass returns the outputs' non-finite count, minimum and maximum, as a
+    whole-array scan gives them: counts add, and ``np.min`` and ``np.max``
+    combine the blocks' extremes, propagating a NaN. It raises
+    ``NumericalError`` when no output is finite.
 
     The block may change the ``columns`` of ``x_rows`` in place before it
     evaluates; they are restored, bitwise, when it ends or raises. The
@@ -279,51 +277,38 @@ def _map_evaluations(model: Model, x: np.ndarray,
     """
     columns = tuple(columns)
 
-    def run(rows: slice) -> tuple[bool, object]:
+    def run(rows: slice) -> tuple[int, float, float]:
         x_rows = x[rows]
-        finite = False
+        tally = None
 
         def evaluate() -> np.ndarray:
-            nonlocal finite
+            nonlocal tally
             out = np.asarray(model.evaluator(x_rows), dtype=float)
             if out.shape != (x_rows.shape[0],):
                 raise NumericalError(
                     f"evaluator of {model.name!r} returned shape {out.shape}, "
                     f"expected {(x_rows.shape[0],)}")
-            finite = bool(np.isfinite(out).any())
+            tally = _non_finite(out), out.min(), out.max()
             return out
 
         saved = [x_rows[:, i].copy() for i in columns]
         try:
-            tally = block(rows, x_rows, evaluate)
+            block(rows, x_rows, evaluate)
         finally:
             for i, column in zip(columns, saved):
                 x_rows[:, i] = column
-        return finite, tally
+        return tally
 
-    finite, tallies = zip(*_map_rows(run, x.shape[0]))
-    if not any(finite):
+    bad, lo, hi = zip(*_map_rows(run, x.shape[0]))
+    n_bad = sum(bad)
+    if n_bad == x.shape[0]:
         raise NumericalError(f"all {x.shape[0]} outputs of {model.name!r} are non-finite")
-    return list(tallies)
+    return n_bad, np.min(lo), np.max(hi)
 
 
 def _non_finite(values: np.ndarray) -> int:
     """The number of non-finite entries of ``values``."""
     return values.size - int(np.count_nonzero(np.isfinite(values)))
-
-
-def _range_tally(values: np.ndarray) -> tuple[int, float, float]:
-    """A block's tally for the histogram coder: its non-finite count,
-    minimum and maximum."""
-    return _non_finite(values), values.min(), values.max()
-
-
-def _add_range_tallies(tallies: list) -> tuple[int, float, float]:
-    """The whole array's ``_range_tally`` from its blocks': the counts add,
-    and ``np.min`` and ``np.max`` combine the extremes, propagating a NaN
-    as a whole-array scan does."""
-    bad, lo, hi = zip(*tallies)
-    return sum(bad), np.min(lo), np.max(hi)
 
 
 def evaluate_batch(model: Model, inputs: np.ndarray) -> np.ndarray:
@@ -347,13 +332,12 @@ def evaluate_batch(model: Model, inputs: np.ndarray) -> np.ndarray:
 
 
 def _evaluate_into(model: Model, x: np.ndarray, y: np.ndarray) -> tuple[int, float, float]:
-    """``evaluate_batch`` of the sample ``x`` into ``y``, returning y's
-    ``_range_tally``, tallied by the blocks that write it."""
-    def copy(rows: slice, x_rows: np.ndarray, evaluate: Callable[[], np.ndarray]) -> tuple:
+    """``evaluate_batch`` of the sample ``x`` into ``y``, returning the
+    pass's tally of y: its non-finite count, minimum and maximum."""
+    def copy(rows: slice, x_rows: np.ndarray, evaluate: Callable[[], np.ndarray]) -> None:
         y[rows] = evaluate()
-        return _range_tally(y[rows])
 
-    return _add_range_tallies(_map_evaluations(model, x, copy))
+    return _map_evaluations(model, x, copy)
 
 
 def finite_within_rate(values: np.ndarray, where: str,
@@ -385,12 +369,6 @@ def _refuse_overflow(bound: np.ndarray, terms_finite: np.ndarray, name: str) -> 
     if over.size:
         raise NumericalError(f"{name} of input {over[0] + 1} overflows float64")
     return bound
-
-
-def clean_outputs(y: np.ndarray, where: str = "estimator") -> np.ndarray:
-    """Drop non-finite rows under the ``finite_within_rate`` policy."""
-    good = finite_within_rate(y, where)
-    return y if good is None else y[good]
 
 
 def fd_directional_batch(model: Model, x: np.ndarray, y0: np.ndarray,

@@ -25,7 +25,7 @@ from .deriv import estimate_deriv_measures
 from .entropy import (HistogramSpec, entropy_histogram, entropy_knn, entropy_upper_bounds,
                       estimate_entropy_indices, kl_total_index)
 from .errors import ConfigurationError, NumericalError, SparseGridError
-from .model import Model, _map_in_order, clean_outputs, fix_variables
+from .model import Model, _map_in_order, finite_within_rate, fix_variables
 from .report import (MAX_RUNS, METHODS, ROW_FIELDS, RunConfig, SensitivityReport, json_text,
                      write_atomic)
 from .variance import estimate_total_effect_variance, variance_upper_bound
@@ -182,7 +182,9 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
 
     if "bounds" in methods or "groups" in methods:
         if h_y is None:  # the derivative (or groups) sample's g(x); an atom defeats the kNN
-            y = clean_outputs((measures or gm).y, "output entropy")
+            y = (measures or gm).y
+            good = finite_within_rate(y, "output entropy")
+            y = y if good is None else y[good]
             h_y, estimator = entropy_knn(y), "knn"
             if h_y == -math.inf:
                 h_y, estimator = entropy_histogram(y, spec), "histogram"

@@ -6,12 +6,14 @@ hybrids AB_i (column i of A replaced by B's), ``V_Ti = mean((g(A)-g(AB_i))^2)/2`
 Total cost is n_base * (d + 2) evaluations. Each AB_i is A itself with B's
 column i swapped in for its evaluation, so no hybrid matrix is ever
 allocated: one pass of row blocks swaps B's rows in, evaluates, writes
-g(A) - g(AB_i) into a difference vector shared by the inputs, restores
-A's rows and counts the block's non-finite differences. g(A) and g(B) are
-written side by side into one vector, with the count, minimum and maximum
-of each block, so V(Y) and the constant-output test need no further scan
-of a finite sample. The mean of the squares is whole-array and the
-tallies exact, so V_Ti is the same at any number of CPUs.
+g(A) - g(AB_i) into a difference vector shared by the inputs and restores
+A's rows; the non-finite policy then counts that vector. g(A) and g(B) are
+written side by side into one vector, and the evaluation passes' tallies
+of non-finite outputs, minimum and maximum spare V(Y) and the
+constant-output test a further scan of a finite sample. Every reduction is
+whole-array and the tallies exact, so V_Ti is the same at any number of
+CPUs. A V_Ti or V(Y) that overflows float64 raises ``NumericalError``,
+under the bounds' overflow rule.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ import numpy as np
 
 from .deriv import DerivMeasures
 from .distributions import Distribution, Gaussian, Uniform
-from .errors import ConfigurationError
-from .model import (Model, _add_range_tallies, _evaluate_into, _map_evaluations, _non_finite,
-                    _refuse_overflow, finite_within_rate, sample_inputs)
+from .errors import ConfigurationError, NumericalError
+from .model import (Model, _evaluate_into, _map_evaluations, _refuse_overflow,
+                    finite_within_rate, sample_inputs)
 
 __all__ = ["VarianceReport", "PoincareBound", "estimate_total_effect_variance",
            "variance_upper_bound", "poincare_constant"]
@@ -47,27 +49,36 @@ def estimate_total_effect_variance(model: Model, n_base: int,
     b = sample_inputs(model, n_base, rng)
     y = np.empty(2 * n_base)
     y_a = y[:n_base]
-    n_bad, lo, hi = _add_range_tallies([_evaluate_into(model, a, y_a),
-                                        _evaluate_into(model, b, y[n_base:])])
-    good = finite_within_rate(y, "variance", n_bad)
+    (bad_a, lo_a, hi_a), (bad_b, lo_b, hi_b) = (_evaluate_into(model, a, y_a),
+                                                _evaluate_into(model, b, y[n_base:]))
+    good = finite_within_rate(y, "variance", bad_a + bad_b)
+    lo, hi = np.minimum(lo_a, lo_b), np.maximum(hi_a, hi_b)
     if good is not None:
         y = y[good]
         lo, hi = y.min(), y.max()
-    v_y = float(np.var(y, ddof=1))
+    # finite outputs far apart overflow V(Y) and the V_Ti, overflows named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_y = float(np.var(y, ddof=1))
     # constant by the histogram coder's rule, which no rescaling of g changes
     constant = hi == lo
 
     v_total = np.empty(d)
     diff = np.empty(n_base)
     for i in range(d):
-        def swap(rows: slice, a_rows: np.ndarray, evaluate) -> int:
+        def swap(rows: slice, a_rows: np.ndarray, evaluate) -> None:
             a_rows[:, i] = b[rows, i]
-            return _non_finite(np.subtract(y_a[rows], evaluate(), out=diff[rows]))
+            np.subtract(y_a[rows], evaluate(), out=diff[rows])
 
-        n_bad = sum(_map_evaluations(model, a, swap, (i,)))
-        good = finite_within_rate(diff, f"variance x{i + 1}", n_bad)
+        _map_evaluations(model, a, swap, (i,))
+        good = finite_within_rate(diff, f"variance x{i + 1}")
         kept = diff if good is None else diff[good]
-        v_total[i] = 0.5 * float(np.mean(np.multiply(kept, kept, out=kept)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            v_total[i] = 0.5 * float(np.mean(np.multiply(kept, kept, out=kept)))
+    # the outputs and differences kept are finite, so a V_Ti or V(Y) that
+    # is not has overflowed float64
+    _refuse_overflow(v_total, np.ones(d, dtype=bool), "v_total")
+    if not math.isfinite(v_y):
+        raise NumericalError(f"v_y of the output of {model.name!r} overflows float64")
 
     s_total = np.full(d, np.nan) if constant else v_total / v_y
     return VarianceReport(v_y=v_y, v_total=v_total, s_total=s_total)

@@ -1,5 +1,7 @@
-"""The hand-written export lists name only what each module defines."""
+"""The hand-written export lists name only what each module defines, and
+no module keeps an import or a private name that nothing uses."""
 
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -33,3 +35,49 @@ def test_only_the_model_runs_a_thread_pool():
         owners = [name for name in MODULES
                   if word in Path(importlib.import_module(name).__file__).read_text()]
         assert owners == ["entrosa.model"], word
+
+
+SOURCES = {name: ast.parse(Path(importlib.import_module(name).__file__).read_text())
+           for name in MODULES}
+
+
+def _references(tree):
+    """The names a module reads, as names, attributes or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "entrosa"])
+def test_every_top_level_import_is_used(name):
+    # the package's __init__ imports to re-export
+    tree = SOURCES[name]
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names} - {"annotations"}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    assert not imported - read, f"{name} imports {sorted(imported - read)} and never uses them"
+
+
+def test_every_private_module_name_is_used():
+    # a module-level private name that nothing reads is dead code
+    referenced = {ref for tree in SOURCES.values() for ref in _references(tree)}
+    unused = []
+    for name, tree in SOURCES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for target in targets for t in ast.walk(target)
+                           if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{name}.{d}" for d in defined
+                       if d.startswith("_") and not d.startswith("__") and d not in referenced]
+    assert not unused

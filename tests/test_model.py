@@ -27,8 +27,8 @@ from entrosa import (ChiSquared, ConfigurationError, Gaussian, HistogramSpec, Mo
 from entrosa.benchmarks import draw_metafunction
 from entrosa.deriv import GRAD_FLOOR
 from entrosa.entropy import _axis_codes, _cell_counts, conditional_entropy, entropy_histogram
-from entrosa.model import (DEFAULT_FD_STEP, _BLOCK_ALIGN, _BLOCK_ROWS, _map_in_order,
-                           _row_blocks, clean_outputs)
+from entrosa.model import (DEFAULT_FD_STEP, _BLOCK_ALIGN, _BLOCK_ROWS, _map_evaluations,
+                           _map_in_order, _row_blocks, finite_within_rate)
 
 
 def test_ishigami_at_origin():
@@ -554,9 +554,8 @@ class TestRowBlocks:
             assert (rng.random(), rng.integers(2 ** 31), rng.random()) == after
             split = k > 1 and n > _BLOCK_ROWS and stream in (np.random.PCG64,
                                                              np.random.PCG64DXSM)
-            # two uniform-filled columns, the Gaussian, one, the chi-squared,
-            # then five
-            assert skips == ([2 * n, n, 5 * n] if split else []), k
+            # each of the eight uniform-filled columns skips its n draws
+            assert skips == ([n] * 8 if split else []), k
 
     @pytest.mark.parametrize("n", [2 * _BLOCK_ROWS + 3, 300_000])
     def test_blas_evaluators_keep_their_bits_at_one_two_and_three_cpus(self, n, cpus):
@@ -747,7 +746,7 @@ class TestRowBlocks:
         y = evaluate_batch(model, np.arange(2 * _BLOCK_ROWS, dtype=float)[:, None])
         assert np.isfinite(y[:_BLOCK_ROWS]).all() and np.isnan(y[_BLOCK_ROWS:]).all()
         with pytest.raises(NumericalError, match="non-finite value rate 50.00%"):
-            clean_outputs(y, "second block")
+            finite_within_rate(y, "second block")
 
     def test_every_item_runs_once_under_frequent_thread_switches(self, cpus):
         # more threads than cores, switching every microsecond
@@ -873,6 +872,21 @@ class TestFusedPasses:
     MODELS = (Model("columnwise", (Uniform(0, 1), Uniform(-1, 2), Uniform(0, 1)), _columnwise),
               Model("rarely NaN", (Uniform(0, 1),) * 3, _rarely_nan),
               Model("rarely inf", (Uniform(0, 1),) * 3, _rarely_inf))
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_the_evaluation_pass_tallies_its_outputs(self, model, cpus):
+        # the non-finite count, np.min and np.max of a whole-array
+        # evaluation, a NaN included
+        x = sample_inputs(model, self.N, np.random.default_rng(4))
+        y = model.evaluator(x)
+        expected = (np.count_nonzero(~np.isfinite(y)), np.min(y), np.max(y))
+
+        def block(rows, x_rows, evaluate):
+            evaluate()
+
+        for k in (1, 2):
+            cpus(k)
+            assert np.array_equal(_map_evaluations(model, x, block), expected, equal_nan=True)
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
     @pytest.mark.parametrize("groups", [None, ((0, 2), (1,), (0, 1, 2))])

@@ -9,6 +9,7 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -828,6 +829,16 @@ class TestCli:
         assert capsys.readouterr().err == (
             "numerical failure: variance_bound of input 1 overflows float64\n")
 
+    def test_an_overflowing_total_effect_variance_exits_3_naming_its_input(self, capsys):
+        # x1 ~ U(0, 1e200) squares its pick-and-freeze differences past float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--model", "mono1", "--methods", "variance", "--n-base", "200",
+                         "--seed", "1", "--override-input", "1=Uniform(0,1e200)"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: v_total of input 1 overflows float64\n")
+
     def test_an_overflow_that_a_zero_derivative_replaces_is_no_failure(self, capsys):
         # e^(H(X_2) - H(Y)) overflows for x2 ~ U(0, 1e308), but x2's derivative
         # is 0, so its bounds are 0; the run goes on to the variance bound,
@@ -1011,11 +1022,14 @@ PERTURBATIONS = {
 }
 # tracebacks an earlier probe found, each now a documented exit
 PINNED_EXITS = {("mono1", "bounds", "--override-input", "1=Uniform(0,1e200)"): 3,
+                ("mono1", "variance", "--override-input", "1=Uniform(0,1e200)"): 3,
                 ("ratio_chi2", "bounds", "--override-input", "2=Uniform(0,1e308)"): 2}
 
 
 @settings(max_examples=100, deadline=None)
 @example(model="mono1", methods="bounds", perturbation=("--override-input", "1=Uniform(0,1e200)"))
+@example(model="mono1", methods="variance",
+         perturbation=("--override-input", "1=Uniform(0,1e200)"))
 @example(model="ratio_chi2", methods="bounds",
          perturbation=("--override-input", "2=Uniform(0,1e308)"))
 @given(model=st.sampled_from(RUN_MODELS), methods=st.sampled_from(RUN_METHODS),

@@ -1,5 +1,7 @@
 """Pick-and-freeze total-effect variance and the derivative-based bound."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,21 @@ def test_constant_model_reports_undefined_shares():
                   lambda x: np.full(x.shape[0], 3.25))
     report = estimate_total_effect_variance(model, 1000, np.random.default_rng(3))
     assert np.isnan(report.s_total).all()
+
+
+@pytest.mark.parametrize("inputs, message", [
+    # x1's differences square past float64
+    ((Uniform(0, 1e200), Uniform(0, 1)), "^v_total of input 1 overflows float64$"),
+    # sixteen inputs share V(Y), whose sum of squares overflows, though no
+    # V_Ti's does
+    ((Uniform(0, 1.34e153),) * 16, "^v_y of the output of 'sum' overflows float64$"),
+])
+def test_an_overflowing_variance_fails_naming_it_and_nothing_else(inputs, message):
+    model = Model("sum", inputs, lambda x: x.sum(axis=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=message):
+            estimate_total_effect_variance(model, 100, np.random.default_rng(5))
 
 
 def test_requires_minimum_base_sample():
