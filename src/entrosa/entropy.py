@@ -29,11 +29,14 @@ coder reads the grid's span from them rather than scan the sample again. No
 array spans the whole grid, so grids far larger than memory are fine. Axis
 codes take 2 bytes per sample, or 4 on an axis of more than 2^15 cells.
 Joint codes take 4 bytes per sample, or 8 when the grid has at least 2^31
-cells, plus run arrays over the occupied cells. The H(Y) pass and the d
-leave-one-out passes of a repetition run through ``_map_in_order`` too;
-each sort and sum is whole-array within its pass, and the sparse-grid
-checks run after them in variable order, so the warnings and errors are the
-same at any width.
+cells, plus int64 run arrays over the occupied cells. A pass writes its
+counts and its entropy terms in place and frees each array at its last
+use, so at one occupied cell per sample it peaks at about 24-26 bytes per
+sample (``tracemalloc``, 2^17 samples on 2-D and 3-D grids). The H(Y)
+pass and the d leave-one-out passes of a repetition run through
+``_map_in_order`` too; each sort and sum is whole-array within its pass,
+and the sparse-grid checks run after them in variable order, so the
+warnings and errors are the same at any width.
 
 Bin counts drive a bias trade-off: coarse conditioning inflates the estimate
 (within-cell variation leaks into the conditional law), fine grids starve
@@ -124,12 +127,21 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
+def _run_lengths(starts: np.ndarray, n: int) -> np.ndarray:
+    """The lengths of the runs that start at ``starts`` in an array of n
+    values, written into one array."""
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = n - starts[-1]
+    return counts
+
+
 def _cell_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort the cell codes in place and return the occupied cells in
     ascending code order with their counts, read off the run boundaries."""
     codes.sort()
     starts = _run_starts(codes)
-    return codes[starts], np.diff(starts, append=codes.size)
+    return codes[starts], _run_lengths(starts, codes.size)
 
 
 def _check_grid(k: int, spec: HistogramSpec) -> None:
@@ -161,21 +173,25 @@ def _conditional_from_codes(ycodes: np.ndarray, width: float, cond_codes: list,
     n = ycodes.size
     bins_out = spec.bins_output
     live = [codes for codes in cond_codes if codes is not None]
-    joint = np.zeros(n, dtype=_joint_dtype(len(live), spec))
+    # each axis with its cell count, the output last; the fold starts from
+    # the first axis's codes, the integers a fold from zero gives
+    axes = [(codes, spec.bins_per_conditioning_dim) for codes in live] + [(ycodes, bins_out)]
+    joint = np.empty(n, dtype=_joint_dtype(len(live), spec))
 
     def fold(rows: slice) -> None:
         block = joint[rows]
-        for codes in live:
-            block *= spec.bins_per_conditioning_dim
+        np.copyto(block, axes[0][0][rows])
+        for codes, cells in axes[1:]:
+            block *= cells
             block += codes[rows]
-        block *= bins_out
-        block += ycodes[rows]
 
     _map_rows(fold, n)
 
+    # each array is freed at its last use, so a pass holds little more than
+    # its joint codes and its run starts and counts at any one time
     joint.sort()
     starts = _run_starts(joint)
-    counts = np.diff(starts, append=n)
+    counts = _run_lengths(starts, n)
     if live:
         # the occupied cells come in ascending code order, so the cells of
         # one conditioning cell are a contiguous block of runs, and its
@@ -185,13 +201,23 @@ def _conditional_from_codes(ycodes: np.ndarray, width: float, cond_codes: list,
         conditioning //= bins_out
         blocks = _run_starts(conditioning)
         del conditioning
-        k_i = np.diff(starts[blocks], append=n)
-        k_i_full = np.repeat(k_i, np.diff(blocks, append=counts.size))
+        k_i = _run_lengths(starts[blocks], n)
+        del starts
         occupied, singleton_share = k_i.size, float((k_i == 1).mean())
+        k_i_full = np.repeat(k_i, _run_lengths(blocks, counts.size))
+        del k_i, blocks
+        r = np.divide(counts, k_i_full)
+        del k_i_full
     else:  # H(Y): one conditioning cell holds every sample
-        del joint
-        k_i_full, occupied, singleton_share = n, 0, 0.0
-    h = -(counts / n * np.log(counts / k_i_full)).sum() + math.log(width)
+        del joint, starts
+        r = np.divide(counts, n)
+        occupied, singleton_share = 0, 0.0
+    # -sum (k_ij/N) ln(k_ij/k_i), each term written in place
+    np.log(r, out=r)
+    p = np.divide(counts, n)
+    del counts
+    p *= r
+    h = -p.sum() + math.log(width)
     return float(h), occupied, singleton_share
 
 
@@ -331,8 +357,10 @@ def estimate_entropy_indices(model: Model, n: int,
                 for j in range(d)]
         del x
         # the H(Y) pass, then one pass per input i conditioning on every other
-        # input; a pass holds its joint codes and, at one cell per sample, its
-        # int64 run starts and counts
+        # input; a pass declares its joint codes and, at one cell per sample,
+        # its int64 run starts and counts. Its measured peak, 24-26 bytes a
+        # sample, is not declared: at that size two of flood's 1.5e6-row
+        # passes would no longer fit the maps' 64 MiB and would run one at a time
         n_kept = ycodes.size
         passes = _map_in_order(
             lambda cond: _conditional_from_codes(ycodes, width, cond, spec),

@@ -268,13 +268,16 @@ def _map_evaluations(model: Model, x: np.ndarray,
     pass returns the outputs' non-finite count, minimum and maximum, as a
     whole-array scan gives them: counts add, and ``np.min`` and ``np.max``
     combine the blocks' extremes, propagating a NaN. It raises
-    ``NumericalError`` when no output is finite.
+    ``ConfigurationError`` on a sample of no rows and ``NumericalError``
+    when no output is finite.
 
     The block may change the ``columns`` of ``x_rows`` in place before it
     evaluates; they are restored, bitwise, when it ends or raises. The
     output may be a view of ``x_rows``, so the block uses it before it
     returns.
     """
+    if not x.shape[0]:
+        raise ConfigurationError(f"model {model.name!r} was given no rows to evaluate")
     columns = tuple(columns)
 
     def run(rows: slice) -> tuple[int, float, float]:

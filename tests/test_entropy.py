@@ -21,7 +21,7 @@ from entrosa import (ChiSquared, ConfigurationError, Gaussian, HistogramSpec, Mo
 from entrosa import studies
 from entrosa.benchmarks import BenchmarkModel
 from entrosa.deriv import DerivMeasures
-from entrosa.entropy import _SINGLETON_ERROR_SHARE
+from entrosa.entropy import _SINGLETON_ERROR_SHARE, _cell_counts, _conditional_from_codes
 from entrosa.studies import _method_streams, run_from_config
 
 # grids are drawn on both sides of this many cells per sample, so the
@@ -320,6 +320,31 @@ class TestCountingMatchesSortReference:
         finally:
             tracemalloc.stop()
         assert peak < 5_000_000
+
+    def test_a_sparse_counting_pass_holds_at_most_32_bytes_a_sample(self):
+        # flood's grid, 39^3 conditioning cells x 53 output bins, at about one
+        # occupied cell per sample: the run starts and counts span the sample,
+        # and each array is freed at its last use
+        n = 2 ** 17
+        rng = np.random.default_rng(35)
+        spec = HistogramSpec(bins_output=53, bins_per_conditioning_dim=39)
+        ycodes = rng.integers(0, 53, n).astype(np.int16)
+        cols = [rng.integers(0, 39, n).astype(np.int16) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            _conditional_from_codes(ycodes, 1.0, cols, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * n
+
+    @pytest.mark.parametrize("codes", [np.full(7, 3, dtype=np.int16),
+                                       np.array([5], dtype=np.int32)],
+                             ids=["one run", "one element"])
+    def test_one_run_is_one_cell_holding_every_sample(self, codes):
+        cells, counts = _cell_counts(codes.copy())
+        assert cells.tolist() == [codes[0]]
+        assert counts.tolist() == [codes.size]
 
 
 def _entropy_or_sparse(y, x, spec):

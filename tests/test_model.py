@@ -125,6 +125,15 @@ def test_dimension_mismatch_rejected():
         evaluate_batch(model, np.zeros((4, 2)))
 
 
+@pytest.mark.parametrize("call", [
+    lambda model: evaluate_batch(model, np.empty((0, 3))),
+    lambda model: fd_directional_batch(model, np.empty((0, 3)), np.empty(0), (0,)),
+], ids=["evaluate_batch", "fd_directional_batch"])
+def test_a_sample_of_no_rows_is_refused_naming_the_model(call):
+    with pytest.raises(ConfigurationError, match="^model 'ishigami' was given no rows"):
+        call(builtin("ishigami").model)
+
+
 def _partials(model, x, h=1e-5):
     """(n, d) forward-difference partials, one one-element group per input."""
     x = np.atleast_2d(np.asarray(x, dtype=float))

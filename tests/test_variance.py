@@ -5,10 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+import entrosa.variance
 from entrosa import (ConfigurationError, Gaussian, Model, NumericalError,
                      Uniform, builtin,
                      estimate_deriv_measures, estimate_total_effect_variance,
                      variance_upper_bound)
+from entrosa.model import finite_within_rate
 from entrosa.variance import poincare_constant
 
 
@@ -139,6 +141,28 @@ def test_nonfinite_differences_count_against_the_rate():
     model = Model("rare-nan", (Uniform(0, 1),) * 2, evaluator)
     with pytest.raises(NumericalError, match="variance x1"):
         estimate_total_effect_variance(model, 20_000, np.random.default_rng(0))
+
+
+def test_the_differences_are_scanned_only_when_the_tallies_cannot_show_them_finite(
+        monkeypatch):
+    seen = []
+
+    def spy(values, where, n_bad=None):
+        if where.startswith("variance x"):
+            seen.append(n_bad)
+        return finite_within_rate(values, where, n_bad)
+
+    monkeypatch.setattr(entrosa.variance, "finite_within_rate", spy)
+    estimate_total_effect_variance(builtin("ishigami").model, 1000, np.random.default_rng(0))
+    assert seen == [0, 0, 0]
+    # finite outputs whose differences overflow float64 are scanned, and counted
+    seen.clear()
+    model = Model("far-apart", (Uniform(0, 1),) * 2,
+                  lambda x: np.where(x[:, 1] < 0.5, -1.5e308, 1.5e308))
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericalError, match="^variance x2: non-finite value rate"):
+        estimate_total_effect_variance(model, 1000, np.random.default_rng(0))
+    assert seen == [None, None]
 
 
 def test_every_evaluated_matrix_has_contiguous_columns():
