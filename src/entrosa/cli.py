@@ -16,6 +16,7 @@ import argparse
 import logging
 import os
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -120,47 +121,51 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    try:
-        if args.command == "run":
-            config = _run_config_from_args(args)
-            if config.output:
-                config = replace(config, output=str(_output_path(config.output)))
-            report = run_from_config(config)
-            print(f"report written: {config.output}" if config.output else report.to_json())
-        elif args.command == "metastudy":
-            output = _output_path(args.output)
-            result = metastudy(_coerce("n_functions", _parse_count, args.n_functions),
-                               _coerce("n_samples", _parse_count, args.n_samples), args.seed,
-                               output=output,
-                               n_deriv=_coerce("n_deriv", _parse_count, args.n_deriv))
-            print(f"metastudy written: {output}")
-            for family, vals in result["summary"]["agreement"].items():
-                print(f"  {family}: " + " ".join(f"{k}={v:.3f}" for k, v in vals.items()))
-        elif args.command == "convergence":
-            output = _output_path(args.output)
-            ladder = [_coerce("ladder", _parse_count, v) for v in args.ladder.split(",")]
-            convergence(args.model, args.method, ladder,
-                        _coerce("reps", _parse_count, args.reps), args.seed,
-                        output=output)
-            print(f"convergence table written: {output}")
-        elif args.command == "tables":
-            paths = run_table_preset(args.name, _output_path(args.outdir, is_dir=True),
-                                     seed=args.seed, scale=args.scale)
-            for p in paths:
-                print(f"written: {p}")
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SparseGridError as exc:
-        print(f"sparse-grid abort: {exc}", file=sys.stderr)
-        return EXIT_SPARSE
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return 0
+    # the exit codes already report non-finite values; this filter is
+    # process-wide, so unlike np.errstate it holds on the pool's threads too
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            if args.command == "run":
+                config = _run_config_from_args(args)
+                if config.output:
+                    config = replace(config, output=str(_output_path(config.output)))
+                report = run_from_config(config)
+                print(f"report written: {config.output}" if config.output else report.to_json())
+            elif args.command == "metastudy":
+                output = _output_path(args.output)
+                result = metastudy(_coerce("n_functions", _parse_count, args.n_functions),
+                                   _coerce("n_samples", _parse_count, args.n_samples), args.seed,
+                                   output=output,
+                                   n_deriv=_coerce("n_deriv", _parse_count, args.n_deriv))
+                print(f"metastudy written: {output}")
+                for family, vals in result["summary"]["agreement"].items():
+                    print(f"  {family}: " + " ".join(f"{k}={v:.3f}" for k, v in vals.items()))
+            elif args.command == "convergence":
+                output = _output_path(args.output)
+                ladder = [_coerce("ladder", _parse_count, v) for v in args.ladder.split(",")]
+                convergence(args.model, args.method, ladder,
+                            _coerce("reps", _parse_count, args.reps), args.seed,
+                            output=output)
+                print(f"convergence table written: {output}")
+            elif args.command == "tables":
+                paths = run_table_preset(args.name, _output_path(args.outdir, is_dir=True),
+                                         seed=args.seed, scale=args.scale)
+                for p in paths:
+                    print(f"written: {p}")
+        except ConfigurationError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except OSError as exc:
+            print(f"cannot write output: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except SparseGridError as exc:
+            print(f"sparse-grid abort: {exc}", file=sys.stderr)
+            return EXIT_SPARSE
+        except NumericalError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        return 0
 
 
 if __name__ == "__main__":

@@ -76,8 +76,9 @@ def estimate_deriv_measures(model: Model, n: int, h: float = DEFAULT_FD_STEP,
     for g in groups:
         if not g or len(set(g)) != len(g):
             raise ConfigurationError(f"group must be non-empty with distinct indices, got {g}")
-        if any(not 0 <= i < d for i in g):
-            raise ConfigurationError(f"group index out of range for dim {d}: {g}")
+        bad = next((i for i in g if not 0 <= i < d), None)
+        if bad is not None:
+            raise ConfigurationError(f"group names x{bad + 1}, but the model has inputs x1..x{d}")
     if n < 10:
         raise ConfigurationError(f"derivative estimation needs n >= 10, got {n}")
     if rng is None:

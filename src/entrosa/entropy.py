@@ -21,11 +21,11 @@ g(x) is the shared unconditional baseline.
 ``_cell_counts`` counts every histogram, the KL index's too: it sorts
 the cell codes in place and reads the occupied cells and their counts off
 the run boundaries, as the counting passes of a repetition do; a
-conditioning cell's count is the span of its runs, and the H(Y) pass,
-with one conditioning cell, skips that bookkeeping. The evaluation pass
-tallies the non-finite outputs and the outputs' minimum and maximum, and
-the drawing pass the minimum and maximum of each input column, so the
-coder reads the grid's span from them rather than scan the sample again. No
+conditioning cell's count is the span of its runs, and H(Y)'s one
+conditioning cell spans them all. The evaluation pass tallies the
+non-finite outputs and the outputs' minimum and maximum, and the drawing
+pass the minimum and maximum of each input column, so the coder reads the
+grid's span from them rather than scan the sample again. No
 array spans the whole grid, so grids far larger than memory are fine. Axis
 codes take 2 bytes per sample, or 4 on an axis of more than 2^15 cells.
 Joint codes take 4 bytes per sample, or 8 when the grid has at least 2^31
@@ -55,8 +55,9 @@ import numpy as np
 from .deriv import DerivMeasures
 from .distributions import Distribution
 from .errors import ConfigurationError, NumericalError, SparseGridError
-from .model import (Model, _draw_inputs, _evaluate_into, _map_evaluations, _map_in_order,
-                    _map_rows, _refuse_overflow, finite_within_rate, sample_inputs)
+from .model import (Model, _draw_inputs, _evaluate_into, _finite_part, _map_evaluations,
+                    _map_in_order, _map_rows, _refuse_overflow, finite_within_rate,
+                    sample_inputs)
 
 __all__ = ["HistogramSpec", "EntropyReport", "EntropyBounds", "KLResult",
            "entropy_histogram", "entropy_knn", "conditional_entropy",
@@ -192,26 +193,21 @@ def _conditional_from_codes(ycodes: np.ndarray, width: float, cond_codes: list,
     joint.sort()
     starts = _run_starts(joint)
     counts = _run_lengths(starts, n)
-    if live:
-        # the occupied cells come in ascending code order, so the cells of
-        # one conditioning cell are a contiguous block of runs, and its
-        # count k_i spans them
-        conditioning = joint[starts]
-        del joint
-        conditioning //= bins_out
-        blocks = _run_starts(conditioning)
-        del conditioning
-        k_i = _run_lengths(starts[blocks], n)
-        del starts
-        occupied, singleton_share = k_i.size, float((k_i == 1).mean())
-        k_i_full = np.repeat(k_i, _run_lengths(blocks, counts.size))
-        del k_i, blocks
-        r = np.divide(counts, k_i_full)
-        del k_i_full
-    else:  # H(Y): one conditioning cell holds every sample
-        del joint, starts
-        r = np.divide(counts, n)
-        occupied, singleton_share = 0, 0.0
+    # the occupied cells come in ascending code order, so the cells of one
+    # conditioning cell are a contiguous block of runs, and its count k_i
+    # spans them; with no axis, one conditioning cell holds all n samples
+    conditioning = joint[starts]
+    del joint
+    conditioning //= bins_out
+    blocks = _run_starts(conditioning)
+    del conditioning
+    k_i = _run_lengths(starts[blocks], n)
+    del starts
+    occupied, singleton_share = (k_i.size, float((k_i == 1).mean())) if live else (0, 0.0)
+    k_i_full = np.repeat(k_i, _run_lengths(blocks, counts.size))
+    del k_i, blocks
+    r = np.divide(counts, k_i_full)
+    del k_i_full
     # -sum (k_ij/N) ln(k_ij/k_i), each term written in place
     np.log(r, out=r)
     p = np.divide(counts, n)
@@ -476,11 +472,7 @@ def kl_total_index(model: Model, n: int, spec: HistogramSpec = HistogramSpec(),
     x = sample_inputs(model, n, rng)
     # the baseline's finite outputs, and each conditional sample's
     y0 = np.empty(n)
-    n_bad, lo0, hi0 = _evaluate_into(model, x, y0)
-    good = finite_within_rate(y0, "kl baseline", n_bad)
-    if good is not None:
-        y0 = y0[good]
-        lo0, hi0 = y0.min(), y0.max()
+    y0, lo0, hi0 = _finite_part(y0, "kl baseline", _evaluate_into(model, x, y0))
     n0 = y0.size
     y1 = np.empty(n)
     kl, floored_mass = np.zeros((2, model.dim))
@@ -489,12 +481,8 @@ def kl_total_index(model: Model, n: int, spec: HistogramSpec = HistogramSpec(),
             x_rows[:, i] = mean_i
             y1[rows] = evaluate()
 
-        n_bad, lo, hi = _map_evaluations(model, x, freeze, (i,))
-        good = finite_within_rate(y1, f"kl conditional x{i + 1}", n_bad)
-        kept = y1
-        if good is not None:
-            kept = y1[good]
-            lo, hi = kept.min(), kept.max()
+        kept, lo, hi = _finite_part(y1, f"kl conditional x{i + 1}",
+                                    _map_evaluations(model, x, freeze, (i,)))
         n1 = kept.size
         # one grid spans both samples, so each codes as it would with the other
         span = np.minimum(lo0, lo), np.maximum(hi0, hi)

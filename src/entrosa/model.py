@@ -53,8 +53,8 @@ DEFAULT_FD_STEP = 1e-5
 MAX_BAD_FRACTION = 1e-3
 # rows per evaluator call and per elementwise pass over a sample, at most
 _BLOCK_ROWS = 2 ** 16
-# on several threads every block boundary is a multiple of this many rows,
-# where a BLAS product of a block gives the bits it gives in 2^16-row blocks
+# every block boundary is a multiple of this many rows, where a BLAS
+# product of a block gives the same bits at any number of blocks
 _BLOCK_ALIGN = 1024
 # the running items of a map that declares their bytes hold at most this many
 _POOL_BYTES = 64 * 2 ** 20
@@ -165,15 +165,13 @@ def _map_in_order(fn: Callable, items: Iterable, item_bytes: int = 0) -> list:
 
 
 def _row_blocks(n: int) -> list[slice]:
-    """The row blocks of n rows. A map of width 1 takes slices of
-    ``_BLOCK_ROWS`` rows. A map of width w > 1 takes ceil(n / _BLOCK_ROWS)
-    blocks rounded up to a multiple of w, as even as whole units of
+    """The row blocks of n >= 1 rows, the one block rule of every pass:
+    ceil(n / _BLOCK_ROWS) blocks rounded up to a multiple of the map's width
+    w (1 inside a task of a map or on one CPU), as even as whole units of
     ``_BLOCK_ALIGN`` rows allow, so that no thread idles on a short tail;
     none is longer than ``_BLOCK_ROWS`` rows."""
     count = -(-n // _BLOCK_ROWS)
     width = _map_width(count)
-    if width <= 1:
-        return [slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS)]
     count = -(-count // width) * width
     units = -(-n // _BLOCK_ALIGN)
     bounds = [min(k * units // count * _BLOCK_ALIGN, n) for k in range(count + 1)]
@@ -362,6 +360,20 @@ def finite_within_rate(values: np.ndarray, where: str,
             f"{where}: non-finite value rate {rate:.2%} exceeds {MAX_BAD_FRACTION:.2%}"
         )
     return np.isfinite(values)
+
+
+def _finite_part(values: np.ndarray, where: str,
+                 tally: tuple[int, float, float]) -> tuple[np.ndarray, float, float]:
+    """``values`` under ``finite_within_rate``, given the tally of the pass
+    that wrote them (non-finite count, minimum, maximum): the values kept,
+    with their minimum and maximum, taken afresh when values were dropped
+    and read off the tally when none were."""
+    n_bad, lo, hi = tally
+    good = finite_within_rate(values, where, n_bad)
+    if good is None:
+        return values, lo, hi
+    kept = values[good]
+    return kept, kept.min(), kept.max()
 
 
 def _refuse_overflow(bound: np.ndarray, terms_finite: np.ndarray, name: str) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 from .deriv import DerivMeasures
 from .distributions import Distribution, Gaussian, Uniform
 from .errors import ConfigurationError, NumericalError
-from .model import (Model, _evaluate_into, _map_evaluations, _refuse_overflow,
+from .model import (Model, _evaluate_into, _finite_part, _map_evaluations, _refuse_overflow,
                     finite_within_rate, sample_inputs)
 
 __all__ = ["VarianceReport", "PoincareBound", "estimate_total_effect_variance",
@@ -54,11 +54,8 @@ def estimate_total_effect_variance(model: Model, n_base: int,
     y_a = y[:n_base]
     (bad_a, lo_a, hi_a), (bad_b, lo_b, hi_b) = (_evaluate_into(model, a, y_a),
                                                 _evaluate_into(model, b, y[n_base:]))
-    good = finite_within_rate(y, "variance", bad_a + bad_b)
-    lo, hi = np.minimum(lo_a, lo_b), np.maximum(hi_a, hi_b)
-    if good is not None:
-        y = y[good]
-        lo, hi = y.min(), y.max()
+    y, lo, hi = _finite_part(y, "variance", (bad_a + bad_b, np.minimum(lo_a, lo_b),
+                                             np.maximum(hi_a, hi_b)))
     # finite outputs far apart overflow V(Y) and the V_Ti, overflows named below
     with np.errstate(over="ignore", invalid="ignore"):
         v_y = float(np.var(y, ddof=1))

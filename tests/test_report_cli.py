@@ -849,14 +849,35 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "configuration error: no variance-bound constant for input 1 (ChiSquared)")
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
+    def test_floating_point_warnings_stay_off_stderr(self, capsys):
+        # the first run overflows every output; the second overflows inside
+        # the evaluator, on the calling thread and the helpers, and still
+        # ends in a finite report
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            codes = [main(["run", "--model", "ishigami", "--methods", "deriv",
+                           "--fd-step", "1e300"]),
+                     main(["run", "--model", "flood", "--override-input", "2=Uniform(0,1e308)",
+                           "--methods", "deriv"])]
+        assert codes == [3, 0]
+        assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
+        assert capsys.readouterr().err == (
+            "numerical failure: all 1000 outputs of 'ishigami' are non-finite\n")
+
+    def test_a_group_out_of_range_names_its_first_input_alone(self, capsys):
+        code = main(["run", "--model", "ishigami", "--methods", "groups", "--groups", "1-65536",
+                     "--n", "100"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: group names x4, but the model has inputs x1..x3\n"
+        assert len(err.encode()) < 200
+
     def test_mostly_nonfinite_outputs_exit_code(self, capsys):
         # Zm and Zv share one law, so sqrt(Zm - Zv) is NaN on about half the rows
         code = main(["run", "--model", "flood", "--methods", "deriv", "--n-deriv", "1000",
                      "--seed", "0", "--override-input", "4=Triangular(49,50,51)"])
         assert code == 3
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
     def test_rare_nonfinite_outputs_leave_the_output_entropy(self, tmp_path, capsys):
         # Zm drawn from U(50.9, 60) falls below Zv on a few of the H(Y) rows,
         # where sqrt(Zm - Zv) is NaN: they are excluded, as in every estimator
@@ -1043,7 +1064,10 @@ def test_a_perturbed_run_ends_in_a_documented_exit_code(model, methods, perturba
     else:
         flags[flag] = value
     argv = ["run", *(f"{flag}={value}" for flag, value in flags.items())]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    # a floating-point warning raised as an error, on any thread, is no documented exit
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(argv)
     assert code == PINNED_EXITS.get((model, methods, *perturbation), code), argv
     assert code in (0, 2, 3, 4), argv
