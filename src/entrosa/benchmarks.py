@@ -168,7 +168,10 @@ def _ishigami_analytic() -> dict[str, AnalyticValue]:
 def _ratio_chi2_analytic(k1: float, k2: float) -> dict[str, AnalyticValue]:
     from scipy.special import digamma
 
+    # E ln X for X ~ chi2(k); g = x1/x2 is monotone in each input, so H_Ti
+    # meets its bound H(X_i) + l_i, with l = (E ln 1/x2, E ln x1/x2^2)
     e_ln = lambda k: math.log(2.0) + digamma(k / 2)
+    l = (-e_ln(k2), e_ln(k1) - 2 * e_ln(k2))
     h_t = (ChiSquared(k1).entropy() - e_ln(k2),
            ChiSquared(k2).entropy() - 2 * e_ln(k2) + e_ln(k1))
     r1, r2 = 1 / (k2 - 2), 1 / ((k2 - 2) * (k2 - 4))
@@ -177,6 +180,8 @@ def _ratio_chi2_analytic(k1: float, k2: float) -> dict[str, AnalyticValue]:
     v_t = (2 * k1 * r2, m2 * (r2 - r1 ** 2))
     return {
         "h_total": AnalyticValue(h_t, "closed-form"),
+        "l": AnalyticValue(l, "closed-form"),
+        "h_bound": AnalyticValue(h_t, "closed-form"),
         "s_total": AnalyticValue(tuple(v / v_y for v in v_t), "closed-form"),
         "eta_total": AnalyticValue((0.510, 0.213), "reported"),
         "kl_total": AnalyticValue((0.1571, 0.0791), "reported"),

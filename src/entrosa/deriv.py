@@ -14,9 +14,11 @@ group's common direction, taken backward on rows where a member would
 leave its support. Each magnitude is floored at the resolution
 eps*|g(x)|/h, and at least at ``GRAD_FLOOR``, before the log.
 
-Per group, one pass of row blocks steps, evaluates and writes the
-differences, and a second takes their magnitudes, squares and floored
-logs, into n-vectors allocated once per call and shared by the groups.
+Per group, ``fd_directional_batch`` returns the differences, one pass of
+row blocks that steps, evaluates and differences; a second pass takes
+their magnitudes in place, and their squares and floored logs into two
+n-vectors allocated once per call and shared by the groups. A group's
+differences are released before the next group's are taken.
 The second pass also tallies, per block, the non-finite magnitudes and
 the floored ones, so that a sample with no non-finite derivative needs no
 mask and no whole-array scan besides the means. The means are
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import (DEFAULT_FD_STEP, Model, _fd_into, _map_rows, _non_finite, evaluate_batch,
-                    finite_within_rate, sample_inputs)
+from .model import (DEFAULT_FD_STEP, Model, _map_rows, _non_finite, evaluate_batch,
+                    fd_directional_batch, finite_within_rate, sample_inputs)
 
 __all__ = ["DerivMeasures", "estimate_deriv_measures", "GRAD_FLOOR"]
 
@@ -89,9 +91,9 @@ def estimate_deriv_measures(model: Model, n: int, h: float = DEFAULT_FD_STEP,
     # forward difference can resolve
     floor = np.maximum(np.finfo(float).eps * np.abs(y0) / h, GRAD_FLOOR)
 
-    # per group: |derivative|, its square and the log of its floored
+    # per group: the square of |derivative| and the log of its floored
     # magnitude, in n-vectors shared by every group
-    mag, square, log_mag = np.empty((3, n))
+    square, log_mag = np.empty((2, n))
 
     def stats(rows: slice) -> tuple[int, int]:
         m = np.abs(mag[rows], out=mag[rows])
@@ -102,7 +104,7 @@ def estimate_deriv_measures(model: Model, n: int, h: float = DEFAULT_FD_STEP,
 
     mu, nu, l, zfrac = np.empty((4, len(groups)))
     for k, g in enumerate(groups):
-        _fd_into(model, x, y0, g, h, mag)
+        mag = fd_directional_batch(model, x, y0, g, h)
         n_bad, n_floored = map(sum, zip(*_map_rows(stats, n)))
         keep = finite_within_rate(mag, f"derivative x{g[0] + 1}" if len(g) == 1
                                   else f"group derivative {[i + 1 for i in g]}", n_bad)
@@ -116,4 +118,7 @@ def estimate_deriv_measures(model: Model, n: int, h: float = DEFAULT_FD_STEP,
         nu[k] = sq.mean()
         l[k] = -np.inf if n_floored == m.size else log_m.mean()
         zfrac[k] = n_floored / m.size
+        # the group's differences and any kept copy go before the next
+        # group's are allocated, so at most one of them is alive
+        del mag, m, sq, log_m
     return DerivMeasures(mu=mu, nu=nu, l=l, zero_derivative_fraction=zfrac, y=y0)

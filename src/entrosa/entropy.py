@@ -18,15 +18,16 @@ independent of the number of threads.
 The KL index ``kl_total_index`` takes one input sample for all d inputs:
 g(x) is the shared unconditional baseline.
 
-``_cell_counts`` counts every histogram, the KL index's too: it sorts
-the cell codes in place and reads the occupied cells and their counts off
-the run boundaries, as the counting passes of a repetition do; a
-conditioning cell's count is the span of its runs, and H(Y)'s one
-conditioning cell spans them all. The evaluation pass tallies the
-non-finite outputs and the outputs' minimum and maximum, and the drawing
-pass the minimum and maximum of each input column, so the coder reads the
-grid's span from them rather than scan the sample again. No
-array spans the whole grid, so grids far larger than memory are fine. Axis
+One kernel, ``_cell_counts``, counts every histogram, the KL index's
+too, and is the one place that sorts cell codes: it sorts them in place
+and returns the occupied cells, their counts and where each cell's run
+starts, read off the run boundaries. A counting pass of a repetition
+takes all three; a conditioning cell's count is the span of its runs,
+and H(Y)'s one conditioning cell spans them all. The evaluation pass
+tallies the non-finite outputs and the outputs' minimum and maximum, and
+the drawing pass the minimum and maximum of each input column, so the
+coder reads the grid's span from them rather than scan the sample again.
+No array spans the whole grid, so grids far larger than memory are fine. Axis
 codes take 2 bytes per sample, or 4 on an axis of more than 2^15 cells.
 Joint codes take 4 bytes per sample, or 8 when the grid has at least 2^31
 cells, plus int64 run arrays over the occupied cells. A pass writes its
@@ -137,12 +138,13 @@ def _run_lengths(starts: np.ndarray, n: int) -> np.ndarray:
     return counts
 
 
-def _cell_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cell_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort the cell codes in place and return the occupied cells in
-    ascending code order with their counts, read off the run boundaries."""
+    ascending code order, their counts and the index in the sorted codes
+    where each cell's run starts: the one sort-runs kernel."""
     codes.sort()
     starts = _run_starts(codes)
-    return codes[starts], _run_lengths(starts, codes.size)
+    return codes[starts], _run_lengths(starts, codes.size), starts
 
 
 def _check_grid(k: int, spec: HistogramSpec) -> None:
@@ -190,13 +192,10 @@ def _conditional_from_codes(ycodes: np.ndarray, width: float, cond_codes: list,
 
     # each array is freed at its last use, so a pass holds little more than
     # its joint codes and its run starts and counts at any one time
-    joint.sort()
-    starts = _run_starts(joint)
-    counts = _run_lengths(starts, n)
     # the occupied cells come in ascending code order, so the cells of one
     # conditioning cell are a contiguous block of runs, and its count k_i
     # spans them; with no axis, one conditioning cell holds all n samples
-    conditioning = joint[starts]
+    conditioning, counts, starts = _cell_counts(joint)
     del joint
     conditioning //= bins_out
     blocks = _run_starts(conditioning)
@@ -489,8 +488,8 @@ def kl_total_index(model: Model, n: int, spec: HistogramSpec = HistogramSpec(),
         codes0, _ = _axis_codes(y0, spec.bins_output, span)
         if codes0 is None:
             continue
-        cells0, counts0 = _cell_counts(codes0)
-        cells1, counts1 = _cell_counts(_axis_codes(kept, spec.bins_output, span)[0])
+        cells0, counts0, _ = _cell_counts(codes0)
+        cells1, counts1, _ = _cell_counts(_axis_codes(kept, spec.bins_output, span)[0])
         # p0 on the cells p1 occupies, 0 where the baseline has no sample
         at = np.minimum(np.searchsorted(cells0, cells1), cells0.size - 1)
         p0 = np.where(cells0[at] == cells1, counts0[at] / n0, 0.0)

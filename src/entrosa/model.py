@@ -393,24 +393,20 @@ def fd_directional_batch(model: Model, x: np.ndarray, y0: np.ndarray,
     ``y0`` is ``g(x)``. Every coordinate in ``group`` moves by the same
     signed step s*h, with s = -1 on rows where a group member would leave its
     support and +1 elsewhere; returns (g(x + s*h*1_group) - y0) / (s*h) per
-    row. A one-element group gives a partial derivative. One evaluation per
-    row; rows with a non-finite evaluation get a non-finite result.
+    row, in an n-vector it allocates. A one-element group gives a partial
+    derivative. One evaluation per row; rows with a non-finite evaluation
+    get a non-finite result.
 
-    The step is added to ``x``'s group columns in place, so ``x`` must be
-    writeable and must not be read concurrently during the call; the
-    columns are restored, bitwise, before the call returns or raises.
+    One pass of row blocks: each block takes its step signs, steps its
+    group columns in ``x`` in place, evaluates, writes its differences and
+    restores the columns, bitwise, before the call returns or raises. So
+    ``x`` must be writeable and must not be read concurrently during the
+    call.
     """
-    return _fd_into(model, x, y0, group, h, np.empty(x.shape[0]))
-
-
-def _fd_into(model: Model, x: np.ndarray, y0: np.ndarray, group: tuple[int, ...],
-             h: float, out: np.ndarray) -> np.ndarray:
-    """``fd_directional_batch`` written into ``out``, in one pass of row
-    blocks: each block takes its step signs, steps its group columns,
-    evaluates, writes its differences and restores the columns."""
     if not h > 0:
         raise ConfigurationError(f"finite-difference step must be positive, got {h}")
     uppers = [model.inputs[i].support()[1] for i in group]
+    out = np.empty(x.shape[0])
 
     def step(rows: slice, x_rows: np.ndarray, evaluate: Callable[[], np.ndarray]) -> None:
         sign = np.ones(x_rows.shape[0])

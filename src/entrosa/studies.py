@@ -194,8 +194,12 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
     if "bounds" in methods:
         with stage("bounds", config.n_deriv):
             put(entropy_upper_bounds(measures, model.inputs, h_y))
-            put(variance_upper_bound(measures, model.inputs,
-                                     table_constants=bench.poincare_constants))
+            bound = variance_upper_bound(measures, model.inputs,
+                                         table_constants=bench.poincare_constants)
+            put(bound)
+            for row, source in zip(rows, bound.source):
+                if source == "none":  # no Poincaré constant, no bound
+                    del row["variance_bound"]
 
     if "groups" in methods:
         metadata["groups"] = [
@@ -373,9 +377,9 @@ def _preset_motivating(outdir: Path, seed: int, scale: float) -> list[Path]:
     n = max(10_000, int(1e7 * scale))
     return [_table(outdir, "table_motivating.csv",
                    _scaled_spec(STUDY_BINS["paper_1e7"], n, int(1e7)),
-                   model="ratio_chi2", methods=("variance", "entropy", "kl"),
-                   n_samples=n, n_base=max(1000, int(1e5 * scale)), repetitions=3,
-                   seed=seed)[0]]
+                   model="ratio_chi2", methods=("deriv", "variance", "entropy", "kl", "bounds"),
+                   n_samples=n, n_base=max(1000, int(1e5 * scale)),
+                   n_deriv=max(1000, int(1e5 * scale)), repetitions=3, seed=seed)[0]]
 
 
 def _preset_monotonic(outdir: Path, seed: int, scale: float) -> list[Path]:

@@ -109,7 +109,7 @@ def poincare_constant(dist: Distribution) -> float | None:
 @dataclass(frozen=True)
 class PoincareBound:
     variance_bound: np.ndarray        # C_i * nu_i
-    source: tuple[str, ...]           # "closed-form" or "table" per variable
+    source: tuple[str, ...]           # "closed-form", "table" or "none" per variable
 
 
 def variance_upper_bound(measures: DerivMeasures, inputs: tuple[Distribution, ...],
@@ -119,12 +119,13 @@ def variance_upper_bound(measures: DerivMeasures, inputs: tuple[Distribution, ..
 
     Input i takes ``table_constants[i]`` when that is given and not None,
     else the closed form of its law (Gaussian or Uniform); an input with
-    neither is a configuration error naming it. Requires independent inputs.
+    neither has no bound: its entry is NaN, its source ``"none"``, and the
+    overflow rule passes it by. Requires independent inputs.
     """
     d = len(inputs)
     if measures.dim != d:
         raise ConfigurationError("derivative measures and input list disagree on dimension")
-    constants = np.empty(d)
+    constants = np.full(d, np.nan)
     source = []
     for i, dist in enumerate(inputs):
         c = poincare_constant(dist)
@@ -135,12 +136,9 @@ def variance_upper_bound(measures: DerivMeasures, inputs: tuple[Distribution, ..
             constants[i] = c
             source.append("closed-form")
         else:
-            raise ConfigurationError(
-                f"no variance-bound constant for input {i + 1} ({type(dist).__name__}): "
-                "closed forms exist only for Gaussian and Uniform laws, and no "
-                "table constant is given for it")
+            source.append("none")
     with np.errstate(over="ignore", invalid="ignore"):
         bound = constants * measures.nu
-    return PoincareBound(
-        variance_bound=_refuse_overflow(bound, np.isfinite(measures.nu), "variance_bound"),
-        source=tuple(source))
+    terms_finite = np.isfinite(measures.nu) & ~np.isnan(constants)
+    return PoincareBound(variance_bound=_refuse_overflow(bound, terms_finite, "variance_bound"),
+                         source=tuple(source))

@@ -342,7 +342,7 @@ class TestCountingMatchesSortReference:
                                        np.array([5], dtype=np.int32)],
                              ids=["one run", "one element"])
     def test_one_run_is_one_cell_holding_every_sample(self, codes):
-        cells, counts = _cell_counts(codes.copy())
+        cells, counts, _ = _cell_counts(codes.copy())
         assert cells.tolist() == [codes[0]]
         assert counts.tolist() == [codes.size]
 

@@ -839,8 +839,8 @@ def _kl_by_copy(model, n, bins, seed):
         y1 = evaluate_batch(model, frozen)
         y1 = y1[np.isfinite(y1)]
         codes, _ = _axis_codes(np.concatenate([y0, y1]), bins)
-        cells0, counts0 = _cell_counts(codes[:y0.size])
-        cells1, counts1 = _cell_counts(codes[y0.size:])
+        cells0, counts0, _ = _cell_counts(codes[:y0.size])
+        cells1, counts1, _ = _cell_counts(codes[y0.size:])
         at = np.minimum(np.searchsorted(cells0, cells1), cells0.size - 1)
         p0 = np.where(cells0[at] == cells1, counts0[at] / y0.size, 0.0)
         p1 = counts1 / y1.size

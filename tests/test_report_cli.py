@@ -1,6 +1,7 @@
 """Run configuration, report serialization, rankings, CLI, and studies."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -19,13 +20,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entrosa
-from entrosa import ConfigurationError, RunConfig, SensitivityReport, rank_descending
+from entrosa import ConfigurationError, RunConfig, SensitivityReport, builtin, rank_descending
 from entrosa.benchmarks import FLOOD_POINCARE, FLOOD_VAR_NAMES
 from entrosa.cli import main
 from entrosa.deriv import DerivMeasures, estimate_deriv_measures
 from entrosa.entropy import (EntropyBounds, EntropyReport, HistogramSpec, KLResult,
                              kl_total_index)
-from entrosa.report import METHODS, MAX_RUNS, ROW_FIELDS, _read_config_file, write_atomic
+from entrosa.report import (METHODS, MAX_RUNS, ROW_FIELDS, _map_leaves, _read_config_file,
+                            write_atomic)
 from entrosa.studies import (_method_streams, build_benchmark, convergence, metastudy,
                              run_from_config, run_table_preset)
 from entrosa.variance import PoincareBound, VarianceReport, variance_upper_bound
@@ -41,6 +43,12 @@ def reports_equal(a: SensitivityReport, b: SensitivityReport) -> bool:
     meta_a = {k: v for k, v in a.metadata.items() if k != "wall_time_s"}
     meta_b = {k: v for k, v in b.metadata.items() if k != "wall_time_s"}
     return meta_a == meta_b and a.rows == b.rows and a.rankings == b.rankings
+
+
+def csv_rows(path) -> list[dict]:
+    """The rows of a CSV report, keyed by column, its metadata lines skipped."""
+    text = Path(path).read_text()
+    return list(csv.DictReader(line for line in text.splitlines() if not line.startswith("#")))
 
 
 class TestRunConfig:
@@ -154,7 +162,7 @@ def test_no_decision_depends_on_the_output_scale(monkeypatch):
     # 2**-30 scales every output, difference and variance exactly, so the
     # shares, the ranks and the tie flags must not move
     import entrosa.studies as studies
-    from entrosa import BenchmarkModel, Model, builtin
+    from entrosa import BenchmarkModel, Model
 
     config = RunConfig(model="mono3", methods=("variance", "deriv", "bounds"),
                        n_base=2000, n_deriv=500, seed=3)
@@ -780,6 +788,62 @@ class TestCli:
         assert not (tmp_path / "t").exists()
         assert not (tmp_path / "new").exists()
 
+    @pytest.mark.parametrize("argv, fragment", [
+        (["--model", "ishigami", "--methods", "entropy", "--n", "1000",
+          "--bins-cond", "10000000", "--bins-output", "100000"], "overflows cell codes"),
+        (["--model", "ishigami", "--override-input", "1=TruncatedGumbel(0,-1,0,1)"],
+         "0 < scale < inf"),
+        (["--model", "ishigami", "--override-input", "1=Uniform(a,b)"], "bad parameter list"),
+        (["--model", "ishigami", "--override-input", "9=Uniform(0,1)"],
+         "out of range for dim 3"),
+        (["--model", "mono4", "--param", "r=0.5"], "r >= 1"),
+        (["--model", "mono5", "--param", "a=1,2", "--param", "sigma=1"],
+         "len(sigma) == len(a)"),
+        (["--config", "{tmp}/missing.cfg"], "cannot read config file"),
+        (["--model", "mono1", "--metafunction-seed", "3"], "not both"),
+        (["--model", "mono1", "--methods", "groups", "--groups", ","], "no groups found"),
+    ], ids=["cell-code overflow", "gumbel scale", "parameter list", "override index",
+            "mono4 r", "mono5 sigma", "missing config", "model and seed", "empty groups"])
+    def test_each_refusal_exits_2_with_its_reason(self, argv, fragment, tmp_path, capsys):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(["run", *argv]) == 2
+        assert fragment in capsys.readouterr().err
+
+    def test_a_negative_metastudy_seed_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main(["metastudy", "--seed", "-1", "--n-functions", "10", "--n", "1e4",
+                     "--output", str(out)]) == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_the_motivating_preset_writes_every_proxy_finite(self, tmp_path, capsys):
+        assert main(["tables", "motivating", "--outdir", str(tmp_path),
+                     "--scale", "1e-3"]) == 0
+        rows = csv_rows(tmp_path / "table_motivating.csv")
+        assert [row["variable"] for row in rows] == ["x1", "x2"]
+        for column in ("s_total", "kappa", "kappa_bound"):
+            assert column in rows[0]
+        assert all(math.isfinite(float(v)) for row in rows
+                   for key, v in row.items() if key != "variable")
+
+    @pytest.mark.parametrize("argv", [
+        ["tables", "agreement", "--outdir", "{tmp}", "--scale", "0.03"],
+        ["metastudy", "--n-functions", "10", "--n", "1e5", "--seed", "5",
+         "--output", "{tmp}/metastudy_agreement.json"],
+    ], ids=["tables agreement", "metastudy"])
+    def test_an_agreement_study_writes_every_value_finite(self, argv, tmp_path, capsys):
+        # 30000 samples at least: on the study's fixed 100-bin grids, fewer
+        # starve every function's conditioning cells, and all are excluded
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0
+        result = json.loads((tmp_path / "metastudy_agreement.json").read_text())
+        assert result["summary"]["included"] == result["summary"]["n_functions"]
+        leaves = []
+        _map_leaves(result, leaves.append)
+        numbers = [v for v in leaves if not isinstance(v, (str, bool))]
+        assert numbers and all(math.isfinite(v) for v in numbers)
+        # files spell a non-finite float as a string
+        assert not {"inf", "-inf", "nan"} & {v for v in leaves if isinstance(v, str)}
+
     def test_flags_complete_the_config_file(self, tmp_path, capsys):
         # the file and the flags merge before the config is validated, so a
         # file may leave out what the flags give
@@ -841,13 +905,31 @@ class TestCli:
 
     def test_an_overflow_that_a_zero_derivative_replaces_is_no_failure(self, capsys):
         # e^(H(X_2) - H(Y)) overflows for x2 ~ U(0, 1e308), but x2's derivative
-        # is 0, so its bounds are 0; the run goes on to the variance bound,
-        # which has no constant for the chi-squared x1
+        # is 0, so its entropy bounds are 0; the run goes on to the variance
+        # bound, where the chi-squared x1 has no constant and so no bound,
+        # and x2's constant (1e308)^2 / pi^2 overflows
         code = main(["run", "--model", "ratio_chi2", "--methods", "bounds",
                      "--override-input", "2=Uniform(0,1e308)"])
-        assert code == 2
-        assert capsys.readouterr().err.startswith(
-            "configuration error: no variance-bound constant for input 1 (ChiSquared)")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: variance_bound of input 2 overflows float64\n")
+
+    def test_the_motivating_model_reports_its_entropy_bounds(self, capsys):
+        # y = x1/x2 is monotone in each input, so kappa_bound = kappa: with
+        # H(Y) = 0.5622 that is (0.756, 0.633), where the variance shares
+        # (0.5450, 0.5460) tie; neither chi-squared input has a variance bound
+        l_exact = builtin("ratio_chi2").analytic["l"].values
+        for seed in range(5):
+            assert main(["run", "--model", "ratio_chi2", "--methods", "deriv,bounds",
+                         "--n-deriv", "1e5", "--seed", str(seed)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            rows = report["rows"]
+            assert [row["l"] for row in rows] == pytest.approx(l_exact, abs=0.01)
+            assert [row["kappa_bound"] for row in rows] == pytest.approx((0.756, 0.633),
+                                                                         abs=0.02)
+            assert report["rankings"]["kappa_bound"]["ranks"] == [1, 2]
+            assert not any("variance_bound" in row for row in rows)
+            assert "variance_bound" not in report["rankings"]
 
     def test_floating_point_warnings_stay_off_stderr(self, capsys):
         # the first run overflows every output; the second overflows inside
@@ -964,13 +1046,20 @@ class TestCli:
         custom, _ = run("--override-input", "5=Uniform(7,10)")
         assert [name for name, h in custom.items() if h is not None] == ["Q", "Ks", "Zv", "Dd"]
 
-    def test_missing_variance_constant_names_the_closed_forms(self, capsys):
-        # a replaced law without a closed form has no constant at all
+    def test_missing_variance_constant_names_the_closed_forms(self, capsys, tmp_path):
+        # a replaced law without a closed form has no constant at all, so
+        # Dd gets no variance bound, no CSV cell and no rank; the other
+        # seven inputs keep their table constants' bounds
+        out = tmp_path / "r.csv"
         assert main(["run", "--model", "flood", "--methods", "deriv,bounds", "--n", "1e4",
                      "--n-deriv", "200", "--override-input",
-                     "5=Triangular(7,8,9)"]) == 2
-        err = capsys.readouterr().err
-        assert "input 5" in err and "Gaussian and Uniform" in err
+                     "5=Triangular(7,8,9)", "--output", str(out)]) == 0
+        table = {row["variable"]: row for row in csv_rows(out)}
+        assert table["Dd"]["variance_bound"] == table["Dd"]["rank_variance_bound"] == ""
+        others = [row for name, row in table.items() if name != "Dd"]
+        assert len(others) == 7
+        assert all(math.isfinite(float(row["variance_bound"])) for row in others)
+        assert sorted(int(row["rank_variance_bound"]) for row in others) == list(range(1, 8))
 
     def test_output_dir_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ENTROSA_OUTPUT_DIR", str(tmp_path))
@@ -1044,7 +1133,7 @@ PERTURBATIONS = {
 # tracebacks an earlier probe found, each now a documented exit
 PINNED_EXITS = {("mono1", "bounds", "--override-input", "1=Uniform(0,1e200)"): 3,
                 ("mono1", "variance", "--override-input", "1=Uniform(0,1e200)"): 3,
-                ("ratio_chi2", "bounds", "--override-input", "2=Uniform(0,1e308)"): 2}
+                ("ratio_chi2", "bounds", "--override-input", "2=Uniform(0,1e308)"): 3}
 
 
 @settings(max_examples=100, deadline=None)
