@@ -1,10 +1,10 @@
 """Experiment orchestration: full runs from a config, the metafunction
 ranking-agreement study, convergence ladders, and named table presets.
 
-The presets pin their full-scale bin counts per study in ``STUDY_BINS``;
-below full scale, ``_scaled_spec`` shrinks every axis by (n/n_full)**(1/3),
-so the samples per cell stay roughly those of the full-scale study. Only
-the convergence ladders use ``cube_root_bins``, N**(1/3) bins per axis.
+Every grid a study bins with, in the presets, the metastudy and the
+convergence ladders, is a named full-scale ``STUDY_BINS`` entry that
+``_scaled_spec`` shrinks by (n/n_full)**(1/3) below full scale, so the
+samples per cell stay roughly those of the full-scale study.
 """
 
 from __future__ import annotations
@@ -31,28 +31,29 @@ from .report import (MAX_RUNS, METHODS, ROW_FIELDS, RunConfig, SensitivityReport
 from .variance import estimate_total_effect_variance, variance_upper_bound
 
 __all__ = ["build_benchmark", "run_from_config", "metastudy", "convergence",
-           "run_table_preset", "TABLE_PRESETS", "cube_root_bins"]
+           "run_table_preset", "TABLE_PRESETS"]
 
 log = logging.getLogger(__name__)
 
-# per-study estimator settings for the reproduction presets (per-axis bins)
+# per-study full-scale bins per axis; "ladder" at 1e9 samples is
+# round(n**(1/3)) clipped to 8..1000
 STUDY_BINS = {
     "mono_fine": HistogramSpec(bins_output=316, bins_per_conditioning_dim=316),
     "mono4": HistogramSpec(bins_output=10_000, bins_per_conditioning_dim=100),
     "paper_1e6": HistogramSpec(bins_output=100, bins_per_conditioning_dim=100),
     "paper_1e7": HistogramSpec(bins_output=215, bins_per_conditioning_dim=215),
+    "mono5": HistogramSpec(bins_output=100, bins_per_conditioning_dim=20),
     "flood_kappa": HistogramSpec(bins_output=100, bins_per_conditioning_dim=74),
     "metastudy": HistogramSpec(bins_output=100, bins_per_conditioning_dim=100),
+    "ladder": HistogramSpec(bins_output=1000, bins_per_conditioning_dim=1000),
 }
 
 
-def cube_root_bins(n: int) -> int:
-    return int(np.clip(round(n ** (1.0 / 3.0)), 8, 1000))
-
-
 def _scaled_spec(spec: HistogramSpec, n: int, n_full: int) -> HistogramSpec:
-    """Shrink a full-scale bin setting for a reduced sample count, keeping the
-    cells-per-sample regime roughly constant."""
+    """The bins for n samples of a setting pinned for n_full: below n_full
+    every axis shrinks by (n/n_full)**(1/3), floored at 8 bins, which keeps
+    the cells-per-sample regime roughly constant; at or above it the setting
+    is kept as it is."""
     if n >= n_full:
         return spec
     factor = (n / n_full) ** (1.0 / 3.0)
@@ -228,11 +229,13 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
     Each function is one ``run_from_config`` run of the entropy, deriv and
     bounds methods, with its spec's seed s as both the metafunction seed and
     the run seed, so ``entrosa run --metafunction-seed s --seed s --methods
-    entropy,deriv,bounds`` with the study's counts and bins replays its record
-    bitwise. Per function the study records full-ranking, top-variable, and
-    bottom-variable agreement for the log-derivative bound and the
-    squared-derivative bound. Degenerate draws (constant output) are excluded
-    with a reason and counted.
+    entropy,deriv,bounds`` with the study's counts and the bins in
+    ``summary["bins"]`` replays its record bitwise. The grid is 100 × 100 at
+    1e6 samples and shrinks below that by the presets' rule
+    (``_scaled_spec``). Per function the study records full-ranking,
+    top-variable, and bottom-variable agreement for the log-derivative bound
+    and the squared-derivative bound. Degenerate draws (constant output) are
+    excluded with a reason and counted.
 
     The functions go through ``_map_in_order``. Each draws only from its own
     seed, so the result is bitwise the same whatever the number of CPUs.
@@ -241,7 +244,7 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
         raise ConfigurationError(f"metastudy needs 10 to {MAX_RUNS} functions, got {n_functions}")
     if seed < 0:
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
-    spec = STUDY_BINS["metastudy"]
+    spec = _scaled_spec(STUDY_BINS["metastudy"], n_samples, 10**6)
     master = np.random.default_rng(seed)
     seeds = [int(master.integers(0, 2 ** 62)) for _ in range(n_functions)]
     agree = {"l_bound": {"full": 0, "max": 0, "min": 0},
@@ -319,8 +322,9 @@ def convergence(model_name: str, method: str, ladder: list[int], reps: int,
     """Estimates along an ascending sample ladder with repetition stds.
 
     Repetition k of rung n is one ``run_from_config`` run of ``method`` at n
-    samples, ``cube_root_bins(n)`` bins on every axis and seed ``seed + k``,
-    so the rungs are independent and ``entrosa run`` replays each run bitwise.
+    samples, B = round(n**(1/3)) bins clipped to 8..1000 on every axis
+    (``STUDY_BINS["ladder"]``) and seed ``seed + k``, so the rungs are
+    independent and ``entrosa run`` replays each run bitwise.
     ``mean`` and ``std`` (ddof 0) are over a rung's runs; a variable the run
     leaves out (pinned by the builtin for its entropy indices) reads NaN.
 
@@ -340,7 +344,7 @@ def convergence(model_name: str, method: str, ladder: list[int], reps: int,
     reference = analytic.values if analytic and analytic.source == "closed-form" else None
     rows = []
     for n in ladder:
-        b = cube_root_bins(n)
+        b = _scaled_spec(STUDY_BINS["ladder"], n, 10**9).bins_output
         values = np.array([
             [row.get(column, math.nan) for row in run_from_config(RunConfig(
                 model=model_name, methods=(method,), n_samples=n, n_deriv=n,
@@ -390,7 +394,7 @@ def _preset_monotonic(outdir: Path, seed: int, scale: float) -> list[Path]:
             ("mono2", {}, STUDY_BINS["mono_fine"]),
             ("mono3", {}, STUDY_BINS["mono_fine"]),
             ("mono4", {"r": 2.0}, STUDY_BINS["mono4"]),
-            ("mono5", {}, HistogramSpec(100, 20))):
+            ("mono5", {}, STUDY_BINS["mono5"])):
         methods = ("deriv", "entropy", "bounds")
         if name == "mono5" and n < 1_000_000:
             # a 4-D conditioning grid starves below about a million samples
@@ -426,7 +430,7 @@ def _preset_groups(outdir: Path, seed: int, scale: float) -> list[Path]:
     n = max(10_000, int(1e6 * scale))
     return [_table(outdir, f"table_groups_case{case}.json", HistogramSpec(),
                    model=f"gfunction9_case{case}", methods=("groups",), n_samples=n,
-                   seed=seed, groups=((0, 1, 2), (3, 4, 5), (6, 7, 8)))[0]
+                   seed=seed, groups=builtin(f"gfunction9_case{case}").groups)[0]
             for case in (1, 2, 3)]
 
 

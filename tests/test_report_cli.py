@@ -28,8 +28,8 @@ from entrosa.entropy import (EntropyBounds, EntropyReport, HistogramSpec, KLResu
                              kl_total_index)
 from entrosa.report import (METHODS, MAX_RUNS, ROW_FIELDS, _map_leaves, _read_config_file,
                             write_atomic)
-from entrosa.studies import (_method_streams, build_benchmark, convergence, metastudy,
-                             run_from_config, run_table_preset)
+from entrosa.studies import (STUDY_BINS, _method_streams, _scaled_spec, build_benchmark,
+                             convergence, metastudy, run_from_config, run_table_preset)
 from entrosa.variance import PoincareBound, VarianceReport, variance_upper_bound
 
 
@@ -502,11 +502,13 @@ class TestStudies:
     def test_metastudy_record_replays_with_run(self, capsys):
         # each function is one run of entropy, deriv and bounds seeded by its
         # spec's seed, so the command line gives its record bitwise
-        record = metastudy(10, 20_000, seed=4, n_deriv=200)["functions"][3]
+        result = metastudy(10, 20_000, seed=4, n_deriv=200)
+        record, bins = result["functions"][3], result["summary"]["bins"]
         s = str(record["spec"]["seed"])
         assert main(["run", "--metafunction-seed", s, "--seed", s,
                      "--methods", "entropy,deriv,bounds", "--n", "20000",
-                     "--n-deriv", "200", "--bins-output", "100", "--bins-cond", "100"]) == 0
+                     "--n-deriv", "200", "--bins-output", str(bins["output"]),
+                     "--bins-cond", str(bins["conditioning"])]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         for key in ("kappa", "kappa_bound", "nu_kappa_bound"):
             assert [row[key] for row in rows] == record[key], key
@@ -632,6 +634,16 @@ class TestStudies:
         (rung,) = convergence("mono3", method, [n], 2, seed)
         assert rung["mean"] == np.mean(runs, axis=0).tolist()
         assert rung["std"] == np.std(runs, axis=0).tolist()
+
+    def test_the_ladder_grid_is_the_cube_root_of_n_clipped_to_8_to_1000(self):
+        ns = {*range(1, 5001), *(int(10 ** e) for e in np.linspace(0, 12, 2401))}
+        for k in range(1, 1101):
+            ns |= {k ** 3 - 1, k ** 3, k ** 3 + 1}
+            ns |= {math.floor((k + 0.5) ** 3), math.ceil((k + 0.5) ** 3)}
+        for n in sorted(ns - {0}):
+            b = min(1000, max(8, round(n ** (1 / 3))))
+            spec = _scaled_spec(STUDY_BINS["ladder"], n, 10 ** 9)
+            assert (spec.bins_output, spec.bins_per_conditioning_dim) == (b, b), n
 
     def test_convergence_reads_the_inputs_a_builtin_pins_as_nan(self):
         # flood's entropy indices pin four inputs; the other four are estimated
@@ -828,12 +840,14 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["tables", "agreement", "--outdir", "{tmp}", "--scale", "0.03"],
+        ["tables", "agreement", "--outdir", "{tmp}", "--scale", "1e-3"],
         ["metastudy", "--n-functions", "10", "--n", "1e5", "--seed", "5",
          "--output", "{tmp}/metastudy_agreement.json"],
-    ], ids=["tables agreement", "metastudy"])
+        ["metastudy", "--n-functions", "10", "--n", "1e4", "--seed", "5",
+         "--output", "{tmp}/metastudy_agreement.json"],
+    ], ids=["tables agreement", "tables agreement at 1e-3", "metastudy",
+            "metastudy at 1e4"])
     def test_an_agreement_study_writes_every_value_finite(self, argv, tmp_path, capsys):
-        # 30000 samples at least: on the study's fixed 100-bin grids, fewer
-        # starve every function's conditioning cells, and all are excluded
         assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0
         result = json.loads((tmp_path / "metastudy_agreement.json").read_text())
         assert result["summary"]["included"] == result["summary"]["n_functions"]
