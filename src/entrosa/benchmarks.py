@@ -1,6 +1,11 @@
 """Built-in benchmark models with analytic records, plus the randomized
 metafunction generator.
 
+The builtins are the ``_BUILTINS`` table, which maps each name to the
+constructor of its model and records. ``builtin(name, **params)`` calls that
+constructor with ``params``, so a builtin's parameters are its constructor's
+keyword arguments, and adding a builtin is adding one entry to the table.
+
 Analytic values carry a source tag: ``closed-form`` quantities are exact and
 usable as test oracles; ``reported`` quantities are reference values from the
 literature, reproducible only up to estimator bias.
@@ -8,9 +13,10 @@ literature, reproducible only up to estimator bias.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from typing import Mapping
 
 import numpy as np
@@ -46,7 +52,7 @@ class BenchmarkModel:
 # ---------------------------------------------------------------------------
 # evaluators
 
-def _ishigami(x: np.ndarray) -> np.ndarray:
+def _ishigami_y(x: np.ndarray) -> np.ndarray:
     sin_x1 = np.sin(x[:, 0])
     # (x3*x3)**2 squares twice where x3**4 would call libm pow
     return sin_x1 + 7.0 * np.sin(x[:, 1]) ** 2 + 0.1 * (x[:, 2] * x[:, 2]) ** 2 * sin_x1
@@ -73,7 +79,7 @@ def _gfunction(a: np.ndarray):
     return evaluator
 
 
-def _flood(x: np.ndarray) -> np.ndarray:
+def _flood_y(x: np.ndarray) -> np.ndarray:
     q, ks, zv, zm, dd, cb, length, width = (x[:, i] for i in range(8))
     # zv + (q / (width * ks * sqrt((zm - zv) / length))) ** 0.6 - dd - cb,
     # in place on two n-vectors, in the expression's operation order
@@ -93,6 +99,11 @@ def _flood(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # closed-form helpers
 
+def _closed_form(**records) -> dict[str, AnalyticValue]:
+    """Each named sequence as a closed-form record, in the order given."""
+    return {key: AnalyticValue(tuple(values), "closed-form") for key, values in records.items()}
+
+
 def _uniform02_log_moment(a: float) -> float:
     """E[ln|T + a|] for T ~ U(0, 2)."""
     if a == 0.0:
@@ -110,11 +121,7 @@ def _gfunction_analytic(a: np.ndarray) -> dict[str, AnalyticValue]:
         h_t.append(math.log(2.0 / (1 + ai)) + rest)
         l.append(math.log(4.0 / (1 + ai)) + rest)
         bound.append(l[-1])  # H(X_i) = 0 for U(0,1) inputs
-    return {
-        "h_total": AnalyticValue(tuple(h_t), "closed-form"),
-        "l": AnalyticValue(tuple(l), "closed-form"),
-        "h_bound": AnalyticValue(tuple(bound), "closed-form"),
-    }
+    return _closed_form(h_total=h_t, l=l, h_bound=bound)
 
 
 def _ishigami_mean_log_amplitude() -> float:
@@ -135,76 +142,11 @@ def _ishigami_mean_log_amplitude() -> float:
     return math.log1p(s ** 4) - 4 + g4 / s
 
 
-def _ishigami_analytic() -> dict[str, AnalyticValue]:
-    """The closed-form record of the ishigami function with a = 7, b = 0.1;
-    it needs no quadrature and no scipy."""
-    ln2, lnpi = math.log(2.0), math.log(math.pi)
-    e_ln_amp = _ishigami_mean_log_amplitude()
-    h_t = (
-        math.log(math.pi / 2) + e_ln_amp,
-        math.log(7.0) + lnpi - 2 * ln2,
-        math.log(4 * math.pi) + 3 * (lnpi - 1) - math.log(10.0) - ln2,
-    )
-    l = (
-        -ln2 + e_ln_amp,
-        math.log(3.5),
-        math.log(0.4) + 3 * (lnpi - 1) - ln2,
-    )
-    h_x = math.log(2 * math.pi)
-    b, amp = 0.1, 7.0
-    pi4, pi8 = math.pi ** 4, math.pi ** 8
-    v_y = 0.5 + amp ** 2 / 8 + b * pi4 / 5 + b ** 2 * pi8 / 18
-    v_t = (0.5 * (1 + b * pi4 / 5) ** 2 + 8 * b ** 2 * pi8 / 225,
-           amp ** 2 / 8,
-           8 * b ** 2 * pi8 / 225)
-    return {
-        "h_total": AnalyticValue(h_t, "closed-form"),
-        "l": AnalyticValue(l, "closed-form"),
-        "h_bound": AnalyticValue(tuple(h_x + v for v in l), "closed-form"),
-        "s_total": AnalyticValue(tuple(v / v_y for v in v_t), "closed-form"),
-    }
-
-
-def _ratio_chi2_analytic(k1: float, k2: float) -> dict[str, AnalyticValue]:
-    from scipy.special import digamma
-
-    # E ln X for X ~ chi2(k); g = x1/x2 is monotone in each input, so H_Ti
-    # meets its bound H(X_i) + l_i, with l = (E ln 1/x2, E ln x1/x2^2)
-    e_ln = lambda k: math.log(2.0) + digamma(k / 2)
-    l = (-e_ln(k2), e_ln(k1) - 2 * e_ln(k2))
-    h_t = (ChiSquared(k1).entropy() - e_ln(k2),
-           ChiSquared(k2).entropy() - 2 * e_ln(k2) + e_ln(k1))
-    r1, r2 = 1 / (k2 - 2), 1 / ((k2 - 2) * (k2 - 4))
-    m1, m2 = k1, k1 * (k1 + 2)
-    v_y = m2 * r2 - (m1 * r1) ** 2
-    v_t = (2 * k1 * r2, m2 * (r2 - r1 ** 2))
-    return {
-        "h_total": AnalyticValue(h_t, "closed-form"),
-        "l": AnalyticValue(l, "closed-form"),
-        "h_bound": AnalyticValue(h_t, "closed-form"),
-        "s_total": AnalyticValue(tuple(v / v_y for v in v_t), "closed-form"),
-        "eta_total": AnalyticValue((0.510, 0.213), "reported"),
-        "kl_total": AnalyticValue((0.1571, 0.0791), "reported"),
-    }
-
-
-def _mono5_analytic(a, sigma) -> dict[str, AnalyticValue]:
-    h_t = tuple(_HALF_LN_2PIE + math.log(abs(ai) * si) for ai, si in zip(a, sigma))
-    l = tuple(math.log(abs(ai)) for ai in a)
-    v_t = tuple((ai * si) ** 2 for ai, si in zip(a, sigma))
-    total = sum(v_t)
-    return {
-        "h_total": AnalyticValue(h_t, "closed-form"),
-        "l": AnalyticValue(l, "closed-form"),
-        "h_bound": AnalyticValue(h_t, "closed-form"),
-        "s_total": AnalyticValue(tuple(v / total for v in v_t), "closed-form"),
-        "v_total": AnalyticValue(v_t, "closed-form"),
-    }
-
-
 # ---------------------------------------------------------------------------
-# builtins
+# builtins: one constructor per name, whose keyword arguments are the
+# builtin's parameters
 
+_U01 = Uniform(0.0, 1.0)
 _G9_CASES = {
     1: (0.02, 0.03, 0.05, 11.0, 12.5, 13.0, 34.0, 35.0, 37.0),
     2: (0.02, 0.04, 0.06, 0.03, 0.05, 0.07, 34.0, 35.0, 37.0),
@@ -228,15 +170,6 @@ _FLOOD_REPORTED = {
 }
 
 
-def builtin_names() -> tuple[str, ...]:
-    return ("ratio_chi2", "ishigami", "gfunction3", "gfunction9_case1",
-            "gfunction9_case2", "gfunction9_case3", "mono1", "mono2", "mono3",
-            "mono4", "mono5", "flood")
-
-
-_PARAMS = {"mono4": ("r",), "mono5": ("a", "sigma")}
-
-
 def _finite(name: str, key: str, value) -> tuple[float, ...]:
     """A builtin's parameter as finite floats, from a number or a sequence."""
     try:
@@ -248,123 +181,166 @@ def _finite(name: str, key: str, value) -> tuple[float, ...]:
     return tuple(float(v) for v in arr)
 
 
-def builtin(name: str, **params) -> BenchmarkModel:
-    """Construct a named benchmark model.
+def _ratio_chi2() -> BenchmarkModel:
+    """x1 / x2 for x1 ~ chi2(10) and x2 ~ chi2(13.978), the motivating example."""
+    from scipy.special import digamma
 
-    ``mono4`` accepts ``r`` (default 2.0); ``mono5`` accepts ``a`` and
-    ``sigma`` coefficient sequences (defaults (1,2,3,4,5) and unit sigmas).
-    Any other parameter, and a parameter that is not finite numbers, raises
-    ``ConfigurationError``.
+    k1, k2 = 10.0, 13.978
+    # E ln X for X ~ chi2(k); g = x1/x2 is monotone in each input, so H_Ti
+    # meets its bound H(X_i) + l_i, with l = (E ln 1/x2, E ln x1/x2^2)
+    e_ln = lambda k: math.log(2.0) + digamma(k / 2)
+    h_t = (ChiSquared(k1).entropy() - e_ln(k2),
+           ChiSquared(k2).entropy() - 2 * e_ln(k2) + e_ln(k1))
+    r1, r2 = 1 / (k2 - 2), 1 / ((k2 - 2) * (k2 - 4))
+    m1, m2 = k1, k1 * (k1 + 2)
+    v_y = m2 * r2 - (m1 * r1) ** 2
+    v_t = (2 * k1 * r2, m2 * (r2 - r1 ** 2))
+    return BenchmarkModel(
+        Model("ratio_chi2", (ChiSquared(k1), ChiSquared(k2)), lambda x: x[:, 0] / x[:, 1]),
+        analytic={**_closed_form(h_total=h_t, l=(-e_ln(k2), e_ln(k1) - 2 * e_ln(k2)),
+                                 h_bound=h_t, s_total=(v / v_y for v in v_t)),
+                  "eta_total": AnalyticValue((0.510, 0.213), "reported"),
+                  "kl_total": AnalyticValue((0.1571, 0.0791), "reported")})
+
+
+def _ishigami() -> BenchmarkModel:
+    """The ishigami function with a = 7, b = 0.1, and its closed-form record;
+    the record needs no quadrature and no scipy."""
+    ln2, lnpi = math.log(2.0), math.log(math.pi)
+    e_ln_amp = _ishigami_mean_log_amplitude()
+    h_t = (
+        math.log(math.pi / 2) + e_ln_amp,
+        math.log(7.0) + lnpi - 2 * ln2,
+        math.log(4 * math.pi) + 3 * (lnpi - 1) - math.log(10.0) - ln2,
+    )
+    l = (
+        -ln2 + e_ln_amp,
+        math.log(3.5),
+        math.log(0.4) + 3 * (lnpi - 1) - ln2,
+    )
+    h_x = math.log(2 * math.pi)
+    b, amp = 0.1, 7.0
+    pi4, pi8 = math.pi ** 4, math.pi ** 8
+    v_y = 0.5 + amp ** 2 / 8 + b * pi4 / 5 + b ** 2 * pi8 / 18
+    v_t = (0.5 * (1 + b * pi4 / 5) ** 2 + 8 * b ** 2 * pi8 / 225,
+           amp ** 2 / 8,
+           8 * b ** 2 * pi8 / 225)
+    return BenchmarkModel(
+        Model("ishigami", (Uniform(-math.pi, math.pi),) * 3, _ishigami_y),
+        analytic=_closed_form(h_total=h_t, l=l, h_bound=(h_x + v for v in l),
+                              s_total=(v / v_y for v in v_t)))
+
+
+def _gfunction3() -> BenchmarkModel:
+    a = np.array([-0.5, 0.0, 0.5])
+    return BenchmarkModel(Model("gfunction3", (_U01,) * 3, _gfunction(a)),
+                          analytic=_gfunction_analytic(a))
+
+
+def _gfunction9(case: int) -> BenchmarkModel:
+    a = np.array(_G9_CASES[case])
+    analytic = _gfunction_analytic(a)
+    analytic["group_s_total"] = AnalyticValue(_G9_GROUP_ST[case], "reported")
+    return BenchmarkModel(Model(f"gfunction9_case{case}", (_U01,) * 9, _gfunction(a)),
+                          analytic=analytic, groups=((0, 1, 2), (3, 4, 5), (6, 7, 8)))
+
+
+def _monotone(name: str, evaluator, record: tuple[float, float], **extra) -> BenchmarkModel:
+    """A model on U(0,1)^2, monotone in each input. There H(X_i) = 0 and H_Ti
+    meets its bound H(X_i) + l_i, so h_total, l and h_bound are the one
+    ``record``; ``extra`` adds closed-form records by name."""
+    return BenchmarkModel(Model(name, (_U01,) * 2, evaluator),
+                          analytic=_closed_form(h_total=record, l=record, h_bound=record, **extra))
+
+
+def _mono4(r=2.0) -> BenchmarkModel:
+    value = _finite("mono4", "r", r)
+    if len(value) != 1 or value[0] < 1:
+        raise ConfigurationError(f"mono4 requires one r >= 1, got {r!r}")
+    r = value[0]
+    return _monotone(f"mono4[r={r:g}]", lambda x: x[:, 0] * x[:, 1] ** r, (-r, math.log(r) - r))
+
+
+def _mono5(a=(1.0, 2.0, 3.0, 4.0, 5.0), sigma=None) -> BenchmarkModel:
+    """y = a . x on independent N(0, sigma_i^2) inputs, unit sigmas by default."""
+    a = _finite("mono5", "a", a)
+    sigma = _finite("mono5", "sigma", (1.0,) * len(a) if sigma is None else sigma)
+    if len(sigma) != len(a):
+        raise ConfigurationError("mono5 requires len(sigma) == len(a)")
+    # the closed-form record takes log(|a_i| sigma_i)
+    if not a or 0.0 in a or min(sigma) <= 0:
+        raise ConfigurationError("mono5 requires one or more nonzero a and positive sigma")
+    coeffs = np.array(a)
+    h_t = tuple(_HALF_LN_2PIE + math.log(abs(ai) * si) for ai, si in zip(a, sigma))
+    v_t = tuple((ai * si) ** 2 for ai, si in zip(a, sigma))
+    total = sum(v_t)
+    return BenchmarkModel(
+        Model("mono5[d=%d]" % len(a), tuple(Gaussian(0.0, s * s) for s in sigma),
+              lambda x: x @ coeffs),
+        analytic=_closed_form(h_total=h_t, l=(math.log(abs(ai)) for ai in a), h_bound=h_t,
+                              s_total=(v / total for v in v_t), v_total=v_t))
+
+
+def _flood() -> BenchmarkModel:
+    inputs = (
+        TruncatedGumbel(1013.0, 558.0, 500.0, 3000.0),  # Q
+        TruncatedGaussian(30.0, 64.0, 15.0, math.inf),  # Ks
+        Triangular(49.0, 50.0, 51.0),                   # Zv
+        Triangular(54.0, 55.0, 56.0),                   # Zm
+        Uniform(7.0, 9.0),                              # Dd
+        Triangular(55.0, 55.5, 56.0),                   # Cb
+        Triangular(4990.0, 5000.0, 5010.0),             # L
+        Triangular(295.0, 300.0, 305.0),                # B
+    )
+    return BenchmarkModel(
+        Model("flood", inputs, _flood_y),
+        analytic={**_FLOOD_REPORTED, **_closed_form(
+            exp_input_entropy=(math.exp(d.entropy()) for d in inputs))},
+        var_names=FLOOD_VAR_NAMES,
+        entropy_fix={3: 55.0, 5: 55.5, 6: 5000.0, 7: 300.0},
+        poincare_constants=FLOOD_POINCARE,
+    )
+
+
+# name -> constructor, in the order builtin_names() gives them
+_BUILTINS = {
+    "ratio_chi2": _ratio_chi2,
+    "ishigami": _ishigami,
+    "gfunction3": _gfunction3,
+    **{f"gfunction9_case{case}": partial(_gfunction9, case) for case in _G9_CASES},
+    "mono1": lambda: _monotone("mono1", lambda x: x[:, 0] + np.exp(x[:, 1]), (0.0, 0.5)),
+    "mono2": lambda: _monotone("mono2", lambda x: x[:, 0] * x[:, 1], (-1.0, -1.0)),
+    "mono3": lambda: _monotone("mono3", lambda x: x[:, 0] + 3.0 * x[:, 1], (0.0, math.log(3.0)),
+                               mu=(1.0, 3.0), nu=(1.0, 9.0)),
+    "mono4": _mono4,
+    "mono5": _mono5,
+    "flood": _flood,
+}
+
+
+def builtin_names() -> tuple[str, ...]:
+    return tuple(_BUILTINS)
+
+
+def builtin(name: str, /, **params) -> BenchmarkModel:
+    """Construct a named benchmark model: ``_BUILTINS[name](**params)``.
+
+    A builtin takes its constructor's keyword arguments: ``mono4`` takes
+    ``r`` (default 2.0) and ``mono5`` the coefficient sequences ``a`` and
+    ``sigma`` (defaults (1,2,3,4,5) and unit sigmas); the others take none.
+    An unknown name or parameter, and a parameter that is not finite
+    numbers, raises ``ConfigurationError``.
     """
-    if name not in builtin_names():
-        raise ConfigurationError(
-            f"unknown benchmark {name!r}; known: {', '.join(builtin_names())}")
-    known = _PARAMS.get(name, ())
+    make = _BUILTINS.get(name)
+    if make is None:
+        raise ConfigurationError(f"unknown benchmark {name!r}; known: {', '.join(_BUILTINS)}")
+    known = inspect.signature(make).parameters
     unknown = sorted(set(params) - set(known))
     if unknown:
         raise ConfigurationError(f"{name} got unexpected parameters {unknown}; "
                                  f"it takes {', '.join(known) or 'none'}")
-    u01 = Uniform(0.0, 1.0)
+    return make(**params)
 
-    if name == "ratio_chi2":
-        k1, k2 = 10.0, 13.978
-        return BenchmarkModel(
-            model=Model(name, (ChiSquared(k1), ChiSquared(k2)),
-                        lambda x: x[:, 0] / x[:, 1]),
-            analytic=_ratio_chi2_analytic(k1, k2),
-        )
-
-    if name == "ishigami":
-        upi = Uniform(-math.pi, math.pi)
-        return BenchmarkModel(Model(name, (upi,) * 3, _ishigami),
-                              analytic=_ishigami_analytic())
-
-    if name == "gfunction3":
-        a = np.array([-0.5, 0.0, 0.5])
-        return BenchmarkModel(Model(name, (u01,) * 3, _gfunction(a)),
-                              analytic=_gfunction_analytic(a))
-
-    if name.startswith("gfunction9_case"):
-        case = int(name[-1])
-        a = np.array(_G9_CASES[case])
-        analytic = _gfunction_analytic(a)
-        analytic["group_s_total"] = AnalyticValue(_G9_GROUP_ST[case], "reported")
-        return BenchmarkModel(Model(name, (u01,) * 9, _gfunction(a)),
-                              analytic=analytic,
-                              groups=((0, 1, 2), (3, 4, 5), (6, 7, 8)))
-
-    if name == "mono1":
-        return BenchmarkModel(
-            Model(name, (u01,) * 2, lambda x: x[:, 0] + np.exp(x[:, 1])),
-            analytic={"h_total": AnalyticValue((0.0, 0.5), "closed-form"),
-                      "l": AnalyticValue((0.0, 0.5), "closed-form"),
-                      "h_bound": AnalyticValue((0.0, 0.5), "closed-form")})
-
-    if name == "mono2":
-        return BenchmarkModel(
-            Model(name, (u01,) * 2, lambda x: x[:, 0] * x[:, 1]),
-            analytic={"h_total": AnalyticValue((-1.0, -1.0), "closed-form"),
-                      "l": AnalyticValue((-1.0, -1.0), "closed-form"),
-                      "h_bound": AnalyticValue((-1.0, -1.0), "closed-form")})
-
-    if name == "mono3":
-        ln3 = math.log(3.0)
-        return BenchmarkModel(
-            Model(name, (u01,) * 2, lambda x: x[:, 0] + 3.0 * x[:, 1]),
-            analytic={"h_total": AnalyticValue((0.0, ln3), "closed-form"),
-                      "l": AnalyticValue((0.0, ln3), "closed-form"),
-                      "h_bound": AnalyticValue((0.0, ln3), "closed-form"),
-                      "mu": AnalyticValue((1.0, 3.0), "closed-form"),
-                      "nu": AnalyticValue((1.0, 9.0), "closed-form")})
-
-    if name == "mono4":
-        r = _finite(name, "r", params.get("r", 2.0))
-        if len(r) != 1 or r[0] < 1:
-            raise ConfigurationError(f"mono4 requires one r >= 1, got {params['r']!r}")
-        r = r[0]
-        vals = (-r, math.log(r) - r)
-        return BenchmarkModel(
-            Model(f"mono4[r={r:g}]", (u01,) * 2, lambda x: x[:, 0] * x[:, 1] ** r),
-            analytic={"h_total": AnalyticValue(vals, "closed-form"),
-                      "l": AnalyticValue(vals, "closed-form"),
-                      "h_bound": AnalyticValue(vals, "closed-form")})
-
-    if name == "mono5":
-        a = _finite(name, "a", params.get("a", (1.0, 2.0, 3.0, 4.0, 5.0)))
-        sigma = _finite(name, "sigma", params.get("sigma", (1.0,) * len(a)))
-        if len(sigma) != len(a):
-            raise ConfigurationError("mono5 requires len(sigma) == len(a)")
-        # the closed-form record takes log(|a_i| sigma_i)
-        if not a or 0.0 in a or min(sigma) <= 0:
-            raise ConfigurationError("mono5 requires one or more nonzero a and positive sigma")
-        coeffs = np.array(a)
-        label = "mono5[d=%d]" % len(a)
-        return BenchmarkModel(
-            Model(label, tuple(Gaussian(0.0, s * s) for s in sigma),
-                  lambda x: x @ coeffs),
-            analytic=_mono5_analytic(a, sigma))
-
-    if name == "flood":
-        inputs = (
-            TruncatedGumbel(1013.0, 558.0, 500.0, 3000.0),  # Q
-            TruncatedGaussian(30.0, 64.0, 15.0, math.inf),  # Ks
-            Triangular(49.0, 50.0, 51.0),                   # Zv
-            Triangular(54.0, 55.0, 56.0),                   # Zm
-            Uniform(7.0, 9.0),                              # Dd
-            Triangular(55.0, 55.5, 56.0),                   # Cb
-            Triangular(4990.0, 5000.0, 5010.0),             # L
-            Triangular(295.0, 300.0, 305.0),                # B
-        )
-        analytic = dict(_FLOOD_REPORTED)
-        analytic["exp_input_entropy"] = AnalyticValue(
-            tuple(math.exp(d.entropy()) for d in inputs), "closed-form")
-        return BenchmarkModel(
-            Model(name, inputs, _flood),
-            analytic=analytic,
-            var_names=FLOOD_VAR_NAMES,
-            entropy_fix={3: 55.0, 5: 55.5, 6: 5000.0, 7: 300.0},
-            poincare_constants=FLOOD_POINCARE,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     meta = sub.add_parser("metastudy", help="ranking agreement over random functions")
     meta.add_argument("--n-functions", required=True)
     meta.add_argument("--n", dest="n_samples", default=1_000_000)
-    meta.add_argument("--n-deriv", default=1000)
+    meta.add_argument("--n-deriv", default=RunConfig.n_deriv)
     meta.add_argument("--seed", type=int, required=True)
     meta.add_argument("--output", required=True)
 

@@ -19,7 +19,7 @@ each filled from a copy of the stream advanced to its first draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -367,15 +367,16 @@ class TruncatedGumbel(_Truncated):
         return (za - zb) / mass, (za - zb + ta - tb) / mass
 
 
+# kind name -> law; a kind takes one parameter per dataclass field
 _KINDS = {
-    "uniform": (Uniform, 2),
-    "gaussian": (Gaussian, 2),
-    "normal": (Gaussian, 2),
-    "triangular": (Triangular, 3),
-    "chisquared": (ChiSquared, 1),
-    "truncatedgaussian": (TruncatedGaussian, 4),
-    "truncatednormal": (TruncatedGaussian, 4),
-    "truncatedgumbel": (TruncatedGumbel, 4),
+    "uniform": Uniform,
+    "gaussian": Gaussian,
+    "normal": Gaussian,
+    "triangular": Triangular,
+    "chisquared": ChiSquared,
+    "truncatedgaussian": TruncatedGaussian,
+    "truncatednormal": TruncatedGaussian,
+    "truncatedgumbel": TruncatedGumbel,
 }
 
 
@@ -397,7 +398,8 @@ def parse_distribution(text: str) -> Distribution:
             f"unknown distribution kind {name.strip()!r}; known: "
             + ", ".join(sorted(set(_KINDS)))
         )
-    cls, arity = _KINDS[key]
+    cls = _KINDS[key]
+    arity = len(fields(cls))
     try:
         params = [float(tok) for tok in args.split(",") if tok.strip()]
     except ValueError as exc:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .entropy import HistogramSpec
 from .errors import ConfigurationError
+from .model import DEFAULT_FD_STEP
 
 __all__ = ["RunConfig", "SensitivityReport", "rank_descending", "METHODS", "MAX_RUNS",
            "write_atomic", "json_text"]
@@ -132,7 +133,7 @@ class RunConfig:
     repetitions: int = 1
     bins_output: int = HistogramSpec.bins_output
     bins_cond: int = HistogramSpec.bins_per_conditioning_dim
-    fd_step: float = 1e-5
+    fd_step: float = DEFAULT_FD_STEP
     seed: int = 0
     groups: tuple[tuple[int, ...], ...] | None = None
     # composition of built-ins: replace input laws / pin variables (1-based keys)

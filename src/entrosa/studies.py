@@ -222,7 +222,7 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
 # metafunction ranking-agreement study
 
 def metastudy(n_functions: int, n_samples: int, seed: int,
-              output: str | Path | None = None, n_deriv: int = 1000) -> dict:
+              output: str | Path | None = None, n_deriv: int = RunConfig.n_deriv) -> dict:
     """Ranking agreement between the exponentiated entropy indices and their
     two derivative-based upper bounds over randomly drawn functions.
 

@@ -1,6 +1,7 @@
 """Benchmark catalogue and the randomized metafunction generator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.stats import chisquare
 from entrosa import (ConfigurationError, MetaFunctionSpec, builtin,
                      builtin_names, build_metafunction, draw_metafunction,
                      evaluate_batch, sample_inputs)
+from entrosa.benchmarks import AnalyticValue
 
 
 def test_every_builtin_constructs():
@@ -20,6 +22,30 @@ def test_every_builtin_constructs():
 def test_unknown_name_rejected():
     with pytest.raises(ConfigurationError):
         builtin("rosenbrock")
+
+
+def test_an_unknown_parameter_is_refused_naming_the_constructors_parameters():
+    takes = {name: "none" for name in builtin_names()}
+    takes.update(mono4="r", mono5="a, sigma")
+    assert list(takes.values()).count("none") == 10
+    for name, expected in takes.items():
+        # "name" too: the builtin's own name is not one of its parameters
+        for params in ({"bogus": 1.0}, {"name": 1.0}):
+            with pytest.raises(ConfigurationError, match=re.escape(
+                    f"{name} got unexpected parameters {sorted(params)}; it takes {expected}")):
+                builtin(name, **params)
+
+
+def test_monotone_uniform_builtins_share_one_record():
+    # on U(0,1)^2 inputs H(X_i) = 0, and each model is monotone, so H_Ti
+    # meets its bound H(X_i) + l_i: h_total, l and h_bound are one record
+    cases = [("mono1", {}, (0.0, 0.5)), ("mono2", {}, (-1.0, -1.0)),
+             ("mono3", {}, (0.0, math.log(3.0)))]
+    cases += [("mono4", {"r": r}, (-r, math.log(r) - r)) for r in (1.0, 2.0, 3.5)]
+    for name, params, record in cases:
+        analytic = builtin(name, **params).analytic
+        for key in ("h_total", "l", "h_bound"):
+            assert analytic[key] == AnalyticValue(record, "closed-form"), (name, params, key)
 
 
 def test_evaluators_match_reference_expressions_bitwise():

@@ -371,8 +371,20 @@ class TestParsing:
             parse_distribution("cauchy(0, 1)")
 
     def test_rejects_arity_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            parse_distribution("uniform(1)")
+        from entrosa.distributions import _KINDS
+        # every kind parses one valid list of its N parameters and refuses N - 1 and N + 1
+        kinds = {"uniform": (0, 1), "gaussian": (0, 1), "normal": (0, 1),
+                 "triangular": (0, 1, 2), "chisquared": (3,),
+                 "truncatedgaussian": (0, 1, -1, 1), "truncatednormal": (0, 1, -1, 1),
+                 "truncatedgumbel": (0, 1, -1, 1)}
+        assert set(kinds) == set(_KINDS)
+        for kind, params in kinds.items():
+            text = lambda ps: f"{kind}({', '.join(map(str, ps))})"
+            assert isinstance(parse_distribution(text(params)), _KINDS[kind])
+            for wrong in (params[:-1], params + (1,)):
+                with pytest.raises(ConfigurationError, match=rf"^{kind} expects {len(params)} "
+                                                             rf"parameters, got {len(wrong)} "):
+                    parse_distribution(text(wrong))
 
     def test_rejects_garbage(self):
         with pytest.raises(ConfigurationError):

@@ -811,11 +811,12 @@ class TestCli:
         (["--model", "mono4", "--param", "r=0.5"], "r >= 1"),
         (["--model", "mono5", "--param", "a=1,2", "--param", "sigma=1"],
          "len(sigma) == len(a)"),
+        (["--model", "mono4", "--param", "name=3"], "unexpected parameters ['name']; it takes r"),
         (["--config", "{tmp}/missing.cfg"], "cannot read config file"),
         (["--model", "mono1", "--metafunction-seed", "3"], "not both"),
         (["--model", "mono1", "--methods", "groups", "--groups", ","], "no groups found"),
     ], ids=["cell-code overflow", "gumbel scale", "parameter list", "override index",
-            "mono4 r", "mono5 sigma", "missing config", "model and seed", "empty groups"])
+            "mono4 r", "mono5 sigma", "parameter called name", "missing config", "model and seed", "empty groups"])
     def test_each_refusal_exits_2_with_its_reason(self, argv, fragment, tmp_path, capsys):
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         assert main(["run", *argv]) == 2
