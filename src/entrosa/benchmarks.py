@@ -24,7 +24,7 @@ import numpy as np
 from .distributions import (_HALF_LN_2PIE, ChiSquared, Gaussian, Triangular,
                             TruncatedGaussian, TruncatedGumbel, Uniform)
 from .errors import ConfigurationError
-from .model import Model
+from .model import _BLOCK_ALIGN, Model
 
 __all__ = ["AnalyticValue", "BenchmarkModel", "MetaFunctionSpec", "builtin",
            "builtin_names", "draw_metafunction", "build_metafunction", "BASIS_FUNCTIONS"]
@@ -390,6 +390,9 @@ class MetaFunctionSpec:
                    gamma=float(d["gamma"]), seed=int(d.get("seed", -1)))
 
 
+# rows per chunk of the metafunction's evaluator
+_CHUNK_ROWS = 16 * _BLOCK_ALIGN
+
 # zero-mean two-component normal mixture for the weighting coefficients;
 # equal weights, component variances 0.5 and 5
 _MIX_SD = (math.sqrt(0.5), math.sqrt(5.0))
@@ -410,19 +413,33 @@ def draw_metafunction(rng: np.random.Generator, seed: int = -1) -> tuple[MetaFun
 
 def build_metafunction(spec: MetaFunctionSpec) -> Model:
     """Assemble the model for a spec: additive basis terms plus one pair and
-    one triple interaction term."""
+    one triple interaction term.
+
+    The evaluator works through its rows in chunks of ``_CHUNK_ROWS``, so
+    its basis matrix and temporaries are chunk-sized whatever the block, and
+    the heap reuses them rather than fault in fresh pages for each block. An
+    evaluator that builds row-sized temporaries should keep them to chunks
+    that start at multiples of ``_BLOCK_ALIGN`` rows, where a matrix product
+    keeps its bits; this one does, so its outputs do not depend on the chunk.
+    """
     u = spec.u
     alpha = np.array(spec.alpha)
 
     def evaluator(x: np.ndarray) -> np.ndarray:
-        # filled column by column, and each interaction multiplied in factor
-        # order, the order np.prod takes: no stacked copy of the columns
-        fx = np.empty((x.shape[0], 3))
-        for i in range(3):
-            fx[:, i] = BASIS_FUNCTIONS[u[i] - 1](x[:, i])
-        y = fx @ alpha
-        y += spec.beta * reduce(np.multiply, [fx[:, j - 1] for j in spec.v])
-        y += spec.gamma * reduce(np.multiply, [fx[:, k - 1] for k in spec.w])
+        n = x.shape[0]
+        y = np.empty(n)
+        fx = np.empty((min(n, _CHUNK_ROWS), 3))
+        for start in range(0, n, _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            x_chunk, y_chunk = x[rows], y[rows]
+            f = fx[:len(y_chunk)]
+            # filled column by column, and each interaction multiplied in
+            # factor order, the order np.prod takes: no stacked copy of the columns
+            for i in range(3):
+                f[:, i] = BASIS_FUNCTIONS[u[i] - 1](x_chunk[:, i])
+            np.matmul(f, alpha, out=y_chunk)
+            y_chunk += spec.beta * reduce(np.multiply, [f[:, j - 1] for j in spec.v])
+            y_chunk += spec.gamma * reduce(np.multiply, [f[:, k - 1] for k in spec.w])
         return y
 
     label = "metafunction[u=%d%d%d,seed=%d]" % (*u, spec.seed)

@@ -252,8 +252,9 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
     functions = []
     excluded = []
 
-    def run(fn_seed: int) -> SensitivityReport | str:
-        """The function's report, or the reason it is excluded."""
+    def run(fn_seed: int) -> tuple[dict, SensitivityReport | str]:
+        """The function's spec, with its report or the reason it is excluded."""
+        fn_spec = draw_metafunction(np.random.default_rng(fn_seed), seed=fn_seed)[0].to_dict()
         try:
             report = run_from_config(RunConfig(
                 metafunction_seed=fn_seed, seed=fn_seed, methods=("entropy", "deriv", "bounds"),
@@ -263,15 +264,13 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
                 raise NumericalError("degenerate output distribution")
         except (NumericalError, SparseGridError) as exc:
             # the message only: the traceback would hold the run's arrays
-            return str(exc)
-        return report
+            return fn_spec, str(exc)
+        return fn_spec, report
 
     # no bytes declared: a function holds about 42 MB at 1e6 samples, which
     # the byte budget would run one at a time
-    reports = _map_in_order(run, seeds)
-    for idx, (fn_seed, report) in enumerate(zip(seeds, reports)):
-        fn_spec, _ = draw_metafunction(np.random.default_rng(fn_seed), seed=fn_seed)
-        record = {"index": idx, "spec": fn_spec.to_dict()}
+    for idx, (fn_spec, report) in enumerate(_map_in_order(run, seeds)):
+        record = {"index": idx, "spec": fn_spec}
         if isinstance(report, str):
             record["excluded"] = report
             excluded.append(record)

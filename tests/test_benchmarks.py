@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,16 +203,39 @@ class TestMetafunction:
         np.testing.assert_allclose(evaluate_batch(model, probe), expected, rtol=1e-12)
 
     def test_evaluator_matches_the_stacked_formulation_bitwise(self):
-        # the evaluator fills its basis columns in place and multiplies the
-        # interaction factors in order; the bits are those of np.stack/np.prod
-        from entrosa.benchmarks import BASIS_FUNCTIONS
+        # the evaluator fills its basis columns in place, a chunk of rows at a
+        # time, and multiplies the interaction factors in order; the bits are
+        # those of np.stack/np.prod over the whole array, within one chunk,
+        # across chunk boundaries with a short last chunk, and on a full block
+        from entrosa.benchmarks import _CHUNK_ROWS, BASIS_FUNCTIONS
+        from entrosa.model import _BLOCK_ROWS
         rng = np.random.default_rng(31)
         for _ in range(200):
             spec, model = draw_metafunction(rng, seed=1)
-            x = np.asfortranarray(rng.random((2000, 3)))
-            fx = np.stack([BASIS_FUNCTIONS[spec.u[i] - 1](x[:, i]) for i in range(3)],
-                          axis=1)
-            expected = fx @ np.array(spec.alpha)
-            expected = expected + spec.beta * np.prod([fx[:, j - 1] for j in spec.v], axis=0)
-            expected = expected + spec.gamma * np.prod([fx[:, k - 1] for k in spec.w], axis=0)
-            assert np.array_equal(model.evaluator(x), expected), spec
+            for rows in (2000, 3 * _CHUNK_ROWS + 517, _BLOCK_ROWS):
+                x = np.asfortranarray(rng.random((rows, 3)))
+                fx = np.stack([BASIS_FUNCTIONS[spec.u[i] - 1](x[:, i]) for i in range(3)],
+                              axis=1)
+                expected = fx @ np.array(spec.alpha)
+                expected = expected + spec.beta * np.prod([fx[:, j - 1] for j in spec.v],
+                                                          axis=0)
+                expected = expected + spec.gamma * np.prod([fx[:, k - 1] for k in spec.w],
+                                                           axis=0)
+                assert np.array_equal(model.evaluator(x), expected), (spec, rows)
+
+    def test_evaluator_temporaries_are_bounded_by_the_chunk(self):
+        # beyond its output, one call holds at most 6 vectors of chunk length,
+        # however long the block it is given
+        from entrosa.benchmarks import _CHUNK_ROWS
+        rng = np.random.default_rng(47)
+        xs = [np.asfortranarray(rng.random((rows, 3))) for rows in (2 ** 15, 2 ** 16)]
+        for _ in range(60):
+            spec, model = draw_metafunction(rng, seed=1)
+            for x in xs:
+                tracemalloc.start()
+                try:
+                    model.evaluator(x)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak - x.shape[0] * 8 <= 6 * _CHUNK_ROWS * 8, (spec, x.shape[0], peak)
