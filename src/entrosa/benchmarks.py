@@ -47,6 +47,8 @@ class BenchmarkModel:
     # where the closed form of the variable's law applies
     poincare_constants: tuple[float | None, ...] | None = None
     groups: tuple[tuple[int, ...], ...] | None = None
+    # the spec of a model drawn by ``draw_metafunction``
+    metafunction: MetaFunctionSpec | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +355,7 @@ BASIS_FUNCTIONS = (
     lambda x: x ** 3,                              # 3 cubic
     lambda x: (np.exp(x) - 1.0) / (_E - 1.0),      # 4 exponential
     lambda x: 0.5 * np.sin(2 * np.pi * x) + 0.5,   # 5 periodic
-    lambda x: np.where(x >= 0.5, 1.0, 0.0),        # 6 step
+    lambda x: (x >= 0.5).astype(float),            # 6 step
     lambda x: np.zeros_like(x),                    # 7 dummy
     lambda x: 4.0 * (x - 0.5) ** 2,                # 8 non-monotonic
     lambda x: (10.0 - 1.0 / 1.1) ** -1 * (x + 0.1) ** -1 - 0.1,  # 9 inverse

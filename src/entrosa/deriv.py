@@ -16,9 +16,10 @@ eps*|g(x)|/h, and at least at ``GRAD_FLOOR``, before the log.
 
 Per group, ``fd_directional_batch`` returns the differences, one pass of
 row blocks that steps, evaluates and differences; a second pass takes
-their magnitudes in place, and their squares and floored logs into two
-n-vectors allocated once per call and shared by the groups. A group's
-differences are released before the next group's are taken.
+their magnitudes in place, and their floored logs into one n-vector
+allocated once per call and shared by the groups. Once ``mu`` is taken,
+the magnitudes are squared in place for ``nu``. A group's differences are
+released before the next group's are taken.
 The second pass also tallies, per block, the non-finite magnitudes and
 the floored ones, so that a sample with no non-finite derivative needs no
 mask and no whole-array scan besides the means. The means are
@@ -91,13 +92,12 @@ def estimate_deriv_measures(model: Model, n: int, h: float = DEFAULT_FD_STEP,
     # forward difference can resolve
     floor = np.maximum(np.finfo(float).eps * np.abs(y0) / h, GRAD_FLOOR)
 
-    # per group: the square of |derivative| and the log of its floored
-    # magnitude, in n-vectors shared by every group
-    square, log_mag = np.empty((2, n))
+    # per group: the log of its floored |derivative|, in an n-vector shared
+    # by every group
+    log_mag = np.empty(n)
 
     def stats(rows: slice) -> tuple[int, int]:
         m = np.abs(mag[rows], out=mag[rows])
-        np.multiply(m, m, out=square[rows])
         n_floored = int(np.count_nonzero(m <= floor[rows]))
         np.log(np.maximum(m, floor[rows], out=log_mag[rows]), out=log_mag[rows])
         return _non_finite(m), n_floored
@@ -108,17 +108,19 @@ def estimate_deriv_measures(model: Model, n: int, h: float = DEFAULT_FD_STEP,
         n_bad, n_floored = map(sum, zip(*_map_rows(stats, n)))
         keep = finite_within_rate(mag, f"derivative x{g[0] + 1}" if len(g) == 1
                                   else f"group derivative {[i + 1 for i in g]}", n_bad)
-        m, sq, log_m = mag, square, log_mag
+        m, log_m = mag, log_mag
         if keep is not None:
             # a row whose magnitude and floor are both infinite is floored
             # but not kept
-            m, sq, log_m = mag[keep], square[keep], log_mag[keep]
+            m, log_m = mag[keep], log_mag[keep]
             n_floored = int(np.count_nonzero(m <= floor[keep]))
         mu[k] = m.mean()
-        nu[k] = sq.mean()
+        # squared in place once mu is taken: nu sums the same squares in the
+        # same order as a separate vector of squares would
+        nu[k] = np.multiply(m, m, out=m).mean()
         l[k] = -np.inf if n_floored == m.size else log_m.mean()
         zfrac[k] = n_floored / m.size
         # the group's differences and any kept copy go before the next
         # group's are allocated, so at most one of them is alive
-        del mag, m, sq, log_m
+        del mag, m, log_m
     return DerivMeasures(mu=mu, nu=nu, l=l, zero_derivative_fraction=zfrac, y=y0)

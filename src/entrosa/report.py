@@ -253,12 +253,16 @@ def rank_descending(values) -> tuple[list[int], bool]:
 
 @dataclass
 class SensitivityReport:
+    """A run's record: its metadata, one row per variable, and the ordinal
+    descending ranks of each index family present in the rows, which the
+    report takes from its rows when it is built."""
+
     metadata: dict
     rows: list  # one dict per variable: {"variable": name, metric: value|None, ...}
-    rankings: dict = field(default_factory=dict)
+    rankings: dict = field(init=False)
 
-    def compute_rankings(self):
-        """Ordinal descending ranks per index family present in the rows."""
+    def __post_init__(self):
+        self.rankings = {}
         for family in RANK_FAMILIES:
             values = [row.get(family) for row in self.rows]
             if all(v is None for v in values):
@@ -299,11 +303,11 @@ class SensitivityReport:
     @classmethod
     def from_json(cls, text: str) -> "SensitivityReport":
         """The report ``to_json`` wrote; the strings "inf", "-inf" and "nan"
-        read back as the floats they spell."""
+        read back as the floats they spell, and the ranks are taken again
+        from the rows read."""
         data = _map_leaves(json.loads(text),
                            lambda v: _NON_FINITE.get(v, v) if isinstance(v, str) else v)
-        return cls(metadata=data["metadata"], rows=data["rows"],
-                   rankings=data.get("rankings", {}))
+        return cls(metadata=data["metadata"], rows=data["rows"])
 
     def write(self, path: str | Path):
         """Atomic write: CSV to a ``.csv`` path, JSON to any other."""

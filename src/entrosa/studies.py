@@ -68,8 +68,8 @@ def build_benchmark(config: RunConfig) -> BenchmarkModel:
     variables (1-based indices in the config). Unnamed inputs are x1..xd."""
     if config.metafunction_seed is not None:
         rng = np.random.default_rng(config.metafunction_seed)
-        _, model = draw_metafunction(rng, seed=config.metafunction_seed)
-        bench = BenchmarkModel(model)
+        spec, model = draw_metafunction(rng, seed=config.metafunction_seed)
+        bench = BenchmarkModel(model, metafunction=spec)
     else:
         bench = builtin(config.model, **config.model_params)
     names = bench.var_names or tuple(f"x{i + 1}" for i in range(bench.model.dim))
@@ -99,7 +99,7 @@ def build_benchmark(config: RunConfig) -> BenchmarkModel:
         pins = {j - sum(i < j for i in fixed): v for j, v in pins.items() if j not in fixed}
     # composed models drop the builtin's analytic record: it no longer applies
     return BenchmarkModel(model, var_names=names, entropy_fix=pins or None,
-                          poincare_constants=tuple(constants))
+                          poincare_constants=tuple(constants), metafunction=bench.metafunction)
 
 
 def _method_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -136,6 +136,8 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
     rows = [{"variable": name} for name in names]
     metadata = {"config": config.to_mapping(), "toolkit_version": __version__,
                 "model": model.name, "dim": d, "variables": names}
+    if bench.metafunction:
+        metadata["metafunction"] = bench.metafunction.to_dict()
 
     def put(result, index=range(d)):
         # every field of the result that is a report column, one value per variable
@@ -212,7 +214,6 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
     metadata["n_evaluations"] = n_evaluations
     metadata["wall_time_s"] = round(time.perf_counter() - t0, 3)
     report = SensitivityReport(metadata=metadata, rows=rows)
-    report.compute_rankings()
     if config.output:
         report.write(config.output)
     return report
@@ -234,8 +235,9 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
     1e6 samples and shrinks below that by the presets' rule
     (``_scaled_spec``). Per function the study records full-ranking,
     top-variable, and bottom-variable agreement for the log-derivative bound
-    and the squared-derivative bound. Degenerate draws (constant output) are
-    excluded with a reason and counted.
+    and the squared-derivative bound. An included record reads its spec off
+    its report's ``metadata["metafunction"]``. Degenerate draws (constant
+    output) are excluded with a reason and counted.
 
     The functions go through ``_map_in_order``. Each draws only from its own
     seed, so the result is bitwise the same whatever the number of CPUs.
@@ -252,9 +254,9 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
     functions = []
     excluded = []
 
-    def run(fn_seed: int) -> tuple[dict, SensitivityReport | str]:
-        """The function's spec, with its report or the reason it is excluded."""
-        fn_spec = draw_metafunction(np.random.default_rng(fn_seed), seed=fn_seed)[0].to_dict()
+    def run(fn_seed: int) -> SensitivityReport | dict:
+        """The function's report, which records the spec it drew, or else the
+        record of its exclusion, whose spec is drawn again as it has no report."""
         try:
             report = run_from_config(RunConfig(
                 metafunction_seed=fn_seed, seed=fn_seed, methods=("entropy", "deriv", "bounds"),
@@ -263,17 +265,16 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
             if not math.isfinite(report.metadata["output_entropy"]["h_y"]):
                 raise NumericalError("degenerate output distribution")
         except (NumericalError, SparseGridError) as exc:
+            fn_spec = draw_metafunction(np.random.default_rng(fn_seed), seed=fn_seed)[0]
             # the message only: the traceback would hold the run's arrays
-            return fn_spec, str(exc)
-        return fn_spec, report
+            return {"spec": fn_spec.to_dict(), "excluded": str(exc)}
+        return report
 
     # no bytes declared: a function holds about 42 MB at 1e6 samples, which
     # the byte budget would run one at a time
-    for idx, (fn_spec, report) in enumerate(_map_in_order(run, seeds)):
-        record = {"index": idx, "spec": fn_spec}
-        if isinstance(report, str):
-            record["excluded"] = report
-            excluded.append(record)
+    for idx, report in enumerate(_map_in_order(run, seeds)):
+        if isinstance(report, dict):
+            excluded.append({"index": idx, **report})
             continue
 
         kappa_rank = report.rankings["kappa"]["ranks"]
@@ -282,9 +283,10 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
             agree[family]["full"] += int(rank == kappa_rank)
             agree[family]["max"] += int(rank.index(1) == kappa_rank.index(1))
             agree[family]["min"] += int(rank.index(3) == kappa_rank.index(3))
+        record = {"index": idx, "spec": report.metadata["metafunction"],
+                  "h_y": report.metadata["output_entropy"]["h_y"]}
         record.update({key: [row[key] for row in report.rows]
-                       for key in ("kappa", "kappa_bound", "nu_kappa_bound")},
-                      h_y=report.metadata["output_entropy"]["h_y"])
+                       for key in ("kappa", "kappa_bound", "nu_kappa_bound")})
         functions.append(record)
     included = len(functions)
 

@@ -223,6 +223,15 @@ class TestMetafunction:
                                                            axis=0)
                 assert np.array_equal(model.evaluator(x), expected), (spec, rows)
 
+    def test_step_basis_is_bitwise_the_where_form(self):
+        from entrosa.benchmarks import BASIS_FUNCTIONS
+        x = np.concatenate([np.random.default_rng(53).random(10_000),
+                            [0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)]])
+        step = BASIS_FUNCTIONS[5](x)
+        assert step.dtype == np.float64
+        assert np.array_equal(step, np.where(x >= 0.5, 1.0, 0.0))
+        assert step[-4:].tolist() == [0.0, 1.0, 0.0, 1.0]
+
     def test_evaluator_temporaries_are_bounded_by_the_chunk(self):
         # beyond its output, one call holds at most 6 vectors of chunk length,
         # however long the block it is given

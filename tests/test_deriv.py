@@ -1,6 +1,7 @@
 """Derivative-based sensitivity measures and the group extension."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,23 @@ def test_dummy_coordinate_reports_negative_infinity():
     assert m.mu[1] == 0.0
     assert m.zero_derivative_fraction[1] == 1.0
     assert math.isfinite(m.l[0]) and math.isfinite(m.l[2])
+
+
+def test_the_pass_holds_five_n_vectors_beyond_the_sample(cpus):
+    # the differences, their floored logs and the floors, with the row blocks'
+    # temporaries on two threads; nu squares the magnitudes in place once mu
+    # is taken, so no n-vector of squares is held
+    cpus(2)
+    model = builtin("gfunction9_case1").model
+    n = 2 ** 18
+    tracemalloc.start()
+    try:
+        estimate_deriv_measures(model, n, rng=np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # x is d n-vectors and y0 one
+    assert peak / (8 * n) - model.dim - 1 < 5.5
 
 
 def test_minimum_sample_size():

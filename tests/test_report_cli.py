@@ -27,7 +27,7 @@ from entrosa.deriv import DerivMeasures, estimate_deriv_measures
 from entrosa.entropy import (EntropyBounds, EntropyReport, HistogramSpec, KLResult,
                              kl_total_index)
 from entrosa.report import (METHODS, MAX_RUNS, ROW_FIELDS, _map_leaves, _read_config_file,
-                            write_atomic)
+                            json_text, write_atomic)
 from entrosa.studies import (STUDY_BINS, _method_streams, _scaled_spec, build_benchmark,
                              convergence, metastudy, run_from_config, run_table_preset)
 from entrosa.variance import PoincareBound, VarianceReport, variance_upper_bound
@@ -156,6 +156,38 @@ class TestRankings:
         assert rank_descending([1e20, 1e20 * (1 + 1e-14)])[1] is True
         # a non-finite value ranks last and ties with nothing
         assert rank_descending([0.0, -math.inf, float("nan")]) == ([1, 2, 3], False)
+
+
+def test_a_report_ranks_its_rows_when_built_and_read_back():
+    # flood-like rows: pinned inputs read None, a key absent from a row reads
+    # None, values within a relative 1e-12 tie, and non-finite values rank last
+    inf, nan = math.inf, math.nan
+    families = ("s_total", "variance_bound", "kappa", "kappa_bound", "nu_kappa_bound")
+    table = {
+        "Q": (0.25, inf, 0.4, 0.5, 0.5),
+        "Ks": (0.25 * (1 + 4e-13), 0.3, 0.4 * (1 - 5e-13), nan, 0.5 * (1 + 2e-12)),
+        "Zv": (0.1, nan, 0.7, 0.5 * (1 + 9e-13), 0.6),
+        "Zm": (-inf, 0.3, None, -inf, 0.0),
+        "Dd": (0.0, "absent", 0.05, 0.01, 0.01),
+        "Cb": (nan, None, None, 0.02, inf),
+    }
+    rows = [{"variable": name, **{f: v for f, v in zip(families, values) if v != "absent"}}
+            for name, values in table.items()]
+    report = SensitivityReport(metadata={"model": "flood"}, rows=rows)
+    # rank_descending per family, with no rank where a row has no value
+    assert report.rankings == {
+        "s_total": {"ranks": [2, 1, 3, 5, 4, 6], "tie_broken": True},
+        "variance_bound": {"ranks": [3, 1, 4, 2, None, None], "tie_broken": True},
+        "kappa": {"ranks": [2, 3, 1, None, 4, None], "tie_broken": True},
+        "kappa_bound": {"ranks": [2, 5, 1, 6, 4, 3], "tie_broken": True},
+        "nu_kappa_bound": {"ranks": [3, 2, 1, 5, 4, 6], "tie_broken": False},
+    }
+    assert "rank_s_total,rank_variance_bound,rank_kappa,rank_kappa_bound," in report.to_csv()
+    again = SensitivityReport.from_json(report.to_json())
+    assert reports_equal(again, report)
+    assert again.to_json() == report.to_json() and again.to_csv() == report.to_csv()
+    # a family no row holds gets no ranks
+    assert SensitivityReport({}, [{"variable": "x1", "mu": 1.0}]).rankings == {}
 
 
 def test_no_decision_depends_on_the_output_scale(monkeypatch):
@@ -484,6 +516,39 @@ def test_metafunction_config_builds_model():
     assert len(report.rows) == 3
 
 
+def test_a_metafunction_run_records_the_spec_it_drew(capsys):
+    from entrosa import draw_metafunction
+    s = 123
+    assert main(["run", "--metafunction-seed", str(s), "--seed", str(s),
+                 "--methods", "entropy,deriv,bounds", "--n", "5000", "--n-deriv", "200",
+                 "--bins-output", "16", "--bins-cond", "8"]) == 0
+    metadata = json.loads(capsys.readouterr().out)["metadata"]
+    spec = draw_metafunction(np.random.default_rng(s), seed=s)[0]
+    assert metadata["metafunction"] == spec.to_dict()
+    # a pinned input leaves the drawn function the same
+    composed = run_from_config(RunConfig(metafunction_seed=s, methods=("deriv",),
+                                         n_deriv=200, fix=((2, 0.5),)))
+    assert composed.metadata["metafunction"] == spec.to_dict()
+    assert f"\n# metafunction = {json_text(spec.to_dict())}\n" in composed.to_csv()
+    plain = run_from_config(RunConfig(model="mono3", n_deriv=200))
+    assert "metafunction" not in plain.metadata
+    assert "# metafunction =" not in plain.to_csv()
+
+
+def _constant_every_third(draw):
+    """``draw`` with the function of every seed divisible by 3 made constant,
+    which the metastudy excludes."""
+    from entrosa import MetaFunctionSpec, build_metafunction
+
+    def drawn(rng, seed=-1):
+        if seed % 3:
+            return draw(rng, seed)
+        spec = MetaFunctionSpec(u=(7, 7, 7), v=(1, 1), w=(1, 1, 1),
+                                alpha=(1.0, 1.0, 1.0), beta=1.0, gamma=1.0, seed=seed)
+        return spec, build_metafunction(spec)
+    return drawn
+
+
 class TestStudies:
     def test_metastudy_small(self, tmp_path):
         out = tmp_path / "meta.json"
@@ -515,19 +580,9 @@ class TestStudies:
 
     def test_metastudy_output_does_not_depend_on_the_cpu_count(self, tmp_path,
                                                                 monkeypatch, cpus):
-        from entrosa import MetaFunctionSpec, build_metafunction
         import entrosa.studies as studies
-        draw = studies.draw_metafunction
-
-        def some_constant(rng, seed=-1):
-            # every third seed draws a constant function, which is excluded
-            if seed % 3:
-                return draw(rng, seed)
-            spec = MetaFunctionSpec(u=(7, 7, 7), v=(1, 1), w=(1, 1, 1),
-                                    alpha=(1.0, 1.0, 1.0), beta=1.0, gamma=1.0, seed=seed)
-            return spec, build_metafunction(spec)
-
-        monkeypatch.setattr(studies, "draw_metafunction", some_constant)
+        monkeypatch.setattr(studies, "draw_metafunction",
+                            _constant_every_third(studies.draw_metafunction))
         texts = []
         for k in (1, 2):
             cpus(k)
@@ -541,6 +596,32 @@ class TestStudies:
             assert indices == sorted(indices)
         assert result["excluded_records"]
         assert len(result["functions"]) + len(result["excluded_records"]) == 12
+
+    def test_metastudy_draws_only_an_excluded_function_twice(self, monkeypatch, cpus):
+        # an included record reads its spec off its report, which drew it once;
+        # an excluded function has no report, so its spec is drawn again
+        import threading
+        from collections import Counter
+        import entrosa.studies as studies
+        drawn = _constant_every_third(studies.draw_metafunction)
+        draws, lock = Counter(), threading.Lock()
+
+        def counted(rng, seed=-1):
+            with lock:
+                draws[seed] += 1
+            return drawn(rng, seed)
+
+        monkeypatch.setattr(studies, "draw_metafunction", counted)
+        cpus(2)
+        result = metastudy(20, 20_000, seed=4, n_deriv=200)
+        included, excluded = result["functions"], result["excluded_records"]
+        assert included and excluded and len(included) + len(excluded) == 20
+        assert sorted(draws.values()) == sorted([1] * len(included) + [2] * len(excluded))
+        for records, count in ((included, 1), (excluded, 2)):
+            for record in records:
+                s = record["spec"]["seed"]
+                assert draws[s] == count
+                assert record["spec"] == drawn(np.random.default_rng(s), s)[0].to_dict()
 
     def test_first_failing_function_raises_and_cancels_the_rest(self, monkeypatch, cpus):
         # every function starts with a short sleep, and function 1 then fails:
