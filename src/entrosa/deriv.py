@@ -20,10 +20,11 @@ their magnitudes in place, and their floored logs into one n-vector
 allocated once per call and shared by the groups. Once ``mu`` is taken,
 the magnitudes are squared in place for ``nu``. A group's differences are
 released before the next group's are taken.
-The second pass also tallies, per block, the non-finite magnitudes and
-the floored ones, so that a sample with no non-finite derivative needs no
-mask and no whole-array scan besides the means. The means are
-whole-array and the counts exact, so the measures are the same at any
+The second pass also tallies, per block, the non-finite magnitudes and,
+by the same finite mask, the floored finite ones, so that a sample with no
+non-finite derivative needs no mask and no whole-array scan besides the
+means, and one with some needs no recount of the rows it keeps. The means
+are whole-array and the counts exact, so the measures are the same at any
 number of CPUs.
 """
 
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import (DEFAULT_FD_STEP, Model, _map_rows, _non_finite, evaluate_batch,
-                    fd_directional_batch, finite_within_rate, sample_inputs)
+from .model import (DEFAULT_FD_STEP, Model, _map_rows, evaluate_batch, fd_directional_batch,
+                    finite_within_rate, sample_inputs)
 
 __all__ = ["DerivMeasures", "estimate_deriv_measures", "GRAD_FLOOR"]
 
@@ -98,9 +99,11 @@ def estimate_deriv_measures(model: Model, n: int, h: float = DEFAULT_FD_STEP,
 
     def stats(rows: slice) -> tuple[int, int]:
         m = np.abs(mag[rows], out=mag[rows])
-        n_floored = int(np.count_nonzero(m <= floor[rows]))
+        finite = np.isfinite(m)
+        # a magnitude and floor both infinite is not floored: its row is dropped
+        n_floored = int(np.count_nonzero(np.logical_and(m <= floor[rows], finite)))
         np.log(np.maximum(m, floor[rows], out=log_mag[rows]), out=log_mag[rows])
-        return _non_finite(m), n_floored
+        return m.size - int(np.count_nonzero(finite)), n_floored
 
     mu, nu, l, zfrac = np.empty((4, len(groups)))
     for k, g in enumerate(groups):
@@ -108,12 +111,7 @@ def estimate_deriv_measures(model: Model, n: int, h: float = DEFAULT_FD_STEP,
         n_bad, n_floored = map(sum, zip(*_map_rows(stats, n)))
         keep = finite_within_rate(mag, f"derivative x{g[0] + 1}" if len(g) == 1
                                   else f"group derivative {[i + 1 for i in g]}", n_bad)
-        m, log_m = mag, log_mag
-        if keep is not None:
-            # a row whose magnitude and floor are both infinite is floored
-            # but not kept
-            m, log_m = mag[keep], log_mag[keep]
-            n_floored = int(np.count_nonzero(m <= floor[keep]))
+        m, log_m = (mag, log_mag) if keep is None else (mag[keep], log_mag[keep])
         mu[k] = m.mean()
         # squared in place once mu is taken: nu sums the same squares in the
         # same order as a separate vector of squares would

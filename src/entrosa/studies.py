@@ -111,6 +111,18 @@ def _method_streams(seed: int) -> dict[str, np.random.Generator]:
 def run_from_config(config: RunConfig) -> SensitivityReport:
     """Execute the requested estimators and assemble the report.
 
+    One writer fills the rows: every report column of every result the run
+    computes, so a ``bounds`` run's rows hold the derivative measures its
+    bounds rest on. A NaN, an estimator's "undefined" (an index of a
+    constant output, a variance bound with no Poincaré constant), is left
+    out, so it is an empty CSV cell, an absent JSON key and no rank.
+
+    ``metadata["groups"][k]["bound"]`` is exp(l_g - H(Y)), with no
+    input-entropy term: it has ``kappa_bound``'s form exp(H(X_i) + l_i -
+    H(Y)) only when the group's members have zero entropy, as the
+    unit-interval inputs of the G-function cases do; a group of one input
+    with another law differs from its ``kappa_bound`` by exp(H(X_i)).
+
     ``metadata["n_evaluations"]`` is the number of input rows the model
     evaluated, counted at the evaluator. Each method block logs one INFO
     line when it ends: the method, its sample count, the model evaluations
@@ -140,11 +152,13 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
         metadata["metafunction"] = bench.metafunction.to_dict()
 
     def put(result, index=range(d)):
-        # every field of the result that is a report column, one value per variable
+        # every field of the result that is a report column, one value per
+        # variable; a NaN is the estimator's "undefined", which a row leaves out
         for f in fields(result):
             if f.name in ROW_FIELDS:
                 for i, v in zip(index, getattr(result, f.name)):
-                    rows[i][f.name] = float(v)
+                    if not math.isnan(v):
+                        rows[i][f.name] = float(v)
 
     @contextmanager
     def stage(method: str, n: int):
@@ -158,8 +172,7 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
         with stage("deriv", config.n_deriv):
             measures = estimate_deriv_measures(model, config.n_deriv, config.fd_step,
                                                streams["deriv"])
-        if "deriv" in methods:
-            put(measures)
+        put(measures)
 
     if "variance" in methods:
         with stage("variance", config.n_base):
@@ -197,12 +210,8 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
     if "bounds" in methods:
         with stage("bounds", config.n_deriv):
             put(entropy_upper_bounds(measures, model.inputs, h_y))
-            bound = variance_upper_bound(measures, model.inputs,
-                                         table_constants=bench.poincare_constants)
-            put(bound)
-            for row, source in zip(rows, bound.source):
-                if source == "none":  # no Poincaré constant, no bound
-                    del row["variance_bound"]
+            put(variance_upper_bound(measures, model.inputs,
+                                     table_constants=bench.poincare_constants))
 
     if "groups" in methods:
         metadata["groups"] = [

@@ -45,6 +45,19 @@ class VarianceReport:
 
 def estimate_total_effect_variance(model: Model, n_base: int,
                                    rng: np.random.Generator) -> VarianceReport:
+    """Jansen pick-and-freeze total-effect indices of every input:
+    ``V_Ti = mean((g(A) - g(AB_i))^2) / 2`` and ``S_Ti = V_Ti / V(Y)``, with
+    V(Y) the sample variance of g(A) and g(B) together.
+
+    Costs n_base * (d + 2) model evaluations: g(A), g(B) and one g(AB_i) per
+    input. Needs ``n_base >= 100``. Non-finite values of g(A) and g(B),
+    taken together, and of each input's difference vector g(A) - g(AB_i)
+    fall under the ``finite_within_rate`` policy: they are dropped, and a
+    rate above its limit raises ``NumericalError``. A V_Ti or V(Y) that
+    overflows float64 from finite terms raises ``NumericalError`` naming it.
+    A constant output has V(Y) = 0 and every ``s_total`` NaN, undefined,
+    which a report leaves out.
+    """
     if n_base < 100:
         raise ConfigurationError(f"pick-and-freeze needs n_base >= 100, got {n_base}")
     d = model.dim

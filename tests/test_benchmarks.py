@@ -49,6 +49,24 @@ def test_monotone_uniform_builtins_share_one_record():
             assert analytic[key] == AnalyticValue(record, "closed-form"), (name, params, key)
 
 
+def test_the_bound_gap_of_each_record_is_the_log_of_its_preimage_count():
+    # H(X_i) + l_i - H_Ti = ln N_i, with N_i the most points along x_i that
+    # share one output: a monotone input meets its bound, |4 x_i - 2| folds a
+    # G-function's inputs in two, and sin, sin^2 and x^4 fold ishigami's
+    preimages = {"mono1": (1, 1), "mono2": (1, 1), "mono3": (1, 1), "mono4": (1, 1),
+                 "mono5": (1,) * 5, "ratio_chi2": (1, 1), "ishigami": (2, 4, 2),
+                 "gfunction3": (2,) * 3,
+                 **{f"gfunction9_case{case}": (2,) * 9 for case in (1, 2, 3)}}
+    assert set(preimages) == {name for name in builtin_names()
+                              if {"h_bound", "h_total"} <= set(builtin(name).analytic)}
+    cases = [(name, {}, n) for name, n in preimages.items()]
+    cases += [("mono4", {"r": 3.0}, (1, 1)), ("mono5", {"a": (1.0, -2.0)}, (1, 1))]
+    for name, params, n in cases:
+        analytic = builtin(name, **params).analytic
+        gap = np.subtract(analytic["h_bound"].values, analytic["h_total"].values)
+        assert gap == pytest.approx(np.log(n), abs=1e-12, rel=0), (name, params)
+
+
 def test_evaluators_match_reference_expressions_bitwise():
     # the evaluators reuse a sine, multiply factors column by column and work
     # in place; the bits must be those of the plain whole-matrix expressions,

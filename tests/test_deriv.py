@@ -96,6 +96,19 @@ def test_the_pass_holds_five_n_vectors_beyond_the_sample(cpus):
     assert peak / (8 * n) - model.dim - 1 < 5.5
 
 
+def test_a_row_with_an_infinite_magnitude_and_floor_is_dropped_and_not_floored():
+    # g is infinite on x1 < 5e-4 and x2 elsewhere, so a step of 1e-3 along
+    # x1 takes each infinite row to a finite output: there the magnitude and
+    # its floor are both infinite. The row is dropped, and every x1
+    # derivative kept is a floored zero
+    model = Model("step", (Uniform(0, 1),) * 2,
+                  lambda x: np.where(x[:, 0] < 5e-4, np.inf, x[:, 1]))
+    with np.errstate(invalid="ignore"):  # inf - inf on the rows stepped within x1 < 5e-4
+        m = estimate_deriv_measures(model, 20_000, 1e-3, np.random.default_rng(10))
+    assert m.zero_derivative_fraction.tolist() == [1.0, 0.0]
+    assert m.l[0] == -math.inf and m.mu[0] == 0.0
+
+
 def test_minimum_sample_size():
     with pytest.raises(ConfigurationError):
         estimate_deriv_measures(builtin("mono3").model, 5, rng=np.random.default_rng(0))

@@ -312,6 +312,39 @@ def test_every_method_fills_its_columns_through_one_path(tmp_path):
     assert all(set(row) == set(columns) for row in report.rows)
 
 
+def test_an_undefined_value_is_no_cell_no_key_and_no_rank(tmp_path):
+    # with x1 pinned at 0 mono2's output is constant: its variance share, its
+    # normalized and exponentiated entropy indices and the stds of the
+    # entropy columns are NaN, undefined, so the report leaves them out
+    argv = ["run", "--model", "mono2", "--fix", "1:0", "--methods",
+            "deriv,variance,entropy,bounds", "--n", "1e4", "--n-base", "1000"]
+    for suffix in ("csv", "json"):
+        assert main(argv + ["--output", str(tmp_path / f"r.{suffix}")]) == 0
+    undefined = {"s_total", "eta", "kappa", "h_total_std", "eta_std", "kappa_std"}
+    (cells,) = csv_rows(tmp_path / "r.csv")
+    assert "nan" not in cells.values() and not undefined & set(cells)
+    report = SensitivityReport.from_json((tmp_path / "r.json").read_text())
+    (row,) = report.rows
+    assert not any(isinstance(v, float) and math.isnan(v) for v in row.values())
+    assert not undefined & set(row)
+    assert not {"s_total", "kappa"} & set(report.rankings)
+    # the defined values of a constant output stay, ranked
+    assert row["v_total"] == row["kappa_bound"] == 0.0 and row["h_total"] == -math.inf
+    assert report.rankings["kappa_bound"]["ranks"] == [1]
+
+
+@pytest.mark.parametrize("model", ["ishigami", "ratio_chi2"])
+def test_a_bounds_run_reports_the_derivative_measures_it_rests_on(model):
+    def rows(methods):
+        return run_from_config(RunConfig(model=model, methods=methods, n_deriv=2000,
+                                         seed=5)).rows
+
+    alone = rows(("bounds",))
+    assert all({"mu", "nu", "l", "zero_derivative_fraction"} <= set(row) for row in alone)
+    # bitwise those of the same run with the derivative method asked for
+    assert alone == rows(("deriv", "bounds"))
+
+
 def test_outputs_follow_the_umask(small_report, tmp_path):
     # every output kind is created with the mode open() would give it
     _, report = small_report
