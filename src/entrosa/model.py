@@ -13,8 +13,10 @@ row blocks: the finite differences (step, evaluate, difference, restore),
 pick-and-freeze (swap in B's column, evaluate, difference, restore) and
 the KL index (freeze at the mean, evaluate, restore). Every evaluator call
 goes through ``_map_evaluations``, which checks the evaluator's contract.
-Every concurrent map of the package goes through ``_map_in_order``, the
-histogram's counting passes included.
+Every concurrent map whose items share arrays goes through
+``_map_in_order`` on threads, the histogram's counting passes included.
+Whole runs that share none, a metastudy's functions, go through
+``_map_runs`` on forked processes, so that they do not queue on one GIL.
 
 On several threads, a sample's uniform columns are drawn in the same row
 blocks as their transforms: each block fills from a copy of the stream
@@ -32,8 +34,13 @@ blocks.
 from __future__ import annotations
 
 import logging
+import mmap
 import os
+import pickle
+import signal
+import sys
 import threading
+import traceback
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -122,9 +129,10 @@ def _map_width(n_items: int, item_bytes: int = 0) -> int:
 
 
 def _map_in_order(fn: Callable, items: Iterable, item_bytes: int = 0) -> list:
-    """``[fn(item) for item in items]`` on ``_map_width`` threads, the one
-    task runner of the package: the calling thread and ``width - 1`` threads
-    of one process-wide pool take the items in order, one at a time.
+    """``[fn(item) for item in items]`` on ``_map_width`` threads, the
+    task runner of every map whose items share arrays: the calling thread
+    and ``width - 1`` threads of one process-wide pool take the items in
+    order, one at a time.
 
     Results come back in item order, so they are the same at any width, and
     the first failure in item order is the one raised, once every running
@@ -162,6 +170,90 @@ def _map_in_order(fn: Callable, items: Iterable, item_bytes: int = 0) -> list:
     if failures:
         raise failures[min(failures)]
     return results
+
+
+# fork is safe here with numpy and scipy loaded; elsewhere whole runs take threads
+_FORKS = sys.platform.startswith("linux")
+
+
+def _map_runs(fn: Callable, items: Iterable) -> list:
+    """``_map_in_order`` of items that are whole runs sharing no arrays, on
+    ``_map_width`` processes: the caller takes items 0, w, 2w, ... and each
+    of ``w - 1`` children made by ``os.fork`` takes its own share of the
+    rest, round-robin, so runs that hold the GIL most of their time do not
+    queue on one. A child runs its share as a task, its maps inline, and
+    sends back ``(index, ok, value)`` for each item it ran, pickled over its
+    own pipe, when its share ends.
+
+    As in ``_map_in_order``, results come back in item order and the first
+    failure in item order is raised; a one-byte shared flag keeps the items
+    not yet started from running once a failure is seen. The helper threads
+    are shut down first, so each fork copies a process of one thread. A
+    child that ends without sending its share raises ``ChildProcessError``,
+    and any exception in the caller kills and reaps the children. At width
+    1, inside a task, off Linux, or beside other running threads, this is
+    ``_map_in_order``."""
+    global _pool
+    items = list(items)
+    width = _map_width(len(items))
+    if width > 1 and _FORKS:
+        with _pool_lock:
+            if _pool is not None and _pool[0] == os.getpid():
+                _pool[2].shutdown()
+            _pool = None
+    if width <= 1 or not _FORKS or threading.active_count() > 1:
+        return _map_in_order(fn, items)
+    stop = mmap.mmap(-1, 1)  # shared with the children: set once an item has failed
+
+    def run_share(first: int) -> list[tuple]:
+        done = []
+        for i in range(first, len(items), width):
+            if stop[0]:
+                break
+            try:
+                done.append((i, True, fn(items[i])))
+            except BaseException as exc:  # raised by the caller, in item order
+                stop[0] = 1
+                done.append((i, False, exc))
+        return done
+
+    children = {}  # the children not yet reaped: pid -> the read end of its pipe
+    _in_task.marked = True  # for the caller's share, and each child's, which copies it
+    try:
+        for first in range(1, width):
+            read, write = os.pipe()
+            pid = os.fork()
+            if not pid:  # a child never returns into the caller's frames
+                try:
+                    with open(write, "wb") as pipe:
+                        pickle.dump(run_share(first), pipe, pickle.HIGHEST_PROTOCOL)
+                    os._exit(0)
+                except BaseException:
+                    traceback.print_exc()
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children[pid] = read
+        done = run_share(0)
+        for pid, read in list(children.items()):
+            with open(read, "rb", closefd=False) as pipe:
+                sent = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            if code:
+                raise ChildProcessError(f"a worker process ended with exit code {code} "
+                                        "before it sent its results")
+            done += pickle.loads(sent)
+    finally:
+        _in_task.marked = False
+        for pid, read in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+    failures = {i: value for i, ok, value in done if not ok}
+    if failures:
+        raise failures[min(failures)]
+    return [value for _, _, value in sorted(done, key=lambda outcome: outcome[0])]
 
 
 def _row_blocks(n: int) -> list[slice]:

@@ -25,7 +25,7 @@ from .deriv import estimate_deriv_measures
 from .entropy import (HistogramSpec, entropy_histogram, entropy_knn, entropy_upper_bounds,
                       estimate_entropy_indices, kl_total_index)
 from .errors import ConfigurationError, NumericalError, SparseGridError
-from .model import Model, _map_in_order, finite_within_rate, fix_variables
+from .model import Model, _map_runs, finite_within_rate, fix_variables
 from .report import (MAX_RUNS, METHODS, ROW_FIELDS, RunConfig, SensitivityReport, json_text,
                      write_atomic)
 from .variance import estimate_total_effect_variance, variance_upper_bound
@@ -248,8 +248,10 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
     its report's ``metadata["metafunction"]``. Degenerate draws (constant
     output) are excluded with a reason and counted.
 
-    The functions go through ``_map_in_order``. Each draws only from its own
-    seed, so the result is bitwise the same whatever the number of CPUs.
+    The functions go through ``_map_runs``, on forked processes, one per
+    usable CPU, or on threads where the platform cannot fork safely. Each
+    draws only from its own seed, so the result is bitwise the same
+    whatever the number of CPUs.
     """
     if not 10 <= n_functions <= MAX_RUNS:
         raise ConfigurationError(f"metastudy needs 10 to {MAX_RUNS} functions, got {n_functions}")
@@ -279,9 +281,9 @@ def metastudy(n_functions: int, n_samples: int, seed: int,
             return {"spec": fn_spec.to_dict(), "excluded": str(exc)}
         return report
 
-    # no bytes declared: a function holds about 42 MB at 1e6 samples, which
-    # the byte budget would run one at a time
-    for idx, report in enumerate(_map_in_order(run, seeds)):
+    # one function per usable CPU: a function holds about 42 MB at 1e6
+    # samples, which a byte budget would run one at a time
+    for idx, report in enumerate(_map_runs(run, seeds)):
         if isinstance(report, dict):
             excluded.append({"index": idx, **report})
             continue

@@ -4,11 +4,14 @@ rule every elementwise pass over a sample follows."""
 import logging
 import math
 import multiprocessing
+import os
+import signal
 import sys
 import threading
 import time
 import tracemalloc
-from contextlib import nullcontext
+import warnings
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from entrosa.benchmarks import draw_metafunction
 from entrosa.deriv import GRAD_FLOOR
 from entrosa.entropy import _axis_codes, _cell_counts, conditional_entropy, entropy_histogram
 from entrosa.model import (DEFAULT_FD_STEP, _BLOCK_ALIGN, _BLOCK_ROWS, _map_evaluations,
-                           _map_in_order, _row_blocks, finite_within_rate)
+                           _map_in_order, _map_runs, _row_blocks, finite_within_rate)
 
 
 def test_ishigami_at_origin():
@@ -631,10 +634,10 @@ class TestRowBlocks:
         # the nonlinear preset (2.5e5 samples of 3 inputs) holds 12 MB, so 5
         # fit in 64 MiB, and a flood one (1.5e6 of 4) holds 90 MB and runs
         # alone; its 5 counting passes hold 30 MB each, so 2 of those run at
-        # once; metastudy functions and row blocks declare no bytes, the
-        # estimators' per-input passes included. The blocks are cut at two
-        # CPUs, where 3 * 2^16 + 1 rows make 4 blocks, and 4 is a multiple of
-        # the width
+        # once; row blocks declare no bytes, the estimators' per-input passes
+        # included, and metastudy functions, on forked workers, none either.
+        # The blocks are cut at two CPUs, where 3 * 2^16 + 1 rows make 4
+        # blocks, and 4 is a multiple of the width
         cpus(2)
         declared = {}
 
@@ -682,26 +685,37 @@ class TestRowBlocks:
                 ("kl", entrosa.model,
                  lambda: kl_total_index(blocks, 3 * _BLOCK_ROWS + 1,
                                         rng=np.random.default_rng(0)), 2)):
+            runner = "_map_runs" if name == "metastudy" else "_map_in_order"
             with monkeypatch.context() as patch, pytest.raises(Declared):
-                patch.setattr(module, "_map_in_order", record(name, calls_before))
+                patch.setattr(module, runner, record(name, calls_before))
                 call()
         assert declared["nonlinear"][1] == 250_000 * 48
         assert declared["flood"][1] == 1_500_000 * 60
         assert declared["flood passes"][1] == 1_500_000 * 20
 
         # a map of width w asks the pool for w - 1 helper threads, and a map
-        # of width 1 for none
-        widths = []
-        helpers = entrosa.model._helpers
+        # of width 1 for none; a map of whole runs forks w - 1 workers instead
+        widths, forks = [], []
+        helpers, fork = entrosa.model._helpers, os.fork
 
         def counted_helpers(threads):
             widths.append(threads + 1)
             return helpers(threads)
 
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
         monkeypatch.setattr(entrosa.model, "_helpers", counted_helpers)
+        monkeypatch.setattr(os, "fork", counted_fork)
 
         def width(name):
             widths.clear()
+            forks.clear()
+            if name == "metastudy":
+                _map_runs(lambda item: item, declared[name][0])
+                assert widths == []
+                return len(forks) + 1
             _map_in_order(lambda item: item, *declared[name])
             return max(widths, default=1)
 
@@ -716,17 +730,20 @@ class TestRowBlocks:
                 assert declared[name][1] == 0
                 assert width(name) == min(4, k), name
 
-        # inside a repetition on the pool or a metastudy function, the passes
-        # run inline, its finite differences too: the outer map is the one
-        # that asks for helper threads
+        # inside a repetition on the pool, the passes run inline, its finite
+        # differences too: the outer map is the one that asks for helper
+        # threads. The metastudy asks for none: its functions run on one
+        # forked worker and the caller, and their maps run inline
         cpus(2)
         ishigami = builtin("ishigami").model
-        for run in (lambda: estimate_entropy_indices(ishigami, 2000, HistogramSpec(10, 4), 4,
-                                                     np.random.default_rng(0)),
-                    lambda: entrosa.studies.metastudy(10, 1000, 0)):
-            widths.clear()
-            run()
-            assert widths == [2]
+        widths.clear()
+        estimate_entropy_indices(ishigami, 2000, HistogramSpec(10, 4), 4,
+                                 np.random.default_rng(0))
+        assert widths == [2]
+        widths.clear()
+        forks.clear()
+        entrosa.studies.metastudy(10, 1000, 0)
+        assert widths == [] and forks == [os.getpid()]
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_the_error_raised_is_the_first_failing_block_in_row_order(self, k, cpus):
@@ -791,6 +808,170 @@ class TestRowBlocks:
         if child.is_alive():
             child.kill()
         assert child.exitcode == 0
+
+
+def _no_child_left() -> bool:
+    """Whether this process has no child left to reap."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@contextmanager
+def _alarm(seconds: int):
+    """Raise ``TimeoutError`` in the main thread after ``seconds``."""
+    def ring(signum, frame):
+        raise TimeoutError(f"no answer in {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, ring)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+class TestMapRuns:
+    """Whole runs on forked workers: the caller and w - 1 children take the
+    items round-robin, with ``_map_in_order``'s contract."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_results_are_the_loop_s_in_item_order(self, k, cpus):
+        cpus(k)
+        caller = os.getpid()
+
+        def item(i):
+            return np.random.default_rng(i).random(1000), os.getpid(), entrosa.model._map_width(8)
+
+        results = _map_runs(item, range(7))
+        assert len(results) == 7
+        for i, (values, pid, width) in enumerate(results):
+            assert values.tobytes() == np.random.default_rng(i).random(1000).tobytes()
+            # item i runs on worker i % k, the caller being worker 0, and a
+            # map inside it runs inline
+            assert (pid == caller) == (i % k == 0)
+            assert width == 1
+        assert len({pid for _, pid, _ in results}) == k
+        assert _no_child_left()
+
+    def test_the_first_failure_in_item_order_is_raised(self, cpus):
+        # at three workers, item 3 (the caller's) and item 4 (the first
+        # child's) fail after item 2 (the second child's) has started, and
+        # before it fails
+        cpus(3)
+
+        def item(i):
+            if i in (2, 3, 4):
+                time.sleep(0.2 if i > 2 else 0.5)
+                raise ValueError(f"item {i}")
+            return i
+
+        with pytest.raises(ValueError) as raised:
+            _map_runs(item, range(9))
+        assert type(raised.value) is ValueError and raised.value.args == ("item 2",)
+        assert _no_child_left()
+
+    def test_items_not_started_when_a_failure_is_seen_never_run(self, cpus, tmp_path):
+        # every start is logged to one file, from whichever process runs it
+        cpus(2)
+        log = tmp_path / "started"
+
+        def item(i):
+            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            os.write(fd, f"{i}\n".encode())
+            os.close(fd)
+            time.sleep(0.05)
+            if i == 1:
+                raise ConfigurationError("item 1")
+            return i
+
+        with pytest.raises(ConfigurationError, match="item 1"):
+            _map_runs(item, range(20))
+        started = [int(i) for i in log.read_text().split()]
+        assert len(set(started)) == len(started)
+        assert {0, 1} <= set(started) and len(started) < 20
+        assert _no_child_left()
+
+    def test_a_child_that_ends_without_its_results_raises(self, cpus):
+        cpus(2)
+        caller = os.getpid()
+
+        def item(i):
+            if os.getpid() != caller:
+                os._exit(1)
+            return i
+
+        with _alarm(60), pytest.raises(ChildProcessError, match="before it sent its results"):
+            _map_runs(item, range(4))
+        assert _no_child_left()
+
+    def test_an_error_in_the_caller_kills_and_reaps_the_children(self, cpus):
+        # the caller's share ends at once, and the alarm rings while it waits
+        # for a child that would run for a minute
+        cpus(2)
+        caller = os.getpid()
+
+        def item(i):
+            if os.getpid() != caller:
+                time.sleep(60)
+            return i
+
+        started = time.perf_counter()
+        with _alarm(1), pytest.raises(TimeoutError):
+            _map_runs(item, range(2))
+        assert time.perf_counter() - started < 30
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("where", ["off Linux", "beside another thread", "inside a task"])
+    def test_where_fork_is_unsafe_the_runs_take_threads(self, where, cpus, monkeypatch):
+        cpus(2)
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        def item(i):
+            return i, os.getpid()
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        expected = [(i, os.getpid()) for i in range(4)]
+        if where == "off Linux":
+            monkeypatch.setattr(entrosa.model, "_FORKS", False)
+            assert _map_runs(item, range(4)) == expected
+        elif where == "beside another thread":
+            release = threading.Event()
+            other = threading.Thread(target=release.wait)
+            other.start()
+            try:
+                assert _map_runs(item, range(4)) == expected
+            finally:
+                release.set()
+                other.join()
+        else:
+            assert _map_in_order(lambda _: _map_runs(item, range(4)), range(2)) == [expected] * 2
+
+    def test_the_metastudy_forks_from_one_thread(self, cpus, monkeypatch):
+        # the helper pool has started a thread, and is shut down before the
+        # fork, which so copies one thread: Python 3.12 and later warn on a
+        # fork from more
+        cpus(2)
+        assert _map_in_order(lambda i: i, range(2)) == [0, 1]
+        assert threading.active_count() > 1
+        threads, fork = [], os.fork
+
+        def counted_fork():
+            threads.append(threading.active_count())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            entrosa.studies.metastudy(10, 2000, 0, n_deriv=100)
+        assert threads == [1]
+        assert not [w for w in caught if "fork" in str(w.message)]
+        assert _no_child_left()
 
 
 def _deriv_by_copy(model, n, h, seed, groups):

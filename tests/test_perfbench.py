@@ -41,9 +41,10 @@ def test_traced_workload_passes_its_checks(workload, tmp_path):
     assert set(record["layers"]) == set(_layer_units()) - {"trace.overhead_s"}
 
 
-@pytest.mark.parametrize("workload", ["screening", "flood"])
+@pytest.mark.parametrize("workload", ["screening", "flood", "agreement"])
 def test_workload_digest_is_the_same_at_one_and_two_cpus(workload, tmp_path, monkeypatch, cpus):
-    # in process, where the row blocks, split fills and tallies follow the CPU count
+    # in process, where the row blocks, split fills and tallies follow the CPU
+    # count, and the metastudy's functions run inline or on a forked worker
     monkeypatch.chdir(tmp_path)
     bench = _perfbench_module("workloads").WORKLOADS[workload]()
     bench.setup()

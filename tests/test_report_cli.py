@@ -582,6 +582,16 @@ def _constant_every_third(draw):
     return drawn
 
 
+def _append_line(path, value) -> None:
+    """Append ``value`` as one line to ``path``, in one write that lines
+    appended by other processes never interleave."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    try:
+        os.write(fd, f"{value}\n".encode())
+    finally:
+        os.close(fd)
+
+
 class TestStudies:
     def test_metastudy_small(self, tmp_path):
         out = tmp_path / "meta.json"
@@ -630,23 +640,24 @@ class TestStudies:
         assert result["excluded_records"]
         assert len(result["functions"]) + len(result["excluded_records"]) == 12
 
-    def test_metastudy_draws_only_an_excluded_function_twice(self, monkeypatch, cpus):
+    def test_metastudy_draws_only_an_excluded_function_twice(self, monkeypatch, cpus,
+                                                             tmp_path):
         # an included record reads its spec off its report, which drew it once;
-        # an excluded function has no report, so its spec is drawn again
-        import threading
+        # an excluded function has no report, so its spec is drawn again. The
+        # functions run in more than one process, so each draw is logged to a file
         from collections import Counter
         import entrosa.studies as studies
         drawn = _constant_every_third(studies.draw_metafunction)
-        draws, lock = Counter(), threading.Lock()
+        log = tmp_path / "draws"
 
         def counted(rng, seed=-1):
-            with lock:
-                draws[seed] += 1
+            _append_line(log, seed)
             return drawn(rng, seed)
 
         monkeypatch.setattr(studies, "draw_metafunction", counted)
         cpus(2)
         result = metastudy(20, 20_000, seed=4, n_deriv=200)
+        draws = Counter(int(s) for s in log.read_text().split())
         included, excluded = result["functions"], result["excluded_records"]
         assert included and excluded and len(included) + len(excluded) == 20
         assert sorted(draws.values()) == sorted([1] * len(included) + [2] * len(excluded))
@@ -656,20 +667,22 @@ class TestStudies:
                 assert draws[s] == count
                 assert record["spec"] == drawn(np.random.default_rng(s), s)[0].to_dict()
 
-    def test_first_failing_function_raises_and_cancels_the_rest(self, monkeypatch, cpus):
+    def test_first_failing_function_raises_and_cancels_the_rest(self, monkeypatch, cpus,
+                                                                tmp_path):
         # every function starts with a short sleep, and function 1 then fails:
         # its error is the one raised, and the functions not yet started when
-        # it is seen never run
+        # it is seen never run. Each start is logged to a file, from whichever
+        # process runs the function
         import time
         import entrosa.studies as studies
         draw = studies.draw_metafunction
         n_functions = 20
         master = np.random.default_rng(4)
         seeds = [int(master.integers(0, 2 ** 62)) for _ in range(n_functions)]
-        started = []
+        log = tmp_path / "started"
 
         def failing_second(rng, seed=-1):
-            started.append(seeds.index(seed))
+            _append_line(log, seeds.index(seed))
             time.sleep(0.1)
             if seed == seeds[1]:
                 raise ConfigurationError("function 1")
@@ -679,6 +692,8 @@ class TestStudies:
         cpus(2)
         with pytest.raises(ConfigurationError, match="function 1"):
             metastudy(n_functions, 20_000, seed=4, n_deriv=200)
+        started = log.read_text().split()
+        assert len(set(started)) == len(started)
         assert 2 <= len(started) < n_functions
 
     def test_metastudy_rejects_tiny_runs(self):
@@ -836,8 +851,8 @@ class TestCli:
 
     def test_config_error_exit_code(self, tmp_path, capsys, cpus):
         # malformed values exit 2 with a message, whether argparse or the
-        # config validation rejects them; a metastudy's functions run on two
-        # threads, and an error in one cancels the rest
+        # config validation rejects them; a metastudy's functions run in two
+        # processes, and an error in one cancels the rest
         cpus(2)
         run = ["run", "--methods", "deriv", "--n-deriv", "200"]
         files = {"seed": "[run]\nseed = abc\n[model]\nname = mono2\n",
