@@ -269,13 +269,16 @@ def _mono5(a=(1.0, 2.0, 3.0, 4.0, 5.0), sigma=None) -> BenchmarkModel:
     sigma = _finite("mono5", "sigma", (1.0,) * len(a) if sigma is None else sigma)
     if len(sigma) != len(a):
         raise ConfigurationError("mono5 requires len(sigma) == len(a)")
-    # the closed-form record takes log(|a_i| sigma_i)
+    # the closed-form record takes log|a_i| and log sigma_i
     if not a or 0.0 in a or min(sigma) <= 0:
         raise ConfigurationError("mono5 requires one or more nonzero a and positive sigma")
     coeffs = np.array(a)
-    h_t = tuple(_HALF_LN_2PIE + math.log(abs(ai) * si) for ai, si in zip(a, sigma))
-    v_t = tuple((ai * si) ** 2 for ai, si in zip(a, sigma))
-    total = sum(v_t)
+    # term by term, so that a V_Ti out of float64's range overflows to inf
+    # or underflows to 0 rather than raising; an S_Ti of inf / inf, or of
+    # 0 / 0, is NaN, undefined
+    h_t = tuple(_HALF_LN_2PIE + math.log(abs(ai)) + math.log(si) for ai, si in zip(a, sigma))
+    v_t = tuple((ai * si) * (ai * si) for ai, si in zip(a, sigma))
+    total = sum(v_t) or math.nan
     return BenchmarkModel(
         Model("mono5[d=%d]" % len(a), tuple(Gaussian(0.0, s * s) for s in sigma),
               lambda x: x @ coeffs),

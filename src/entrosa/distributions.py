@@ -129,10 +129,10 @@ class Triangular(Distribution):
     b: float
 
     def __post_init__(self):
-        if not (self.a < self.b and self.a <= self.c <= self.b
-                and math.isfinite(self.b - self.a)):
+        # the entropy takes log((b - a) / 2), which must be a positive float
+        if not (self.a <= self.c <= self.b and 0 < (self.b - self.a) / 2.0 < math.inf):
             raise ConfigurationError(
-                f"Triangular requires finite a <= c <= b and a < b, "
+                f"Triangular requires a <= c <= b and 0 < (b - a) / 2 < inf, "
                 f"got ({self.a}, {self.c}, {self.b})"
             )
 
@@ -218,6 +218,11 @@ class _Truncated(Distribution):
             raise ConfigurationError(
                 f"truncation window [{self.lower}, {self.upper}] carries no probability mass"
             )
+        # the entropy takes log(scale * mass)
+        if not self._loc_scale()[1] * (hi - lo) > 0:
+            raise ConfigurationError(
+                f"{type(self).__name__}'s scale times the mass of the window "
+                f"[{self.lower}, {self.upper}] underflows to 0, so it has no finite entropy")
 
     def _window(self) -> tuple[bool, float, float]:
         """Whether the window lies right of the median, and its probability

@@ -17,6 +17,9 @@ Every concurrent map whose items share arrays goes through
 ``_map_in_order`` on threads, the histogram's counting passes included.
 Whole runs that share none, a metastudy's functions, go through
 ``_map_runs`` on forked processes, so that they do not queue on one GIL.
+Both run one task loop, ``_take``, under one rule: an item runs unless an
+item before it has failed, and the error raised is the lowest failing
+item's, from a forked worker too, with the worker's traceback as its cause.
 
 On several threads, a sample's uniform columns are drawn in the same row
 blocks as their transforms: each block fills from a copy of the stream
@@ -128,71 +131,96 @@ def _map_width(n_items: int, item_bytes: int = 0) -> int:
     return width
 
 
+def _take(fn: Callable, items: list, indices: Iterable[int], failed) -> list[tuple]:
+    """The one task loop of both runners: on this thread, marked as a task,
+    run ``fn`` on the item of each index that ``indices`` gives, in
+    increasing order, unless an item before it has failed, and return the
+    outcomes ``(index, ok, value)``, the value being the result or the
+    exception. ``failed[0]``, shared by the loops of a map, is 0 or 1 + the
+    index of the lowest failed item that they have seen. Its update is
+    check-then-set, unlocked: two failures at once may leave the higher
+    index, and items between the two then run, but no item before the
+    lowest failing one is ever skipped, so the error raised stays its."""
+    outcomes = []
+    _in_task.marked = True
+    try:
+        for i in indices:
+            if 0 < failed[0] <= i:
+                break
+            try:
+                outcomes.append((i, True, fn(items[i])))
+            except BaseException as exc:  # raised by the caller, in item order
+                if not 0 < failed[0] <= i:
+                    failed[0] = i + 1
+                outcomes.append((i, False, exc))
+    finally:
+        _in_task.marked = False
+    return outcomes
+
+
+def _in_item_order(outcomes: list[tuple]) -> list:
+    """The values of ``_take``'s outcomes in item order, or the exception of
+    the lowest failing item raised."""
+    outcomes.sort()  # by index, which no two outcomes share
+    for _, ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, _, value in outcomes]
+
+
 def _map_in_order(fn: Callable, items: Iterable, item_bytes: int = 0) -> list:
     """``[fn(item) for item in items]`` on ``_map_width`` threads, the
     task runner of every map whose items share arrays: the calling thread
-    and ``width - 1`` threads of one process-wide pool take the items in
-    order, one at a time.
+    and ``width - 1`` threads of one process-wide pool run ``_take`` on one
+    iterator of the indices, so they take the items in order, one at a time.
 
-    Results come back in item order, so they are the same at any width, and
-    the first failure in item order is the one raised, once every running
-    item has ended; the items not yet started when a failure is seen never
-    run. At width 1, and inside a task of a map, this is the plain loop:
-    maps nest without nesting pools, as an inner map runs on the thread of
-    its task."""
+    Results come back in item order, so they are the same at any width. An
+    item runs unless an item before it has failed, and the error raised,
+    once every running item has ended, is the lowest failing item's. At
+    width 1, and inside a task of a map, this is the plain loop: maps nest
+    without nesting pools, as an inner map runs on the thread of its task."""
     items = list(items)
     width = _map_width(len(items), item_bytes)
     if width <= 1:
         return [fn(item) for item in items]
-    results = [None] * len(items)
-    failures = {}
-    indices = iter(range(len(items)))  # next() on it is atomic under the GIL
-    stop = False
-
-    def take_items() -> None:
-        _in_task.marked = True
-        try:
-            while not (stop or failures) and (i := next(indices, None)) is not None:
-                try:
-                    results[i] = fn(items[i])
-                except BaseException as exc:  # raised by the caller, in item order
-                    failures[i] = exc
-        finally:
-            _in_task.marked = False
-
-    helpers = [_helpers(width - 1).submit(take_items) for _ in range(width - 1)]
+    # every loop's arguments: one iterator of the indices, whose next() is atomic
+    # under the GIL, and one failure mark
+    loop = (fn, items, iter(range(len(items))), [0])
+    helpers = [_helpers(width - 1).submit(_take, *loop) for _ in range(width - 1)]
     try:
-        take_items()
+        outcomes = _take(*loop)
     finally:
         # the caller alone can run every item: a helper not yet started never will
-        stop = True
-        wait([helper for helper in helpers if not helper.cancel()])
-    if failures:
-        raise failures[min(failures)]
-    return results
+        helpers = [helper for helper in helpers if not helper.cancel()]
+        wait(helpers)
+    return _in_item_order(outcomes + [outcome for h in helpers for outcome in h.result()])
 
 
 # fork is safe here with numpy and scipy loaded; elsewhere whole runs take threads
 _FORKS = sys.platform.startswith("linux")
 
 
+class _RemoteTraceback(Exception):
+    """The formatted traceback of a forked worker's failure, set as its cause."""
+
+
 def _map_runs(fn: Callable, items: Iterable) -> list:
     """``_map_in_order`` of items that are whole runs sharing no arrays, on
-    ``_map_width`` processes: the caller takes items 0, w, 2w, ... and each
-    of ``w - 1`` children made by ``os.fork`` takes its own share of the
-    rest, round-robin, so runs that hold the GIL most of their time do not
-    queue on one. A child runs its share as a task, its maps inline, and
-    sends back ``(index, ok, value)`` for each item it ran, pickled over its
-    own pipe, when its share ends.
+    ``_map_width`` processes: the caller runs ``_take`` on items 0, w, 2w,
+    ... and each of ``w - 1`` children made by ``os.fork`` on its own share
+    of the rest, round-robin, so runs that hold the GIL most of their time
+    do not queue on one. A child's maps run inline, and it sends back its
+    outcomes, pickled over its own pipe, when its share ends.
 
-    As in ``_map_in_order``, results come back in item order and the first
-    failure in item order is raised; a one-byte shared flag keeps the items
-    not yet started from running once a failure is seen. The helper threads
-    are shut down first, so each fork copies a process of one thread. A
-    child that ends without sending its share raises ``ChildProcessError``,
-    and any exception in the caller kills and reaps the children. At width
-    1, inside a task, off Linux, or beside other running threads, this is
-    ``_map_in_order``."""
+    As in ``_map_in_order``, results come back in item order, an item runs
+    unless an item before it has failed, and the error raised is the lowest
+    failing item's; ``failed`` lives in 8 shared bytes. A child's exception
+    comes with the child's formatted traceback as its ``__cause__``. The
+    helper threads are shut down first, so each fork copies a process of one
+    thread. A child that ends without sending its outcomes raises
+    ``ChildProcessError``, and any exception in the caller kills and reaps
+    the children. At width 1, inside a task, off Linux, or beside other
+    running threads, this is ``_map_in_order``."""
     global _pool
     items = list(items)
     width = _map_width(len(items))
@@ -203,30 +231,19 @@ def _map_runs(fn: Callable, items: Iterable) -> list:
             _pool = None
     if width <= 1 or not _FORKS or threading.active_count() > 1:
         return _map_in_order(fn, items)
-    stop = mmap.mmap(-1, 1)  # shared with the children: set once an item has failed
-
-    def run_share(first: int) -> list[tuple]:
-        done = []
-        for i in range(first, len(items), width):
-            if stop[0]:
-                break
-            try:
-                done.append((i, True, fn(items[i])))
-            except BaseException as exc:  # raised by the caller, in item order
-                stop[0] = 1
-                done.append((i, False, exc))
-        return done
-
+    failed = memoryview(mmap.mmap(-1, 8)).cast("q")  # shared with the children
     children = {}  # the children not yet reaped: pid -> the read end of its pipe
-    _in_task.marked = True  # for the caller's share, and each child's, which copies it
     try:
         for first in range(1, width):
             read, write = os.pipe()
             pid = os.fork()
             if not pid:  # a child never returns into the caller's frames
                 try:
+                    outcomes = _take(fn, items, range(first, len(items), width), failed)
+                    sent = [(i, ok, value if ok else (value, traceback.format_exception(value)))
+                            for i, ok, value in outcomes]
                     with open(write, "wb") as pipe:
-                        pickle.dump(run_share(first), pipe, pickle.HIGHEST_PROTOCOL)
+                        pickle.dump(sent, pipe, pickle.HIGHEST_PROTOCOL)
                     os._exit(0)
                 except BaseException:
                     traceback.print_exc()
@@ -234,7 +251,7 @@ def _map_runs(fn: Callable, items: Iterable) -> list:
                     os._exit(1)
             os.close(write)
             children[pid] = read
-        done = run_share(0)
+        outcomes = _take(fn, items, range(0, len(items), width), failed)
         for pid, read in list(children.items()):
             with open(read, "rb", closefd=False) as pipe:
                 sent = pipe.read()
@@ -243,17 +260,17 @@ def _map_runs(fn: Callable, items: Iterable) -> list:
             if code:
                 raise ChildProcessError(f"a worker process ended with exit code {code} "
                                         "before it sent its results")
-            done += pickle.loads(sent)
+            for i, ok, value in pickle.loads(sent):
+                if not ok:  # (the exception, the lines of the child's traceback)
+                    value, lines = value
+                    value.__cause__ = _RemoteTraceback("".join(lines))
+                outcomes.append((i, ok, value))
     finally:
-        _in_task.marked = False
         for pid, read in children.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(read)
-    failures = {i: value for i, ok, value in done if not ok}
-    if failures:
-        raise failures[min(failures)]
-    return [value for _, _, value in sorted(done, key=lambda outcome: outcome[0])]
+    return _in_item_order(outcomes)
 
 
 def _row_blocks(n: int) -> list[slice]:

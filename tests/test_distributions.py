@@ -351,6 +351,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             TruncatedGumbel(0.0, 1.0, 5.0, 1.0)
 
+    @pytest.mark.parametrize("law, params", [
+        (Triangular, (0.0, 0.0, 5e-324)), (Triangular, (0.0, 5e-324, 5e-324)),
+        (TruncatedGumbel, (0.0, 5e-324, -5e-324, 0.0))])
+    def test_an_entropy_that_takes_the_log_of_an_underflow_is_refused(self, law, params):
+        # (b - a) / 2, or the scale times the window's mass, rounds to 0
+        with pytest.raises(ConfigurationError, match=r"0 < \(b - a\) / 2|underflows to 0"):
+            law(*params)
+
     def test_sample_size(self):
         with pytest.raises(ConfigurationError):
             Uniform(0, 1).sample(0, np.random.default_rng(0))

@@ -15,7 +15,7 @@ from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import entrosa.entropy
@@ -837,6 +837,61 @@ def _alarm(seconds: int):
 class TestMapRuns:
     """Whole runs on forked workers: the caller and w - 1 children take the
     items round-robin, with ``_map_in_order``'s contract."""
+
+    @pytest.mark.parametrize("runner", [_map_in_order, _map_runs])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_the_loop_s_results_or_the_lowest_failing_item_s_error(self, runner, k, data,
+                                                                  cpus):
+        # failing items of two types, each item taking its own time, so
+        # that the failures end in any order
+        cpus(k)
+        n = data.draw(st.integers(1, 10), label="n")
+        failing = data.draw(st.sets(st.integers(0, n - 1)), label="failing")
+        sleeps = data.draw(st.lists(st.sampled_from((0.0, 0.002, 0.01)), min_size=n,
+                                    max_size=n), label="sleeps")
+
+        def item(i):
+            time.sleep(sleeps[i])
+            if i in failing:
+                raise (ValueError, ConfigurationError)[i % 2](f"item {i}", i)
+            return np.full(3, i)
+
+        if not failing:
+            results = runner(item, range(n))
+            assert [r.tolist() for r in results] == [[i] * 3 for i in range(n)]
+        else:
+            first = min(failing)
+            with pytest.raises((ValueError, ConfigurationError)) as raised:
+                runner(item, range(n))
+            assert type(raised.value) is (ValueError, ConfigurationError)[first % 2]
+            assert raised.value.args == (f"item {first}", first)
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("runner", [_map_in_order, _map_runs])
+    def test_a_child_s_failure_has_the_child_s_traceback_as_its_cause(self, runner, cpus):
+        # at two workers item 3 runs in the child, or on a helper thread
+        cpus(2)
+
+        def fail_at_three(i):
+            if i == 3:
+                raise ValueError(f"item {i}")
+            return i
+
+        with pytest.raises(ValueError, match="item 3") as raised:
+            runner(fail_at_three, range(6))
+        line = fail_at_three.__code__.co_firstlineno + 2
+        if runner is _map_runs:
+            cause = str(raised.value.__cause__)
+            assert f'line {line}, in fail_at_three' in cause and "ValueError: item 3" in cause
+        else:
+            # a thread's failure keeps its own frames
+            assert raised.value.__cause__ is None
+            assert any(entry.name == "fail_at_three" and entry.lineno + 1 == line
+                       for entry in raised.traceback)
+        assert _no_child_left()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_results_are_the_loop_s_in_item_order(self, k, cpus):

@@ -906,6 +906,9 @@ class TestCli:
                      run + ["--model", "mono5", "--param", "a=abc"],
                      run + ["--model", "mono5", "--param", "a=0,1"],
                      run + ["--model", "mono5", "--param", "a=1,2", "--param", "sigma=-1,1"],
+                     # a_i sigma_i underflows, and so does Gaussian's variance
+                     run + ["--model", "mono5", "--param", "a=1e-200", "--param",
+                            "sigma=1e-200"],
                      run + ["--model", "ishigami", "--param", "x=1"],
                      run + ["--metafunction-seed", "3", "--param", "r=2"],
                      run + ["--model", "mono2", "--output", afile + "/r.json"],
@@ -1259,7 +1262,8 @@ BINS = ("0", "1", "2", "3", "2147483647", "2147483648", "1e10", "x")
 PERTURBATIONS = {
     "--model": ("gfunction3", "mono2", "nope", ""),
     "--methods": ("entropy,entropy", "kl,bogus", "", ","),
-    "--param": ("r=2", "a=1,2,3", "x=1", "r=nan", "a=", "="),
+    "--param": ("r=2", "a=1,2,3", "x=1", "r=nan", "a=", "=", "a=1e200",
+                "a=1e-170"),
     "--n": COUNTS, "--n-base": COUNTS, "--n-deriv": COUNTS,
     "--reps": ("0", "1", "-1", "2.5", "x", ""),
     "--bins-output": BINS, "--bins-cond": BINS,
@@ -1271,13 +1275,20 @@ PERTURBATIONS = {
                          "1=Gaussian(0,1)", "1=Gaussian(0,0)", "2=Triangular(0,0,1)",
                          "1=ChiSquared(3)", "1=TruncatedGaussian(0,1,6.8,inf)",
                          "1=TruncatedGumbel(0,1,-1e308,1e308)", "9=Uniform(0,1)",
-                         "1=Bogus(1)"),
+                         "1=Bogus(1)", "1=Triangular(0,0,5e-324)",
+                         "1=TruncatedGumbel(0,5e-324,-5e-324,0)"),
     "--seed": ("0", "-1", "18446744073709551616", "1e3", "x"),
 }
 # tracebacks an earlier probe found, each now a documented exit
 PINNED_EXITS = {("mono1", "bounds", "--override-input", "1=Uniform(0,1e200)"): 3,
                 ("mono1", "variance", "--override-input", "1=Uniform(0,1e200)"): 3,
-                ("ratio_chi2", "bounds", "--override-input", "2=Uniform(0,1e308)"): 3}
+                ("ratio_chi2", "bounds", "--override-input", "2=Uniform(0,1e308)"): 3,
+                ("mono5", "deriv", "--param", "a=1e200"): 0,
+                ("mono5", "variance", "--param", "a=1e200"): 3,
+                ("mono5", "variance", "--param", "a=1e-170"): 0,
+                ("flood", "deriv", "--override-input", "1=Triangular(0,0,5e-324)"): 2,
+                ("flood", "bounds", "--override-input",
+                 "1=TruncatedGumbel(0,5e-324,-5e-324,0)"): 2}
 
 
 @settings(max_examples=100, deadline=None)
@@ -1286,6 +1297,13 @@ PINNED_EXITS = {("mono1", "bounds", "--override-input", "1=Uniform(0,1e200)"): 3
          perturbation=("--override-input", "1=Uniform(0,1e200)"))
 @example(model="ratio_chi2", methods="bounds",
          perturbation=("--override-input", "2=Uniform(0,1e308)"))
+@example(model="mono5", methods="deriv", perturbation=("--param", "a=1e200"))
+@example(model="mono5", methods="variance", perturbation=("--param", "a=1e200"))
+@example(model="mono5", methods="variance", perturbation=("--param", "a=1e-170"))
+@example(model="flood", methods="deriv",
+         perturbation=("--override-input", "1=Triangular(0,0,5e-324)"))
+@example(model="flood", methods="bounds",
+         perturbation=("--override-input", "1=TruncatedGumbel(0,5e-324,-5e-324,0)"))
 @given(model=st.sampled_from(RUN_MODELS), methods=st.sampled_from(RUN_METHODS),
        perturbation=st.sampled_from(sorted(PERTURBATIONS)).flatmap(
            lambda flag: st.tuples(st.just(flag), st.sampled_from((None,) + PERTURBATIONS[flag]))))

@@ -146,8 +146,8 @@ def test_nonfinite_differences_count_against_the_rate():
         estimate_total_effect_variance(model, 20_000, np.random.default_rng(0))
 
 
-def test_the_differences_are_scanned_only_when_the_tallies_cannot_show_them_finite(
-        monkeypatch):
+def test_every_difference_vector_is_scanned(monkeypatch):
+    # one non-finite rule: the policy counts each input's differences itself
     seen = []
 
     def spy(values, where, n_bad=None):
@@ -157,8 +157,8 @@ def test_the_differences_are_scanned_only_when_the_tallies_cannot_show_them_fini
 
     monkeypatch.setattr(entrosa.variance, "finite_within_rate", spy)
     estimate_total_effect_variance(builtin("ishigami").model, 1000, np.random.default_rng(0))
-    assert seen == [0, 0, 0]
-    # finite outputs whose differences overflow float64 are scanned, and counted
+    assert seen == [None, None, None]
+    # finite outputs whose differences overflow float64 are counted
     seen.clear()
     model = Model("far-apart", (Uniform(0, 1),) * 2,
                   lambda x: np.where(x[:, 1] < 0.5, -1.5e308, 1.5e308))
