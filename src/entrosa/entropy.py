@@ -20,24 +20,27 @@ g(x) is the shared unconditional baseline.
 
 One kernel, ``_cell_counts``, counts every histogram, the KL index's
 too, and is the one place that sorts cell codes: it sorts them in place
-and returns the occupied cells, their counts and where each cell's run
-starts, read off the run boundaries. A counting pass of a repetition
-takes all three; a conditioning cell's count is the span of its runs,
-and H(Y)'s one conditioning cell spans them all. The evaluation pass
-tallies the non-finite outputs and the outputs' minimum and maximum, and
-the drawing pass the minimum and maximum of each input column, so the
-coder reads the grid's span from them rather than scan the sample again.
-No array spans the whole grid, so grids far larger than memory are fine. Axis
-codes take 2 bytes per sample, or 4 on an axis of more than 2^15 cells.
+and returns the occupied cells and where each cell's run starts, read
+off the run boundaries. Each caller releases the codes and then takes
+the cells' counts, the run lengths; a conditioning cell's count is the
+span of its runs, and H(Y)'s one conditioning cell spans them all. The
+evaluation pass tallies the non-finite outputs and the outputs' minimum
+and maximum, and the drawing pass the minimum and maximum of each input
+column, so the coder reads the grid's span from them rather than scan the
+sample again. No array spans the whole grid, so grids far larger than
+memory are fine. Axis codes take 2 bytes per sample, or 4 on an axis of
+more than 2^15 cells.
 Joint codes take 4 bytes per sample, or 8 when the grid has at least 2^31
-cells, plus int64 run arrays over the occupied cells. A pass writes its
-counts and its entropy terms in place and frees each array at its last
-use, so at one occupied cell per sample it peaks at about 24-26 bytes per
-sample (``tracemalloc``, 2^17 samples on 2-D and 3-D grids). The H(Y)
-pass and the d leave-one-out passes of a repetition run through
-``_map_in_order`` too; each sort and sum is whole-array within its pass,
-and the sparse-grid checks run after them in variable order, so the
-warnings and errors are the same at any width.
+cells, plus run starts (int64) and run lengths (int32 below 2^31 samples,
+int64 from there) over the occupied cells. A pass frees its sorted joint codes
+before it writes the counts, writes its entropy terms in place and frees
+each array at its last use, so at one occupied cell per sample it peaks
+at about 16-20 bytes per sample (``tracemalloc``, 2^17 samples: 20.4 on
+a 39^3 x 53 grid, 16.1 on a 63^2 x 63 one). The H(Y) pass and the d
+leave-one-out passes of a repetition run through ``_map_in_order`` too;
+each sort and sum is whole-array within its pass, and the sparse-grid
+checks run after them in variable order, so the warnings and errors are
+the same at any width.
 
 Bin counts drive a bias trade-off: coarse conditioning inflates the estimate
 (within-cell variation leaks into the conditional law), fine grids starve
@@ -131,20 +134,22 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
 
 def _run_lengths(starts: np.ndarray, n: int) -> np.ndarray:
     """The lengths of the runs that start at ``starts`` in an array of n
-    values, written into one array."""
-    counts = np.empty_like(starts)
+    values, written into one array of ``_count_dtype(n)``."""
+    counts = np.empty(starts.size, dtype=_count_dtype(n))
     np.subtract(starts[1:], starts[:-1], out=counts[:-1])
     counts[-1] = n - starts[-1]
     return counts
 
 
-def _cell_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cell_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort the cell codes in place and return the occupied cells in
-    ascending code order, their counts and the index in the sorted codes
-    where each cell's run starts: the one sort-runs kernel."""
+    ascending code order and the index in the sorted codes where each
+    cell's run starts: the one sort-runs kernel. A caller takes the
+    cells' counts, ``_run_lengths(starts, codes.size)``, once it has
+    released the codes."""
     codes.sort()
     starts = _run_starts(codes)
-    return codes[starts], _run_lengths(starts, codes.size), starts
+    return codes[starts], starts
 
 
 def _check_grid(k: int, spec: HistogramSpec) -> None:
@@ -163,6 +168,11 @@ def _joint_dtype(n_live: int, spec: HistogramSpec) -> np.dtype:
     """The joint code type of a grid on ``n_live`` conditioning axes."""
     n_cells = spec.bins_per_conditioning_dim ** n_live * spec.bins_output
     return np.dtype(np.int32 if n_cells < 2 ** 31 else np.int64)
+
+
+def _count_dtype(n: int) -> np.dtype:
+    """The run-length type of a sample of n rows."""
+    return np.dtype(np.int32 if n < 2 ** 31 else np.int64)
 
 
 def _conditional_from_codes(ycodes: np.ndarray, width: float, cond_codes: list,
@@ -190,13 +200,15 @@ def _conditional_from_codes(ycodes: np.ndarray, width: float, cond_codes: list,
 
     _map_rows(fold, n)
 
-    # each array is freed at its last use, so a pass holds little more than
-    # its joint codes and its run starts and counts at any one time
+    # each array is freed at its last use, and the sorted joint codes before
+    # the counts are written, so a pass holds little more than its run starts
+    # and counts at any one time
     # the occupied cells come in ascending code order, so the cells of one
     # conditioning cell are a contiguous block of runs, and its count k_i
     # spans them; with no axis, one conditioning cell holds all n samples
-    conditioning, counts, starts = _cell_counts(joint)
+    conditioning, starts = _cell_counts(joint)
     del joint
+    counts = _run_lengths(starts, n)
     conditioning //= bins_out
     blocks = _run_starts(conditioning)
     del conditioning
@@ -352,10 +364,10 @@ def estimate_entropy_indices(model: Model, n: int,
                 for j in range(d)]
         del x
         # the H(Y) pass, then one pass per input i conditioning on every other
-        # input; a pass declares its joint codes and, at one cell per sample,
-        # its int64 run starts and counts. Its measured peak, 24-26 bytes a
-        # sample, is not declared: at that size two of flood's 1.5e6-row
-        # passes would no longer fit the maps' 64 MiB and would run one at a time
+        # input; a pass declares its joint codes and 16 bytes a sample for its
+        # run arrays, which at one cell per sample is about its measured peak:
+        # 20.4 bytes a sample on flood's 39^3 x 53 grid, where it declares 20,
+        # and 16.1 on nonlinear's 63^2 x 63 (tracemalloc, 2^17 samples)
         n_kept = ycodes.size
         passes = _map_in_order(
             lambda cond: _conditional_from_codes(ycodes, width, cond, spec),
@@ -449,8 +461,10 @@ def kl_total_index(model: Model, n: int, spec: HistogramSpec = HistogramSpec(),
     maximum, so the coder reads the grid's span from the two tallies, with
     no scan when every output is finite. Baseline and conditional outputs
     are coded on that one span by the coder every histogram estimator here
-    uses, which codes each sample as it would the two joined, and each is
-    counted by the one sort-runs kernel. p0 is read on the cells p1
+    uses, which codes each sample as it would the two joined. Each is
+    sorted by the one sort-runs kernel, ``_cell_counts``, which returns its
+    occupied cells and their run starts, and the codes are released before
+    the run lengths, the cells' counts, are taken. p0 is read on the cells p1
     occupies, in ascending code order, so no array spans the output grid.
     The counts can differ from ``np.histogram`` only for a sample exactly on
     a bin edge, which numpy checks against its edges.
@@ -488,8 +502,11 @@ def kl_total_index(model: Model, n: int, spec: HistogramSpec = HistogramSpec(),
         codes0, _ = _axis_codes(y0, spec.bins_output, span)
         if codes0 is None:
             continue
-        cells0, counts0, _ = _cell_counts(codes0)
-        cells1, counts1, _ = _cell_counts(_axis_codes(kept, spec.bins_output, span)[0])
+        cells0, starts0 = _cell_counts(codes0)
+        del codes0
+        counts0 = _run_lengths(starts0, n0)
+        cells1, starts1 = _cell_counts(_axis_codes(kept, spec.bins_output, span)[0])
+        counts1 = _run_lengths(starts1, n1)
         # p0 on the cells p1 occupies, 0 where the baseline has no sample
         at = np.minimum(np.searchsorted(cells0, cells1), cells0.size - 1)
         p0 = np.where(cells0[at] == cells1, counts0[at] / n0, 0.0)

@@ -21,7 +21,8 @@ from entrosa import (ChiSquared, ConfigurationError, Gaussian, HistogramSpec, Mo
 from entrosa import studies
 from entrosa.benchmarks import BenchmarkModel
 from entrosa.deriv import DerivMeasures
-from entrosa.entropy import _SINGLETON_ERROR_SHARE, _cell_counts, _conditional_from_codes
+from entrosa.entropy import (_SINGLETON_ERROR_SHARE, _cell_counts, _conditional_from_codes,
+                             _run_lengths)
 from entrosa.studies import _method_streams, run_from_config
 
 # grids are drawn on both sides of this many cells per sample, so the
@@ -321,30 +322,43 @@ class TestCountingMatchesSortReference:
             tracemalloc.stop()
         assert peak < 5_000_000
 
-    def test_a_sparse_counting_pass_holds_at_most_32_bytes_a_sample(self):
-        # flood's grid, 39^3 conditioning cells x 53 output bins, at about one
-        # occupied cell per sample: the run starts and counts span the sample,
-        # and each array is freed at its last use
+    @pytest.mark.parametrize("bins_output, bins_cond, k, bound", [
+        (53, 39, 3, 22.0), (63, 63, 2, 17.5)], ids=["flood grid", "nonlinear grid"])
+    def test_a_sparse_counting_pass_holds_at_most_22_bytes_a_sample(self, bins_output,
+                                                                    bins_cond, k, bound):
+        # flood's grid, 39^3 conditioning cells x 53 output bins, and
+        # nonlinear's, 63^2 x 63, at about one occupied cell per sample: the
+        # run starts and counts span the sample, the sorted joint codes are
+        # freed before the counts are written, and each array at its last use
         n = 2 ** 17
         rng = np.random.default_rng(35)
-        spec = HistogramSpec(bins_output=53, bins_per_conditioning_dim=39)
-        ycodes = rng.integers(0, 53, n).astype(np.int16)
-        cols = [rng.integers(0, 39, n).astype(np.int16) for _ in range(3)]
+        spec = HistogramSpec(bins_output=bins_output, bins_per_conditioning_dim=bins_cond)
+        ycodes = rng.integers(0, bins_output, n).astype(np.int16)
+        cols = [rng.integers(0, bins_cond, n).astype(np.int16) for _ in range(k)]
         tracemalloc.start()
         try:
             _conditional_from_codes(ycodes, 1.0, cols, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * n
+        assert peak <= bound * n
 
     @pytest.mark.parametrize("codes", [np.full(7, 3, dtype=np.int16),
                                        np.array([5], dtype=np.int32)],
                              ids=["one run", "one element"])
     def test_one_run_is_one_cell_holding_every_sample(self, codes):
-        cells, counts, _ = _cell_counts(codes.copy())
+        cells, starts = _cell_counts(codes.copy())
         assert cells.tolist() == [codes[0]]
-        assert counts.tolist() == [codes.size]
+        assert _run_lengths(starts, codes.size).tolist() == [codes.size]
+
+    def test_run_lengths_are_int32_below_two_to_the_31_rows_and_int64_from_there(self):
+        # only the run starts are arrays, so no sample of that size is made
+        lengths = _run_lengths(np.array([0, 3, 2 ** 31 + 1]), 2 ** 31 + 4)
+        assert lengths.dtype == np.int64
+        assert lengths.tolist() == [3, 2 ** 31 - 2, 3]
+        lengths = _run_lengths(np.array([0, 3, 2 ** 31 - 3]), 2 ** 31 - 1)
+        assert lengths.dtype == np.int32
+        assert lengths.tolist() == [3, 2 ** 31 - 6, 2]
 
 
 def _entropy_or_sparse(y, x, spec):

@@ -29,7 +29,8 @@ from entrosa import (ChiSquared, ConfigurationError, Gaussian, HistogramSpec, Mo
                      fix_variables, kl_total_index, sample_inputs)
 from entrosa.benchmarks import draw_metafunction
 from entrosa.deriv import GRAD_FLOOR
-from entrosa.entropy import _axis_codes, _cell_counts, conditional_entropy, entropy_histogram
+from entrosa.entropy import (_axis_codes, _cell_counts, _run_lengths, conditional_entropy,
+                             entropy_histogram)
 from entrosa.model import (DEFAULT_FD_STEP, _BLOCK_ALIGN, _BLOCK_ROWS, _map_evaluations,
                            _map_in_order, _map_runs, _row_blocks, finite_within_rate)
 
@@ -1075,8 +1076,9 @@ def _kl_by_copy(model, n, bins, seed):
         y1 = evaluate_batch(model, frozen)
         y1 = y1[np.isfinite(y1)]
         codes, _ = _axis_codes(np.concatenate([y0, y1]), bins)
-        cells0, counts0, _ = _cell_counts(codes[:y0.size])
-        cells1, counts1, _ = _cell_counts(codes[y0.size:])
+        cells0, starts0 = _cell_counts(codes[:y0.size])
+        cells1, starts1 = _cell_counts(codes[y0.size:])
+        counts0, counts1 = _run_lengths(starts0, y0.size), _run_lengths(starts1, y1.size)
         at = np.minimum(np.searchsorted(cells0, cells1), cells0.size - 1)
         p0 = np.where(cells0[at] == cells1, counts0[at] / y0.size, 0.0)
         p1 = counts1 / y1.size
