@@ -137,19 +137,18 @@ class Triangular(Distribution):
             )
 
     def _transform(self, out):
-        # numpy's random_triangular: the left branch in place, the right in a
-        # temporary, and the right one's bits selected where ``mask`` is all ones
+        # numpy's random_triangular, branch by branch: the right branch on the
+        # rows past the mode, gathered, and the left one in place on every row
         a, c, b = self.a, self.c, self.b
-        right = (1.0 - out) * ((b - c) * (b - a))
+        rows = np.flatnonzero(out > (c - a) / (b - a))
+        right = out[rows]
+        np.subtract(1.0, right, out=right)
+        right *= (b - c) * (b - a)
         np.subtract(b, np.sqrt(right, out=right), out=right)
-        mask = np.negative(out > (c - a) / (b - a), dtype=np.int64)
         out *= (c - a) * (b - a)
         np.sqrt(out, out=out)
         out += a
-        left, right = out.view(np.int64), right.view(np.int64)
-        right ^= left
-        right &= mask
-        left ^= right
+        out[rows] = right
 
     def entropy(self):
         return 0.5 + math.log((self.b - self.a) / 2.0)

@@ -504,7 +504,8 @@ def fd_directional_batch(model: Model, x: np.ndarray, y0: np.ndarray,
     support and +1 elsewhere; returns (g(x + s*h*1_group) - y0) / (s*h) per
     row, in an n-vector it allocates. A one-element group gives a partial
     derivative. One evaluation per row; rows with a non-finite evaluation
-    get a non-finite result.
+    get a non-finite result. A step wider than half a member's support
+    raises ``ConfigurationError``: some rows could step out of it either way.
 
     One pass of row blocks: each block takes its step signs, steps its
     group columns in ``x`` in place, evaluates, writes its differences and
@@ -514,7 +515,13 @@ def fd_directional_batch(model: Model, x: np.ndarray, y0: np.ndarray,
     """
     if not h > 0:
         raise ConfigurationError(f"finite-difference step must be positive, got {h}")
-    uppers = [model.inputs[i].support()[1] for i in group]
+    supports = [model.inputs[i].support() for i in group]
+    for i, (lower, upper) in zip(group, supports):
+        if h > (upper - lower) / 2:
+            raise ConfigurationError(
+                f"finite-difference step h = {h} is wider than half the support "
+                f"[{lower}, {upper}] of x{i + 1}")
+    uppers = [upper for _, upper in supports]
     out = np.empty(x.shape[0])
 
     def step(rows: slice, x_rows: np.ndarray, evaluate: Callable[[], np.ndarray]) -> None:

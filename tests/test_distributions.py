@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -281,6 +282,20 @@ def test_triangular_mean():
     rng = np.random.default_rng(1)
     x = Triangular(49.0, 50.0, 51.0).sample(1_000_000, rng)
     assert abs(x.mean() - 50.0) < 0.01
+
+
+def test_triangular_transform_holds_at_most_13_bytes_a_row():
+    # a symmetric law gathers the right branch's half of the rows: their
+    # int64 indices and their values, 8 bytes a row between them
+    n = 2 ** 16
+    out = np.random.default_rng(0).random(n)
+    tracemalloc.start()
+    try:
+        Triangular(49.0, 50.0, 51.0)._transform(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 13
 
 
 def test_truncated_gumbel_draws_in_window():

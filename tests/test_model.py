@@ -204,6 +204,16 @@ class TestGradient:
         with pytest.raises(ConfigurationError):
             fd_directional_batch(model, x, evaluate_batch(model, x), (0,), h=0.0)
 
+    def test_step_wider_than_half_a_members_support_is_refused(self):
+        # at h = 0.6 on [0, 1], a point at 0.5 leaves the support either way
+        model = Model("sq2", (Uniform(0, 1), Uniform(0, 2)),
+                      lambda x: x[:, 0] ** 2 + x[:, 1] ** 2)
+        x = np.full((1, 2), 0.5)
+        y0 = evaluate_batch(model, x)
+        fd_directional_batch(model, x, y0, (1,), h=1.0)
+        with pytest.raises(ConfigurationError, match=r"h = 0.6 .* \[0, 1\] of x1"):
+            fd_directional_batch(model, x, y0, (1, 0), h=0.6)
+
 
 def _fd_by_copy(model, x, y0, group, h):
     """The forward difference on a shifted copy of x: the reference for the

@@ -1028,9 +1028,29 @@ class TestCli:
         assert errors.pop().startswith("sparse-grid abort: variable 1 of ishigami")
 
     def test_output_range_too_narrow_to_bin_exit_code(self, capsys):
+        # the step fits the support, so the run reaches the histogram's range
         code = main(["run", "--model", "mono2", "--override-input", "1=Uniform(0,1e-315)",
-                     "--methods", "groups", "--groups", "1,2", "--n", "1e4"])
+                     "--methods", "groups", "--groups", "1,2", "--n", "1e4",
+                     "--fd-step", "1e-316"])
         assert code == 3
+        assert "too narrow or too wide" in capsys.readouterr().err
+
+    def test_a_step_wider_than_a_support_exits_2_naming_its_input(self, capsys):
+        # from x3 ~ Triangular(49, 50, 51), a step of 100 leaves the support
+        # either way; every output it would give is non-finite
+        code = main(["run", "--model", "flood", "--methods", "deriv", "--n-deriv", "10",
+                     "--fd-step", "100"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "configuration error: finite-difference step h = 100.0 is wider than half "
+            "the support [49.0, 51.0] of x3\n")
+
+    def test_a_step_wider_than_a_narrow_override_exits_2(self, capsys):
+        # the default step of 1e-5 would take every derivative outside [0, 1e-6]
+        code = main(["run", "--model", "ishigami", "--methods", "deriv",
+                     "--override-input", "1=Uniform(0,1e-6)"])
+        assert code == 2
+        assert "[0.0, 1e-06] of x1" in capsys.readouterr().err
 
     def test_an_overflowing_bound_exits_3_naming_its_input(self, capsys):
         # the Poincare constant of U(0, 1e200), (b - a)^2 / pi^2, overflows float64
@@ -1084,14 +1104,14 @@ class TestCli:
         # ends in a finite report
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            codes = [main(["run", "--model", "ishigami", "--methods", "deriv",
-                           "--fd-step", "1e300"]),
+            codes = [main(["run", "--model", "mono1", "--methods", "deriv",
+                           "--override-input", "2=Uniform(0,1e308)"]),
                      main(["run", "--model", "flood", "--override-input", "2=Uniform(0,1e308)",
                            "--methods", "deriv"])]
         assert codes == [3, 0]
         assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
         assert capsys.readouterr().err == (
-            "numerical failure: all 1000 outputs of 'ishigami' are non-finite\n")
+            "numerical failure: all 1000 outputs of 'mono1[custom inputs]' are non-finite\n")
 
     def test_a_group_out_of_range_names_its_first_input_alone(self, capsys):
         code = main(["run", "--model", "ishigami", "--methods", "groups", "--groups", "1-65536",
