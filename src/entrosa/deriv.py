@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import (DEFAULT_FD_STEP, Model, _map_rows, evaluate_batch, fd_directional_batch,
-                    finite_within_rate, sample_inputs)
+from .model import (DEFAULT_FD_STEP, Model, _check_fd_step, _map_rows, evaluate_batch,
+                    fd_directional_batch, finite_within_rate, sample_inputs)
 
 __all__ = ["DerivMeasures", "estimate_deriv_measures", "GRAD_FLOOR"]
 
@@ -83,6 +83,8 @@ def estimate_deriv_measures(model: Model, n: int, h: float = DEFAULT_FD_STEP,
         bad = next((i for i in g if not 0 <= i < d), None)
         if bad is not None:
             raise ConfigurationError(f"group names x{bad + 1}, but the model has inputs x1..x{d}")
+        # a step too wide for any group is refused before x is drawn
+        _check_fd_step(model, g, h)
     if n < 10:
         raise ConfigurationError(f"derivative estimation needs n >= 10, got {n}")
     if rng is None:

@@ -254,22 +254,26 @@ def entropy_histogram(samples: np.ndarray, spec: HistogramSpec = HistogramSpec()
     return conditional_entropy(samples, np.empty((samples.size, 0)), spec)
 
 
-def entropy_knn(samples: np.ndarray) -> float:
-    """Kozachenko-Leonenko entropy (nats) of a 1-D sample, k = 3: psi(n) - psi(3) + ln 2 +
-    mean ln r. Sorted, a point's 3rd-neighbour distance r is the least, over the 4 windows
-    of 4 points that hold it, of its distance to the farther end; r = 0 gives -inf."""
-    s = np.sort(np.asarray(samples, dtype=float).ravel())
-    if (n := s.size) < 4 or not (math.isfinite(s[0]) and math.isfinite(s[-1])):  # NaN sorts last
+def entropy_knn(samples: np.ndarray) -> float | np.ndarray:
+    """Kozachenko-Leonenko entropy (nats), k = 3, of each row of samples along the last
+    axis: psi(n) - psi(3) + ln 2 + mean ln r. Sorted, a point's 3rd-neighbour distance r is
+    the least, over the 4 windows of 4 points that hold it, of its distance to the farther
+    end; a row with r = 0 gives -inf. A 1-D sample is one row and gives a float; an (m, n)
+    array gives m entropies, each bitwise equal to that of its row alone."""
+    s = np.sort(np.atleast_1d(np.asarray(samples, dtype=float)), axis=-1)
+    if (n := s.shape[-1]) < 4 or not np.isfinite(s[..., [0, -1]]).all():  # NaN sorts last
         raise ConfigurationError(f"a kNN entropy needs at least 4 samples, all finite, got {n}")
-    r, near, far = np.full(n, np.inf), np.empty(n - 3), np.empty(n - 3)
-    for o in range(4):  # the point sits o places into the window s[j:j + 4]
-        np.maximum(np.subtract(s[o:n - 3 + o], s[:-3], out=near),
-                   np.subtract(s[3:], s[o:n - 3 + o], out=far), out=near)
-        np.minimum(r[o:n - 3 + o], near, out=r[o:n - 3 + o])
-    if not r.min() >= np.finfo(float).tiny:  # an atom, or subnormal; before any log
-        return -math.inf
+    r, (near, far) = np.full(s.shape, np.inf), np.empty((2, *s.shape[:-1], n - 3))
+    for o in range(4):  # the point sits o places into the window s[..., j:j + 4]
+        np.maximum(np.subtract(s[..., o:n - 3 + o], s[..., :-3], out=near),
+                   np.subtract(s[..., 3:], s[..., o:n - 3 + o], out=far), out=near)
+        np.minimum(r[..., o:n - 3 + o], near, out=r[..., o:n - 3 + o])
+    atom = ~(r.min(axis=-1) >= np.finfo(float).tiny)  # an atom, or subnormal
+    r[atom] = 1.0  # before the log, so that an atom row neither warns nor counts
     psi_n = math.log(n) - 1 / (2 * n) - 1 / (12 * n * n)
-    return psi_n - (1.5 - np.euler_gamma) + math.log(2.0) + float(np.log(r, out=r).mean())
+    h = np.where(atom, -np.inf,
+                 psi_n - (1.5 - np.euler_gamma) + math.log(2.0) + np.log(r, out=r).mean(axis=-1))
+    return float(h) if s.ndim == 1 else h
 
 
 def conditional_entropy(y: np.ndarray, x_cond: np.ndarray,

@@ -495,6 +495,22 @@ def _refuse_overflow(bound: np.ndarray, terms_finite: np.ndarray, name: str) -> 
     return bound
 
 
+def _check_fd_step(model: Model, group: tuple[int, ...], h: float) -> list[float]:
+    """The upper support ends of ``group``'s members, once the step ``h`` is
+    known to be positive and no wider than half of each member's support;
+    raises ``ConfigurationError`` otherwise. It reads only the supports, so a
+    caller can refuse a step before it draws or evaluates anything."""
+    if not h > 0:
+        raise ConfigurationError(f"finite-difference step must be positive, got {h}")
+    supports = [model.inputs[i].support() for i in group]
+    for i, (lower, upper) in zip(group, supports):
+        if h > (upper - lower) / 2:
+            raise ConfigurationError(
+                f"finite-difference step h = {h} is wider than half the support "
+                f"[{lower}, {upper}] of x{i + 1}")
+    return [upper for _, upper in supports]
+
+
 def fd_directional_batch(model: Model, x: np.ndarray, y0: np.ndarray,
                          group: tuple[int, ...], h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Forward difference along the common perturbation of a variable group.
@@ -513,15 +529,7 @@ def fd_directional_batch(model: Model, x: np.ndarray, y0: np.ndarray,
     ``x`` must be writeable and must not be read concurrently during the
     call.
     """
-    if not h > 0:
-        raise ConfigurationError(f"finite-difference step must be positive, got {h}")
-    supports = [model.inputs[i].support() for i in group]
-    for i, (lower, upper) in zip(group, supports):
-        if h > (upper - lower) / 2:
-            raise ConfigurationError(
-                f"finite-difference step h = {h} is wider than half the support "
-                f"[{lower}, {upper}] of x{i + 1}")
-    uppers = [upper for _, upper in supports]
+    uppers = _check_fd_step(model, group, h)
     out = np.empty(x.shape[0])
 
     def step(rows: slice, x_rows: np.ndarray, evaluate: Callable[[], np.ndarray]) -> None:

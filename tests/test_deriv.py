@@ -109,6 +109,24 @@ def test_a_row_with_an_infinite_magnitude_and_floor_is_dropped_and_not_floored()
     assert m.l[0] == -math.inf and m.mu[0] == 0.0
 
 
+@pytest.mark.parametrize("groups", [None, ((0, 1), (2,))], ids=["single-inputs", "groups"])
+def test_a_too_wide_step_is_refused_before_any_draw_or_evaluation(groups):
+    # h fits x1 and x2 but is wider than half of x3's support, the last group
+    rows = []
+
+    def counting(x):
+        rows.append(x.shape[0])
+        return x.sum(axis=1)
+
+    model = Model("narrow-last", (Uniform(0.0, 10.0), Uniform(0.0, 10.0), Uniform(0.0, 1.0)),
+                  counting)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigurationError, match=r"half the support \[0.0, 1.0\] of x3"):
+        estimate_deriv_measures(model, 100_000, h=0.6, rng=rng, groups=groups)
+    assert rows == [] and rng.bit_generator.state == state
+
+
 def test_minimum_sample_size():
     with pytest.raises(ConfigurationError):
         estimate_deriv_measures(builtin("mono3").model, 5, rng=np.random.default_rng(0))

@@ -575,6 +575,37 @@ class TestEntropyIndices:
                                      rng=np.random.default_rng(37))
 
 
+def _reference_knn(samples):
+    """A frozen one-sample form of the kNN entropy, the reference each row
+    must match bitwise: k = 3, the distances from the four windows of a
+    sorted copy, and -inf before any log when the least is below tiny."""
+    s = np.sort(np.asarray(samples, dtype=float).ravel())
+    n = s.size
+    r, near, far = np.full(n, np.inf), np.empty(n - 3), np.empty(n - 3)
+    for o in range(4):
+        np.maximum(np.subtract(s[o:n - 3 + o], s[:-3], out=near),
+                   np.subtract(s[3:], s[o:n - 3 + o], out=far), out=near)
+        np.minimum(r[o:n - 3 + o], near, out=r[o:n - 3 + o])
+    if not r.min() >= np.finfo(float).tiny:
+        return -math.inf
+    psi_n = math.log(n) - 1 / (2 * n) - 1 / (12 * n * n)
+    return psi_n - (1.5 - np.euler_gamma) + math.log(2.0) + float(np.log(r, out=r).mean())
+
+
+@st.composite
+def _knn_rows(draw):
+    """Rows of samples at one scale; some rows hold a planted atom (four equal
+    values) and some four values at 0, g, 2g and 3g for a gap g on either
+    side of the least normal float."""
+    m, n = draw(st.integers(1, 64)), draw(st.integers(4, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.standard_normal((m, n)) * draw(st.sampled_from([1e-3, 1.0, 1e6]))
+    atom, gap = rng.random((2, m)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    x[atom, :4] = x[atom, :1]
+    x[gap & ~atom, :4] = np.arange(4.0) * draw(st.sampled_from([5e-324, 1e-310, 1e-300]))
+    return x
+
+
 class TestKNNEntropy:
     @pytest.mark.parametrize("dist, closed", [
         (Gaussian(0.0, 1.0), 0.5 * math.log(2 * math.pi * math.e)),
@@ -603,9 +634,32 @@ class TestKNNEntropy:
             assert entropy_knn(np.r_[np.random.default_rng(2).random(100), [0.5] * 4]) == -math.inf
             assert entropy_knn(np.full(10, 2.0)) == -math.inf
 
-    @pytest.mark.parametrize("samples", [np.arange(3.0), np.r_[np.arange(9.0), np.nan],
-                                         np.r_[np.arange(9.0), -np.inf]],
-                             ids=["three", "nan", "-inf"])
+    def test_one_entropy_per_row_and_a_float_for_one_sample(self):
+        x = np.random.default_rng(3).random((5, 200))
+        x[2, 10:14] = 0.5  # an atom in row 2 alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = entropy_knn(x)
+        assert h.shape == (5,)
+        assert h[2] == -math.inf and np.isfinite(np.delete(h, 2)).all()
+        assert type(entropy_knn(x[0])) is float and entropy_knn(x[0]) == h[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=_knn_rows())
+    def test_rows_match_the_one_sample_reference_bitwise(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h, first = entropy_knn(x), entropy_knn(x[0])
+        assert h.shape == (x.shape[0],)
+        assert np.array_equal(h, [_reference_knn(row) for row in x])
+        assert type(first) is float and first == _reference_knn(x[0])
+
+    @pytest.mark.parametrize("samples", [
+        np.arange(3.0), np.r_[np.arange(9.0), np.nan], np.r_[np.arange(9.0), -np.inf],
+        np.arange(12.0).reshape(4, 3), np.arange(10.0)[:, None],
+        np.stack([np.arange(10.0), np.r_[np.arange(9.0), np.nan]]),
+        np.stack([np.r_[np.arange(9.0), np.inf], np.arange(10.0)]),
+    ], ids=["three", "nan", "-inf", "rows-of-three", "column", "nan-row", "inf-row"])
     def test_needs_four_finite_samples(self, samples):
         with pytest.raises(ConfigurationError, match="at least 4 samples, all finite"):
             entropy_knn(samples)
