@@ -53,7 +53,8 @@ class DerivMeasures:
     nu: np.ndarray                        # E[(dg/dz_k)^2]
     l: np.ndarray                         # E[ln|dg/dz_k|], -inf if all floored
     zero_derivative_fraction: np.ndarray  # share of samples at/below the floor
-    y: np.ndarray                         # g(x) on the derivative sample, as evaluated
+    y: np.ndarray | None                  # g(x) on the derivative sample, as evaluated;
+                                          # None once a run has dropped it
 
     @property
     def dim(self) -> int:

@@ -108,6 +108,17 @@ def _method_streams(seed: int) -> dict[str, np.random.Generator]:
     return {m: np.random.default_rng(c) for m, c in zip(METHODS, children)}
 
 
+def _knn_output_entropy(y: np.ndarray, spec: HistogramSpec) -> tuple[float, str]:
+    """H(Y) of a sample's outputs and its estimator's name: the kNN estimate
+    on the finite outputs, or the histogram's where an atom defeats the kNN."""
+    good = finite_within_rate(y, "output entropy")
+    y = y if good is None else y[good]
+    h_y = entropy_knn(y)
+    if h_y == -math.inf:
+        return entropy_histogram(y, spec), "histogram"
+    return h_y, "knn"
+
+
 def run_from_config(config: RunConfig) -> SensitivityReport:
     """Execute the requested estimators and assemble the report.
 
@@ -122,6 +133,13 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
     H(Y)) only when the group's members have zero entropy, as the
     unit-interval inputs of the G-function cases do; a group of one input
     with another law differs from its ``kappa_bound`` by exp(H(X_i)).
+
+    ``metadata["output_entropy"]``, the H(Y) of the bounds and the groups'
+    bounds, is the entropy block's when that block runs and the builtin pins
+    none of its inputs. Otherwise it is the kNN estimate (the histogram's
+    where an atom defeats the kNN) on the outputs of the derivative sample,
+    or of the groups sample in a run without one, taken as soon as that
+    sample exists: no later block runs beside those outputs.
 
     ``metadata["n_evaluations"]`` is the number of input rows the model
     evaluated, counted at the evaluator. Each method block logs one INFO
@@ -167,12 +185,19 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
         log.info("%s: %s on %d samples, %d evaluations, %.3f s", model.name, method, n,
                  n_evaluations - evaluated, time.perf_counter() - started)
 
-    measures = h_y = None
+    # H(Y) is the entropy block's if it runs on every input, else it comes
+    # off the first derivative sample's outputs as soon as they exist
+    knn_h_y = ("bounds" in methods or "groups" in methods) and (
+        "entropy" not in methods or bool(bench.entropy_fix))
+    h_y = None
     if "deriv" in methods or "bounds" in methods:
         with stage("deriv", config.n_deriv):
             measures = estimate_deriv_measures(model, config.n_deriv, config.fd_step,
                                                streams["deriv"])
         put(measures)
+        if knn_h_y:
+            h_y, estimator = _knn_output_entropy(measures.y, spec)
+        measures = replace(measures, y=None)  # the bounds need mu, nu and l only
 
     if "variance" in methods:
         with stage("variance", config.n_base):
@@ -195,15 +220,11 @@ def run_from_config(config: RunConfig) -> SensitivityReport:
         with stage("groups", config.n_samples):
             gm = estimate_deriv_measures(model, config.n_samples, config.fd_step,
                                          streams["groups"], config.groups)
+        if h_y is None:
+            h_y, estimator = _knn_output_entropy(gm.y, spec)
+        gm = replace(gm, y=None)
 
     if "bounds" in methods or "groups" in methods:
-        if h_y is None:  # the derivative (or groups) sample's g(x); an atom defeats the kNN
-            y = (measures or gm).y
-            good = finite_within_rate(y, "output entropy")
-            y = y if good is None else y[good]
-            h_y, estimator = entropy_knn(y), "knn"
-            if h_y == -math.inf:
-                h_y, estimator = entropy_histogram(y, spec), "histogram"
         metadata["output_entropy"] = {"h_y": h_y, "exp_h_y": math.exp(h_y),
                                       "estimator": estimator}
 

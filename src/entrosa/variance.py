@@ -66,9 +66,6 @@ def estimate_total_effect_variance(model: Model, n_base: int,
                                                 _evaluate_into(model, b, y[n_base:]))
     y, lo, hi = _finite_part(y, "variance", (bad_a + bad_b, np.minimum(lo_a, lo_b),
                                              np.maximum(hi_a, hi_b)))
-    # finite outputs far apart overflow V(Y) and the V_Ti, overflows named below
-    with np.errstate(over="ignore", invalid="ignore"):
-        v_y = float(np.var(y, ddof=1))
     # constant by the histogram coder's rule, which no rescaling of g changes
     constant = hi == lo
 
@@ -84,6 +81,11 @@ def estimate_total_effect_variance(model: Model, n_base: int,
         kept = diff if good is None else diff[good]
         with np.errstate(over="ignore", invalid="ignore"):
             v_total[i] = 0.5 * float(np.mean(np.multiply(kept, kept, out=kept)))
+    # V(Y)'s 2n temporary is taken once A, B and the differences are released;
+    # finite outputs far apart overflow V(Y) and the V_Ti, overflows named below
+    del a, b, diff, kept
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_y = float(np.var(y, ddof=1))
     # the outputs and differences kept are finite, so a V_Ti or V(Y) that
     # is not has overflowed float64
     _refuse_overflow(v_total, np.ones(d, dtype=bool), "v_total")

@@ -11,6 +11,7 @@ import stat
 import subprocess
 import sys
 import warnings
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -25,12 +26,13 @@ from entrosa.benchmarks import FLOOD_POINCARE, FLOOD_VAR_NAMES
 from entrosa.cli import main
 from entrosa.deriv import DerivMeasures, estimate_deriv_measures
 from entrosa.entropy import (EntropyBounds, EntropyReport, HistogramSpec, KLResult,
-                             kl_total_index)
+                             entropy_knn, kl_total_index)
 from entrosa.report import (METHODS, MAX_RUNS, ROW_FIELDS, _map_leaves, _read_config_file,
                             json_text, write_atomic)
 from entrosa.studies import (STUDY_BINS, _method_streams, _scaled_spec, build_benchmark,
                              convergence, metastudy, run_from_config, run_table_preset)
-from entrosa.variance import PoincareBound, VarianceReport, variance_upper_bound
+from entrosa.variance import (PoincareBound, VarianceReport, estimate_total_effect_variance,
+                              variance_upper_bound)
 
 
 def load_config_file(path) -> RunConfig:
@@ -494,6 +496,36 @@ def test_evaluation_count_is_the_documented_cost(method, cost, cpus):
                     n_base=N_BASE, repetitions=REPS, bins_output=16, bins_cond=8,
                     groups=GROUPS, seed=0)
     assert run_from_config(cfg).metadata["n_evaluations"] == cost
+
+
+@pytest.mark.parametrize("model, methods", [
+    ("gfunction9_case1", ("deriv", "variance", "bounds")),
+    ("flood", ("deriv", "variance", "entropy", "bounds")),  # entropy pins inputs
+])
+def test_the_derivative_outputs_die_before_the_next_block(model, methods, monkeypatch):
+    # H(Y) is taken off the derivative sample as soon as it exists, so its
+    # outputs are gone when variance starts, and H(Y) is still theirs, bitwise
+    import entrosa.studies as studies
+
+    sample = {}
+
+    def deriv(*args, **kwargs):
+        measures = estimate_deriv_measures(*args, **kwargs)
+        sample["ref"], sample["y"] = weakref.ref(measures.y), measures.y.copy()
+        return measures
+
+    def variance(*args, **kwargs):
+        sample["alive"] = sample["ref"]() is not None
+        return estimate_total_effect_variance(*args, **kwargs)
+
+    monkeypatch.setattr(studies, "estimate_deriv_measures", deriv)
+    monkeypatch.setattr(studies, "estimate_total_effect_variance", variance)
+    report = run_from_config(RunConfig(model=model, methods=methods, n_samples=20_000,
+                                       n_deriv=5000, n_base=500, bins_output=16,
+                                       bins_cond=8, seed=3))
+    assert sample["alive"] is False
+    h_y = report.metadata["output_entropy"]
+    assert h_y["estimator"] == "knn" and h_y["h_y"] == entropy_knn(sample["y"])
 
 
 def test_counts_above_the_cap_are_refused_before_any_run(tmp_path, monkeypatch, capsys):

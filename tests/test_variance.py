@@ -1,10 +1,12 @@
 """Pick-and-freeze total-effect variance and the derivative-based bound."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import entrosa.model
 import entrosa.variance
 from entrosa import (ConfigurationError, Gaussian, Model, NumericalError,
                      Uniform, builtin,
@@ -178,3 +180,22 @@ def test_every_evaluated_matrix_has_contiguous_columns():
     model = Model("spy", (Uniform(0, 1),) * 3, evaluator)
     estimate_total_effect_variance(model, 200, np.random.default_rng(4))
     assert layouts == [True] * 5
+
+
+def test_pick_and_freeze_holds_at_most_16d_plus_29_bytes_a_row(cpus, monkeypatch):
+    # A and B are 16d bytes a row, g(A) and g(B) 16 and the difference vector
+    # 8; V(Y) is taken once A, B and the differences are released, so its
+    # 16-byte temporary never joins them (16d + 32). Serial blocks of 4096
+    # rows keep the evaluator's temporaries to about 1.5 bytes a row
+    cpus(1)
+    monkeypatch.setattr(entrosa.model, "_BLOCK_ROWS", 4 * entrosa.model._BLOCK_ALIGN)
+    model = builtin("gfunction9_case1").model
+    estimate_total_effect_variance(model, 100, np.random.default_rng(0))  # first-call costs
+    n = 2 ** 16
+    tracemalloc.start()
+    try:
+        estimate_total_effect_variance(model, n, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 16 * model.dim + 29
